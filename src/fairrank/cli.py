@@ -3,17 +3,13 @@
 Exit codes: 0 success; 2 parse or configuration error; 3 a metric named
 explicitly in the config was degenerate for every request; 4 compare was
 given fewer than two systems.  Logs go to stderr, data to files only.
-``FAIRRANK_THREADS`` caps how many systems are evaluated in parallel
-(default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .core import ConfigError, FairRankError, GroupSpace, ParseError
@@ -37,15 +33,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_TOO_FEW_SYSTEMS = 4
-
-
-def _threads() -> int:
-    raw = os.environ.get("FAIRRANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("ignoring non-integer FAIRRANK_THREADS=%r", raw)
-        return 1
 
 
 def _resolve_groups(groups: GroupSpace, config: EvalConfig) -> GroupSpace:
@@ -104,16 +91,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return evaluate_system(systems[idx], run, seq, qrels, alignment, groups,
                                config, scores)
 
-    n_threads = min(_threads(), len(run_paths))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            evaluations = list(pool.map(job, range(len(run_paths))))
-    else:
-        evaluations = [job(i) for i in range(len(run_paths))]
-
     results = []
     failed = False
-    for ev in evaluations:
+    for ev in map(job, range(len(run_paths))):
         results.extend(ev.results)
         for note in ev.notes:
             log.warning("%s: %s", ev.system, note)

@@ -158,17 +158,24 @@ def request_exposure(
     groups: GroupSpace,
     model: WeightModel,
     relevance: RelevanceTable | None = None,
-    normalize: bool = False,
 ) -> np.ndarray:
-    """Empirical policy expectation: mean group exposure over a request's draws."""
+    """Empirical policy expectation: mean group exposure over a request's draws.
+
+    A draw with no labeled document contributes zero exposure; the request
+    is degenerate only when none of its draws has a labeled document.
+    """
     draws = seq.draws_for(request)
     if not draws:
         raise UnknownRequest(f"no draws for request {request!r}")
-    per_draw = [
-        group_exposure(r, alignment, position_weights(model, r, relevance), groups, normalize=normalize)
-        for r in draws
-    ]
-    return np.mean(np.stack(per_draw), axis=0)
+    per_draw = []
+    for r in draws:
+        try:
+            per_draw.append(group_exposure(r, alignment, position_weights(model, r, relevance), groups))
+        except Degenerate:
+            pass  # no labeled document: zero exposure
+    if not per_draw:
+        raise Degenerate("no labeled documents in any draw")
+    return np.sum(per_draw, axis=0) / len(draws)
 
 
 def system_exposure(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, TextIO
@@ -86,6 +87,17 @@ def _lines(source: TextIO | Iterable[str] | str | Path) -> Iterable[str]:
     yield from source
 
 
+def _finite(text: str, what: str, lineno: int) -> float:
+    """Parse a finite number, or fail naming the line (inf and nan included)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not a number", lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what} {text!r} is not finite", lineno)
+    return value
+
+
 def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
     """Parse a TREC-style run file into records and per-request rankings."""
     records: list[RunRecord] = []
@@ -102,10 +114,7 @@ def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
             rank = int(rank_s)
         except ValueError:
             raise ParseError(f"rank {rank_s!r} is not an integer", lineno) from None
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(f"score {score_s!r} is not a number", lineno) from None
+        score = _finite(score_s, "score", lineno)
         ranks = seen_ranks.setdefault(qid, set())
         if rank in ranks:
             raise DuplicateRank(f"request {qid!r} repeats rank {rank}", lineno)
@@ -138,10 +147,7 @@ def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
         if len(parts) != 4:
             raise ParseError(f"expected 4 whitespace-separated fields, got {len(parts)}", lineno)
         qid, _, docid, grade_s = parts
-        try:
-            grade = float(grade_s)
-        except ValueError:
-            raise ParseError(f"grade {grade_s!r} is not a number", lineno) from None
+        grade = _finite(grade_s, "grade", lineno)
         if grade < 0:
             raise ParseError(f"negative grade {grade}", lineno)
         bucket = table.setdefault(qid, {})
@@ -249,10 +255,7 @@ def parse_scores(source: TextIO | Iterable[str] | str | Path) -> dict[str, dict[
         if len(cells) != 3:
             raise ParseError(f"expected qid,docid,score, got {len(cells)} columns", lineno)
         qid, docid = cells[0].strip(), cells[1].strip()
-        try:
-            score = float(cells[2])
-        except ValueError:
-            raise ParseError(f"score {cells[2]!r} is not a number", lineno) from None
+        score = _finite(cells[2], "score", lineno)
         bucket = out.setdefault(qid, {})
         if docid in bucket:
             log.warning("scores line %d overrides earlier score for (%s, %s)", lineno, qid, docid)
@@ -301,7 +304,6 @@ class EvalConfig:
     unknown_policy: str = "exclude"
     threshold: float = 0.5
     seed: int = 42
-    signed_correlation: bool = False
     metrics: tuple[MetricConfig, ...] = ()
     explicit_metrics: bool = False
 
@@ -361,7 +363,7 @@ def _make_metric(entry: Mapping, path: str) -> MetricConfig:
     _domain(target in TARGET_MODES, f"{path}.target", f"unknown target mode {target!r}")
     _domain(name == "prefd" or target != "composition",
             f"{path}.target", "composition target only applies to prefd")
-    _domain(step >= 1, f"{path}.step", f"step {step} must be >= 1")
+    _domain(step >= 2, f"{path}.step", f"step {step} must be >= 2")
     _domain(n_negatives >= 1, f"{path}.n_negatives", f"n_negatives {n_negatives} must be >= 1")
     _domain(pool in ("judged", "retrieved", "union"), f"{path}.pool", f"unknown pool {pool!r}")
     custom = entry.get("custom_target")
@@ -390,8 +392,7 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
             doc = yaml.safe_load(source) or {}
     if not isinstance(doc, Mapping):
         raise ConfigError("config document must be a mapping")
-    known = {"protected", "unknown", "unknown_policy", "threshold", "seed",
-             "signed_correlation", "metrics"}
+    known = {"protected", "unknown", "unknown_policy", "threshold", "seed", "metrics"}
     for key in doc:
         if key not in known:
             raise ConfigError(f"unknown parameter {key!r}", str(key))
@@ -415,7 +416,6 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
         unknown_policy=policy,
         threshold=threshold,
         seed=int(doc.get("seed", 42)),
-        signed_correlation=bool(doc.get("signed_correlation", False)),
         metrics=metrics,
         explicit_metrics=explicit,
     )

@@ -58,8 +58,8 @@ class SingleListResult:
 
 def prefix_schedule(n: int, step: int) -> list[int]:
     """Prefix lengths step, 2*step, ..., plus n itself when not a multiple."""
-    if step < 1:
-        raise FairRankError(f"step must be >= 1, got {step}")
+    if step < 2:
+        raise FairRankError(f"step must be >= 2 (prefix 1 has discount log2(1) = 0), got {step}")
     ks = list(range(step, n + 1, step))
     if not ks or ks[-1] != n:
         ks.append(n)

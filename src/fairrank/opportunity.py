@@ -32,7 +32,7 @@ from .core import (
     RankingSequence,
     RelevanceTable,
 )
-from .exposure import WeightModel, group_exposure, position_weights, target_exposure
+from .exposure import WeightModel, position_weights, request_exposure, target_exposure
 from .metrics_multi import binomial_split
 
 UTILITY_POOLS = ("judged", "retrieved", "union")
@@ -207,8 +207,8 @@ def expected_exposure(
 ) -> ExpectedExposureResult:
     """System-level expected exposure loss against the ideal policy.
 
-    Per request, the raw exposure vector is averaged over draws (a draw with
-    no labeled documents contributes zero mass) and the target comes from the
+    Per request, the raw exposure vector is ``request_exposure`` (zero when
+    no draw has a labeled document) and the target comes from the
     relevance-sorted ideal policy over the candidate pool (judged plus
     retrieved documents by default).  Requests with no relevant document, or
     with no labeled candidate, are skipped and counted.  Both vectors are
@@ -232,14 +232,10 @@ def expected_exposure(
         except Degenerate:
             n_skipped += 1
             continue
-        draws = seq.draws_for(q)
-        eps = np.zeros(groups.g)
-        for r in draws:
-            try:
-                eps += group_exposure(r, alignment, position_weights(model, r, relevance), groups)
-            except Degenerate:
-                pass  # fully-unlabeled draw: zero labeled mass
-        eps /= len(draws)
+        try:
+            eps = request_exposure(seq, q, alignment, groups, model, relevance)
+        except Degenerate:
+            eps = np.zeros(groups.g)  # no labeled draw: zero exposure
         w = rho.get(q, 0.0)
         eps_acc += w * eps
         tgt_acc += w * tgt

@@ -93,6 +93,34 @@ class _Context:
         )
         self.bin_alignment, self.bin_groups = binarize(alignment, groups, config.threshold)
         self._catalog: TargetDistribution | None = None
+        self._exposures: dict[tuple[bool, WeightModel], dict[str, np.ndarray]] = {}
+        self._utilities: dict[str, np.ndarray] = {}
+
+    def exposures(self, model: WeightModel, binarized: bool) -> dict[str, np.ndarray]:
+        """Per-request exposure on one alignment variant; degenerate requests are absent.
+
+        Computed once per (variant, model) and shared by DP, EUR, EED and IAA.
+        """
+        key = (binarized, model)
+        if key not in self._exposures:
+            alignment, groups = ((self.bin_alignment, self.bin_groups) if binarized
+                                 else (self.ext_alignment, self.ext_groups))
+            per_request: dict[str, np.ndarray] = {}
+            for q in sorted(self.seq.requests()):
+                try:
+                    per_request[q] = request_exposure(
+                        self.seq, q, alignment, groups, model, self.qrels)
+                except Degenerate:
+                    pass
+            self._exposures[key] = per_request
+        return self._exposures[key]
+
+    def utility(self, pool: str) -> np.ndarray:
+        """Binarized per-group mean relevance, computed once per pool (EUR, RUR)."""
+        if pool not in self._utilities:
+            self._utilities[pool] = group_utility(
+                self.seq, self.qrels, self.bin_alignment, self.bin_groups, pool)
+        return self._utilities[pool]
 
     def catalog(self) -> TargetDistribution:
         if self._catalog is None:
@@ -170,23 +198,13 @@ def _per_draw(
 
 def _sequence_exposure(
     ctx: _Context,
-    alignment: AlignmentMatrix,
-    groups: GroupSpace,
-    model: WeightModel,
+    per_request: Mapping[str, np.ndarray],
 ) -> tuple[np.ndarray, int, int]:
     """System expected exposure (raw), with request and degenerate counts."""
-    per_request: dict[str, np.ndarray] = {}
-    skipped = 0
-    for q in sorted(ctx.seq.requests()):
-        try:
-            per_request[q] = request_exposure(
-                ctx.seq, q, alignment, groups, model, ctx.qrels)
-        except Degenerate:
-            skipped += 1
     if not per_request:
         raise AllDegenerate("no request has any labeled exposure")
-    eps = system_exposure(per_request, ctx.rho)
-    return eps, len(per_request) + skipped, skipped
+    n_requests = len(ctx.seq.requests())
+    return system_exposure(per_request, ctx.rho), n_requests, n_requests - len(per_request)
 
 
 def _ratio_rows(
@@ -270,26 +288,24 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
         return [_per_draw(ctx, _fair, mc, notes)]
 
     if mc.name == "dp":
-        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.bin_alignment, ctx.bin_groups, model)
+        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
         ratio = demographic_parity(eps, ctx.bin_groups)
         return _ratio_rows(ctx, mc, ratio, n_req, n_deg, notes)
 
     if mc.name == "eed":
-        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.ext_alignment, ctx.ext_groups, model)
+        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.exposures(model, binarized=False))
         return [MetricResult(mc.label, ctx.system, eed(eps), n_req, n_deg,
                              Direction.ZERO_IS_FAIR)]
 
     if mc.name == "eur":
-        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.bin_alignment, ctx.bin_groups, model)
-        upsilon = group_utility(ctx.seq, ctx.qrels, ctx.bin_alignment, ctx.bin_groups, mc.pool)
-        ratio = eur(eps, upsilon, ctx.bin_groups)
+        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
+        ratio = eur(eps, ctx.utility(mc.pool), ctx.bin_groups)
         return _ratio_rows(ctx, mc, ratio, n_req, n_deg, notes)
 
     if mc.name == "rur":
-        upsilon = group_utility(ctx.seq, ctx.qrels, ctx.bin_alignment, ctx.bin_groups, mc.pool)
         gamma_disc = discounted_group_utility(
             ctx.seq, ctx.qrels, ctx.bin_alignment, ctx.bin_groups, model)
-        ratio = rur(gamma_disc, upsilon, ctx.bin_groups)
+        ratio = rur(gamma_disc, ctx.utility(mc.pool), ctx.bin_groups)
         n_req = len(ctx.seq.requests())
         return _ratio_rows(ctx, mc, ratio, n_req, 0, notes)
 
@@ -309,26 +325,16 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
             raise _MissingInput("system score file not provided")
         per_request: dict[str, np.ndarray] = {}
         utils: dict[str, np.ndarray] = {}
-        skipped = 0
-        for q in sorted(ctx.seq.requests()):
+        for q, eps in ctx.exposures(model, binarized=False).items():
             util = _predicted_utility(ctx, q, ctx.ext_alignment, ctx.ext_groups)
-            if util is None:
-                skipped += 1
-                continue
-            try:
-                per_request[q] = request_exposure(
-                    ctx.seq, q, ctx.ext_alignment, ctx.ext_groups, model, ctx.qrels)
-            except Degenerate:
-                skipped += 1
-                continue
-            utils[q] = util
+            if util is not None:
+                per_request[q], utils[q] = eps, util
         if not per_request:
             raise AllDegenerate("no request has both exposure and predicted utility")
-        eps = system_exposure(per_request, ctx.rho)
-        util_mean = system_exposure(utils, ctx.rho)
-        value = iaa(eps, util_mean)
-        return [MetricResult(mc.label, ctx.system, value, len(per_request) + skipped,
-                             skipped, Direction.ZERO_IS_FAIR)]
+        value = iaa(system_exposure(per_request, ctx.rho), system_exposure(utils, ctx.rho))
+        n_req = len(ctx.seq.requests())
+        return [MetricResult(mc.label, ctx.system, value, n_req, n_req - len(per_request),
+                             Direction.ZERO_IS_FAIR)]
 
     if mc.name == "pair":
         if not ctx.scores:

@@ -108,17 +108,10 @@ class TestEvaluate:
     def test_unknown_config_key_exits_2(self, tmp_path):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("nonsense: true\n")
-        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
-        assert rc == 2
-
-    def test_threads_env_matches_serial(self, tmp_path, monkeypatch):
-        paths, _ = _synth(tmp_path, n_systems=3)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(_evaluate_args(paths, out_a)) == 0
-        monkeypatch.setenv("FAIRRANK_THREADS", "3")
-        assert main(_evaluate_args(paths, out_b)) == 0
-        assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+        for text in ("nonsense: true\n", "signed_correlation: true\n"):
+            cfg.write_text(text)
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+            assert rc == 2, text
 
 
 class TestCompare:

@@ -129,6 +129,17 @@ def test_request_exposure_mean_of_draws(two_groups):
         request_exposure(seq, "missing", al, two_groups, model)
 
 
+def test_request_exposure_unlabeled_draw_counts_zero(two_groups):
+    al = AlignmentMatrix({"a": [1, 0], "b": [0, 1]})
+    model = WeightModel("geometric", 0.5)
+    seq = RankingSequence((("q", Ranking("q", ("a", "b"))), ("q", Ranking("q", ("zz",)))))
+    # the labeled draw gives [0.5, 0.25]; the unlabeled one adds zero exposure
+    assert np.allclose(request_exposure(seq, "q", al, two_groups, model), [0.25, 0.125])
+    only_unlabeled = RankingSequence((("q", Ranking("q", ("zz",))),) * 2)
+    with pytest.raises(Degenerate):
+        request_exposure(only_unlabeled, "q", al, two_groups, model)
+
+
 def test_system_exposure_weighting():
     per = {"q1": np.array([1.0, 0.0]), "q2": np.array([0.0, 1.0])}
     assert np.allclose(system_exposure(per), [0.5, 0.5])

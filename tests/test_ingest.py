@@ -58,6 +58,11 @@ class TestParseRun:
         with pytest.raises(ParseError, match="not a number"):
             parse_run(io.StringIO("q1 Q0 d1 1 high r\n"))
 
+    def test_non_finite_score_rejected(self):
+        for score in ("inf", "-inf", "nan"):
+            with pytest.raises(ParseError, match="line 2.*not finite"):
+                parse_run(io.StringIO(f"q1 Q0 d1 1 2.0 r\nq1 Q0 d2 2 {score} r\n"))
+
     def test_round_trip(self):
         text = "q1 Q0 d1 1 2.5 r\nq1 Q0 d2 2 1.25 r\nq2 Q0 d9 1 0.125 r\n"
         run = parse_run(io.StringIO(text))
@@ -79,6 +84,12 @@ class TestParseQrels:
     def test_negative_rejected(self):
         with pytest.raises(ParseError, match="negative"):
             parse_qrels(io.StringIO("q1 0 d -1\n"))
+
+    def test_non_finite_grade_rejected_with_line(self):
+        for grade in ("nan", "inf"):
+            with pytest.raises(ParseError, match="line 2.*not finite") as err:
+                parse_qrels(io.StringIO(f"q1 0 a 1\nq1 0 d {grade}\n"))
+            assert err.value.line == 2
 
     def test_duplicate_last_wins_with_warning(self, caplog):
         with caplog.at_level("WARNING", logger="fairrank"):
@@ -168,6 +179,11 @@ class TestParseScores:
         with pytest.raises(ParseError, match="line 1"):
             parse_scores(io.StringIO("q1,d1,high\n"))
 
+    def test_non_finite_rejected(self):
+        for score in ("nan", "inf", "-inf"):
+            with pytest.raises(ParseError, match="line 2.*not finite"):
+                parse_scores(io.StringIO(f"qid,docid,score\nq1,d1,{score}\n"))
+
     def test_round_trip(self):
         sc = {"q1": {"d1": 0.125, "d2": 3.5}, "q2": {"d9": -1.75}}
         buf = io.StringIO()
@@ -203,9 +219,10 @@ class TestLoadConfig:
             load_config(doc)
 
     def test_error_paths_name_the_key(self):
-        doc = io.StringIO("metrics:\n  - name: awrf\n    step: 0\n")
-        with pytest.raises(ConfigError, match=r"metrics\[0\].step"):
-            load_config(doc)
+        for step in (0, 1):  # step 1 would divide the first prefix by log2(1) = 0
+            doc = io.StringIO(f"metrics:\n  - name: awrf\n    step: {step}\n")
+            with pytest.raises(ConfigError, match=r"metrics\[0\].step"):
+                load_config(doc)
 
     def test_equal_target_mode(self):
         doc = io.StringIO("metrics:\n  - name: awrf\n    target: equal\n")

@@ -6,6 +6,7 @@ from fairrank import (
     AlignmentMatrix,
     DegenerateDenominator,
     Direction,
+    FairRankError,
     GroupSpace,
     Ranking,
     TargetDistribution,
@@ -61,6 +62,11 @@ class TestPrefFairness:
         res = pref_fairness(Ranking("q", ("x", "y")), al, GS)
         assert res.degenerate == "no_labeled_docs"
         assert math.isnan(res.value)
+
+    def test_step_below_two_rejected(self):
+        mask = [True, False] * 6  # 12 docs: step 1 used to score NaN, unflagged
+        with pytest.raises(FairRankError, match="step"):
+            pref_fairness(_ranking(mask), _alignment_from_mask(mask), GS, step=1)
 
     def test_uniform_composition_undefined_normalizer(self):
         mask = [False] * 12
