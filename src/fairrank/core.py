@@ -284,6 +284,7 @@ class RelevanceTable:
                 inner[doc] = grade
             table[req] = inner
         self._table = table
+        self._max_grade = max((g for docs in table.values() for g in docs.values()), default=0.0)
 
     @classmethod
     def from_pairs(cls, pairs: Mapping[tuple[str, str], float]) -> "RelevanceTable":
@@ -302,12 +303,7 @@ class RelevanceTable:
         return self._table.keys()
 
     def max_grade(self) -> float:
-        best = 0.0
-        for docs in self._table.values():
-            for grade in docs.values():
-                if grade > best:
-                    best = grade
-        return best
+        return self._max_grade
 
     def __len__(self) -> int:
         return sum(len(d) for d in self._table.values())
@@ -357,6 +353,10 @@ class RankingSequence:
             if ranking.request != q:
                 raise FairRankError(f"draw key {q!r} does not match ranking request {ranking.request!r}")
         object.__setattr__(self, "draws", draws)
+        by_request: dict[str, list[Ranking]] = {}
+        for q, ranking in draws:
+            by_request.setdefault(q, []).append(ranking)
+        object.__setattr__(self, "_by_request", by_request)
         if self.request_weights is not None:
             total = sum(self.request_weights.values())
             if abs(total - 1.0) > DISTRIBUTION_ATOL:
@@ -367,23 +367,17 @@ class RankingSequence:
 
     def requests(self) -> list[str]:
         """Distinct request ids in first-draw order."""
-        seen: dict[str, None] = {}
-        for q, _ in self.draws:
-            seen.setdefault(q)
-        return list(seen)
+        return list(self._by_request)
 
     def draws_for(self, request: str) -> list[Ranking]:
-        return [r for q, r in self.draws if q == request]
+        return list(self._by_request.get(request, ()))
 
     def rho(self) -> dict[str, float]:
         """Request arrival distribution: explicit weights or draw frequencies."""
         if self.request_weights is not None:
             return dict(self.request_weights)
-        counts: dict[str, int] = {}
-        for q, _ in self.draws:
-            counts[q] = counts.get(q, 0) + 1
         total = len(self.draws)
-        return {q: c / total for q, c in counts.items()}
+        return {q: len(rs) / total for q, rs in self._by_request.items()}
 
     @classmethod
     def single_draws(cls, rankings: Mapping[str, Ranking]) -> "RankingSequence":

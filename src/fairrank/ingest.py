@@ -3,7 +3,10 @@
 File formats (UTF-8, LF or CRLF):
 
 * run:       ``qid Q0 docid rank score tag`` whitespace-separated; ``#``
-             lines are comments.
+             lines are comments.  Each request's documents are ordered by
+             the rank column, and gaps in it are closed (ranks 3, 7, 10 sit
+             at positions 1, 2, 3); the score column never reorders them,
+             unlike trec_eval, which sorts by score.
 * qrels:     ``qid iter docid grade`` whitespace-separated.
 * alignment: CSV, header ``docid,<group1>,...,<groupG>``; a row with every
              group cell empty marks the document unlabeled.
@@ -99,7 +102,10 @@ def _finite(text: str, what: str, lineno: int) -> float:
 
 
 def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
-    """Parse a TREC-style run file into records and per-request rankings."""
+    """Parse a TREC-style run file into records and per-request rankings.
+
+    Rankings follow the rank column, with gaps closed; scores ride along.
+    """
     records: list[RunRecord] = []
     seen_ranks: dict[str, set[int]] = {}
     for lineno, line in enumerate(_lines(source), start=1):
@@ -186,10 +192,7 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
         raw = [c.strip() for c in cells[1:]]
         if all(not c for c in raw):
             continue  # unlabeled
-        try:
-            vec = np.array([float(c) if c else 0.0 for c in raw])
-        except ValueError:
-            raise ParseError("non-numeric alignment cell", lineno) from None
+        vec = np.array([_finite(c, "alignment cell", lineno) if c else 0.0 for c in raw])
         if np.any(vec < 0):
             raise NegativeWeight(f"negative alignment weight for {doc!r}", lineno)
         total = float(vec.sum())

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .core import (
     AlignmentMatrix,
@@ -187,6 +186,29 @@ def pref_fairness(
     return SingleListResult(min(raw / z, 1.0), Direction.ZERO_IS_FAIR)
 
 
+def _prefix_binom_cdf(mask: np.ndarray, p: float) -> np.ndarray:
+    """P(X_k <= c_k) for X_k ~ Binomial(k, p) and c_k = cumsum(mask), k = 1..n.
+
+    c_k rises by 0 or 1 per step, so each CDF follows from the one before
+    through a single pmf term of X_{k-1} at c_k:
+    F_k = F_{k-1} - p P(X_{k-1} = c_k) after an unprotected document, and
+    F_k = F_{k-1} + (1 - p) P(X_{k-1} = c_k) after a protected one.  The pmf
+    terms come from log factorials and are summed from F_0 = 1; rounding in
+    that running sum can step just outside [0, 1], so the result is clipped.
+    """
+    n = mask.size
+    counts = np.cumsum(mask)
+    trials = np.arange(n)
+    fails = trials - counts
+    possible = fails >= 0  # P(X_{k-1} = k) is zero
+    fails = np.where(possible, fails, 0)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_pmf = (log_fact[trials] - log_fact[counts] - log_fact[fails]
+               + counts * math.log(p) + fails * math.log1p(-p))
+    steps = np.where(possible, np.exp(log_pmf), 0.0) * np.where(mask, 1.0 - p, -p)
+    return np.clip(1.0 + np.cumsum(steps), 0.0, 1.0)
+
+
 def fair_score(
     mask: np.ndarray,
     p_hat: float,
@@ -207,7 +229,7 @@ def fair_score(
     n = mask.size
     ks = np.arange(1, n + 1)
     counts = np.cumsum(mask)
-    probs = binom.cdf(counts, ks, p_hat)
+    probs = _prefix_binom_cdf(mask, p_hat)
     if paper_verbatim:
         probs = np.where(counts >= 1, probs - (1.0 - p_hat) ** ks, 0.0)
     return SingleListResult(float(np.mean(probs)), Direction.ONE_IS_FAIR)

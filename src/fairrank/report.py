@@ -41,6 +41,8 @@ class MetricResult:
     direction: Direction
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise Degenerate(f"{self.metric} value {self.value!r} is not finite")
         if self.n_degenerate > self.n_requests:
             raise FairRankError("degenerate count exceeds request count")
 
@@ -222,6 +224,6 @@ def read_metrics_table(path: str | Path) -> list[MetricResult]:
                     n_degenerate=int(row["n_degenerate"]),
                     direction=Direction(row["direction"]),
                 ))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, FairRankError) as exc:
                 raise FairRankError(f"{path}:{lineno}: bad metrics row ({exc})") from None
     return out

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +93,18 @@ class TestEvaluate:
         assert "IAA" not in metrics and "IntraAcc" not in metrics
         assert any("skipped" in r.message for r in caplog.records)
 
+    def test_non_finite_metric_row_dropped_and_logged(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr("fairrank.pipeline.eed", lambda eps: float("inf"))
+        paths, _ = _synth(tmp_path)
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="fairrank"):
+            rc = main(_evaluate_args(paths, out))
+        assert rc == 0
+        metrics = {r.metric for r in read_metrics_table(out / "metrics.csv")}
+        assert "EED" not in metrics and "AWRF" in metrics
+        assert any("EED: degenerate (EED value inf is not finite)" in r.message
+                   for r in caplog.records)
+
     def test_malformed_run_exits_2(self, tmp_path):
         paths, _ = _synth(tmp_path)
         bad = tmp_path / "bad_run.txt"
@@ -146,3 +160,11 @@ class TestEndToEndDeterminism:
             outs.append(out)
         for fname in ("metrics.csv", "correlations.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, fairrank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -67,6 +67,7 @@ def test_relevance_table_basics():
     assert rel.grade("q", "a") == 2.0
     assert rel.grade("q", "zzz") == 0.0
     assert rel.max_grade() == 2.0
+    assert RelevanceTable().max_grade() == 0.0
     with pytest.raises(FairRankError):
         RelevanceTable({"q": {"a": -1.0}})
 
@@ -138,6 +139,16 @@ def test_ranking_sequence_rho():
     assert weighted.rho()["q2"] == 0.75
     with pytest.raises(FairRankError, match="match"):
         RankingSequence((("q9", r1),))
+
+
+def test_ranking_sequence_index_keeps_draw_and_first_draw_order():
+    r2a, r2b = Ranking("q2", ("a",)), Ranking("q2", ("b",))
+    r1 = Ranking("q1", ("c",))
+    seq = RankingSequence((("q2", r2a), ("q1", r1), ("q2", r2b)))
+    assert seq.requests() == ["q2", "q1"]
+    assert seq.draws_for("q2") == [r2a, r2b]
+    assert seq.draws_for("q9") == []
+    assert list(seq.rho().items()) == [("q2", 2 / 3), ("q1", 1 / 3)]
 
 
 def test_apply_unknown_policy(two_groups):

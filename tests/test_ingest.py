@@ -50,6 +50,13 @@ class TestParseRun:
         assert run.rankings["q1"].docs == ("first", "second")
         assert run.rankings["q1"].scores == (2.0, 1.0)
 
+    def test_orders_by_rank_not_score_and_closes_gaps(self):
+        text = "q1 Q0 a 10 9.0 r\nq1 Q0 b 3 0.5 r\nq1 Q0 c 7 1.0 r\n"
+        ranking = parse_run(io.StringIO(text)).rankings["q1"]
+        assert ranking.docs == ("b", "c", "a")
+        assert ranking.scores == (0.5, 1.0, 9.0)
+        assert ranking.original_positions == (1, 2, 3)
+
     def test_malformed_lines(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_run(io.StringIO("q1 Q0 d1 1 2.0\n"))
@@ -119,6 +126,12 @@ class TestParseAlignment:
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight, match="line 2"):
             parse_alignment(io.StringIO("docid,F,M\nd1,-0.5,1.5\n"))
+
+    def test_non_finite_cell_rejected_with_line(self):
+        for cell in ("nan", "inf", "-inf"):
+            with pytest.raises(ParseError, match="line 3.*not finite") as err:
+                parse_alignment(io.StringIO(f"docid,A,B\nd1,1,0\nd2,{cell},1\n"))
+            assert err.value.line == 3
 
     def test_row_sum_tolerance(self):
         # within 0.01 renormalizes; beyond rejects

@@ -1,6 +1,7 @@
 import math
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from fairrank import (
     AlignmentMatrix,
@@ -177,13 +178,30 @@ class TestFairScore:
 
     def test_matches_comb_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            n = int(rng.integers(1, 15))
-            mask = rng.random(n) < 0.5
-            p = float(rng.uniform(0.1, 0.9))
+        for _ in range(60):
+            n = int(rng.integers(1, 61))
+            mask = rng.random(n) < rng.uniform(0.0, 1.0)
+            p = float(rng.uniform(0.01, 0.99))
             assert fair_score(mask, p).value == pytest.approx(oracle_fair(mask, p), abs=1e-12)
             assert fair_score(mask, p, paper_verbatim=True).value == pytest.approx(
                 oracle_fair(mask, p, include_zero=False), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.9, 0.99])
+    def test_matches_scipy_at_depth_1000(self, p):
+        rng = np.random.default_rng(11)
+        masks = [
+            rng.random(1000) < p,
+            # the pmf tail underflows once the unprotected block ends
+            np.r_[np.zeros(500, dtype=bool), np.ones(500, dtype=bool)],
+        ]
+        ks = np.arange(1, 1001)
+        for mask in masks:
+            counts = np.cumsum(mask)
+            cdf = binom.cdf(counts, ks, p)
+            verbatim = np.where(counts >= 1, cdf - (1.0 - p) ** ks, 0.0)
+            assert fair_score(mask, p).value == pytest.approx(np.mean(cdf), abs=1e-12)
+            assert fair_score(mask, p, paper_verbatim=True).value == pytest.approx(
+                np.mean(verbatim), abs=1e-12)
 
     def test_monotone_under_protected_promotion_exhaustive(self):
         # swapping a protected doc one position earlier never decreases the score

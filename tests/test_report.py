@@ -7,6 +7,7 @@ from fairrank import (
     AllDegenerate,
     Degenerate,
     Direction,
+    FairRankError,
     MetricResult,
     aggregate,
     correlation_matrix,
@@ -45,6 +46,13 @@ class TestAggregate:
         r1 = aggregate(vals, {}, "m", "s", Direction.ZERO_IS_FAIR)
         r2 = aggregate(dict(reversed(list(vals.items()))), {}, "m", "s", Direction.ZERO_IS_FAIR)
         assert r1.value == r2.value
+
+
+class TestMetricResult:
+    def test_non_finite_value_is_degenerate(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(Degenerate, match="not finite"):
+                _result("AWRF", "s", value)
 
 
 class TestKendallTauC:
@@ -165,6 +173,15 @@ class TestEmitTables(object):
         corr = (tmp_path / "correlations.csv").read_text().strip().splitlines()
         assert corr[0] == "metric,AWRF,EED"
         assert len(corr) == 3
+
+    def test_read_rejects_non_finite_value_with_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        for value in ("nan", "inf"):
+            path.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
+                            "s1,AWRF,0.5,10,0,ZeroIsFair\n"
+                            f"s2,AWRF,{value},10,0,ZeroIsFair\n")
+            with pytest.raises(FairRankError, match=r"metrics\.csv:3: bad metrics row"):
+                read_metrics_table(path)
 
     def test_single_row(self, tmp_path):
         emit_tables([_result("AWRF", "s", 0.1)], None, tmp_path)
