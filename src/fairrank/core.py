@@ -90,16 +90,13 @@ class Direction(enum.Enum):
 class Ranking:
     """An ordered list of distinct document ids for one request.
 
-    ``positions`` holds the original 1-based rank of each document and is
-    only set on rankings derived by filtering (see ``restrict_to_labeled``);
-    ``None`` means the documents sit at ranks 1..N.  ``scores`` are optional
-    per-document system scores aligned with ``docs``.
+    The documents sit at ranks 1..N.  ``scores`` are optional per-document
+    system scores aligned with ``docs``.
     """
 
     request: str
     docs: tuple[str, ...]
     scores: tuple[float, ...] | None = None
-    positions: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "docs", tuple(self.docs))
@@ -110,26 +107,9 @@ class Ranking:
             if len(scores) != len(self.docs):
                 raise FairRankError("scores length does not match docs length")
             object.__setattr__(self, "scores", scores)
-        if self.positions is not None:
-            pos = tuple(int(p) for p in self.positions)
-            if len(pos) != len(self.docs):
-                raise FairRankError("positions length does not match docs length")
-            if any(p < 1 for p in pos) or any(b <= a for a, b in zip(pos, pos[1:])):
-                raise FairRankError("positions must be strictly increasing 1-based ranks")
-            object.__setattr__(self, "positions", pos)
 
     def __len__(self) -> int:
         return len(self.docs)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.docs
-
-    @property
-    def original_positions(self) -> tuple[int, ...]:
-        if self.positions is not None:
-            return self.positions
-        return tuple(range(1, len(self.docs) + 1))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -149,14 +129,10 @@ class Ranking:
         return self.docs[rank - 1]
 
     def prefix(self, k: int) -> "Ranking":
-        """The first ``k`` entries, retaining scores and original positions."""
+        """The first ``k`` entries, retaining scores."""
         k = min(k, len(self.docs))
-        return Ranking(
-            self.request,
-            self.docs[:k],
-            self.scores[:k] if self.scores is not None else None,
-            self.positions[:k] if self.positions is not None else None,
-        )
+        return Ranking(self.request, self.docs[:k],
+                       self.scores[:k] if self.scores is not None else None)
 
 
 @dataclass(frozen=True)
@@ -267,7 +243,7 @@ class AlignmentMatrix:
         """Mean alignment mass over all labeled documents (catalog composition)."""
         if not self._rows:
             raise Degenerate("alignment matrix is empty")
-        return np.mean(np.stack(list(self._rows.values())), axis=0)
+        return np.mean(self.dense(), axis=0)
 
 
 class RelevanceTable:
@@ -383,21 +359,6 @@ class RankingSequence:
     def single_draws(cls, rankings: Mapping[str, Ranking]) -> "RankingSequence":
         """Deterministic-policy fallback: one draw per distinct request."""
         return cls(tuple((q, rankings[q]) for q in sorted(rankings)))
-
-
-def restrict_to_labeled(ranking: Ranking, alignment: AlignmentMatrix) -> Ranking:
-    """Drop unlabeled documents, retaining each survivor's original rank.
-
-    Idempotent; the result may be empty (``is_empty``) when nothing is labeled.
-    """
-    keep = [i for i, d in enumerate(ranking.docs) if d in alignment]
-    pos = ranking.original_positions
-    return Ranking(
-        ranking.request,
-        tuple(ranking.docs[i] for i in keep),
-        tuple(ranking.scores[i] for i in keep) if ranking.scores is not None else None,
-        tuple(pos[i] for i in keep),
-    )
 
 
 def protected_mask(

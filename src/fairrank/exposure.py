@@ -63,9 +63,8 @@ def weight_vector(
 ) -> np.ndarray:
     """Attention weights for documents at the given 1-based ranks.
 
-    ``positions`` may have gaps (a filtered ranking keeps original ranks); the
-    cascade's continuation product runs over the documents actually present,
-    in order, using ``grades`` (zeros when not supplied).
+    The cascade's continuation product runs over the documents in order,
+    using ``grades`` (zeros when not supplied).
     """
     pos = np.asarray(positions, dtype=float)
     if pos.size and pos.min() < 1:
@@ -111,14 +110,14 @@ def position_weights(
     ranking: Ranking,
     relevance: RelevanceTable | None = None,
 ) -> np.ndarray:
-    """Per-document attention weights for a ranking, at original positions."""
+    """Per-document attention weights for a ranking, at ranks 1..N."""
     grades = None
     stop = None
     if model.kind == "cascade":
         stop = _resolve_stop(model, relevance)
         if relevance is not None:
             grades = [relevance.grade(ranking.request, d) for d in ranking.docs]
-    return weight_vector(model, ranking.original_positions, grades, stop=stop)
+    return weight_vector(model, np.arange(1, len(ranking) + 1), grades, stop=stop)
 
 
 def group_exposure(

@@ -4,7 +4,10 @@ Three families:
 
 * prefix fairness: log-discounted distribution distances over successive
   prefixes (every ``step`` positions, plus the full list), normalized by the
-  worst arrangement of the same composition; 0 is fair, 1 maximally unfair.
+  worst of the lists sorted by each group column, both ways (for nd and rd:
+  all protected first, all protected last).  That is exactly the worst
+  arrangement for nd; for rd and kl it is a heuristic that can fall short of
+  it, so the score is clipped at 1.  0 is fair, 1 maximally unfair.
 * FAIR: mean binomial probability that each prefix does not significantly
   under-represent the protected group; 1 is fair, over-representation is
   never penalized.
@@ -30,10 +33,8 @@ from .core import (
     RelevanceTable,
     TargetDistribution,
     UndefinedNormalizer,
-    protected_mask,
-    restrict_to_labeled,
 )
-from .distance import DISTANCE_KINDS, delta, delta_kl
+from .distance import DISTANCE_KINDS, KL_TARGET_FLOOR, delta
 from .exposure import WeightModel, group_exposure, position_weights
 
 
@@ -65,28 +66,48 @@ def prefix_schedule(n: int, step: int) -> list[int]:
     return ks
 
 
-def _prefix_raw_binomial(mask: np.ndarray, p_hat: float, dist: str, step: int) -> float:
-    """Sum over the prefix schedule of |delta(prefix share, p_hat)| / log2(i)."""
-    ks = np.array(prefix_schedule(mask.size, step))
-    shares = np.cumsum(mask)[ks - 1] / ks
-    if dist == "nd":
-        deltas = shares - p_hat
+def _prefix_raw(cols: np.ndarray, target: np.ndarray, dist: str, step: int) -> float:
+    """Sum over the prefix schedule of |delta(prefix shares, target)| / log2(k).
+
+    ``cols`` holds group membership in rank order, shape (n, g): for nd and
+    rd the protected column alone against ``target = (p_hat,)``, for kl every
+    group against the full target.  An rd list whose target or some prefix
+    has no unprotected mass has no odds ratio; it is marked with NaN.
+    """
+    ks = np.array(prefix_schedule(len(cols), step))
+    shares = np.cumsum(cols, axis=0)[ks - 1] / ks[:, None]
+    if dist == "kl":
+        # as delta_kl: floored, renormalized target; 0 * log(0 / t) is 0
+        t = np.maximum(target, KL_TARGET_FLOOR)
+        t = t / t.sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(shares > 0, shares * np.log2(shares / t), 0.0)
+        deltas = np.maximum(terms.sum(axis=1), 0.0)
+    elif dist == "nd":
+        deltas = shares[:, 0] - target[0]
     else:  # rd
-        if p_hat >= 1:
-            raise DegenerateDenominator("target places all mass on the protected group")
-        if np.any(shares >= 1):
-            raise DegenerateDenominator("a prefix contains no unprotected documents")
-        deltas = shares / (1.0 - shares) - p_hat / (1.0 - p_hat)
+        if target[0] >= 1 or np.any(shares >= 1):
+            return math.nan
+        deltas = shares[:, 0] / (1.0 - shares[:, 0]) - target[0] / (1.0 - target[0])
     return float(np.sum(np.abs(deltas) / np.log2(ks)))
 
 
-def _prefix_raw_kl(rows: np.ndarray, target: np.ndarray, step: int) -> float:
-    n = rows.shape[0]
-    cum = np.cumsum(rows, axis=0)
-    raw = 0.0
-    for i in prefix_schedule(n, step):
-        raw += delta_kl(cum[i - 1] / i, target) / math.log2(i)
-    return raw
+def _prefix_normalizer(cols: np.ndarray, target: np.ndarray, dist: str, step: int) -> float:
+    """Worst raw score over the lists sorted by each column, both ways.
+
+    Raises when no such list is scorable, or when none scores above zero:
+    the composition then admits no unfairness.
+    """
+    raws = []
+    for j in range(cols.shape[1]):
+        order = np.argsort(cols[:, j], kind="stable")
+        raws += [_prefix_raw(cols[o], target, dist, step) for o in (order, order[::-1])]
+    best = max((r for r in raws if not math.isnan(r)), default=None)
+    if best is None:
+        raise Degenerate("no extreme arrangement is scorable under this distance")
+    if best <= 0:
+        raise UndefinedNormalizer("composition admits no prefix unfairness")
+    return best
 
 
 def pref_normalizer(
@@ -96,46 +117,10 @@ def pref_normalizer(
     dist: str = "nd",
     step: int = 10,
 ) -> float:
-    """Worst-case raw prefix score over arrangements of the same composition.
-
-    Checked arrangements: all protected first, all protected last.  For the
-    nd distance the prefix share is monotone in how early protected items
-    sit, so one of the extremes is exactly the maximum; for rd it is an upper
-    -bound heuristic (arrangements whose prefixes make rd undefined are
-    skipped).  Raises when no arrangement can score above zero: such a
-    composition admits no unfairness.
-    """
+    """Worst-case raw prefix score of a list with ``n_protected`` of ``n`` protected."""
     if not 0 <= n_protected <= n:
         raise FairRankError("n_protected must lie in [0, n]")
-    best: float | None = None
-    for first in (True, False):
-        mask = np.zeros(n, dtype=bool)
-        if first:
-            mask[:n_protected] = True
-        else:
-            mask[n - n_protected:] = True
-        try:
-            raw = _prefix_raw_binomial(mask, p_hat, dist, step)
-        except Degenerate:
-            continue
-        best = raw if best is None else max(best, raw)
-    if best is None:
-        raise Degenerate("no extreme arrangement is scorable under this distance")
-    if best <= 0:
-        raise UndefinedNormalizer("composition admits no prefix unfairness")
-    return best
-
-
-def _kl_normalizer(rows: np.ndarray, target: np.ndarray, step: int) -> float:
-    """Worst raw score over per-group sorted arrangements of the rows."""
-    best = 0.0
-    for g in range(rows.shape[1]):
-        order = np.argsort(rows[:, g], kind="stable")
-        for arrangement in (rows[order], rows[order[::-1]]):
-            best = max(best, _prefix_raw_kl(arrangement, target, step))
-    if best <= 0:
-        raise UndefinedNormalizer("composition admits no prefix unfairness")
-    return best
+    return _prefix_normalizer((np.arange(n) < n_protected)[:, None], np.array([p_hat]), dist, step)
 
 
 def pref_fairness(
@@ -156,33 +141,34 @@ def pref_fairness(
     """
     if dist not in DISTANCE_KINDS:
         raise FairRankError(f"unknown distance function {dist!r}")
-    restricted = restrict_to_labeled(ranking, alignment)
-    if restricted.is_empty:
+    _, idx = alignment.gather(ranking.docs)
+    n = idx.size
+    if n == 0:
         return SingleListResult(math.nan, Direction.ZERO_IS_FAIR, degenerate="no_labeled_docs")
-    n = len(restricted)
     if n < step:
         return SingleListResult(0.0, Direction.ZERO_IS_FAIR, degenerate="short_list")
 
+    cols = alignment.dense()[idx]
     if dist == "kl":
-        rows = np.stack([alignment.row(d) for d in restricted.docs])
-        tvec = target.probs if target is not None else rows.mean(axis=0)
-        raw = _prefix_raw_kl(rows, tvec, step)
-        try:
-            z = _kl_normalizer(rows, tvec, step)
-        except UndefinedNormalizer:
-            return SingleListResult(0.0, Direction.ZERO_IS_FAIR, degenerate="undefined_normalizer")
+        tvec = target.probs if target is not None else cols.mean(axis=0)
+        if tvec.size != cols.shape[1]:
+            raise FairRankError("target and alignment have different group counts")
     else:
-        mask = protected_mask(restricted, alignment, groups, threshold)
-        n_protected = int(mask.sum())
-        p_hat = target.scalar(groups.require_protected()) if target is not None else n_protected / n
-        raw = _prefix_raw_binomial(mask, p_hat, dist, step)
-        try:
-            z = pref_normalizer(n, n_protected, p_hat, dist, step)
-        except UndefinedNormalizer:
-            return SingleListResult(0.0, Direction.ZERO_IS_FAIR, degenerate="undefined_normalizer")
+        p = groups.require_protected()
+        if not 0 < threshold <= 1:
+            raise FairRankError(f"threshold must lie in (0, 1], got {threshold}")
+        cols = cols[:, [p]] >= threshold
+        tvec = np.array([target.scalar(p) if target is not None else cols.sum() / n])
+    raw = _prefix_raw(cols, tvec, dist, step)
+    if math.isnan(raw):
+        raise DegenerateDenominator("the target or a prefix has no unprotected documents")
+    try:
+        z = _prefix_normalizer(cols, tvec, dist, step)
+    except UndefinedNormalizer:
+        return SingleListResult(0.0, Direction.ZERO_IS_FAIR, degenerate="undefined_normalizer")
 
-    # The extremes bound every arrangement for nd; rd/kl are heuristic, so
-    # guard against a raw score nosing past the estimated maximum.
+    # The sorted lists bound every arrangement for nd only; rd and kl are
+    # heuristic, so a raw score can nose past the estimated maximum.
     return SingleListResult(min(raw / z, 1.0), Direction.ZERO_IS_FAIR)
 
 

@@ -65,14 +65,17 @@ def oracle_target_exposure(docs, grades, rows, n_groups, kind, gamma, stop=None)
     return total / count
 
 
-def oracle_prefd_raw(mask, p_hat, step, dist="nd"):
-    """Direct evaluation of the prefix-fairness sum (magnitude deltas)."""
-    n = len(mask)
+def _prefix_lengths(n, step):
     ks = list(range(step, n + 1, step))
     if not ks or ks[-1] != n:
         ks.append(n)
+    return ks
+
+
+def oracle_prefd_raw(mask, p_hat, step, dist="nd"):
+    """Direct evaluation of the prefix-fairness sum (magnitude deltas)."""
     raw = 0.0
-    for k in ks:
+    for k in _prefix_lengths(len(mask), step):
         share = sum(mask[:k]) / k
         if dist == "nd":
             d = share - p_hat
@@ -84,6 +87,37 @@ def oracle_prefd_raw(mask, p_hat, step, dist="nd"):
             raise ValueError(dist)
         raw += abs(d) / math.log2(k)
     return raw
+
+
+def oracle_prefd_kl_raw(rows, target, step, floor=1e-10):
+    """Prefix KL sum: per-prefix mean rows against the floored, renormalized target."""
+    g = len(target)
+    t = [max(x, floor) for x in target]
+    total = sum(t)
+    t = [x / total for x in t]
+    raw = 0.0
+    for k in _prefix_lengths(len(rows), step):
+        share = [sum(rows[i][j] for i in range(k)) / k for j in range(g)]
+        raw += max(oracle_kl_bits(share, t), 0.0) / math.log2(k)
+    return raw
+
+
+def oracle_prefd_sorted_normalizer(rows, raw_fn):
+    """Max of ``raw_fn`` over the lists sorted by each column, ascending and reversed.
+
+    Arrangements ``raw_fn`` rejects with ZeroDivisionError are skipped; None
+    when every arrangement is.
+    """
+    best = None
+    for j in range(len(rows[0])):
+        ascending = sorted(rows, key=lambda row: row[j])
+        for arrangement in (ascending, ascending[::-1]):
+            try:
+                raw = raw_fn(arrangement)
+            except ZeroDivisionError:
+                continue
+            best = raw if best is None else max(best, raw)
+    return best
 
 
 def oracle_prefd_normalizer_exhaustive(n, n_protected, p_hat, step, dist="nd"):

@@ -12,7 +12,6 @@ from fairrank import (
     apply_unknown_policy,
     binarize,
     protected_mask,
-    restrict_to_labeled,
 )
 
 
@@ -31,13 +30,9 @@ def test_ranking_lookup_and_prefix():
     assert r.prefix(10).docs == r.docs
 
 
-def test_ranking_scores_and_positions_validated():
+def test_ranking_scores_validated():
     with pytest.raises(FairRankError):
         Ranking("q", ("a", "b"), scores=(1.0,))
-    with pytest.raises(FairRankError):
-        Ranking("q", ("a", "b"), positions=(2, 1))
-    r = Ranking("q", ("a", "b"), positions=(1, 5))
-    assert r.original_positions == (1, 5)
 
 
 def test_group_space_validation():
@@ -77,24 +72,6 @@ def test_target_distribution_validation():
         TargetDistribution(np.array([0.5, 0.6]))
     t = TargetDistribution.equal(4)
     assert t.scalar(0) == 0.25
-
-
-def test_restrict_to_labeled_keeps_positions(hard_alignment):
-    r = Ranking("q", ("d0", "x1", "d7", "x2", "d3"))
-    out = restrict_to_labeled(r, hard_alignment)
-    assert out.docs == ("d0", "d7", "d3")
-    assert out.positions == (1, 3, 5)
-    # idempotent
-    again = restrict_to_labeled(out, hard_alignment)
-    assert again == out
-
-
-def test_restrict_to_labeled_all_and_none(hard_alignment):
-    full = Ranking("q", ("d0", "d1"))
-    assert restrict_to_labeled(full, hard_alignment).docs == full.docs
-    none = Ranking("q", ("x", "y"))
-    out = restrict_to_labeled(none, hard_alignment)
-    assert out.is_empty
 
 
 def test_protected_mask_thresholding(two_groups):

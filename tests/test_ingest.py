@@ -55,7 +55,6 @@ class TestParseRun:
         ranking = parse_run(io.StringIO(text)).rankings["q1"]
         assert ranking.docs == ("b", "c", "a")
         assert ranking.scores == (0.5, 1.0, 9.0)
-        assert ranking.original_positions == (1, 2, 3)
 
     def test_malformed_lines(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -76,16 +76,21 @@ class TestPrefFairness:
         assert res.degenerate == "undefined_normalizer"
 
     def test_raw_matches_bruteforce_up_to_30(self):
-        from fairrank.metrics_single import _prefix_raw_binomial
+        from fairrank.metrics_single import _prefix_raw
 
         rng = np.random.default_rng(11)
         for n in range(10, 31):  # below step the metric short-circuits
             for _ in range(5):
                 mask = rng.random(n) < 0.4
                 for p_hat in (0.3, mask.sum() / n):
-                    got = _prefix_raw_binomial(mask, p_hat, "nd", 10)
-                    want = oracle_prefd_raw(mask.tolist(), p_hat, 10)
-                    assert got == pytest.approx(want, abs=1e-12), (n, p_hat)
+                    for dist in ("nd", "rd"):
+                        got = _prefix_raw(mask[:, None], np.array([p_hat]), dist, 10)
+                        try:
+                            want = oracle_prefd_raw(mask.tolist(), p_hat, 10, dist)
+                        except ZeroDivisionError:
+                            assert math.isnan(got), (n, p_hat, dist)
+                            continue
+                        assert got == pytest.approx(want, abs=1e-12), (n, p_hat, dist)
 
     def test_value_matches_bruteforce_with_exhaustive_normalizer(self):
         rng = np.random.default_rng(12)
