@@ -150,9 +150,22 @@ def pref_fairness(
 
     cols = alignment.dense()[idx]
     if dist == "kl":
-        tvec = target.probs if target is not None else cols.mean(axis=0)
-        if tvec.size != cols.shape[1]:
-            raise FairRankError("target and alignment have different group counts")
+        if target is None:
+            if n == step:
+                # The only prefix is the whole list, which matches its own
+                # composition in every arrangement; computed, both raw and
+                # normalizer would be rounding residue.
+                return SingleListResult(0.0, Direction.ZERO_IS_FAIR,
+                                        degenerate="undefined_normalizer")
+            # A group absent from the list has no place in its own composition:
+            # the KL floor would lift its zero target and score every prefix,
+            # and so an evenly spread list, as unfair.
+            cols = cols[:, cols.sum(axis=0) > 0]
+            tvec = cols.mean(axis=0)
+        else:
+            tvec = target.probs
+            if tvec.size != cols.shape[1]:
+                raise FairRankError("target and alignment have different group counts")
     else:
         p = groups.require_protected()
         if not 0 < threshold <= 1:

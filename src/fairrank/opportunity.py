@@ -17,6 +17,7 @@ relevance should receive a comparable share of the exposure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (
     RankingSequence,
     RelevanceTable,
 )
-from .exposure import WeightModel, position_weights, request_exposure, target_exposure
+from .exposure import WeightModel, position_weights, target_exposure
 from .metrics_multi import binomial_split
 
 UTILITY_POOLS = ("judged", "retrieved", "union")
@@ -203,19 +204,23 @@ def expected_exposure(
     alignment: AlignmentMatrix,
     groups: GroupSpace,
     model: WeightModel,
+    exposures: Mapping[str, np.ndarray],
     pool: str = "union",
 ) -> ExpectedExposureResult:
     """System-level expected exposure loss against the ideal policy.
 
-    Per request, the raw exposure vector is ``request_exposure`` (zero when
-    no draw has a labeled document) and the target comes from the
-    relevance-sorted ideal policy over the candidate pool (judged plus
-    retrieved documents by default).  Requests with no relevant document, or
-    with no labeled candidate, are skipped and counted.  Both vectors are
-    arrival-weighted means over the surviving requests; the loss and its
-    decomposition are computed on those means.
+    ``exposures`` maps each request to its raw exposure vector, as
+    ``request_exposure`` gives it on the same alignment and weight model; a
+    request absent from it (no draw has a labeled document) has zero
+    exposure.  The target comes from the relevance-sorted ideal policy over
+    the candidate pool (judged plus retrieved documents by default).
+    Requests with no relevant document, or with no labeled candidate, are
+    skipped and counted.  Both vectors are arrival-weighted means over the
+    surviving requests; the loss and its decomposition are computed on those
+    means.
     """
     rho = seq.rho()
+    zero = np.zeros(groups.g)
     eps_acc = np.zeros(groups.g)
     tgt_acc = np.zeros(groups.g)
     weight_total = 0.0
@@ -232,12 +237,8 @@ def expected_exposure(
         except Degenerate:
             n_skipped += 1
             continue
-        try:
-            eps = request_exposure(seq, q, alignment, groups, model, relevance)
-        except Degenerate:
-            eps = np.zeros(groups.g)  # no labeled draw: zero exposure
         w = rho.get(q, 0.0)
-        eps_acc += w * eps
+        eps_acc += w * exposures.get(q, zero)
         tgt_acc += w * tgt
         weight_total += w
     if weight_total <= 0:

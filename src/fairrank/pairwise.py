@@ -4,37 +4,67 @@ These metrics do not look at the emitted top-N list; they ask whether the
 system's scores order a more-relevant document above a less-relevant one,
 conditioned on the pair's group memberships.  Group indices follow the
 binarized convention: 0 = protected, 1 = unprotected.
+
+Pairs are counted, never materialized: per (group_hi, group_lo) cell the
+sample keeps twice the hits (a correctly ordered pair adds 2, a tie 1) and
+the number of pairs, so every accuracy is an exact ratio of integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .core import AlignmentMatrix, FairRankError, GroupSpace, NoPairs, RelevanceTable
 
 
-@dataclass(frozen=True)
-class ScoredPair:
-    """A document pair where ``doc_hi`` is strictly more relevant than ``doc_lo``."""
+@dataclass(frozen=True, eq=False)
+class PairCounts:
+    """Per (group_hi, group_lo) cell: twice the hits and the number of pairs (2x2 int64)."""
 
-    request: str
-    doc_hi: str
-    doc_lo: str
-    score_hi: float
-    score_lo: float
-    group_hi: int
-    group_lo: int
+    twice_hits: np.ndarray
+    totals: np.ndarray
+
+    def __post_init__(self):
+        self.twice_hits.flags.writeable = False
+        self.totals.flags.writeable = False
+
+    def __len__(self) -> int:
+        return int(self.totals.sum())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairCounts):
+            return NotImplemented
+        return (np.array_equal(self.twice_hits, other.twice_hits)
+                and np.array_equal(self.totals, other.totals))
 
 
 @dataclass(frozen=True)
 class PairSample:
-    pairs: tuple[ScoredPair, ...]
+    pairs: PairCounts
     n_fallback: int  # requests whose negative pool was smaller than n_negatives
     n_skipped: int   # requests with no scorable relevant document
+
+
+def _count(
+    twice_hits: np.ndarray,
+    totals: np.ndarray,
+    hi_scores: np.ndarray,
+    hi_groups: np.ndarray,
+    lo_scores: np.ndarray,
+    lo_groups: np.ndarray,
+) -> None:
+    """Add every (hi, lo) pair across the two document sets to the tables."""
+    n_hi = np.bincount(hi_groups, minlength=2)
+    for lo in (0, 1):
+        below = np.sort(lo_scores[lo_groups == lo])
+        # left + right insertion points: twice the count strictly below plus the ties
+        twice = (np.searchsorted(below, hi_scores, "left")
+                 + np.searchsorted(below, hi_scores, "right"))
+        twice_hits[:, lo] += np.bincount(hi_groups, weights=twice, minlength=2).astype(np.int64)
+        totals[:, lo] += n_hi * below.size
 
 
 def sample_pairs(
@@ -46,88 +76,71 @@ def sample_pairs(
     seed: int = 42,
     threshold: float = 0.5,
 ) -> PairSample:
-    """Build relevant-vs-negative pairs with seeded negative sampling.
+    """Count relevant-vs-negative pairs with seeded negative sampling.
 
-    For each labeled relevant document (grade > 0) with a score, draw up to
-    ``n_negatives`` distinct negatives — scored labeled documents that are
-    unjudged or judged non-relevant — uniformly without replacement; a pool
-    smaller than that is used exhaustively (counted).  Pairs of relevant
-    documents with differing grades are always emitted exhaustively.
+    Per request (in sorted order), the scored labeled documents in sorted id
+    order split into positives (grade > 0) and negatives (unjudged or judged
+    non-relevant).  Each positive is paired with every negative when the
+    pool holds at most ``n_negatives`` of them, and otherwise with
+    ``n_negatives`` distinct negatives drawn uniformly by one
+    ``rng.choice`` per positive, in positive order.  A pool smaller than
+    ``n_negatives`` is counted in ``n_fallback``.  Pairs of relevant
+    documents with differing grades are always counted exhaustively.
     Identical seeds yield identical samples.
     """
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
     p = groups.require_protected()
     rng = np.random.default_rng(seed)
-    pairs: list[ScoredPair] = []
+    twice_hits = np.zeros((2, 2), dtype=np.int64)
+    totals = np.zeros((2, 2), dtype=np.int64)
     n_fallback = 0
     n_skipped = 0
-
-    def grp(doc: str) -> int | None:
-        row = alignment.row(doc)
-        if row is None:
-            return None
-        return 0 if row[p] >= threshold else 1
+    dense = alignment.dense()
 
     for q in sorted(scores):
         sc = scores[q]
         judged = relevance.judged(q)
-        positives = []
-        negatives = []
-        for d in sorted(sc):
-            g = grp(d)
-            if g is None:
-                continue
-            if judged.get(d, 0.0) > 0:
-                positives.append((d, g))
-            else:
-                negatives.append((d, g))
-        if not positives:
+        docs = sorted(sc)
+        kept, rows = alignment.gather(docs)
+        labeled = [docs[i] for i in kept]
+        s = np.fromiter((sc[d] for d in labeled), dtype=float, count=len(labeled))
+        y = np.fromiter((judged.get(d, 0.0) for d in labeled), dtype=float, count=len(labeled))
+        g = np.where(dense[rows, p] >= threshold, 0, 1)
+        pos = y > 0
+        if not pos.any():
             n_skipped += 1
             continue
-        if len(negatives) < n_negatives:
+        pos_s, pos_g, pos_y = s[pos], g[pos], y[pos]
+        neg_s, neg_g = s[~pos], g[~pos]
+        if neg_s.size < n_negatives:
             n_fallback += 1
-        for d_hi, g_hi in positives:
-            if len(negatives) <= n_negatives:
-                chosen = negatives
-            else:
-                idx = rng.choice(len(negatives), size=n_negatives, replace=False)
-                chosen = [negatives[i] for i in np.sort(idx)]
-            for d_lo, g_lo in chosen:
-                pairs.append(ScoredPair(q, d_hi, d_lo, sc[d_hi], sc[d_lo], g_hi, g_lo))
-        for (d1, g1), (d2, g2) in combinations(positives, 2):
-            y1, y2 = judged[d1], judged[d2]
-            if y1 == y2:
-                continue
-            if y1 < y2:
-                (d1, g1), (d2, g2) = (d2, g2), (d1, g1)
-            pairs.append(ScoredPair(q, d1, d2, sc[d1], sc[d2], g1, g2))
-    return PairSample(tuple(pairs), n_fallback, n_skipped)
+        if neg_s.size <= n_negatives:
+            _count(twice_hits, totals, pos_s, pos_g, neg_s, neg_g)
+        else:
+            for i in range(pos_s.size):
+                idx = rng.choice(neg_s.size, size=n_negatives, replace=False)
+                _count(twice_hits, totals, pos_s[i:i + 1], pos_g[i:i + 1],
+                       neg_s[idx], neg_g[idx])
+        for grade in np.unique(pos_y)[1:]:
+            hi, lo = pos_y == grade, pos_y < grade
+            _count(twice_hits, totals, pos_s[hi], pos_g[hi], pos_s[lo], pos_g[lo])
+    return PairSample(PairCounts(twice_hits, totals), n_fallback, n_skipped)
 
 
-def pairwise_accuracy(pairs: Iterable[ScoredPair], group_hi: int, group_lo: int) -> float:
+def pairwise_accuracy(counts: PairCounts, group_hi: int, group_lo: int) -> float:
     """Fraction of (group_hi, group_lo) pairs scored in the correct order.
 
     Ties between the two scores count half.
     """
-    hits = 0.0
-    total = 0
-    for pair in pairs:
-        if pair.group_hi != group_hi or pair.group_lo != group_lo:
-            continue
-        total += 1
-        if pair.score_hi > pair.score_lo:
-            hits += 1.0
-        elif pair.score_hi == pair.score_lo:
-            hits += 0.5
+    total = int(counts.totals[group_hi, group_lo])
     if total == 0:
         raise NoPairs(f"no pairs with groups ({group_hi}, {group_lo})")
-    return hits / total
+    return int(counts.twice_hits[group_hi, group_lo]) / 2 / total
 
 
-def accuracy_table(pairs: Iterable[ScoredPair]) -> dict[tuple[int, int], float]:
+def accuracy_table(pairs: PairCounts) -> dict[tuple[int, int], float]:
     """The 2x2 accuracy table over (group_hi, group_lo) in {0, 1}^2."""
-    pairs = list(pairs)
     return {
         (hi, lo): pairwise_accuracy(pairs, hi, lo)
         for hi in (0, 1)

@@ -99,7 +99,7 @@ class _Context:
     def exposures(self, model: WeightModel, binarized: bool) -> dict[str, np.ndarray]:
         """Per-request exposure on one alignment variant; degenerate requests are absent.
 
-        Computed once per (variant, model) and shared by DP, EUR, EED and IAA.
+        Computed once per (variant, model) and shared by DP, EUR, EED, EEL and IAA.
         """
         key = (binarized, model)
         if key not in self._exposures:
@@ -311,7 +311,7 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
 
     if mc.name == "eel":
         res = expected_exposure(ctx.seq, ctx.qrels, ctx.ext_alignment, ctx.ext_groups,
-                                model, mc.pool)
+                                model, ctx.exposures(model, binarized=False), mc.pool)
         eer_label = "EER" if mc.label == "EEL" else f"{mc.label}_EER"
         return [
             MetricResult(mc.label, ctx.system, res.eel, res.n_requests, res.n_skipped,

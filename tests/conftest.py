@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fairrank import AlignmentMatrix, GroupSpace, Ranking, RelevanceTable
+from fairrank import (
+    AlignmentMatrix,
+    Degenerate,
+    GroupSpace,
+    Ranking,
+    RelevanceTable,
+    request_exposure,
+)
 
 
 @pytest.fixture
@@ -36,3 +43,14 @@ def random_alignment(rng, docs, n_groups=2, soft=False, unlabeled_frac=0.0):
 
 def random_relevance(rng, request, docs, grades=(0, 1, 2)):
     return RelevanceTable({request: {d: float(rng.choice(grades)) for d in docs}})
+
+
+def request_exposures(seq, relevance, alignment, groups, model):
+    """Per-request exposure as the pipeline memoizes it; degenerate requests are absent."""
+    out = {}
+    for q in seq.requests():
+        try:
+            out[q] = request_exposure(seq, q, alignment, groups, model, relevance)
+        except Degenerate:
+            pass
+    return out

@@ -8,10 +8,13 @@ code paths it is used to check.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 from scipy.stats import kendalltau
+
+from fairrank import FairRankError, NoPairs
 
 
 def oracle_weights(kind, gamma, positions, grades=None, stop=None):
@@ -172,6 +175,96 @@ def oracle_pairwise_accuracy(judged, scores, group_of, g_hi, g_lo):
                 hits += 0.5
     if total == 0:
         return None
+    return hits / total
+
+
+@dataclass(frozen=True)
+class ScoredPair:
+    """A document pair where ``doc_hi`` is strictly more relevant than ``doc_lo``."""
+
+    request: str
+    doc_hi: str
+    doc_lo: str
+    score_hi: float
+    score_lo: float
+    group_hi: int
+    group_lo: int
+
+
+def oracle_sample_pairs(relevance, scores, alignment, groups, n_negatives=10000, seed=42,
+                        threshold=0.5):
+    """Every sampled pair as a ``ScoredPair``: ``sample_pairs`` as a plain list builder.
+
+    Returns ``(pairs, n_fallback, n_skipped)``.  Same document order, pool
+    rule and ``rng.choice`` call sequence as ``sample_pairs``.
+    """
+    if n_negatives < 1:
+        raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
+    p = groups.require_protected()
+    rng = np.random.default_rng(seed)
+    pairs: list[ScoredPair] = []
+    n_fallback = 0
+    n_skipped = 0
+
+    def grp(doc: str) -> int | None:
+        row = alignment.row(doc)
+        if row is None:
+            return None
+        return 0 if row[p] >= threshold else 1
+
+    for q in sorted(scores):
+        sc = scores[q]
+        judged = relevance.judged(q)
+        positives = []
+        negatives = []
+        for d in sorted(sc):
+            g = grp(d)
+            if g is None:
+                continue
+            if judged.get(d, 0.0) > 0:
+                positives.append((d, g))
+            else:
+                negatives.append((d, g))
+        if not positives:
+            n_skipped += 1
+            continue
+        if len(negatives) < n_negatives:
+            n_fallback += 1
+        for d_hi, g_hi in positives:
+            if len(negatives) <= n_negatives:
+                chosen = negatives
+            else:
+                idx = rng.choice(len(negatives), size=n_negatives, replace=False)
+                chosen = [negatives[i] for i in np.sort(idx)]
+            for d_lo, g_lo in chosen:
+                pairs.append(ScoredPair(q, d_hi, d_lo, sc[d_hi], sc[d_lo], g_hi, g_lo))
+        for (d1, g1), (d2, g2) in combinations(positives, 2):
+            y1, y2 = judged[d1], judged[d2]
+            if y1 == y2:
+                continue
+            if y1 < y2:
+                (d1, g1), (d2, g2) = (d2, g2), (d1, g1)
+            pairs.append(ScoredPair(q, d1, d2, sc[d1], sc[d2], g1, g2))
+    return tuple(pairs), n_fallback, n_skipped
+
+
+def oracle_pairwise_accuracy_pairs(pairs, group_hi, group_lo):
+    """Fraction of (group_hi, group_lo) ``ScoredPair``s scored in the correct order.
+
+    Ties between the two scores count half.
+    """
+    hits = 0.0
+    total = 0
+    for pair in pairs:
+        if pair.group_hi != group_hi or pair.group_lo != group_lo:
+            continue
+        total += 1
+        if pair.score_hi > pair.score_lo:
+            hits += 1.0
+        elif pair.score_hi == pair.score_lo:
+            hits += 0.5
+    if total == 0:
+        raise NoPairs(f"no pairs with groups ({group_hi}, {group_lo})")
     return hits / total
 
 

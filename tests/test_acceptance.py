@@ -61,6 +61,7 @@ from fairrank.ingest import parse_alignment, parse_run, parse_sequence
 from fairrank.report import correlation_matrix, read_metrics_table
 from fairrank.synth import SynthSpec, generate
 
+from conftest import request_exposures
 from oracles import (
     oracle_fair,
     oracle_group_exposure,
@@ -222,11 +223,13 @@ def test_c01_hand_value_suite():
           (0.01 + 0.01, 2 * (0.3 + 0.2), 0.36 + 0.16))
     check("ee-max-loss", ee_decompose(np.array([1.0, 0.0]), np.array([0.0, 1.0]))[0], 2.0)
 
-    # pairwise
-    from fairrank import ScoredPair
-    pairs = [ScoredPair("q", "a", "b", 0.9, 0.1, 0, 1),
-             ScoredPair("q", "c", "d", 0.8, 0.2, 0, 1),
-             ScoredPair("q", "e", "f", 0.5, 0.5, 0, 1)]
+    # pairwise: the tie rule over one (protected relevant, unprotected negative)
+    # pair per request
+    tie_scores = {"q1": {"a": 0.9, "b": 0.1}, "q2": {"c": 0.8, "d": 0.2},
+                  "q3": {"e": 0.5, "f": 0.5}}
+    tie_rel = RelevanceTable({"q1": {"a": 1.0}, "q2": {"c": 1.0}, "q3": {"e": 1.0}})
+    tie_al = AlignmentMatrix({d: [1, 0] if d in "ace" else [0, 1] for d in "abcdef"})
+    pairs = sample_pairs(tie_rel, tie_scores, tie_al, GS).pairs
     check("pairwise-tie-rule", pairwise_accuracy(pairs, 0, 1), (1 + 1 + 0.5) / 3)
     check("intra-inter-hand",
           intra_inter({(1, 1): 0.9, (0, 0): 0.7, (1, 0): 0.8, (0, 1): 0.8}), (0.2, 0.0))
@@ -410,7 +413,8 @@ def test_c04_ranges_and_fair_endpoints():
         if mask.size:
             assert 0.0 <= fair_score(mask, 0.5).value <= 1.0
         try:
-            ee = expected_exposure(seq, rel, al, GS, GEO)
+            ee = expected_exposure(seq, rel, al, GS, GEO,
+                                   request_exposures(seq, rel, al, GS, GEO))
             assert ee.eel >= 0.0
         except Exception:
             pass
@@ -441,7 +445,8 @@ def test_c04_ranges_and_fair_endpoints():
     rel_i = RelevanceTable({"q": {"a": 1.0, "b": 1.0, "c": 0.0}})
     seq_i = RankingSequence((("q", Ranking("q", ("a", "b", "c"))),
                              ("q", Ranking("q", ("b", "a", "c")))))
-    ee_i = expected_exposure(seq_i, rel_i, al_i, GS, GEO, pool="judged")
+    ee_i = expected_exposure(seq_i, rel_i, al_i, GS, GEO,
+                             request_exposures(seq_i, rel_i, al_i, GS, GEO), pool="judged")
     assert abs(ee_i.eel) < 1e-6
     tgt_i = target_exposure("q", ["a", "b", "c"], rel_i, al_i, GEO, GS)
     assert abs(ee_i.eer - 2 * float(tgt_i @ tgt_i)) < 1e-6  # EER at its ideal value
@@ -645,3 +650,27 @@ def test_c10_scale_check(tmp_path):
     rows = read_metrics_table(tmp_path / "out" / "metrics.csv")
     assert len({r.system for r in rows}) == 25
     _report("C10", f"25 systems x 500 requests x depth-100 evaluated in {elapsed:.1f}s")
+
+
+def test_c10_scores_scale_check(tmp_path):
+    spec = SynthSpec(n_docs=5000, n_requests=500, n_systems=3, depth=100,
+                     pool_size=150, seed=1, exposure_skew=0.6,
+                     unlabeled_fraction=0.05)
+    paths = generate(spec, tmp_path / "corpus")
+    argv = ["evaluate"]
+    for p in paths["runs"]:
+        argv += ["--run", str(p)]
+    for p in paths["scores"]:
+        argv += ["--scores", str(p)]
+    argv += ["--qrels", str(paths["qrels"]), "--alignment", str(paths["alignment"]),
+             "--sequence", str(paths["sequence"]), "--out", str(tmp_path / "out")]
+    start = time.time()
+    assert main(argv) == 0
+    elapsed = time.time() - start
+    assert elapsed < 15.0, f"scale evaluation with scores took {elapsed:.1f}s"
+    rows = {(r.system, r.metric) for r in read_metrics_table(tmp_path / "out" / "metrics.csv")}
+    for system in paths["systems"]:
+        for metric in ("IAA", "IntraAcc", "InterAcc"):
+            assert (system, metric) in rows, (system, metric)
+    _report("C10-scores", f"3 systems x 500 requests x depth-100 with score files "
+                          f"evaluated in {elapsed:.1f}s")

@@ -27,6 +27,7 @@ from fairrank import (
 )
 from fairrank.exposure import WEIGHT_KINDS
 
+from conftest import request_exposures
 from oracles import oracle_group_exposure, oracle_weights
 
 DOCS = ("d0", "d1", "d2", "d3", "d4", "d5")
@@ -116,8 +117,9 @@ def test_exposure_paths_match_oracle(corpus):
                        rtol=1e-12, atol=1e-14)
     if weight > 0:
         eps = eps_acc / weight
-        res = expected_exposure(seq, rel, al, gs, model)
+        res = expected_exposure(seq, rel, al, gs, model,
+                                request_exposures(seq, rel, al, gs, model))
         assert res.eed_raw == pytest.approx(float(eps @ eps), rel=1e-12, abs=1e-14)
     else:
         with pytest.raises(AllDegenerate):
-            expected_exposure(seq, rel, al, gs, model)
+            expected_exposure(seq, rel, al, gs, model, request_exposures(seq, rel, al, gs, model))

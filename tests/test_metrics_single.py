@@ -134,6 +134,22 @@ class TestPrefFairness:
         assert res.ok
         assert 0.0 <= res.value <= 1.0
 
+    def test_kl_composition_ignores_groups_absent_from_list(self):
+        # documents alternating a and b: the space (a, b, c) must score the
+        # list as the space (a, b) does, not as (maximally) unfair
+        three_groups = GroupSpace(("a", "b", "c"), protected_index=0)
+        for n in (10, 20):
+            docs = tuple(f"d{i}" for i in range(n))
+            two = AlignmentMatrix({d: [1, 0] if i % 2 == 0 else [0, 1]
+                                   for i, d in enumerate(docs)})
+            three = AlignmentMatrix({d: [1, 0, 0] if i % 2 == 0 else [0, 1, 0]
+                                     for i, d in enumerate(docs)})
+            r = Ranking("q", docs)
+            want = pref_fairness(r, two, GS, dist="kl", step=10)
+            got = pref_fairness(r, three, three_groups, dist="kl", step=10)
+            assert (got.value, got.degenerate) == (want.value, want.degenerate), n
+            assert want.value == 0.0
+
 
 class TestPrefNormalizer:
     def test_hand_value(self):

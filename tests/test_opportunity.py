@@ -24,6 +24,8 @@ from fairrank import (
     rur,
 )
 
+from conftest import request_exposures
+
 GS = GroupSpace(("A", "B"), protected_index=0)
 GEO = WeightModel("geometric", 0.5)
 
@@ -213,7 +215,8 @@ class TestExpectedExposure:
         rel = RelevanceTable({"q": {"a": 1.0, "b": 1.0, "c": 0.0}})
         draws = [Ranking("q", ("a", "b", "c")), Ranking("q", ("b", "a", "c"))]
         seq = _seq(draws)
-        res = expected_exposure(seq, rel, al, GS, GEO, pool="judged")
+        res = expected_exposure(seq, rel, al, GS, GEO, request_exposures(seq, rel, al, GS, GEO),
+                                pool="judged")
         assert res.eel == pytest.approx(0.0, abs=1e-15)
         assert res.n_skipped == 0
 
@@ -221,12 +224,13 @@ class TestExpectedExposure:
         al = AlignmentMatrix({"a": [1, 0], "b": [0, 1]})
         rel = RelevanceTable({"q1": {"a": 1.0}, "q2": {"b": 0.0}})
         seq = _seq([Ranking("q1", ("a", "b")), Ranking("q2", ("b", "a"))])
-        res = expected_exposure(seq, rel, al, GS, GEO)
+        res = expected_exposure(seq, rel, al, GS, GEO, request_exposures(seq, rel, al, GS, GEO))
         assert res.n_requests == 2
         assert res.n_skipped == 1
         rel_none = RelevanceTable({"q1": {"a": 0.0}, "q2": {"b": 0.0}})
         with pytest.raises(AllDegenerate):
-            expected_exposure(seq, rel_none, al, GS, GEO)
+            expected_exposure(seq, rel_none, al, GS, GEO,
+                              request_exposures(seq, rel_none, al, GS, GEO))
 
     def test_unlabeled_draw_contributes_zero_mass(self):
         al = AlignmentMatrix({"a": [1, 0]})
@@ -235,6 +239,7 @@ class TestExpectedExposure:
             ("q", Ranking("q", ("a",))),
             ("q", Ranking("q", ("zz",))),  # fully unlabeled draw
         ))
-        res = expected_exposure(seq, rel, al, GS, GEO, pool="judged")
+        res = expected_exposure(seq, rel, al, GS, GEO, request_exposures(seq, rel, al, GS, GEO),
+                                pool="judged")
         # eps averages [1*gamma, 0] with the zero vector
         assert res.eed_raw == pytest.approx((0.5 / 2) ** 2)

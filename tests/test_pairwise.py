@@ -6,7 +6,6 @@ from fairrank import (
     GroupSpace,
     NoPairs,
     RelevanceTable,
-    ScoredPair,
     accuracy_table,
     intra_inter,
     pairwise_accuracy,
@@ -18,28 +17,32 @@ from oracles import oracle_pairwise_accuracy
 GS = GroupSpace(("A", "B"), protected_index=0)
 
 
-def _pair(hi, lo, s_hi, s_lo, g_hi, g_lo):
-    return ScoredPair("q", hi, lo, s_hi, s_lo, g_hi, g_lo)
+def _one_pair_per_request(pairs):
+    """``sample_pairs`` over one request per (score_hi, score_lo, g_hi, g_lo) tuple."""
+    grades, scores, rows = {}, {}, {}
+    for i, (s_hi, s_lo, g_hi, g_lo) in enumerate(pairs):
+        q, hi, lo = f"q{i}", f"hi{i}", f"lo{i}"
+        grades[q] = {hi: 1.0, lo: 0.0}
+        scores[q] = {hi: s_hi, lo: s_lo}
+        rows[hi] = [1, 0] if g_hi == 0 else [0, 1]
+        rows[lo] = [1, 0] if g_lo == 0 else [0, 1]
+    return sample_pairs(RelevanceTable(grades), scores, AlignmentMatrix(rows), GS).pairs
 
 
 class TestPairwiseAccuracy:
     def test_perfect_scorer(self):
-        pairs = [_pair("a", "b", 0.9, 0.1, g1, g2) for g1 in (0, 1) for g2 in (0, 1)]
+        pairs = _one_pair_per_request([(0.9, 0.1, g1, g2) for g1 in (0, 1) for g2 in (0, 1)])
         for g1 in (0, 1):
             for g2 in (0, 1):
                 assert pairwise_accuracy(pairs, g1, g2) == 1.0
 
     def test_tie_counts_half(self):
-        pairs = [
-            _pair("a", "b", 0.9, 0.1, 0, 1),
-            _pair("c", "d", 0.8, 0.2, 0, 1),
-            _pair("e", "f", 0.5, 0.5, 0, 1),
-        ]
+        pairs = _one_pair_per_request([(0.9, 0.1, 0, 1), (0.8, 0.2, 0, 1), (0.5, 0.5, 0, 1)])
         assert pairwise_accuracy(pairs, 0, 1) == pytest.approx(2.5 / 3)
 
     def test_no_pairs_raises(self):
         with pytest.raises(NoPairs):
-            pairwise_accuracy([_pair("a", "b", 1, 0, 0, 0)], 1, 1)
+            pairwise_accuracy(_one_pair_per_request([(1, 0, 0, 0)]), 1, 1)
 
 
 class TestIntraInter:
@@ -93,8 +96,8 @@ class TestSamplePairs:
         al = AlignmentMatrix({"hi": [1, 0], "lo": [0, 1]})
         out = sample_pairs(rel, sc, al, GS, n_negatives=5)
         assert len(out.pairs) == 1
-        p = out.pairs[0]
-        assert p.doc_hi == "hi" and p.doc_lo == "lo"
+        assert out.pairs.totals[0, 1] == 1
+        assert pairwise_accuracy(out.pairs, 0, 1) == 0.0
 
     def test_requests_without_positives_skipped(self):
         rel = RelevanceTable({"q1": {"a": 1.0}, "q2": {"b": 0.0}})
@@ -108,7 +111,7 @@ class TestSamplePairs:
         sc = {"q": {"a": 0.9, "nolabel": 0.1}}
         al = AlignmentMatrix({"a": [1, 0]})
         out = sample_pairs(rel, sc, al, GS, n_negatives=5)
-        assert out.pairs == ()
+        assert len(out.pairs) == 0
 
     def test_exhaustive_matches_bruteforce(self):
         rng = np.random.default_rng(31)

@@ -2,8 +2,10 @@
 
 Random lists mix hard, soft and unlabeled documents over 2 to 4 groups, with
 ``step`` in {2, 3, 10} and up to 40 labeled documents, so some lists have 8 or
-more prefixes.  Targets are the list's composition or an explicit
-distribution, possibly with zero entries (which the KL floor must absorb).
+more prefixes.  Targets are the list's composition (for kl, over the
+groups present in the list, and no unfairness when the whole list is the
+only prefix) or an explicit distribution, possibly with zero entries (which
+the KL floor must absorb).
 The kl value must match ``oracle_prefd_kl_raw``, and the nd and rd values
 ``oracle_prefd_raw``, each normalized by ``oracle_prefd_sorted_normalizer``.
 """
@@ -91,13 +93,20 @@ def test_pref_fairness_matches_oracle(case):
     labeled = [[float(x) for x in rows[d]] for d in docs if d in rows]
     n = len(labeled)
 
-    # kl over every group
+    # kl over every group; the composition target covers the groups present
+    kl_rows = labeled
+    if target is None:
+        present = [j for j in range(g) if sum(row[j] for row in labeled) > 0]
+        kl_rows = [[row[j] for j in present] for row in labeled]
     tvec = list(target) if target is not None else [
-        sum(row[j] for row in labeled) / n for j in range(g)]
-    raw = oracle_prefd_kl_raw(labeled, tvec, step)
+        sum(row[j] for row in kl_rows) / n for j in range(len(kl_rows[0]))]
+    raw = oracle_prefd_kl_raw(kl_rows, tvec, step)
     best = oracle_prefd_sorted_normalizer(
-        labeled, lambda arr: oracle_prefd_kl_raw(arr, tvec, step))
-    _check(_run(ranking, al, gs, td, dist="kl", step=step), _expected(raw, best))
+        kl_rows, lambda arr: oracle_prefd_kl_raw(arr, tvec, step))
+    # a single prefix (the whole list) matches its own composition exactly
+    want = ("undefined_normalizer" if target is None and n == step
+            else _expected(raw, best))
+    _check(_run(ranking, al, gs, td, dist="kl", step=step), want)
 
     # nd and rd over the thresholded protected column
     mask = [row[protected] >= 0.5 for row in labeled]
