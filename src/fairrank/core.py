@@ -8,9 +8,9 @@ once constructed they are safe to share read-only across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -111,29 +111,6 @@ class Ranking:
     def __len__(self) -> int:
         return len(self.docs)
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {d: i for i, d in enumerate(self.docs)}
-
-    def rank_of(self, doc: str) -> int:
-        """1-based position of ``doc`` within this ranking."""
-        try:
-            return self._index[doc] + 1
-        except KeyError:
-            raise FairRankError(f"document {doc!r} not in ranking") from None
-
-    def doc_at(self, rank: int) -> str:
-        """Document at 1-based position ``rank``."""
-        if not 1 <= rank <= len(self.docs):
-            raise FairRankError(f"rank {rank} out of range 1..{len(self.docs)}")
-        return self.docs[rank - 1]
-
-    def prefix(self, k: int) -> "Ranking":
-        """The first ``k`` entries, retaining scores."""
-        k = min(k, len(self.docs))
-        return Ranking(self.request, self.docs[:k],
-                       self.scores[:k] if self.scores is not None else None)
-
 
 @dataclass(frozen=True)
 class GroupSpace:
@@ -176,64 +153,57 @@ class AlignmentMatrix:
     """Soft group-membership rows keyed by document id.
 
     Every stored row is a length-g vector of non-negative entries summing to
-    one (tolerance 1e-9).  Documents absent from the map are unlabeled.
+    one (tolerance 1e-9).  Documents absent from the map are unlabeled.  The
+    rows are held as one read-only (n_labeled, g) matrix in insertion order.
     """
 
     def __init__(self, rows: Mapping[str, Sequence[float]], n_groups: int | None = None):
-        store: dict[str, np.ndarray] = {}
-        for doc, raw in rows.items():
-            vec = np.asarray(raw, dtype=float)
-            if n_groups is None:
-                n_groups = vec.size
-            if vec.ndim != 1 or vec.size != n_groups:
-                raise FairRankError(f"alignment row for {doc!r} has wrong length")
-            if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-                raise FairRankError(f"alignment row for {doc!r} must be finite and non-negative")
-            if abs(float(vec.sum()) - 1.0) > DISTRIBUTION_ATOL:
-                raise FairRankError(f"alignment row for {doc!r} does not sum to 1")
-            vec.flags.writeable = False
-            store[doc] = vec
-        if n_groups is None:
+        if not rows and n_groups is None:
             raise FairRankError("cannot infer group count from an empty alignment")
-        self._rows = store
-        self.n_groups = int(n_groups)
-        self._doc_index: dict[str, int] | None = None
-        self._dense: np.ndarray | None = None
+        try:
+            dense = np.array(list(rows.values()) or np.zeros((0, n_groups)), dtype=float)
+        except (TypeError, ValueError):
+            dense = np.empty(0)  # ragged or non-numeric rows
+        if n_groups is None and dense.ndim == 2:
+            n_groups = dense.shape[1]
+        if (dense.ndim != 2 or dense.shape[1] != n_groups
+                or not np.all(np.isfinite(dense)) or np.any(dense < 0)
+                or np.any(np.abs(dense.sum(axis=1) - 1.0) > DISTRIBUTION_ATOL)):
+            _raise_first_bad_row(rows, n_groups)
+        self._adopt(list(rows), dense)
+
+    @classmethod
+    def _stacked(cls, docs: list[str], dense: np.ndarray) -> "AlignmentMatrix":
+        """Wrap rows derived from a validated matrix, one per doc in ``docs`` order."""
+        out = cls.__new__(cls)
+        out._adopt(docs, dense)
+        return out
+
+    def _adopt(self, docs: list[str], dense: np.ndarray) -> None:
+        dense.flags.writeable = False
+        self._dense = dense
+        self._doc_index = {d: i for i, d in enumerate(docs)}
+        self.n_groups = int(dense.shape[1])
 
     def __contains__(self, doc: str) -> bool:
-        return doc in self._rows
+        return doc in self._doc_index
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._doc_index)
 
     def row(self, doc: str) -> np.ndarray | None:
-        return self._rows.get(doc)
+        i = self._doc_index.get(doc)
+        return None if i is None else self._dense[i]
 
     def docs(self) -> Iterable[str]:
-        return self._rows.keys()
-
-    def items(self) -> Iterable[tuple[str, np.ndarray]]:
-        return self._rows.items()
-
-    def labeled(self, docs: Iterable[str]) -> list[str]:
-        """The subsequence of ``docs`` that have alignment rows."""
-        return [d for d in docs if d in self._rows]
+        return self._doc_index.keys()
 
     def dense(self) -> np.ndarray:
         """All rows stacked into one read-only (n_labeled, g) matrix."""
-        # lazy; a concurrent first call can only rebuild the identical matrix
-        if self._dense is None:
-            self._doc_index = {d: i for i, d in enumerate(self._rows)}
-            dense = (np.stack(list(self._rows.values()))
-                     if self._rows else np.zeros((0, self.n_groups)))
-            dense.flags.writeable = False
-            self._dense = dense
         return self._dense
 
     def gather(self, docs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(positions of labeled docs within ``docs``, their dense-row indices)."""
-        self.dense()
-        assert self._doc_index is not None
         get = self._doc_index.get
         raw = np.fromiter((get(d, -1) for d in docs), dtype=np.intp, count=len(docs))
         kept = np.nonzero(raw >= 0)[0]
@@ -241,9 +211,23 @@ class AlignmentMatrix:
 
     def mean_row(self) -> np.ndarray:
         """Mean alignment mass over all labeled documents (catalog composition)."""
-        if not self._rows:
+        if not self._doc_index:
             raise Degenerate("alignment matrix is empty")
-        return np.mean(self.dense(), axis=0)
+        return np.mean(self._dense, axis=0)
+
+
+def _raise_first_bad_row(rows: Mapping[str, Sequence[float]], n_groups: int | None) -> None:
+    """Name the first row, in insertion order, that the bulk checks refused."""
+    for doc, raw in rows.items():
+        vec = np.asarray(raw, dtype=float)
+        if n_groups is None:
+            n_groups = vec.size
+        if vec.ndim != 1 or vec.size != n_groups:
+            raise FairRankError(f"alignment row for {doc!r} has wrong length")
+        if not np.all(np.isfinite(vec)) or np.any(vec < 0):
+            raise FairRankError(f"alignment row for {doc!r} must be finite and non-negative")
+        if abs(float(vec.sum()) - 1.0) > DISTRIBUTION_ATOL:
+            raise FairRankError(f"alignment row for {doc!r} does not sum to 1")
 
 
 class RelevanceTable:
@@ -261,13 +245,6 @@ class RelevanceTable:
             table[req] = inner
         self._table = table
         self._max_grade = max((g for docs in table.values() for g in docs.values()), default=0.0)
-
-    @classmethod
-    def from_pairs(cls, pairs: Mapping[tuple[str, str], float]) -> "RelevanceTable":
-        nested: dict[str, dict[str, float]] = {}
-        for (req, doc), grade in pairs.items():
-            nested.setdefault(req, {})[doc] = grade
-        return cls(nested)
 
     def grade(self, request: str, doc: str, default: float = 0.0) -> float:
         return self._table.get(request, {}).get(doc, default)
@@ -329,11 +306,22 @@ class RankingSequence:
             if ranking.request != q:
                 raise FairRankError(f"draw key {q!r} does not match ranking request {ranking.request!r}")
         object.__setattr__(self, "draws", draws)
-        by_request: dict[str, list[Ranking]] = {}
+        # Per request: its distinct rankings by identity, in first-draw order,
+        # and each draw's index into them.  A ranking belongs to one request,
+        # so one identity map serves them all.
+        by_request: dict[str, tuple[list[Ranking], list[int]]] = {}
+        slot: dict[int, int] = {}
         for q, ranking in draws:
-            by_request.setdefault(q, []).append(ranking)
+            rankings, index = by_request.setdefault(q, ([], []))
+            if id(ranking) not in slot:
+                slot[id(ranking)] = len(rankings)
+                rankings.append(ranking)
+            index.append(slot[id(ranking)])
         object.__setattr__(self, "_by_request", by_request)
         if self.request_weights is not None:
+            for q, w in self.request_weights.items():
+                if not (math.isfinite(w) and w >= 0):
+                    raise FairRankError(f"request weight for {q!r} must be finite and non-negative")
             total = sum(self.request_weights.values())
             if abs(total - 1.0) > DISTRIBUTION_ATOL:
                 raise FairRankError("request weights must sum to 1")
@@ -346,14 +334,32 @@ class RankingSequence:
         return list(self._by_request)
 
     def draws_for(self, request: str) -> list[Ranking]:
-        return list(self._by_request.get(request, ()))
+        rankings, index = self._by_request.get(request, ((), ()))
+        return [rankings[i] for i in index]
+
+    def map_draws(self, request: str, fn: Callable[[Ranking], Any]) -> list:
+        """``fn`` of each of the request's draws, in draw order, called once per ranking.
+
+        Draws share a ranking when they hold the same object, as every draw of
+        a parsed sequence's request does.  A ``Degenerate`` raised for a
+        ranking is returned for each of its draws, so per-draw sums and means
+        see exactly what calling ``fn`` per draw would give.
+        """
+        rankings, index = self._by_request.get(request, ((), ()))
+        outcomes = []
+        for ranking in rankings:
+            try:
+                outcomes.append(fn(ranking))
+            except Degenerate as exc:
+                outcomes.append(exc)
+        return [outcomes[i] for i in index]
 
     def rho(self) -> dict[str, float]:
         """Request arrival distribution: explicit weights or draw frequencies."""
         if self.request_weights is not None:
             return dict(self.request_weights)
         total = len(self.draws)
-        return {q: len(rs) / total for q, rs in self._by_request.items()}
+        return {q: len(index) / total for q, (_, index) in self._by_request.items()}
 
     @classmethod
     def single_draws(cls, rankings: Mapping[str, Ranking]) -> "RankingSequence":
@@ -394,11 +400,9 @@ def binarize(
     p = groups.require_protected()
     if not 0 < threshold <= 1:
         raise FairRankError(f"threshold must lie in (0, 1], got {threshold}")
-    plus = np.array([1.0, 0.0])
-    minus = np.array([0.0, 1.0])
-    rows = {d: (plus if row[p] >= threshold else minus) for d, row in alignment.items()}
+    hard = np.where((alignment.dense()[:, p] >= threshold)[:, None], [1.0, 0.0], [0.0, 1.0])
     space = GroupSpace((groups.names[p], "rest"), protected_index=0)
-    return AlignmentMatrix(rows, n_groups=2), space
+    return AlignmentMatrix._stacked(list(alignment.docs()), hard), space
 
 
 UNKNOWN_POLICIES = ("exclude", "group", "error")
@@ -426,19 +430,17 @@ def apply_unknown_policy(
         if missing:
             raise FairRankError(f"{len(missing)} unlabeled documents (first: {missing[0]!r})")
         return alignment, groups
+    dense = alignment.dense()
     if groups.unknown_index is not None:
         names = groups.names
         u = groups.unknown_index
-        rows = dict(alignment.items())
     else:
         if unknown_label in groups.names:
             raise FairRankError(f"group {unknown_label!r} exists but is not flagged as unknown")
         names = groups.names + (unknown_label,)
         u = len(names) - 1
-        rows = {d: np.append(row, 0.0) for d, row in alignment.items()}
-    onehot = np.zeros(len(names))
-    onehot[u] = 1.0
-    for d in missing:
-        rows[d] = onehot
+        dense = np.hstack((dense, np.zeros((len(dense), 1))))
+    onehots = np.zeros((len(missing), len(names)))
+    onehots[:, u] = 1.0
     space = GroupSpace(names, protected_index=groups.protected_index, unknown_index=u)
-    return AlignmentMatrix(rows, n_groups=len(names)), space
+    return AlignmentMatrix._stacked([*alignment.docs(), *missing], np.vstack((dense, onehots))), space

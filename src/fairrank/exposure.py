@@ -161,17 +161,15 @@ def request_exposure(
     """Empirical policy expectation: mean group exposure over a request's draws.
 
     A draw with no labeled document contributes zero exposure; the request
-    is degenerate only when none of its draws has a labeled document.
+    is degenerate only when none of its draws has a labeled document.  Each
+    distinct ranking is weighted once and expanded to its draws.
     """
-    draws = seq.draws_for(request)
+    draws = seq.map_draws(request, lambda r: group_exposure(
+        r, alignment, position_weights(model, r, relevance), groups))
     if not draws:
         raise UnknownRequest(f"no draws for request {request!r}")
-    per_draw = []
-    for r in draws:
-        try:
-            per_draw.append(group_exposure(r, alignment, position_weights(model, r, relevance), groups))
-        except Degenerate:
-            pass  # no labeled document: zero exposure
+    # a Degenerate draw has no labeled document: zero exposure
+    per_draw = [eps for eps in draws if not isinstance(eps, Degenerate)]
     if not per_draw:
         raise Degenerate("no labeled documents in any draw")
     return np.sum(per_draw, axis=0) / len(draws)

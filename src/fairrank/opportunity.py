@@ -129,17 +129,16 @@ def discounted_group_utility(
     rho = seq.rho()
     total = np.zeros(groups.g)
     for q in seq.requests():
-        draws = seq.draws_for(q)
         judged = relevance.judged(q)
-        acc = np.zeros(groups.g)
-        for r in draws:
+
+        def mass(r):  # a draw with no labeled document adds an exact zero vector
             weights = position_weights(model, r, relevance)
             kept, rows = alignment.gather(r.docs)
-            if kept.size == 0:
-                continue
             grades = np.array([judged.get(r.docs[i], 0.0) for i in kept])
-            acc += (weights[kept] * grades) @ alignment.dense()[rows]
-        total += rho.get(q, 0.0) * (acc / len(draws))
+            return (weights[kept] * grades) @ alignment.dense()[rows]
+
+        draws = seq.map_draws(q, mass)
+        total += rho.get(q, 0.0) * (sum(draws, np.zeros(groups.g)) / len(draws))
     return total
 
 

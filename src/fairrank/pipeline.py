@@ -33,7 +33,7 @@ from .core import (
 from .exposure import WeightModel, request_exposure, system_exposure
 from .ingest import EvalConfig, MetricConfig, RunFile
 from .metrics_multi import demographic_parity, eed
-from .metrics_single import SingleListResult, awrf, fair_score, pref_fairness
+from .metrics_single import awrf, fair_score, pref_fairness
 from .opportunity import (
     discounted_group_utility,
     expected_exposure,
@@ -161,9 +161,11 @@ def _per_draw(
 ) -> MetricResult:
     """Evaluate a single-ranking metric over every draw and aggregate.
 
-    A draw returning NaN (or raising a degenerate error) is excluded; draws
-    scored by convention (short lists, undefined normalizer) keep their value
-    but are noted.  A request is degenerate when all its draws are.
+    ``fn`` runs once per distinct ranking of a request (see
+    ``RankingSequence.map_draws``).  A draw returning NaN (or raising a
+    degenerate error) is excluded; draws scored by convention (short lists,
+    undefined normalizer) keep their value but are noted.  A request is
+    degenerate when all its draws are.
     """
     values: dict[str, float] = {}
     flags: dict[str, str] = {}
@@ -172,11 +174,9 @@ def _per_draw(
     for q in sorted(ctx.seq.requests()):
         draw_vals = []
         draw_flags = []
-        for ranking in ctx.seq.draws_for(q):
-            try:
-                res: SingleListResult = fn(ranking)
-            except Degenerate as exc:
-                draw_flags.append(exc.reason)
+        for res in ctx.seq.map_draws(q, fn):
+            if isinstance(res, Degenerate):
+                draw_flags.append(res.reason)
                 continue
             direction = res.direction
             if res.degenerate is not None and math.isnan(res.value):

@@ -14,7 +14,8 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.stats import kendalltau
 
-from fairrank import FairRankError, NoPairs
+from fairrank import Degenerate, Direction, FairRankError, NoPairs
+from fairrank.report import aggregate
 
 
 def oracle_weights(kind, gamma, positions, grades=None, stop=None):
@@ -298,3 +299,57 @@ def oracle_kl_bits(observed, target):
         if o > 0:
             total += o * math.log2(o / t)
     return total
+
+
+def oracle_per_draw(seq, fn, label, system):
+    """Per-draw metric aggregation with ``fn`` called once for every draw.
+
+    Returns (MetricResult, notes), the result replaced by the raised
+    exception's (type, message) when aggregation fails.
+    """
+    values, flags, notes = {}, {}, []
+    conventions = 0
+    direction = None
+    for q in sorted(seq.requests()):
+        draw_vals, draw_flags = [], []
+        for ranking in seq.draws_for(q):
+            try:
+                res = fn(ranking)
+            except Degenerate as exc:
+                draw_flags.append(exc.reason)
+                continue
+            direction = res.direction
+            if res.degenerate is not None and math.isnan(res.value):
+                draw_flags.append(res.degenerate)
+                continue
+            if res.degenerate is not None:
+                conventions += 1
+            draw_vals.append(res.value)
+        if draw_vals:
+            values[q] = float(np.mean(draw_vals))
+        else:
+            flags[q] = draw_flags[0] if draw_flags else "no draws"
+    if conventions:
+        notes.append(f"{label}: {conventions} draws scored by edge-case convention")
+    try:
+        result = aggregate(values, flags, label, system, direction or Direction.ZERO_IS_FAIR)
+    except FairRankError as exc:
+        result = (type(exc), str(exc))
+    return result, notes
+
+
+def oracle_binarize_rows(rows, protected, threshold):
+    """Hard protected/rest row per labeled document, one document at a time."""
+    return {d: [1.0, 0.0] if row[protected] >= threshold else [0.0, 1.0]
+            for d, row in rows.items()}
+
+
+def oracle_unknown_rows(rows, n_groups, universe, unknown_index=None):
+    """Rows after the ``group`` unknown policy: missing documents, sorted, go
+    wholly to the unknown group, appended as a new last column when absent."""
+    width = n_groups if unknown_index is not None else n_groups + 1
+    u = unknown_index if unknown_index is not None else n_groups
+    out = {d: list(row) + [0.0] * (width - len(row)) for d, row in rows.items()}
+    for d in sorted(set(universe) - set(rows)):
+        out[d] = [1.0 if j == u else 0.0 for j in range(width)]
+    return out

@@ -60,7 +60,7 @@ class TestSynth:
     def test_edge_case_switches(self, tmp_path):
         paths, _ = _synth(tmp_path, empty_protected=True)
         al, _ = parse_alignment(paths["alignment"])
-        assert all(row[0] == 0.0 for _, row in al.items())
+        assert all(al.dense()[:, 0] == 0.0)
         paths2, _ = _synth(tmp_path / "z", zero_relevance_group=True)
         rel = parse_qrels(paths2["qrels"])
         al2, _ = parse_alignment(paths2["alignment"])

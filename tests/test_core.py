@@ -3,6 +3,7 @@ import pytest
 
 from fairrank import (
     AlignmentMatrix,
+    Degenerate,
     FairRankError,
     GroupSpace,
     Ranking,
@@ -18,16 +19,6 @@ from fairrank import (
 def test_ranking_rejects_duplicates():
     with pytest.raises(FairRankError, match="duplicate"):
         Ranking("q", ("d1", "d2", "d1"))
-
-
-def test_ranking_lookup_and_prefix():
-    r = Ranking("q", ("a", "b", "c", "d"))
-    assert r.rank_of("c") == 3
-    assert r.doc_at(1) == "a"
-    assert r.prefix(2).docs == ("a", "b")
-    # prefix law: L<=k then L<=j equals L<=j for j < k
-    assert r.prefix(3).prefix(2) == r.prefix(2)
-    assert r.prefix(10).docs == r.docs
 
 
 def test_ranking_scores_validated():
@@ -153,3 +144,104 @@ def test_apply_unknown_policy_existing_unknown_group():
     ext_al, ext_gs = apply_unknown_policy(al, gs, ["a", "b"], "group")
     assert ext_gs == gs
     assert ext_al.row("b").tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("weights, named", [
+    ({"q1": 1.5, "q2": -0.5}, "q2"),
+    ({"q1": float("nan"), "q2": 1.0}, "q1"),
+    ({"q1": 1.0, "q2": float("inf")}, "q2"),
+])
+def test_ranking_sequence_rejects_bad_request_weights(weights, named):
+    r1, r2 = Ranking("q1", ("a",)), Ranking("q2", ("b",))
+    with pytest.raises(FairRankError, match=f"request weight for '{named}' must be finite"):
+        RankingSequence((("q1", r1), ("q2", r2)), request_weights=weights)
+
+
+def test_map_draws_calls_fn_once_per_distinct_ranking():
+    shared, other = Ranking("q1", ("a", "b")), Ranking("q1", ("b", "a"))
+    twin = Ranking("q1", ("a", "b"))  # equal to ``shared`` but its own object
+    single = Ranking("q2", ("c",))
+    seq = RankingSequence((("q1", shared), ("q2", single), ("q1", other), ("q1", shared),
+                           ("q1", twin), ("q1", shared)))
+    calls = []
+
+    def fn(r):
+        calls.append(r)
+        if r is other:
+            raise Degenerate("boom")
+        return r.docs
+
+    out = seq.map_draws("q1", fn)
+    assert [c is r for c, r in zip(calls, (shared, other, twin))] == [True] * 3
+    assert len(calls) == 3
+    assert out[:1] + out[2:] == [("a", "b")] * 4
+    assert isinstance(out[1], Degenerate) and out[1].reason == "boom"
+    assert seq.map_draws("q2", fn) == [("c",)]
+    assert seq.map_draws("q9", fn) == []
+    assert len(calls) == 4
+
+
+# Each faulty row with the message that names it.
+ROW_FAULTS = {
+    "length": ([0.5, 0.25, 0.25], "has wrong length"),
+    "nan": ([float("nan"), 1.0], "must be finite and non-negative"),
+    "inf": ([float("inf"), 0.0], "must be finite and non-negative"),
+    "negative": ([1.5, -0.5], "must be finite and non-negative"),
+    "sum": ([0.5, 0.6], "does not sum to 1"),
+    "ragged": ([[0.5, 0.5]], "has wrong length"),
+}
+
+
+def _alignment_error(rows, n_groups):
+    with pytest.raises(FairRankError) as info:
+        AlignmentMatrix(rows, n_groups=n_groups)
+    assert type(info.value) is FairRankError
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n_groups", [2, None])
+@pytest.mark.parametrize("fault", ROW_FAULTS)
+def test_alignment_names_faulty_row(fault, n_groups):
+    row, message = ROW_FAULTS[fault]
+    rows = {"ok": [0.5, 0.5], "bad": row, "later": [1.0, 0.0]}
+    assert _alignment_error(rows, n_groups) == f"alignment row for 'bad' {message}"
+
+
+@pytest.mark.parametrize("second", ROW_FAULTS)
+@pytest.mark.parametrize("first", ROW_FAULTS)
+def test_alignment_names_first_faulty_row_in_insertion_order(first, second):
+    rows = {"ok": [0.0, 1.0], "one": ROW_FAULTS[first][0], "two": ROW_FAULTS[second][0]}
+    assert _alignment_error(rows, 2) == f"alignment row for 'one' {ROW_FAULTS[first][1]}"
+
+
+def test_alignment_first_row_sets_group_count():
+    assert _alignment_error({"a": [1.0, 0.0, 0.0], "b": [0.5, 0.5]}, None) == \
+        "alignment row for 'b' has wrong length"
+    assert AlignmentMatrix({"a": [0.5, 0.25, 0.25]}).n_groups == 3
+
+
+def test_alignment_empty_mapping():
+    with pytest.raises(FairRankError, match="cannot infer group count"):
+        AlignmentMatrix({})
+    al = AlignmentMatrix({}, n_groups=3)
+    assert len(al) == 0 and al.n_groups == 3
+    assert al.dense().shape == (0, 3)
+    kept, rows = al.gather(["a", "b"])
+    assert kept.size == 0 and rows.size == 0
+    with pytest.raises(Degenerate):
+        al.mean_row()
+    bal, _ = binarize(al, GroupSpace(("A", "B", "C"), protected_index=1))
+    assert bal.dense().shape == (0, 2)
+    ext, gs = apply_unknown_policy(al, GroupSpace(("A", "B", "C")), ["x"], "group")
+    assert gs.unknown_index == 3 and ext.row("x").tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+def test_alignment_rows_are_read_only_copies():
+    source = np.array([0.25, 0.75])
+    al = AlignmentMatrix({"d": source, "e": [1, 0]})
+    for view in (al.row("d"), al.dense(), al.dense()[1]):
+        with pytest.raises(ValueError):
+            view[0] = 0.5
+    source[0] = 0.5  # the caller's array stays its own
+    assert al.row("d").tolist() == [0.25, 0.75]
+    assert al.row("e").dtype == float and al.row("missing") is None

@@ -2,7 +2,9 @@
 
 Random corpora mix hard, soft and unlabeled documents, requests with several
 draws, and draws with no labeled document at all; every weight model is
-covered, cascade included.  ``request_exposure``, the ``eed_raw`` term of
+covered, cascade included.  Some requests repeat one ``Ranking`` object
+across their draws (the shape ``parse_sequence`` produces, which the library
+evaluates once per object), others hold a new object per draw.  ``request_exposure``, the ``eed_raw`` term of
 ``expected_exposure`` and ``discounted_group_utility`` must agree with
 ``oracle_weights`` plus ``oracle_group_exposure``.
 """
@@ -34,6 +36,15 @@ DOCS = ("d0", "d1", "d2", "d3", "d4", "d5")
 UNLABELED = ("u0", "u1")  # never given an alignment row
 
 
+def _ranking(draw, q, rows):
+    if draw(st.booleans()):
+        pool = UNLABELED + tuple(d for d in DOCS if d not in rows)  # fully unlabeled
+    else:
+        pool = DOCS + UNLABELED
+    order = draw(st.permutations(pool))
+    return Ranking(q, tuple(order[:draw(st.integers(1, min(5, len(order))))]))
+
+
 @st.composite
 def corpora(draw):
     g = draw(st.integers(2, 3))
@@ -53,14 +64,12 @@ def corpora(draw):
         q = f"q{i}"
         grades[q] = {d: y for d in DOCS + UNLABELED
                      if (y := draw(st.sampled_from((None, 0.0, 1.0, 2.0)))) is not None}
+        # A shared request repeats a few Ranking objects across its draws, as a
+        # parsed sequence does; otherwise every draw holds its own object.
+        shared = [] if draw(st.booleans()) else [
+            _ranking(draw, q, rows) for _ in range(draw(st.integers(1, 2)))]
         for _ in range(draw(st.integers(1, 4))):
-            if draw(st.booleans()):
-                pool = UNLABELED + tuple(d for d in DOCS if d not in rows)  # fully unlabeled
-            else:
-                pool = DOCS + UNLABELED
-            order = draw(st.permutations(pool))
-            docs = order[:draw(st.integers(1, min(5, len(order))))]
-            draws.append((q, Ranking(q, tuple(docs))))
+            draws.append((q, draw(st.sampled_from(shared)) if shared else _ranking(draw, q, rows)))
     draws = draw(st.permutations(draws))
     kind = draw(st.sampled_from(WEIGHT_KINDS))
     gamma = draw(st.floats(0.1, 1.0))
