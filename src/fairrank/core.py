@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -202,10 +202,14 @@ class AlignmentMatrix:
         """All rows stacked into one read-only (n_labeled, g) matrix."""
         return self._dense
 
+    def indices(self, docs: Sequence[str]) -> np.ndarray:
+        """Dense-row index of each of ``docs``, -1 for an unlabeled document."""
+        get = self._doc_index.get
+        return np.fromiter((get(d, -1) for d in docs), dtype=np.intp, count=len(docs))
+
     def gather(self, docs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(positions of labeled docs within ``docs``, their dense-row indices)."""
-        get = self._doc_index.get
-        raw = np.fromiter((get(d, -1) for d in docs), dtype=np.intp, count=len(docs))
+        raw = self.indices(docs)
         kept = np.nonzero(raw >= 0)[0]
         return kept, raw[kept]
 
@@ -333,26 +337,13 @@ class RankingSequence:
         """Distinct request ids in first-draw order."""
         return list(self._by_request)
 
+    def distinct(self, request: str) -> tuple[list[Ranking], list[int]]:
+        """The request's distinct rankings (first-draw order) and each draw's index into them."""
+        return self._by_request.get(request, ([], []))
+
     def draws_for(self, request: str) -> list[Ranking]:
-        rankings, index = self._by_request.get(request, ((), ()))
+        rankings, index = self.distinct(request)
         return [rankings[i] for i in index]
-
-    def map_draws(self, request: str, fn: Callable[[Ranking], Any]) -> list:
-        """``fn`` of each of the request's draws, in draw order, called once per ranking.
-
-        Draws share a ranking when they hold the same object, as every draw of
-        a parsed sequence's request does.  A ``Degenerate`` raised for a
-        ranking is returned for each of its draws, so per-draw sums and means
-        see exactly what calling ``fn`` per draw would give.
-        """
-        rankings, index = self._by_request.get(request, ((), ()))
-        outcomes = []
-        for ranking in rankings:
-            try:
-                outcomes.append(fn(ranking))
-            except Degenerate as exc:
-                outcomes.append(exc)
-        return [outcomes[i] for i in index]
 
     def rho(self) -> dict[str, float]:
         """Request arrival distribution: explicit weights or draw frequencies."""
@@ -382,8 +373,8 @@ def protected_mask(
     p = groups.require_protected()
     if not 0 < threshold <= 1:
         raise FairRankError(f"threshold must lie in (0, 1], got {threshold}")
-    _, rows = alignment.gather(ranking.docs)
-    return alignment.dense()[rows, p] >= threshold
+    rows = alignment.indices(ranking.docs)
+    return alignment.dense()[rows[rows >= 0], p] >= threshold
 
 
 def binarize(

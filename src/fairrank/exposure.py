@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .compiled import CompiledSystem, Labels, sorted_distinct
 from .core import (
     AlignmentMatrix,
     Degenerate,
@@ -64,7 +65,8 @@ def weight_vector(
     """Attention weights for documents at the given 1-based ranks.
 
     The cascade's continuation product runs over the documents in order,
-    using ``grades`` (zeros when not supplied).
+    using ``grades`` (zeros when not supplied); a 2-D ``grades`` holds one
+    list per row and gives one weight row each.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.size and pos.min() < 1:
@@ -80,10 +82,13 @@ def weight_vector(
     stop_fn = stop or model.stop
     if stop_fn is None:
         stop_fn = lambda y: 0.0
-    if grades is None:
-        grades = np.zeros(pos.size)
-    phi = np.clip([stop_fn(float(y)) for y in grades], 0.0, 1.0)
-    cont = np.concatenate(([1.0], np.cumprod(1.0 - phi)[:-1])) if pos.size else np.empty(0)
+    grades = np.zeros(pos.size) if grades is None else np.asarray(grades, dtype=float)
+    # the stop probability is a function of the grade: call it once per distinct grade
+    distinct = sorted_distinct(grades)
+    phi = np.clip([stop_fn(float(y)) for y in distinct], 0.0, 1.0)
+    phi = phi[np.searchsorted(distinct, grades)]
+    cont = np.ones(phi.shape)
+    cont[..., 1:] = np.cumprod(1.0 - phi[..., :-1], axis=-1)
     return model.gamma ** (pos - 1.0) * cont
 
 
@@ -95,7 +100,8 @@ def default_stop(relevance: RelevanceTable) -> Callable[[float], float]:
     return lambda y: min(1.0, max(0.0, y / y_max))
 
 
-def _resolve_stop(model: WeightModel, relevance: RelevanceTable | None) -> Callable[[float], float] | None:
+def resolve_stop(model: WeightModel,
+                 relevance: RelevanceTable | None) -> Callable[[float], float] | None:
     if model.kind != "cascade":
         return None
     if model.stop is not None:
@@ -112,12 +118,57 @@ def position_weights(
 ) -> np.ndarray:
     """Per-document attention weights for a ranking, at ranks 1..N."""
     grades = None
-    stop = None
-    if model.kind == "cascade":
-        stop = _resolve_stop(model, relevance)
-        if relevance is not None:
-            grades = [relevance.grade(ranking.request, d) for d in ranking.docs]
-    return weight_vector(model, np.arange(1, len(ranking) + 1), grades, stop=stop)
+    if model.kind == "cascade" and relevance is not None:
+        grades = [relevance.grade(ranking.request, d) for d in ranking.docs]
+    return weight_vector(model, np.arange(1, len(ranking) + 1), grades,
+                         stop=resolve_stop(model, relevance))
+
+
+def compiled_weights(view: CompiledSystem, model: WeightModel,
+                     relevance: RelevanceTable | None = None) -> np.ndarray:
+    """Weights of every ranking position of a compiled system.
+
+    One (D,) vector serves every ranking, except under the cascade, whose
+    weights follow each ranking's grades: one (R, D) row per ranking.
+    """
+    return weight_vector(model, np.arange(1, view.ids.shape[1] + 1), view.grades,
+                         stop=resolve_stop(model, relevance))
+
+
+def exposure_of(weights: np.ndarray, rows: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """Group exposure of one ranking: weights of its labeled positions times their rows.
+
+    ``rows`` holds each position's dense-row index (-1: unlabeled or padding)
+    and ``weights`` at least as many entries.
+    """
+    kept = np.flatnonzero(rows >= 0)
+    if kept.size == 0:
+        raise Degenerate("no labeled documents in ranking")
+    return weights[kept] @ dense[rows[kept]]
+
+
+def ranking_exposures(weights: np.ndarray, labels: Labels) -> list:
+    """Group exposure of every distinct ranking, or the ``Degenerate`` it raised."""
+    out = []
+    for r, rows in enumerate(labels.rows):
+        try:
+            out.append(exposure_of(weights if weights.ndim == 1 else weights[r],
+                                   rows, labels.dense))
+        except Degenerate as exc:
+            out.append(exc)
+    return out
+
+
+def mean_over_draws(per_ranking: list, draws: Sequence[int]) -> np.ndarray:
+    """Mean exposure over a request's draws, given each draw's ranking index.
+
+    A draw with no labeled document contributes zero exposure; the request
+    is degenerate only when none of its draws has a labeled document.
+    """
+    per_draw = [per_ranking[r] for r in draws if not isinstance(per_ranking[r], Degenerate)]
+    if not per_draw:
+        raise Degenerate("no labeled documents in any draw")
+    return np.sum(per_draw, axis=0) / len(draws)
 
 
 def group_exposure(
@@ -136,18 +187,22 @@ def group_exposure(
     weights = np.asarray(weights, dtype=float)
     if weights.size != len(ranking):
         raise FairRankError("weights are not aligned to the ranking")
-    kept, rows = alignment.gather(ranking.docs)
-    if kept.size == 0:
-        raise Degenerate("no labeled documents in ranking")
-    eps = weights[kept] @ alignment.dense()[rows]
-    if eps.size != groups.g:
+    _check_width(alignment, groups)
+    eps = exposure_of(weights, alignment.indices(ranking.docs), alignment.dense())
+    return normalized(eps) if normalize else eps
+
+
+def normalized(eps: np.ndarray) -> np.ndarray:
+    """Exposure rescaled to sum to one."""
+    total = float(eps.sum())
+    if total <= 0:
+        raise Degenerate("labeled documents received zero exposure mass")
+    return eps / total
+
+
+def _check_width(alignment: AlignmentMatrix, groups: GroupSpace) -> None:
+    if alignment.n_groups != groups.g:
         raise FairRankError("alignment width does not match the group space")
-    if normalize:
-        total = float(eps.sum())
-        if total <= 0:
-            raise Degenerate("labeled documents received zero exposure mass")
-        eps = eps / total
-    return eps
 
 
 def request_exposure(
@@ -164,15 +219,13 @@ def request_exposure(
     is degenerate only when none of its draws has a labeled document.  Each
     distinct ranking is weighted once and expanded to its draws.
     """
-    draws = seq.map_draws(request, lambda r: group_exposure(
-        r, alignment, position_weights(model, r, relevance), groups))
-    if not draws:
+    if not seq.distinct(request)[1]:
         raise UnknownRequest(f"no draws for request {request!r}")
-    # a Degenerate draw has no labeled document: zero exposure
-    per_draw = [eps for eps in draws if not isinstance(eps, Degenerate)]
-    if not per_draw:
-        raise Degenerate("no labeled documents in any draw")
-    return np.sum(per_draw, axis=0) / len(draws)
+    _check_width(alignment, groups)
+    view = CompiledSystem(seq, relevance)
+    weights = compiled_weights(view, model, relevance)
+    per_ranking = ranking_exposures(weights, view.labels(alignment))
+    return mean_over_draws(per_ranking, view.draws[view.request_index[request]])
 
 
 def system_exposure(
@@ -216,28 +269,26 @@ def target_exposure(
     cands = sorted(set(candidates))
     if not cands:
         raise FairRankError("candidate set is empty")
+    _check_width(alignment, groups)
     grades = np.array([relevance.grade(request, d) for d in cands])
+    return ideal_exposure(grades, alignment.indices(cands), alignment.dense(), model,
+                          resolve_stop(model, relevance))
+
+
+def ideal_exposure(grades: np.ndarray, rows: np.ndarray, dense: np.ndarray, model: WeightModel,
+                   stop: Callable[[float], float] | None) -> np.ndarray:
+    """``target_exposure`` of candidates in id order, by grade and dense row (-1: unlabeled)."""
+    if not np.any(rows >= 0):
+        raise Degenerate("no labeled candidates")
     order = np.argsort(-grades, kind="stable")
     sorted_grades = grades[order]
-    positions = np.arange(1, len(cands) + 1)
-    stop = _resolve_stop(model, relevance)
-    weights = weight_vector(model, positions, sorted_grades, stop=stop)
-
+    weights = weight_vector(model, np.arange(1, len(grades) + 1), sorted_grades, stop=stop)
     # Mean weight of each tier's position block, mapped back to each document.
-    tier_weight: dict[float, float] = {}
-    start = 0
-    while start < len(cands):
-        end = start
-        while end < len(cands) and sorted_grades[end] == sorted_grades[start]:
-            end += 1
-        tier_weight[float(sorted_grades[start])] = float(np.mean(weights[start:end]))
-        start = end
-    doc_weights = np.array([tier_weight[float(g)] for g in grades])
-
-    kept, rows = alignment.gather(cands)
-    if kept.size == 0:
-        raise Degenerate("no labeled candidates")
-    eps = doc_weights[kept] @ alignment.dense()[rows]
-    if eps.size != groups.g:
-        raise FairRankError("alignment width does not match the group space")
-    return eps
+    # Each tier is summed on its own: np.add.reduceat adds long tiers in
+    # another order than a lone sum, and so can move the last bit.
+    new_tier = np.concatenate(([True], sorted_grades[1:] != sorted_grades[:-1]))
+    bounds = [*np.flatnonzero(new_tier).tolist(), len(grades)]
+    tier_weight = np.array([weights[a:b].sum() / (b - a) for a, b in zip(bounds, bounds[1:])])
+    doc_weights = np.empty(len(grades))
+    doc_weights[order] = tier_weight[np.cumsum(new_tier) - 1]
+    return exposure_of(doc_weights, rows, dense)

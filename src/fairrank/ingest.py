@@ -13,26 +13,29 @@ File formats (UTF-8, LF or CRLF):
 * sequence:  CSV ``seq_no,qid`` referencing rankings in a run.
 * scores:    CSV ``qid,docid,score``.
 
-All parsers stream line by line with bounded per-line memory, and either
-produce a value or fail with a 1-based line number.  Duplicate qrels/score
-keys are last-wins with a warning.
+Parsers read line by line (the alignment parser keeps its lines, to convert
+and check the cells as one array) and either produce a value or fail with a
+1-based line number, after the file's path when given a path.  A run may not
+repeat a document within a request; duplicate alignment/qrels/score keys are
+last-wins with a warning.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO, TypeVar
 
 import numpy as np
-import yaml
 
 from .core import (
     AlignmentMatrix,
     ConfigError,
+    FairRankError,
     GroupSpace,
     ParseError,
     Ranking,
@@ -57,6 +60,8 @@ class RowSumOutOfTolerance(ParseError):
 
 
 ALIGNMENT_SUM_TOL = 0.01
+
+T = TypeVar("T")
 
 
 class RunRecord(NamedTuple):
@@ -90,6 +95,21 @@ def _lines(source: TextIO | Iterable[str] | str | Path) -> Iterable[str]:
     yield from source
 
 
+def _names_path(parse: Callable[..., T]) -> Callable[..., T]:
+    """A parser that, given a path, puts it before the message of the error it raises."""
+
+    @functools.wraps(parse)
+    def parse_file(source, *args, **kwargs):
+        try:
+            return parse(source, *args, **kwargs)
+        except FairRankError as exc:
+            if isinstance(source, (str, Path)):
+                exc.args = (f"{source}: {exc}", *exc.args[1:])
+            raise
+
+    return parse_file
+
+
 def _finite(text: str, what: str, lineno: int) -> float:
     """Parse a finite number, or fail naming the line (inf and nan included)."""
     try:
@@ -101,13 +121,14 @@ def _finite(text: str, what: str, lineno: int) -> float:
     return value
 
 
+@_names_path
 def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
     """Parse a TREC-style run file into records and per-request rankings.
 
     Rankings follow the rank column, with gaps closed; scores ride along.
     """
     records: list[RunRecord] = []
-    seen_ranks: dict[str, set[int]] = {}
+    seen: dict[str, tuple[set[int], set[str]]] = {}  # per request: ranks and documents
     for lineno, line in enumerate(_lines(source), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -121,10 +142,13 @@ def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
         except ValueError:
             raise ParseError(f"rank {rank_s!r} is not an integer", lineno) from None
         score = _finite(score_s, "score", lineno)
-        ranks = seen_ranks.setdefault(qid, set())
+        ranks, docs = seen.setdefault(qid, (set(), set()))
         if rank in ranks:
             raise DuplicateRank(f"request {qid!r} repeats rank {rank}", lineno)
+        if docid in docs:
+            raise ParseError(f"request {qid!r} repeats document {docid!r}", lineno)
         ranks.add(rank)
+        docs.add(docid)
         records.append(RunRecord(qid, docid, rank, score, tag))
 
     per_request: dict[str, list[RunRecord]] = {}
@@ -142,6 +166,7 @@ def write_run(fh: TextIO, run: RunFile) -> None:
         fh.write(f"{rec.request} Q0 {rec.doc} {rec.rank} {float(rec.score)!r} {rec.tag}\n")
 
 
+@_names_path
 def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
     """Parse 4-column relevance judgments; negative grades are rejected."""
     table: dict[str, dict[str, float]] = {}
@@ -170,22 +195,52 @@ def write_qrels(fh: TextIO, table: RelevanceTable) -> None:
             fh.write(f"{qid} 0 {docid} {judged[docid]!r}\n")
 
 
+@_names_path
 def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[AlignmentMatrix, GroupSpace]:
     """Parse the alignment CSV into soft membership rows and a group space.
 
     Rows summing within 0.01 of 1 are renormalized to exactly 1; anything
     further off is rejected.  Empty cells read as 0, except an all-empty row,
-    which marks the document unlabeled.
+    which marks the document unlabeled.  The cells are converted and checked
+    as one array; only when that check fails are the lines checked one by
+    one, to name the first bad line.
     """
     reader = csv.reader(_lines(source))
     header = next(reader, None)
     if not header or len(header) < 2:
         raise ParseError("alignment header must be docid,<group1>,...", 1)
     names = tuple(h.strip() for h in header[1:])
-    rows: dict[str, np.ndarray] = {}
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells or all(not c.strip() for c in cells):
-            continue
+    lines = [(lineno, cells) for lineno, cells in enumerate(reader, start=2)
+             if cells and not all(not c.strip() for c in cells)]
+    labeled = []  # (line, doc, group cells) of every labeled row
+    for lineno, cells in lines:
+        if len(cells) != len(names) + 1:
+            _raise_first_bad_line(lines, names)
+        raw = [c.strip() for c in cells[1:]]
+        if any(raw):
+            labeled.append((lineno, cells[0].strip(), raw))
+    try:
+        vals = np.array([[float(c) if c else 0.0 for c in raw] for _, _, raw in labeled],
+                        dtype=float).reshape(len(labeled), len(names))
+    except ValueError:
+        _raise_first_bad_line(lines, names)
+    totals = vals.sum(axis=1)
+    if (not np.all(np.isfinite(vals)) or np.any(vals < 0)
+            or np.any(np.abs(totals - 1.0) > ALIGNMENT_SUM_TOL)):
+        _raise_first_bad_line(lines, names)
+    # a repeated document keeps its first position and takes its last row
+    row_of: dict[str, int] = {}
+    for i, (lineno, doc, _) in enumerate(labeled):
+        if doc in row_of:
+            log.warning("alignment line %d overrides earlier row for %s", lineno, doc)
+        row_of[doc] = i
+    dense = (vals / totals[:, None])[list(row_of.values())]
+    return AlignmentMatrix._stacked(list(row_of), dense), GroupSpace(names)
+
+
+def _raise_first_bad_line(lines: list[tuple[int, list[str]]], names: tuple[str, ...]) -> NoReturn:
+    """Check the alignment lines one at a time and fail naming the first bad one."""
+    for lineno, cells in lines:
         if len(cells) != len(names) + 1:
             raise ParseError(f"expected {len(names) + 1} columns, got {len(cells)}", lineno)
         doc = cells[0].strip()
@@ -198,10 +253,7 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
         total = float(vec.sum())
         if abs(total - 1.0) > ALIGNMENT_SUM_TOL:
             raise RowSumOutOfTolerance(f"row for {doc!r} sums to {total:.6g}", lineno)
-        if doc in rows:
-            log.warning("alignment line %d overrides earlier row for %s", lineno, doc)
-        rows[doc] = vec / total
-    return AlignmentMatrix(rows, n_groups=len(names)), GroupSpace(names)
+    raise AssertionError("the bulk alignment checks refused lines that pass one by one")
 
 
 def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) -> None:
@@ -211,6 +263,7 @@ def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) 
         writer.writerow([doc, *[repr(float(v)) for v in alignment.row(doc)]])
 
 
+@_names_path
 def parse_sequence(source: TextIO | Iterable[str] | str | Path, run: RunFile) -> RankingSequence:
     """Parse draw rows ``seq_no,qid`` against a run's rankings."""
     draws: list[tuple[int, str]] = []
@@ -246,6 +299,7 @@ def write_sequence(fh: TextIO, seq: RankingSequence) -> None:
         writer.writerow([i, qid])
 
 
+@_names_path
 def parse_scores(source: TextIO | Iterable[str] | str | Path) -> dict[str, dict[str, float]]:
     """Parse ``qid,docid,score`` rows into a nested score map."""
     out: dict[str, dict[str, float]] = {}
@@ -388,6 +442,8 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
     """
     doc: Mapping = {}
     if source is not None:
+        import yaml  # only a config file needs it
+
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8") as fh:
                 doc = yaml.safe_load(fh) or {}

@@ -35,7 +35,7 @@ from .core import (
     UndefinedNormalizer,
 )
 from .distance import DISTANCE_KINDS, KL_TARGET_FLOOR, delta
-from .exposure import WeightModel, group_exposure, position_weights
+from .exposure import WeightModel, group_exposure, normalized, position_weights
 
 
 @dataclass(frozen=True)
@@ -66,43 +66,52 @@ def prefix_schedule(n: int, step: int) -> list[int]:
     return ks
 
 
-def _prefix_raw(cols: np.ndarray, target: np.ndarray, dist: str, step: int) -> float:
+def _prefix_raw(cols: np.ndarray, target: np.ndarray, dist: str, step: int) -> np.ndarray:
     """Sum over the prefix schedule of |delta(prefix shares, target)| / log2(k).
 
-    ``cols`` holds group membership in rank order, shape (n, g): for nd and
-    rd the protected column alone against ``target = (p_hat,)``, for kl every
-    group against the full target.  An rd list whose target or some prefix
-    has no unprotected mass has no odds ratio; it is marked with NaN.
+    ``cols`` holds group membership in rank order, shape (..., n, g), one
+    (n, g) list per leading index: for nd and rd the protected column alone
+    against ``target = (p_hat,)``, for kl every group against the full
+    target.  Returns one raw score per list.  An rd list whose target or
+    some prefix has no unprotected mass has no odds ratio; it is marked with
+    NaN.
     """
-    ks = np.array(prefix_schedule(len(cols), step))
-    shares = np.cumsum(cols, axis=0)[ks - 1] / ks[:, None]
+    ks = np.array(prefix_schedule(cols.shape[-2], step))
+    shares = np.cumsum(cols, axis=-2)[..., ks - 1, :] / ks[:, None]
     if dist == "kl":
         # as delta_kl: floored, renormalized target; 0 * log(0 / t) is 0
         t = np.maximum(target, KL_TARGET_FLOOR)
         t = t / t.sum()
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(shares > 0, shares * np.log2(shares / t), 0.0)
-        deltas = np.maximum(terms.sum(axis=1), 0.0)
+        deltas = np.maximum(terms.sum(axis=-1), 0.0)
     elif dist == "nd":
-        deltas = shares[:, 0] - target[0]
+        deltas = shares[..., 0] - target[0]
     else:  # rd
-        if target[0] >= 1 or np.any(shares >= 1):
-            return math.nan
-        deltas = shares[:, 0] / (1.0 - shares[:, 0]) - target[0] / (1.0 - target[0])
-    return float(np.sum(np.abs(deltas) / np.log2(ks)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deltas = shares[..., 0] / (1.0 - shares[..., 0]) - target[0] / (1.0 - target[0])
+        deltas[np.any(shares[..., 0] >= 1, axis=-1) | (target[0] >= 1)] = math.nan
+    # each list's terms are summed as its own vector, in the order a lone list sums them
+    terms = np.abs(deltas) / np.log2(ks)
+    return np.array([np.sum(row) for row in terms.reshape(-1, ks.size)]).reshape(terms.shape[:-1])
 
 
-def _prefix_normalizer(cols: np.ndarray, target: np.ndarray, dist: str, step: int) -> float:
-    """Worst raw score over the lists sorted by each column, both ways.
+def _extremes(cols: np.ndarray) -> list[np.ndarray]:
+    """The lists sorted by each column, ascending and that order reversed."""
+    out = []
+    for j in range(cols.shape[1]):
+        order = np.argsort(cols[:, j], kind="stable")
+        out += [cols[order], cols[order[::-1]]]
+    return out
+
+
+def _worst(raws: np.ndarray) -> float:
+    """The normalizer: the worst scorable raw score among the extreme arrangements.
 
     Raises when no such list is scorable, or when none scores above zero:
     the composition then admits no unfairness.
     """
-    raws = []
-    for j in range(cols.shape[1]):
-        order = np.argsort(cols[:, j], kind="stable")
-        raws += [_prefix_raw(cols[o], target, dist, step) for o in (order, order[::-1])]
-    best = max((r for r in raws if not math.isnan(r)), default=None)
+    best = max((float(r) for r in raws if not math.isnan(r)), default=None)
     if best is None:
         raise Degenerate("no extreme arrangement is scorable under this distance")
     if best <= 0:
@@ -120,7 +129,8 @@ def pref_normalizer(
     """Worst-case raw prefix score of a list with ``n_protected`` of ``n`` protected."""
     if not 0 <= n_protected <= n:
         raise FairRankError("n_protected must lie in [0, n]")
-    return _prefix_normalizer((np.arange(n) < n_protected)[:, None], np.array([p_hat]), dist, step)
+    cols = (np.arange(n) < n_protected)[:, None]
+    return _worst(_prefix_raw(np.stack(_extremes(cols)), np.array([p_hat]), dist, step))
 
 
 def pref_fairness(
@@ -139,16 +149,21 @@ def pref_fairness(
     target to compare against a global distribution instead.  A list with
     fewer than ``step`` labeled documents is maximally fair by convention.
     """
+    rows = alignment.indices(ranking.docs)
+    return prefd_of(alignment.dense()[rows[rows >= 0]], groups, target, dist, step, threshold)
+
+
+def prefd_of(cols: np.ndarray, groups: GroupSpace, target: TargetDistribution | None, dist: str,
+             step: int, threshold: float) -> SingleListResult:
+    """``pref_fairness`` of a list given by its labeled alignment rows, in rank order."""
     if dist not in DISTANCE_KINDS:
         raise FairRankError(f"unknown distance function {dist!r}")
-    _, idx = alignment.gather(ranking.docs)
-    n = idx.size
+    n = len(cols)
     if n == 0:
         return SingleListResult(math.nan, Direction.ZERO_IS_FAIR, degenerate="no_labeled_docs")
     if n < step:
         return SingleListResult(0.0, Direction.ZERO_IS_FAIR, degenerate="short_list")
 
-    cols = alignment.dense()[idx]
     if dist == "kl":
         if target is None:
             if n == step:
@@ -172,17 +187,32 @@ def pref_fairness(
             raise FairRankError(f"threshold must lie in (0, 1], got {threshold}")
         cols = cols[:, [p]] >= threshold
         tvec = np.array([target.scalar(p) if target is not None else cols.sum() / n])
-    raw = _prefix_raw(cols, tvec, dist, step)
-    if math.isnan(raw):
+    raws = _prefix_raw(np.stack([cols, *_extremes(cols)]), tvec, dist, step)
+    if math.isnan(raws[0]):
         raise DegenerateDenominator("the target or a prefix has no unprotected documents")
     try:
-        z = _prefix_normalizer(cols, tvec, dist, step)
+        z = _worst(raws[1:])
     except UndefinedNormalizer:
         return SingleListResult(0.0, Direction.ZERO_IS_FAIR, degenerate="undefined_normalizer")
 
     # The sorted lists bound every arrangement for nd only; rd and kl are
     # heuristic, so a raw score can nose past the estimated maximum.
-    return SingleListResult(min(raw / z, 1.0), Direction.ZERO_IS_FAIR)
+    return SingleListResult(min(float(raws[0]) / z, 1.0), Direction.ZERO_IS_FAIR)
+
+
+# log(i!) for i = 0 .. len - 1, grown on demand and never written in place:
+# an entry does not depend on the table's length, so sharing it changes no result
+_LOG_FACT = np.zeros(1)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(i!) for i = 0 .. n at least, from one table shared by every call."""
+    global _LOG_FACT
+    if _LOG_FACT.size <= n:
+        table = np.array([math.lgamma(i + 1) for i in range(2 * n + 1)])
+        table.flags.writeable = False
+        _LOG_FACT = table
+    return _LOG_FACT
 
 
 def _prefix_binom_cdf(mask: np.ndarray, p: float) -> np.ndarray:
@@ -201,7 +231,7 @@ def _prefix_binom_cdf(mask: np.ndarray, p: float) -> np.ndarray:
     fails = trials - counts
     possible = fails >= 0  # P(X_{k-1} = k) is zero
     fails = np.where(possible, fails, 0)
-    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_fact = _log_factorials(n)
     log_pmf = (log_fact[trials] - log_fact[counts] - log_fact[fails]
                + counts * math.log(p) + fails * math.log1p(-p))
     steps = np.where(possible, np.exp(log_pmf), 0.0) * np.where(mask, 1.0 - p, -p)
@@ -253,9 +283,22 @@ def awrf(
     """
     weights = position_weights(model, ranking, relevance)
     try:
-        eps = group_exposure(ranking, alignment, weights, groups, normalize=True)
+        eps = group_exposure(ranking, alignment, weights, groups)
     except Degenerate as exc:
-        return SingleListResult(math.nan, Direction.ZERO_IS_FAIR, degenerate=exc.reason)
+        eps = exc
+    return awrf_of(eps, groups, target, dist, signed)
+
+
+def awrf_of(eps: np.ndarray | Degenerate, groups: GroupSpace, target: TargetDistribution,
+            dist: str, signed: bool) -> SingleListResult:
+    """``awrf`` of a ranking given by its raw group exposure (or why it has none)."""
+    if not isinstance(eps, Degenerate):
+        try:
+            eps = normalized(eps)
+        except Degenerate as exc:
+            eps = exc
+    if isinstance(eps, Degenerate):
+        return SingleListResult(math.nan, Direction.ZERO_IS_FAIR, degenerate=eps.reason)
     p = groups.protected_index if dist != "kl" else None
     d = delta(dist, eps, target.probs, protected_index=p)
     return SingleListResult(d if signed else abs(d), Direction.ZERO_IS_FAIR)

@@ -17,10 +17,11 @@ relevance should receive a comparable share of the exposure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
+from .compiled import CompiledSystem, Labels
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -33,18 +34,17 @@ from .core import (
     RankingSequence,
     RelevanceTable,
 )
-from .exposure import WeightModel, position_weights, target_exposure
+# position_weights and target_exposure stay importable here: perfbench/tracer.py
+# patches them under this module's name.
+from .exposure import (
+    WeightModel,
+    compiled_weights,
+    ideal_exposure,
+    position_weights,
+    resolve_stop,
+    target_exposure,
+)
 from .metrics_multi import binomial_split
-
-UTILITY_POOLS = ("judged", "retrieved", "union")
-
-
-@dataclass(frozen=True)
-class GroupUtility:
-    """Per-group utility summaries: mean relevance and discounted utility."""
-
-    upsilon: np.ndarray
-    gamma_disc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,25 +54,6 @@ class ExpectedExposureResult:
     eed_raw: float
     n_requests: int
     n_skipped: int
-
-
-def _candidate_pool(
-    seq: RankingSequence,
-    relevance: RelevanceTable,
-    request: str,
-    pool: str,
-) -> list[str]:
-    if pool not in UTILITY_POOLS:
-        raise FairRankError(f"unknown candidate pool {pool!r}")
-    judged = set(relevance.judged(request))
-    if pool == "judged":
-        return sorted(judged)
-    retrieved: set[str] = set()
-    for r in seq.draws_for(request):
-        retrieved.update(r.docs)
-    if pool == "retrieved":
-        return sorted(retrieved)
-    return sorted(judged | retrieved)
 
 
 def group_utility(
@@ -90,23 +71,25 @@ def group_utility(
     Requests where a group has no pooled members are skipped for that group,
     with the arrival weights renormalized over the rest.
     """
-    rho = seq.rho()
+    view = CompiledSystem(seq, relevance)
+    return utility_of(view, view.labels(alignment), groups, pool)
+
+
+def utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, pool: str) -> np.ndarray:
+    """``group_utility`` of a compiled system, on one alignment variant."""
     sums = np.zeros(groups.g)
     mass = np.zeros(groups.g)
-    for q in seq.requests():
-        cands = _candidate_pool(seq, relevance, q, pool)
-        if not cands:
+    for q in view.arrival:
+        cands, grades = view.pool(q, pool)
+        rows = labels.row_of[cands]
+        kept = rows >= 0
+        if not kept.any():
             continue
-        kept, rows = alignment.gather(cands)
-        if kept.size == 0:
-            continue
-        w = rho.get(q, 0.0)
-        judged = relevance.judged(q)
-        grades = np.array([judged.get(cands[i], 0.0) for i in kept])
-        members = alignment.dense()[rows] > 0.5
+        w = view.rho.get(q, 0.0)
+        members = labels.dense[rows[kept]] > 0.5
         counts = members.sum(axis=0)
         with np.errstate(invalid="ignore"):
-            means = (grades @ members) / counts
+            means = (grades[kept] @ members) / counts
         has = counts > 0
         sums[has] += w * means[has]
         mass[has] += w
@@ -126,19 +109,23 @@ def discounted_group_utility(
     model: WeightModel,
 ) -> np.ndarray:
     """Expected position-weight x relevance mass per group under the policy."""
-    rho = seq.rho()
+    view = CompiledSystem(seq, relevance)
+    return discounted_utility_of(view, view.labels(alignment), groups,
+                                 compiled_weights(view, model, relevance))
+
+
+def discounted_utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpace,
+                          weights: np.ndarray) -> np.ndarray:
+    """``discounted_group_utility`` of a compiled system, given its position weights."""
+    masses = []  # per distinct ranking; no labeled document gives an exact zero vector
+    for r, rows in enumerate(labels.rows):
+        kept = np.flatnonzero(rows >= 0)
+        w = weights if weights.ndim == 1 else weights[r]
+        masses.append((w[kept] * view.grades[r, kept]) @ labels.dense[rows[kept]])
     total = np.zeros(groups.g)
-    for q in seq.requests():
-        judged = relevance.judged(q)
-
-        def mass(r):  # a draw with no labeled document adds an exact zero vector
-            weights = position_weights(model, r, relevance)
-            kept, rows = alignment.gather(r.docs)
-            grades = np.array([judged.get(r.docs[i], 0.0) for i in kept])
-            return (weights[kept] * grades) @ alignment.dense()[rows]
-
-        draws = seq.map_draws(q, mass)
-        total += rho.get(q, 0.0) * (sum(draws, np.zeros(groups.g)) / len(draws))
+    for q in view.arrival:
+        draws = [masses[r] for r in view.draws[view.request_index[q]]]
+        total += view.rho.get(q, 0.0) * (sum(draws, np.zeros(groups.g)) / len(draws))
     return total
 
 
@@ -218,25 +205,33 @@ def expected_exposure(
     surviving requests; the loss and its decomposition are computed on those
     means.
     """
-    rho = seq.rho()
+    view = CompiledSystem(seq, relevance)
+    return exposure_loss_of(view, view.labels(alignment), groups, model,
+                            resolve_stop(model, relevance), exposures, pool)
+
+
+def exposure_loss_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, model: WeightModel,
+                     stop: Callable[[float], float] | None, exposures: Mapping[str, np.ndarray],
+                     pool: str) -> ExpectedExposureResult:
+    """``expected_exposure`` of a compiled system, on one alignment variant."""
     zero = np.zeros(groups.g)
     eps_acc = np.zeros(groups.g)
     tgt_acc = np.zeros(groups.g)
     weight_total = 0.0
     n_requests = 0
     n_skipped = 0
-    for q in seq.requests():
+    for q in view.arrival:
         n_requests += 1
-        cands = _candidate_pool(seq, relevance, q, pool)
-        if not cands or max(relevance.grade(q, d) for d in cands) <= 0:
+        cands, grades = view.pool(q, pool)
+        if not cands.size or grades.max() <= 0:
             n_skipped += 1
             continue
         try:
-            tgt = target_exposure(q, cands, relevance, alignment, model, groups)
+            tgt = ideal_exposure(grades, labels.row_of[cands], labels.dense, model, stop)
         except Degenerate:
             n_skipped += 1
             continue
-        w = rho.get(q, 0.0)
+        w = view.rho.get(q, 0.0)
         eps_acc += w * exposures.get(q, zero)
         tgt_acc += w * tgt
         weight_total += w

@@ -17,6 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .compiled import sorted_distinct
 from .core import AlignmentMatrix, FairRankError, GroupSpace, NoPairs, RelevanceTable
 
 
@@ -91,7 +92,7 @@ def sample_pairs(
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
     p = groups.require_protected()
-    rng = np.random.default_rng(seed)
+    rng = None  # made on first use: a run with no oversized pool never imports numpy.random
     twice_hits = np.zeros((2, 2), dtype=np.int64)
     totals = np.zeros((2, 2), dtype=np.int64)
     n_fallback = 0
@@ -118,11 +119,13 @@ def sample_pairs(
         if neg_s.size <= n_negatives:
             _count(twice_hits, totals, pos_s, pos_g, neg_s, neg_g)
         else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
             for i in range(pos_s.size):
                 idx = rng.choice(neg_s.size, size=n_negatives, replace=False)
                 _count(twice_hits, totals, pos_s[i:i + 1], pos_g[i:i + 1],
                        neg_s[idx], neg_g[idx])
-        for grade in np.unique(pos_y)[1:]:
+        for grade in sorted_distinct(pos_y)[1:]:
             hi, lo = pos_y == grade, pos_y < grade
             _count(twice_hits, totals, pos_s[hi], pos_g[hi], pos_s[lo], pos_g[lo])
     return PairSample(PairCounts(twice_hits, totals), n_fallback, n_skipped)

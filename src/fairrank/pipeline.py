@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Mapping
 
 import numpy as np
 
+from .compiled import CompiledSystem
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -28,19 +30,32 @@ from .core import (
     TargetDistribution,
     apply_unknown_policy,
     binarize,
-    protected_mask,
 )
-from .exposure import WeightModel, request_exposure, system_exposure
+# request_exposure, awrf, pref_fairness, group_utility, discounted_group_utility
+# and expected_exposure are the per-ranking wrappers over the kernels used
+# here; they stay importable under this module's name for perfbench/tracer.py.
+from .exposure import (
+    WeightModel,
+    compiled_weights,
+    mean_over_draws,
+    ranking_exposures,
+    request_exposure,
+    resolve_stop,
+    system_exposure,
+)
 from .ingest import EvalConfig, MetricConfig, RunFile
 from .metrics_multi import demographic_parity, eed
-from .metrics_single import awrf, fair_score, pref_fairness
+from .metrics_single import awrf, awrf_of, fair_score, pref_fairness, prefd_of
 from .opportunity import (
     discounted_group_utility,
-    expected_exposure,
+    discounted_utility_of,
     eur,
+    expected_exposure,
+    exposure_loss_of,
     group_utility,
     iaa,
     rur,
+    utility_of,
 )
 from .pairwise import accuracy_table, intra_inter, sample_pairs
 from .report import MetricResult, aggregate
@@ -55,7 +70,7 @@ class SystemEvaluation:
 
 
 class _Context:
-    """Shared evaluation state for one system."""
+    """Shared evaluation state for one system: its compiled view and memos."""
 
     def __init__(
         self,
@@ -69,32 +84,54 @@ class _Context:
         scores: Mapping[str, Mapping[str, float]] | None,
     ):
         self.system = system
-        self.run = run
         self.seq = seq
         self.qrels = qrels
         self.alignment = alignment
         self.groups = groups
         self.config = config
         self.scores = scores
-        self.rho = seq.rho()
 
-        universe: set[str] = set()
-        for ranking in run.rankings.values():
-            universe.update(ranking.docs)
-        for q in qrels.requests():
-            universe.update(qrels.judged(q))
-        for q, sc in (scores or {}).items():
-            universe.update(sc)
+        extra = chain(chain.from_iterable(r.docs for r in run.rankings.values()),
+                      chain.from_iterable(qrels.judged(q) for q in qrels.requests()),
+                      chain.from_iterable((scores or {}).values()))
+        self.view = CompiledSystem(seq, qrels, extra)
+        self.rho = self.view.rho
         # "error" rejects unlabeled docs outright; "group" extends the space
         # for the multinomial-capable sequence metrics (EED/EEL/IAA).
         self.ext_alignment, self.ext_groups = apply_unknown_policy(
-            alignment, groups, universe, config.unknown_policy,
+            alignment, groups, self.view.docs, config.unknown_policy,
             unknown_label=config.unknown or "unknown",
         )
         self.bin_alignment, self.bin_groups = binarize(alignment, groups, config.threshold)
+        # binarize keeps the row order and apply_unknown_policy only appends
+        # rows, so the extended variant's row indices below len(alignment)
+        # serve the base and binarized variants as well
+        ext = self.view.labels(self.ext_alignment)
+        row_of = np.where(ext.row_of < len(alignment), ext.row_of, -1)
+        self.labels = {"ext": ext, "base": self.view.labels(alignment, row_of),
+                       "bin": self.view.labels(self.bin_alignment, row_of)}
         self._catalog: TargetDistribution | None = None
+        self._weights: dict[WeightModel, np.ndarray] = {}
+        self._ranking_eps: dict[tuple[str, WeightModel], list] = {}
         self._exposures: dict[tuple[bool, WeightModel], dict[str, np.ndarray]] = {}
         self._utilities: dict[str, np.ndarray] = {}
+
+    def weights(self, model: WeightModel) -> np.ndarray:
+        if model not in self._weights:
+            self._weights[model] = compiled_weights(self.view, model, self.qrels)
+        return self._weights[model]
+
+    def ranking_exposures(self, model: WeightModel, variant: str) -> list:
+        """Group exposure of every distinct ranking on one variant, once per model."""
+        key = (variant, model)
+        if key not in self._ranking_eps:
+            self._ranking_eps[key] = ranking_exposures(self.weights(model), self.labels[variant])
+        return self._ranking_eps[key]
+
+    def labeled(self, r: int) -> np.ndarray:
+        """Base alignment rows of ranking r's labeled documents, in rank order."""
+        rows = self.labels["base"].rows[r]
+        return self.alignment.dense()[rows[rows >= 0]]
 
     def exposures(self, model: WeightModel, binarized: bool) -> dict[str, np.ndarray]:
         """Per-request exposure on one alignment variant; degenerate requests are absent.
@@ -103,13 +140,11 @@ class _Context:
         """
         key = (binarized, model)
         if key not in self._exposures:
-            alignment, groups = ((self.bin_alignment, self.bin_groups) if binarized
-                                 else (self.ext_alignment, self.ext_groups))
+            per_ranking = self.ranking_exposures(model, "bin" if binarized else "ext")
             per_request: dict[str, np.ndarray] = {}
-            for q in sorted(self.seq.requests()):
+            for q, draws in zip(self.view.requests, self.view.draws):
                 try:
-                    per_request[q] = request_exposure(
-                        self.seq, q, alignment, groups, model, self.qrels)
+                    per_request[q] = mean_over_draws(per_ranking, draws)
                 except Degenerate:
                     pass
             self._exposures[key] = per_request
@@ -118,8 +153,7 @@ class _Context:
     def utility(self, pool: str) -> np.ndarray:
         """Binarized per-group mean relevance, computed once per pool (EUR, RUR)."""
         if pool not in self._utilities:
-            self._utilities[pool] = group_utility(
-                self.seq, self.qrels, self.bin_alignment, self.bin_groups, pool)
+            self._utilities[pool] = utility_of(self.view, self.labels["bin"], self.bin_groups, pool)
         return self._utilities[pool]
 
     def catalog(self) -> TargetDistribution:
@@ -161,20 +195,26 @@ def _per_draw(
 ) -> MetricResult:
     """Evaluate a single-ranking metric over every draw and aggregate.
 
-    ``fn`` runs once per distinct ranking of a request (see
-    ``RankingSequence.map_draws``).  A draw returning NaN (or raising a
-    degenerate error) is excluded; draws scored by convention (short lists,
-    undefined normalizer) keep their value but are noted.  A request is
-    degenerate when all its draws are.
+    ``fn`` runs once per distinct ranking, given its index in the compiled
+    view, and its outcome counts for every draw of that ranking.  A draw
+    returning NaN (or raising a degenerate error) is excluded; draws scored
+    by convention (short lists, undefined normalizer) keep their value but
+    are noted.  A request is degenerate when all its draws are.
     """
+    outcomes = []
+    for r in range(len(ctx.view.rankings)):
+        try:
+            outcomes.append(fn(r))
+        except Degenerate as exc:
+            outcomes.append(exc)
     values: dict[str, float] = {}
     flags: dict[str, str] = {}
     conventions = 0
     direction = None
-    for q in sorted(ctx.seq.requests()):
+    for q, draws in zip(ctx.view.requests, ctx.view.draws):
         draw_vals = []
         draw_flags = []
-        for res in ctx.seq.map_draws(q, fn):
+        for res in (outcomes[r] for r in draws):
             if isinstance(res, Degenerate):
                 draw_flags.append(res.reason)
                 continue
@@ -241,15 +281,16 @@ def _predicted_utility(
     sc = (ctx.scores or {}).get(q)
     if not sc:
         return None
-    docs = [d for d in sorted(sc) if d in alignment]
-    if not docs:
+    docs = sorted(sc)
+    rows = alignment.indices(docs)
+    kept = np.flatnonzero(rows >= 0)
+    if not kept.size:
         return None
-    raw = np.array([sc[d] for d in docs])
+    raw = np.array([sc[docs[i]] for i in kept])
     shifted = raw - raw.min()
     total = float(shifted.sum())
-    util = shifted / total if total > 0 else np.full(len(docs), 1.0 / len(docs))
-    rows = np.stack([alignment.row(d) for d in docs])
-    return rows.T @ util
+    util = shifted / total if total > 0 else np.full(kept.size, 1.0 / kept.size)
+    return alignment.dense()[rows[kept]].T @ util
 
 
 class _MissingInput(FairRankError):
@@ -264,28 +305,23 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
         target = None if mc.target == "composition" else ctx.target_vector(mc)
         return [_per_draw(
             ctx,
-            lambda r: pref_fairness(r, ctx.alignment, ctx.groups, target,
-                                    mc.dist, mc.step, cfg.threshold),
+            lambda r: prefd_of(ctx.labeled(r), ctx.groups, target, mc.dist, mc.step,
+                               cfg.threshold),
             mc, notes)]
 
     if mc.name == "awrf":
         target = ctx.target_vector(mc)
+        eps = ctx.ranking_exposures(model, "base")
         return [_per_draw(
-            ctx,
-            lambda r: awrf(r, ctx.alignment, ctx.groups, model, target,
-                           mc.dist, ctx.qrels, signed=mc.signed),
-            mc, notes)]
+            ctx, lambda r: awrf_of(eps[r], ctx.groups, target, mc.dist, mc.signed), mc, notes)]
 
     if mc.name == "fair":
         p_hat = ctx.scalar_phat(mc)
         if not 0 < p_hat < 1:
             raise Degenerate(f"target protected probability {p_hat:.6g} outside (0, 1)")
-
-        def _fair(r):
-            mask = protected_mask(r, ctx.alignment, ctx.groups, cfg.threshold)
-            return fair_score(mask, p_hat)
-
-        return [_per_draw(ctx, _fair, mc, notes)]
+        p = ctx.groups.require_protected()
+        return [_per_draw(
+            ctx, lambda r: fair_score(ctx.labeled(r)[:, p] >= cfg.threshold, p_hat), mc, notes)]
 
     if mc.name == "dp":
         eps, n_req, n_deg = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
@@ -303,15 +339,16 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
         return _ratio_rows(ctx, mc, ratio, n_req, n_deg, notes)
 
     if mc.name == "rur":
-        gamma_disc = discounted_group_utility(
-            ctx.seq, ctx.qrels, ctx.bin_alignment, ctx.bin_groups, model)
+        gamma_disc = discounted_utility_of(ctx.view, ctx.labels["bin"], ctx.bin_groups,
+                                           ctx.weights(model))
         ratio = rur(gamma_disc, ctx.utility(mc.pool), ctx.bin_groups)
         n_req = len(ctx.seq.requests())
         return _ratio_rows(ctx, mc, ratio, n_req, 0, notes)
 
     if mc.name == "eel":
-        res = expected_exposure(ctx.seq, ctx.qrels, ctx.ext_alignment, ctx.ext_groups,
-                                model, ctx.exposures(model, binarized=False), mc.pool)
+        res = exposure_loss_of(ctx.view, ctx.labels["ext"], ctx.ext_groups, model,
+                               resolve_stop(model, ctx.qrels),
+                               ctx.exposures(model, binarized=False), mc.pool)
         eer_label = "EER" if mc.label == "EEL" else f"{mc.label}_EER"
         return [
             MetricResult(mc.label, ctx.system, res.eel, res.n_requests, res.n_skipped,

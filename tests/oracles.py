@@ -353,3 +353,75 @@ def oracle_unknown_rows(rows, n_groups, universe, unknown_index=None):
     for d in sorted(set(universe) - set(rows)):
         out[d] = [1.0 if j == u else 0.0 for j in range(width)]
     return out
+
+
+def oracle_parse_alignment(text):
+    """The alignment CSV parsed and checked one line at a time.
+
+    Returns ({doc: row}, [warning messages]) with a repeated document
+    keeping its first position and its last row, or raises the first bad
+    line's ParseError.
+    """
+    import csv
+    import io
+
+    from fairrank.ingest import NegativeWeight, RowSumOutOfTolerance
+    from fairrank import ParseError
+
+    reader = csv.reader(io.StringIO(text))
+    names = next(reader)[1:]
+    rows, warnings = {}, []
+    for lineno, cells in enumerate(reader, start=2):
+        if not cells or all(not c.strip() for c in cells):
+            continue
+        if len(cells) != len(names) + 1:
+            raise ParseError(f"expected {len(names) + 1} columns, got {len(cells)}", lineno)
+        doc = cells[0].strip()
+        raw = [c.strip() for c in cells[1:]]
+        if all(not c for c in raw):
+            continue
+        vec = []
+        for c in raw:
+            try:
+                v = float(c) if c else 0.0
+            except ValueError:
+                raise ParseError(f"alignment cell {c!r} is not a number", lineno) from None
+            if not math.isfinite(v):
+                raise ParseError(f"alignment cell {c!r} is not finite", lineno)
+            vec.append(v)
+        if any(v < 0 for v in vec):
+            raise NegativeWeight(f"negative alignment weight for {doc!r}", lineno)
+        total = math.fsum(vec)
+        if abs(total - 1.0) > 0.01:
+            raise RowSumOutOfTolerance(f"row for {doc!r} sums to {total:.6g}", lineno)
+        if doc in rows:
+            warnings.append(f"alignment line {lineno} overrides earlier row for {doc}")
+        rows[doc] = [v / total for v in vec]
+    return rows, warnings
+
+
+def oracle_pool(judged, rankings, pool):
+    """A request's candidate documents, sorted: judged, retrieved, or both."""
+    retrieved = {d for r in rankings for d in r.docs}
+    return sorted({"judged": set(judged), "retrieved": retrieved,
+                   "union": set(judged) | retrieved}[pool])
+
+
+def oracle_group_utility(requests, rho, pools, grades, rows, n_groups):
+    """Arrival-weighted mean grade of each group's pooled members (hard rows).
+
+    A request where a group has no pooled member is skipped for that group;
+    a group with no member in any pool raises EmptyGroup.
+    """
+    from fairrank import EmptyGroup
+
+    sums, mass = [0.0] * n_groups, [0.0] * n_groups
+    for q in requests:
+        for g in range(n_groups):
+            members = [d for d in pools[q] if d in rows and rows[d][g] > 0.5]
+            if members:
+                sums[g] += rho[q] * sum(grades[q].get(d, 0.0) for d in members) / len(members)
+                mass[g] += rho[q]
+    if min(mass) <= 0:
+        raise EmptyGroup("a group has no pooled member")
+    return np.array(sums) / np.array(mass)

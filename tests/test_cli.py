@@ -112,6 +112,16 @@ class TestEvaluate:
         rc = main(_evaluate_args(paths, tmp_path / "out", runs=[bad]))
         assert rc == 2
 
+    def test_parse_error_names_the_run_file(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        bad = tmp_path / "bad_run.txt"
+        bad.write_text("q0000 Q0 d000001 1 3.5 tag\nq0000 Q0 d000002 x 3.0 tag\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"{bad}: line 2: rank 'x' is not an integer"]
+
     def test_explicit_degenerate_metric_exits_3(self, tmp_path):
         paths, _ = _synth(tmp_path, zero_relevance_group=True)
         cfg = tmp_path / "cfg.yaml"
@@ -168,3 +178,17 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_evaluate_loads_no_yaml_numpy_ma_or_numpy_random(tmp_path):
+    # no config file and no pool larger than n_negatives: none of these is needed
+    paths, _ = _synth(tmp_path)
+    argv = _evaluate_args(paths, tmp_path / "out", scores=True)
+    code = ("import sys; from fairrank.cli import main; rc = main(%r); "
+            "print(rc, sorted(m for m in ('yaml', 'numpy.ma', 'numpy.random') if m in sys.modules))"
+            % argv)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+    assert {"IAA", "IntraAcc", "EEL"} <= {r.metric for r in read_metrics_table(tmp_path / "out" / "metrics.csv")}

@@ -14,6 +14,7 @@ from fairrank import (
     binarize,
     protected_mask,
 )
+from fairrank.compiled import CompiledSystem
 
 
 def test_ranking_rejects_duplicates():
@@ -157,28 +158,21 @@ def test_ranking_sequence_rejects_bad_request_weights(weights, named):
         RankingSequence((("q1", r1), ("q2", r2)), request_weights=weights)
 
 
-def test_map_draws_calls_fn_once_per_distinct_ranking():
+def test_compiled_view_holds_each_distinct_ranking_once():
     shared, other = Ranking("q1", ("a", "b")), Ranking("q1", ("b", "a"))
     twin = Ranking("q1", ("a", "b"))  # equal to ``shared`` but its own object
     single = Ranking("q2", ("c",))
     seq = RankingSequence((("q1", shared), ("q2", single), ("q1", other), ("q1", shared),
                            ("q1", twin), ("q1", shared)))
-    calls = []
-
-    def fn(r):
-        calls.append(r)
-        if r is other:
-            raise Degenerate("boom")
-        return r.docs
-
-    out = seq.map_draws("q1", fn)
-    assert [c is r for c, r in zip(calls, (shared, other, twin))] == [True] * 3
-    assert len(calls) == 3
-    assert out[:1] + out[2:] == [("a", "b")] * 4
-    assert isinstance(out[1], Degenerate) and out[1].reason == "boom"
-    assert seq.map_draws("q2", fn) == [("c",)]
-    assert seq.map_draws("q9", fn) == []
-    assert len(calls) == 4
+    rankings, index = seq.distinct("q1")
+    assert [r is s for r, s in zip(rankings, (shared, other, twin))] == [True] * 3
+    assert len(rankings) == 3 and index == [0, 1, 0, 2, 0]
+    assert seq.distinct("q9") == ([], [])
+    view = CompiledSystem(seq)
+    assert [r is s for r, s in zip(view.rankings, (shared, other, twin, single))] == [True] * 4
+    assert view.draws == [[0, 1, 0, 2, 0], [3]]
+    assert view.docs == ["a", "b", "c"]
+    assert view.ids.tolist() == [[0, 1], [1, 0], [0, 1], [2, -1]]
 
 
 # Each faulty row with the message that names it.

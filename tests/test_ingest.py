@@ -22,6 +22,8 @@ from fairrank.ingest import (
     write_sequence,
 )
 
+from oracles import oracle_parse_alignment
+
 
 class TestParseRun:
     def test_basic_record(self):
@@ -39,6 +41,14 @@ class TestParseRun:
         text = "q1 Q0 d1 1 2.0 r\nq1 Q0 d2 1 1.0 r\n"
         with pytest.raises(DuplicateRank, match="line 2"):
             parse_run(io.StringIO(text))
+
+    def test_repeated_document_fails_at_its_line(self):
+        text = "q1 Q0 d1 1 2.0 r\nq1 Q0 d2 2 1.0 r\nq1 Q0 d1 3 0.5 r\nq2 Q0 d1 1 1.0 r\n"
+        with pytest.raises(ParseError, match="line 3: request 'q1' repeats document 'd1'") as err:
+            parse_run(io.StringIO(text))
+        assert err.value.line == 3
+        # the same document in another request is fine
+        assert parse_run(io.StringIO(text.replace("d1 3", "d3 3"))).rankings["q2"].docs == ("d1",)
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# comment\n\nq1 Q0 d1 1 2.0 r\n"
@@ -138,6 +148,49 @@ class TestParseAlignment:
         assert al.row("d1").sum() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(RowSumOutOfTolerance, match="line 2"):
             parse_alignment(io.StringIO("docid,F,M\nd1,0.5,0.6\n"))
+
+    @pytest.mark.parametrize("body", [
+        "d1,1,0\nd2,0.5\n",                      # wrong column count
+        "d1,1,0\nd2,0.5,0.5,0\n",                # too many columns
+        "d1,nan,1\n", "d1,1,inf\n", "d1,-inf,1\n",
+        "d1,x,1\n",                               # not a number
+        "d1,1,0\nd2,-0.5,1.5\n",                 # negative cell
+        "d1,0.5,0.6\n",                           # bad row sum
+        "d1,0.5,0.6\nd2,-1,2\n",                 # two faulty lines, sum first
+        "d1,-1,2\nd2,0.5,0.6\n",                 # two faulty lines, negative first
+        "d1,1,0\nd2,0.5\nd3,nan,0\n",           # column count after a good line
+        "d1,nan,0\nd2,0.5\n",                    # bad cell before a bad column count
+        "d1,,\nd2,0.2,0.2\n",                    # unlabeled row, then a bad sum
+        "d1,1,0\nd1,0.2,0.2\n",                  # duplicate document with a bad row
+        ",,\nd1,0.4,0.4\n",                      # blank line, then a bad sum
+    ])
+    def test_errors_match_the_line_by_line_parser(self, body):
+        text = "docid,F,M\n" + body
+        with pytest.raises(ParseError) as want:
+            oracle_parse_alignment(text)
+        with pytest.raises(ParseError) as got:
+            parse_alignment(io.StringIO(text))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert got.value.line == want.value.line
+
+    @pytest.mark.parametrize("body", [
+        "d1,1,0\nd2,0.25,0.75\nd3,,\n",          # hard, soft, unlabeled
+        "d1,,\nd2,,\n",                          # only unlabeled rows
+        "d2,1,0\nd1,0.3,0.7\nd2,0.5,0.505\n",   # duplicate: first position, last row
+        "d1,0.5,0.505\n\nd2,,1\n",              # renormalized, blank line, empty cell
+        "",
+    ])
+    def test_rows_and_warnings_match_the_line_by_line_parser(self, body, caplog):
+        text = "docid,F,M\n" + body
+        want_rows, want_warnings = oracle_parse_alignment(text)
+        with caplog.at_level("WARNING", logger="fairrank"):
+            al, gs = parse_alignment(io.StringIO(text))
+        assert gs.names == ("F", "M")
+        assert list(al.docs()) == list(want_rows)
+        for d, row in want_rows.items():
+            assert al.row(d).tolist() == pytest.approx(row, rel=1e-15)
+        assert [r.getMessage() for r in caplog.records] == want_warnings
 
     def test_round_trip(self):
         text = "docid,F,M\nd1,1,0\nd2,0.25,0.75\n"
@@ -255,3 +308,35 @@ class TestLoadConfig:
         doc = io.StringIO("metrics:\n  - name: awrf\n    target: composition\n")
         with pytest.raises(ConfigError, match="composition"):
             load_config(doc)
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_run, "q1 Q0 d1 1 2.0 r\nq1 Q0 d2 x 1.0 r\n", 2),
+    (parse_qrels, "q1 0 d1 1\nq1 0 d2\n", 2),
+    (parse_alignment, "docid,F,M\nd1,1,0\nd2,-1,2\n", 3),
+    (parse_scores, "qid,docid,score\nq1,d1,nan\n", 2),
+])
+def test_parse_errors_from_a_path_name_the_file(tmp_path, parse, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as from_path:
+        parse(path)
+    with pytest.raises(ParseError) as from_text:
+        parse(io.StringIO(text))
+    assert str(from_path.value) == f"{path}: {from_text.value}"
+    assert str(from_text.value).startswith(f"line {line}: ")
+    assert type(from_path.value) is type(from_text.value) and from_path.value.line == line
+    # a path given as a string is named the same way
+    with pytest.raises(ParseError, match=f"^{path}: line {line}: "):
+        parse(str(path))
+
+
+def test_sequence_parse_error_names_the_file(tmp_path):
+    run = parse_run(io.StringIO("q1 Q0 d1 1 2.0 r\n"))
+    path = tmp_path / "seq.csv"
+    path.write_text("seq_no,qid\n1,q1\ntwo,q1\n")
+    with pytest.raises(ParseError, match=f"^{path}: line 3: seq_no 'two' is not an integer"):
+        parse_sequence(path, run)
+    path.write_text("seq_no,qid\n1,q1\n2,q9\n")
+    with pytest.raises(UnknownRequest, match=f"^{path}: sequence line 3 references unknown"):
+        parse_sequence(path, run)

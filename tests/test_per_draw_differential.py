@@ -1,7 +1,8 @@
 """Differential tests: per-draw metrics evaluated once per distinct ranking.
 
 A parsed sequence gives every draw of a request the same ``Ranking`` object,
-and ``_per_draw`` calls the metric once per distinct object.  Random
+and ``_per_draw`` calls the metric once per distinct object (by its index in
+the compiled view).  Random
 sequences here mix requests whose draws share objects with draws holding
 equal-but-distinct copies, over hard, soft and unlabeled documents, so that
 prefD (nd, rd, kl), AWRF and FAIR hit short lists, empty lists, rd lists
@@ -30,6 +31,7 @@ from fairrank import (
     pref_fairness,
     protected_mask,
 )
+from fairrank.compiled import CompiledSystem
 from fairrank.pipeline import _per_draw
 
 from oracles import oracle_per_draw
@@ -89,9 +91,10 @@ def test_per_draw_matches_draw_by_draw_oracle(corpus, data):
         return fn(r)
 
     notes = []
+    view = CompiledSystem(seq)
     try:
-        got = _per_draw(SimpleNamespace(seq=seq, system="s"), counted,
-                        SimpleNamespace(label="M"), notes)
+        got = _per_draw(SimpleNamespace(view=view, system="s"),
+                        lambda i: counted(view.rankings[i]), SimpleNamespace(label="M"), notes)
     except FairRankError as exc:
         got = (type(exc), str(exc))
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
@@ -115,7 +118,9 @@ def test_per_draw_reuses_a_raising_ranking_for_each_draw():
         return pref_fairness(r, alignment, GROUPS, None, "rd", 2)
 
     notes = []
-    got = _per_draw(SimpleNamespace(seq=seq, system="s"), fn, SimpleNamespace(label="M"), notes)
+    view = CompiledSystem(seq)
+    got = _per_draw(SimpleNamespace(view=view, system="s"), lambda i: fn(view.rankings[i]),
+                    SimpleNamespace(label="M"), notes)
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
     assert got == want and notes == want_notes
     assert got.n_requests == 2 and got.n_degenerate == 1
