@@ -25,7 +25,6 @@ from .ingest import (
 )
 from .pipeline import evaluate_system
 from .report import correlation_matrix, emit_tables, read_metrics_table
-from .synth import SynthSpec, generate
 
 log = logging.getLogger("fairrank")
 
@@ -129,6 +128,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SynthSpec, generate  # evaluate and compare never load it
+
     spec = SynthSpec(
         n_docs=args.docs,
         n_requests=args.requests,

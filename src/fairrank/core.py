@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -88,25 +89,15 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class Ranking:
-    """An ordered list of distinct document ids for one request.
-
-    The documents sit at ranks 1..N.  ``scores`` are optional per-document
-    system scores aligned with ``docs``.
-    """
+    """An ordered list of distinct document ids for one request, at ranks 1..N."""
 
     request: str
     docs: tuple[str, ...]
-    scores: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "docs", tuple(self.docs))
         if len(set(self.docs)) != len(self.docs):
             raise FairRankError(f"duplicate document in ranking for request {self.request!r}")
-        if self.scores is not None:
-            scores = tuple(float(s) for s in self.scores)
-            if len(scores) != len(self.docs):
-                raise FairRankError("scores length does not match docs length")
-            object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -182,7 +173,7 @@ class AlignmentMatrix:
     def _adopt(self, docs: list[str], dense: np.ndarray) -> None:
         dense.flags.writeable = False
         self._dense = dense
-        self._doc_index = {d: i for i, d in enumerate(docs)}
+        self._doc_index = dict(zip(docs, range(len(docs))))
         self.n_groups = int(dense.shape[1])
 
     def __contains__(self, doc: str) -> bool:
@@ -204,8 +195,8 @@ class AlignmentMatrix:
 
     def indices(self, docs: Sequence[str]) -> np.ndarray:
         """Dense-row index of each of ``docs``, -1 for an unlabeled document."""
-        get = self._doc_index.get
-        return np.fromiter((get(d, -1) for d in docs), dtype=np.intp, count=len(docs))
+        return np.fromiter(map(self._doc_index.get, docs, repeat(-1)), dtype=np.intp,
+                           count=len(docs))
 
     def gather(self, docs: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(positions of labeled docs within ``docs``, their dense-row indices)."""
@@ -247,8 +238,18 @@ class RelevanceTable:
                     raise FairRankError(f"grade for ({req!r}, {doc!r}) must be finite and >= 0")
                 inner[doc] = grade
             table[req] = inner
+        self._adopt(table)
+
+    @classmethod
+    def _trusted(cls, table: dict[str, dict[str, float]]) -> "RelevanceTable":
+        """Wrap grades already known to be finite, non-negative floats."""
+        out = cls.__new__(cls)
+        out._adopt(table)
+        return out
+
+    def _adopt(self, table: dict[str, dict[str, float]]) -> None:
         self._table = table
-        self._max_grade = max((g for docs in table.values() for g in docs.values()), default=0.0)
+        self._max_grade = max(chain.from_iterable(map(dict.values, table.values())), default=0.0)
 
     def grade(self, request: str, doc: str, default: float = 0.0) -> float:
         return self._table.get(request, {}).get(doc, default)

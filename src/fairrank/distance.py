@@ -49,6 +49,10 @@ def delta_rd(observed: np.ndarray, target: np.ndarray, protected_index: int = 0)
     """Signed difference of protected/unprotected odds ratios."""
     o = _check_distribution(observed, "observed")
     t = _check_distribution(target, "target")
+    return _rd(o, t, protected_index)
+
+
+def _rd(o: np.ndarray, t: np.ndarray, protected_index: int) -> float:
     o_plus = float(o[protected_index])
     o_minus = 1.0 - o_plus
     t_plus = float(t[protected_index])
@@ -67,6 +71,10 @@ def delta_kl(observed: np.ndarray, target: np.ndarray) -> float:
     """
     o = _check_distribution(observed, "observed")
     t = _check_distribution(target, "target")
+    return _kl(o, t)
+
+
+def _kl(o: np.ndarray, t: np.ndarray) -> float:
     if o.size != t.size:
         raise FairRankError("observed and target have different group counts")
     t = np.maximum(t, KL_TARGET_FLOOR)
@@ -84,12 +92,24 @@ def delta(
     protected_index: int | None = None,
 ) -> float:
     """Dispatch on the distance kind (nd | rd | kl)."""
+    _check_kind(kind, protected_index)
+    return delta_of(kind, _check_distribution(observed, "observed"),
+                    _check_distribution(target, "target"), protected_index)
+
+
+def delta_of(kind: str, observed: np.ndarray, target: np.ndarray,
+             protected_index: int | None = None) -> float:
+    """``delta`` of two vectors already known to be distributions, without checking them."""
+    _check_kind(kind, protected_index)
+    if kind == "kl":
+        return _kl(observed, target)
+    if kind == "nd":
+        return float(observed[protected_index] - target[protected_index])
+    return _rd(observed, target, protected_index)
+
+
+def _check_kind(kind: str, protected_index: int | None) -> None:
     if kind not in DISTANCE_KINDS:
         raise FairRankError(f"unknown distance function {kind!r}")
-    if kind == "kl":
-        return delta_kl(observed, target)
-    if protected_index is None:
+    if kind != "kl" and protected_index is None:
         raise FairRankError(f"{kind} distance needs a protected group index")
-    if kind == "nd":
-        return delta_nd(observed, target, protected_index)
-    return delta_rd(observed, target, protected_index)

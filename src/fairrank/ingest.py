@@ -13,20 +13,30 @@ File formats (UTF-8, LF or CRLF):
 * sequence:  CSV ``seq_no,qid`` referencing rankings in a run.
 * scores:    CSV ``qid,docid,score``.
 
-Parsers read line by line (the alignment parser keeps its lines, to convert
-and check the cells as one array) and either produce a value or fail with a
-1-based line number, after the file's path when given a path.  A run may not
-repeat a document within a request; duplicate alignment/qrels/score keys are
-last-wins with a warning.
+A sequence or scores file may open with a header row (first cell ``seq_no``
+or ``qid``, any case), recognized on the first non-blank row only.
+
+Runs, qrels and score files are read whole: one split of the file gives
+every field, each numeric column is converted by one ``map(int)`` or
+``map(float)`` and checked as one array, and a run's requests are grouped by
+one sort.  Only when a check fails, or a qrels or score key repeats, are the
+lines read again one at a time, to fail at the first bad line or to warn at
+each repeat.  The alignment parser checks its cells as one array the same
+way; the sequence parser reads line by line.  Every parser either produces a
+value or fails with a 1-based line number, after the file's path when given a
+path.  A run may not repeat a document within a request; duplicate
+alignment/qrels/score keys are last-wins with a warning.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import logging
 import math
 from dataclasses import dataclass
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO, TypeVar
 
@@ -74,14 +84,27 @@ class RunRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunFile:
-    """A parsed system run: raw records plus per-request rankings."""
+    """A parsed system run: per-request rankings plus the file's columns.
 
-    records: tuple[RunRecord, ...]
+    Data line i of the file is ``qids[i] Q0 docids[i] ranks[i] scores[i]
+    tags[i]``.  A run built from rankings alone has empty columns.
+    """
+
     rankings: dict[str, Ranking]
+    qids: tuple[str, ...] = ()
+    docids: tuple[str, ...] = ()
+    ranks: tuple[int, ...] = ()
+    scores: tuple[float, ...] = ()
+    tags: tuple[str, ...] = ()
+
+    @property
+    def records(self) -> tuple[RunRecord, ...]:
+        """One record per data line, in file order, derived from the columns."""
+        return tuple(map(RunRecord, self.qids, self.docids, self.ranks, self.scores, self.tags))
 
     @property
     def tag(self) -> str | None:
-        return self.records[0].tag if self.records else None
+        return self.tags[0] if self.tags else None
 
     def requests(self) -> list[str]:
         return sorted(self.rankings)
@@ -93,6 +116,29 @@ def _lines(source: TextIO | Iterable[str] | str | Path) -> Iterable[str]:
             yield from fh
         return
     yield from source
+
+
+def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list[str]]:
+    """The text of ``source`` and its lines.
+
+    A file is read whole with universal newlines, and its lines are its text
+    split at line feeds, without them.  Other sources give the lines iterating
+    over them gives, and their text when it splits at line feeds into them
+    (every line but the last ends in its only line feed), else None.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        return text, lines
+    lines = list(source)
+    text = "".join(lines)
+    if (text.count("\n") != len(lines) - (not text.endswith("\n"))
+            or not all(map(str.endswith, lines[:-1], repeat("\n")))):
+        return None, lines
+    return text, lines
 
 
 def _names_path(parse: Callable[..., T]) -> Callable[..., T]:
@@ -121,15 +167,135 @@ def _finite(text: str, what: str, lineno: int) -> float:
     return value
 
 
+def _columns(rows: list[str], width: int, sep: str | None = None) -> list[list[str]] | None:
+    """The ``width`` columns of ``rows``, each as one list; None when a row has another width.
+
+    Fields are split at whitespace (``sep`` None) or at ``sep``.  The rows are
+    joined with a NUL field after each, so one split of the whole text gives
+    every field and the NULs show where each row ended.
+    """
+    if not rows:
+        return [[] for _ in range(width)]
+    glue = " " if sep is None else sep
+    fields, stride = (f"{glue}\0{glue}".join(rows) + f"{glue}\0").split(sep), width + 1
+    if (len(fields) != len(rows) * stride or fields.count("\0") != len(rows)
+            or fields[width::stride].count("\0") != len(rows)):
+        return None  # a row of another width, or a NUL field of its own
+    return [fields[i::stride] for i in range(width)]
+
+
+def _csv_rows(text: str) -> list[str] | None:
+    """One CSV record per line of ``text``, without its line break, when splitting at
+    commas reads them as ``csv.reader`` does; otherwise None.
+
+    That holds when the text has no quote, no NUL, no carriage return but
+    before a line feed, and no line longer than a CSV field may be.
+    """
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    rows = text.split("\n")
+    if not rows[-1]:
+        rows.pop()
+    if len(text) > csv.field_size_limit() and max(map(len, rows)) > csv.field_size_limit():
+        return None
+    return rows
+
+
+def _all_finite(values: list[float], minimum: float = -math.inf) -> bool:
+    """Whether every value is finite and at least ``minimum``.
+
+    One inf or nan makes the sum non-finite; so does a sum that overflows,
+    which only sends the file to the line-by-line parser.
+    """
+    return math.isfinite(sum(values)) and min(values, default=minimum) >= minimum
+
+
+def _stripped(cells: list[str]) -> list[str]:
+    """``cells`` without surrounding whitespace (the list itself when no cell has any)."""
+    joined = "".join(cells)
+    return cells if joined.split() == [joined] else list(map(str.strip, cells))
+
+
+def _request_codes(qids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct requests in first-appearance order, and each line's index among them."""
+    runs = [(q, len(list(group))) for q, group in groupby(qids)]
+    requests = [q for q, _ in runs]
+    if len(set(requests)) == len(runs):  # each request's lines are contiguous
+        return requests, np.repeat(np.arange(len(runs)), [n for _, n in runs])
+    requests = list(dict.fromkeys(requests))
+    index = dict(zip(requests, range(len(requests))))
+    return requests, np.fromiter(map(index.__getitem__, qids), dtype=np.intp, count=len(qids))
+
+
+def _nested(qids: list[str], docids: list[str],
+            values: list[float]) -> dict[str, dict[str, float]] | None:
+    """``{request: {document: value}}``, requests in first-appearance order and each
+    request's documents in file order; None when a (request, document) key repeats.
+
+    One stable sort by request groups the lines, unless each request's lines
+    are contiguous already.
+    """
+    requests, code = _request_codes(qids)
+    if np.any(code[1:] < code[:-1]):
+        order = np.argsort(code, kind="stable")
+        code, order = code[order], order.tolist()
+        docids, values = (list(map(col.__getitem__, order)) for col in (docids, values))
+    bounds = np.searchsorted(code, np.arange(len(requests) + 1)).tolist()
+    out = {q: dict(zip(docids[a:b], values[a:b])) for q, a, b in zip(requests, bounds, bounds[1:])}
+    return out if sum(map(len, out.values())) == len(values) else None
+
+
 @_names_path
 def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
-    """Parse a TREC-style run file into records and per-request rankings.
+    """Parse a TREC-style run file into its columns and per-request rankings.
 
-    Rankings follow the rank column, with gaps closed; scores ride along.
+    Rankings follow the rank column, with gaps closed.  The columns are
+    converted and checked whole; only when that fails are the lines parsed
+    one by one, to name the first bad line.
     """
-    records: list[RunRecord] = []
+    _, lines = _read(source)
+    run = _run_of_columns(lines)
+    return run if run is not None else _parse_run_lines(lines)
+
+
+def _run_of_columns(lines: list[str]) -> RunFile | None:
+    """The run, when its columns pass every check whole; else None."""
+    columns = _columns(lines, 6)
+    if columns is None or "#" in "".join(columns[0]):  # blank or comment lines, or a bad one
+        columns = _columns([line for line in lines
+                            if line.strip() and not line.lstrip().startswith("#")], 6)
+    if columns is None:
+        return None
+    qids, _, docids, rank_cells, score_cells, tags = columns
+    try:
+        ranks = list(map(int, rank_cells))
+        scores = list(map(float, score_cells))
+        rank_key = np.array(ranks, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if not _all_finite(scores):
+        return None
+    requests, code = _request_codes(qids)
+    order = np.lexsort((rank_key, code))
+    code, rank_key = code[order], rank_key[order]
+    if np.any((code[1:] == code[:-1]) & (rank_key[1:] == rank_key[:-1])):
+        return None  # a repeated rank
+    ranked = list(map(docids.__getitem__, order.tolist()))
+    bounds = np.searchsorted(code, np.arange(len(requests) + 1)).tolist()
+    try:
+        rankings = {q: Ranking(q, tuple(ranked[a:b]))
+                    for q, a, b in zip(requests, bounds, bounds[1:])}
+    except FairRankError:
+        return None  # a repeated document
+    return RunFile(rankings, tuple(qids), tuple(docids), tuple(ranks), tuple(scores), tuple(tags))
+
+
+def _parse_run_lines(lines: list[str]) -> RunFile:
+    """Parse the run lines one at a time, failing at the first bad line."""
+    columns: tuple[list, ...] = ([], [], [], [], [])  # qids, docids, ranks, scores, tags
     seen: dict[str, tuple[set[int], set[str]]] = {}  # per request: ranks and documents
-    for lineno, line in enumerate(_lines(source), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -149,28 +315,54 @@ def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
             raise ParseError(f"request {qid!r} repeats document {docid!r}", lineno)
         ranks.add(rank)
         docs.add(docid)
-        records.append(RunRecord(qid, docid, rank, score, tag))
-
-    per_request: dict[str, list[RunRecord]] = {}
-    for rec in records:
-        per_request.setdefault(rec.request, []).append(rec)
-    rankings = {}
-    for qid, recs in per_request.items():
-        recs.sort(key=lambda r: r.rank)
-        rankings[qid] = Ranking(qid, tuple(r.doc for r in recs), tuple(r.score for r in recs))
-    return RunFile(tuple(records), rankings)
+        for column, value in zip(columns, (qid, docid, rank, score, tag)):
+            column.append(value)
+    qids, docids, ranks, scores, tags = columns
+    per_request: dict[str, list[int]] = {}
+    for i, qid in enumerate(qids):
+        per_request.setdefault(qid, []).append(i)
+    rankings = {q: Ranking(q, tuple(docids[i] for i in sorted(rows, key=ranks.__getitem__)))
+                for q, rows in per_request.items()}
+    return RunFile(rankings, *map(tuple, columns))
 
 
 def write_run(fh: TextIO, run: RunFile) -> None:
-    for rec in run.records:
-        fh.write(f"{rec.request} Q0 {rec.doc} {rec.rank} {float(rec.score)!r} {rec.tag}\n")
+    for qid, docid, rank, score, tag in zip(run.qids, run.docids, run.ranks, run.scores, run.tags):
+        fh.write(f"{qid} Q0 {docid} {rank} {float(score)!r} {tag}\n")
 
 
 @_names_path
 def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
-    """Parse 4-column relevance judgments; negative grades are rejected."""
+    """Parse 4-column relevance judgments; negative grades are rejected.
+
+    The columns are converted and checked whole; a failed check or a
+    repeated (request, document) key reparses the lines one by one.
+    """
+    _, lines = _read(source)
+    table = _qrels_of_columns(lines)
+    return table if table is not None else _parse_qrels_lines(lines)
+
+
+def _qrels_of_columns(lines: list[str]) -> RelevanceTable | None:
+    """The judgments, when their columns pass every check whole and no key repeats; else None."""
+    columns = _columns(lines, 4) or _columns(list(filter(str.strip, lines)), 4)
+    if columns is None:
+        return None
+    qids, _, docids, grade_cells = columns
+    try:
+        grades = list(map(float, grade_cells))
+    except ValueError:
+        return None
+    if not _all_finite(grades, minimum=0.0):
+        return None
+    table = _nested(qids, docids, grades)
+    return None if table is None else RelevanceTable._trusted(table)
+
+
+def _parse_qrels_lines(lines: list[str]) -> RelevanceTable:
+    """Parse the qrels lines one at a time: fail at the first bad line, warn at each repeat."""
     table: dict[str, dict[str, float]] = {}
-    for lineno, line in enumerate(_lines(source), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -185,7 +377,7 @@ def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
         if docid in bucket:
             log.warning("qrels line %d overrides earlier grade for (%s, %s)", lineno, qid, docid)
         bucket[docid] = grade
-    return RelevanceTable(table)
+    return RelevanceTable._trusted(table)
 
 
 def write_qrels(fh: TextIO, table: RelevanceTable) -> None:
@@ -268,11 +460,14 @@ def parse_sequence(source: TextIO | Iterable[str] | str | Path, run: RunFile) ->
     """Parse draw rows ``seq_no,qid`` against a run's rankings."""
     draws: list[tuple[int, str]] = []
     reader = csv.reader(_lines(source))
+    first = True
     for lineno, cells in enumerate(reader, start=1):
         if not cells or all(not c.strip() for c in cells):
             continue
-        if cells[0].strip().lower() == "seq_no":
-            continue  # optional header
+        if first and cells[0].strip().lower() == "seq_no":
+            first = False
+            continue  # optional header, on the first non-blank row only
+        first = False
         if len(cells) != 2:
             raise ParseError(f"expected seq_no,qid, got {len(cells)} columns", lineno)
         try:
@@ -301,14 +496,55 @@ def write_sequence(fh: TextIO, seq: RankingSequence) -> None:
 
 @_names_path
 def parse_scores(source: TextIO | Iterable[str] | str | Path) -> dict[str, dict[str, float]]:
-    """Parse ``qid,docid,score`` rows into a nested score map."""
+    """Parse ``qid,docid,score`` rows into a nested score map.
+
+    A first non-blank row whose first cell is ``qid`` (any case) is a header.
+    The columns are converted and checked whole; a failed check, a repeated
+    (request, document) key or CSV quoting reparses the lines one by one.
+    """
+    text, lines = _read(source)
+    if text is None:
+        return _parse_scores_lines(lines)
+    scores = _scores_of_columns(text)
+    return scores if scores is not None else _parse_scores_lines(io.StringIO(text))
+
+
+def _scores_of_columns(text: str) -> dict[str, dict[str, float]] | None:
+    """The score map, when its columns pass every check whole and no key repeats; else None."""
+    rows = _csv_rows(text)
+    if rows is None:
+        return None
+    columns = _columns(_without_header(rows), 3, ",")
+    if columns is None:  # blank rows, or a row of another width
+        columns = _columns(_without_header(list(filter(str.strip, rows))), 3, ",")
+    if columns is None:
+        return None
+    qids, docids, score_cells = columns
+    try:
+        scores = list(map(float, score_cells))
+    except ValueError:
+        return None
+    if not _all_finite(scores):
+        return None
+    return _nested(_stripped(qids), _stripped(docids), scores)
+
+
+def _without_header(rows: list[str]) -> list[str]:
+    """Score rows past a first row whose first cell is ``qid`` (any case)."""
+    return rows[1:] if rows and rows[0].split(",", 1)[0].strip().lower() == "qid" else rows
+
+
+def _parse_scores_lines(lines: Iterable[str]) -> dict[str, dict[str, float]]:
+    """Parse the score rows one at a time: fail at the first bad row, warn at each repeated key."""
     out: dict[str, dict[str, float]] = {}
-    reader = csv.reader(_lines(source))
-    for lineno, cells in enumerate(reader, start=1):
+    first = True
+    for lineno, cells in enumerate(csv.reader(lines), start=1):
         if not cells or all(not c.strip() for c in cells):
             continue
-        if cells[0].strip().lower() == "qid":
-            continue
+        if first and cells[0].strip().lower() == "qid":
+            first = False
+            continue  # header, on the first non-blank row only
+        first = False
         if len(cells) != 3:
             raise ParseError(f"expected qid,docid,score, got {len(cells)} columns", lineno)
         qid, docid = cells[0].strip(), cells[1].strip()

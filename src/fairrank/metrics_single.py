@@ -34,7 +34,7 @@ from .core import (
     TargetDistribution,
     UndefinedNormalizer,
 )
-from .distance import DISTANCE_KINDS, KL_TARGET_FLOOR, delta
+from .distance import DISTANCE_KINDS, KL_TARGET_FLOOR, delta_of
 from .exposure import WeightModel, group_exposure, normalized, position_weights
 
 
@@ -300,5 +300,5 @@ def awrf_of(eps: np.ndarray | Degenerate, groups: GroupSpace, target: TargetDist
     if isinstance(eps, Degenerate):
         return SingleListResult(math.nan, Direction.ZERO_IS_FAIR, degenerate=eps.reason)
     p = groups.protected_index if dist != "kl" else None
-    d = delta(dist, eps, target.probs, protected_index=p)
+    d = delta_of(dist, eps, target.probs, protected_index=p)  # both are distributions
     return SingleListResult(d if signed else abs(d), Direction.ZERO_IS_FAIR)

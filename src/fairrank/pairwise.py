@@ -17,8 +17,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .compiled import sorted_distinct
-from .core import AlignmentMatrix, FairRankError, GroupSpace, NoPairs, RelevanceTable
+from .compiled import CompiledSystem, Labels, sorted_distinct
+from .core import (
+    AlignmentMatrix,
+    FairRankError,
+    GroupSpace,
+    NoPairs,
+    RankingSequence,
+    RelevanceTable,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +96,13 @@ def sample_pairs(
     documents with differing grades are always counted exhaustively.
     Identical seeds yield identical samples.
     """
+    view = CompiledSystem(RankingSequence(()), relevance, scores=scores)
+    return sample_pairs_of(view, view.labels(alignment), groups, n_negatives, seed, threshold)
+
+
+def sample_pairs_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, n_negatives: int,
+                    seed: int, threshold: float) -> PairSample:
+    """``sample_pairs`` of a compiled system's scored documents, on one alignment variant."""
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
     p = groups.require_protected()
@@ -97,17 +111,13 @@ def sample_pairs(
     totals = np.zeros((2, 2), dtype=np.int64)
     n_fallback = 0
     n_skipped = 0
-    dense = alignment.dense()
 
-    for q in sorted(scores):
-        sc = scores[q]
-        judged = relevance.judged(q)
-        docs = sorted(sc)
-        kept, rows = alignment.gather(docs)
-        labeled = [docs[i] for i in kept]
-        s = np.fromiter((sc[d] for d in labeled), dtype=float, count=len(labeled))
-        y = np.fromiter((judged.get(d, 0.0) for d in labeled), dtype=float, count=len(labeled))
-        g = np.where(dense[rows, p] >= threshold, 0, 1)
+    for q in view.scored:
+        ids, s, y = view.scored_docs(q)
+        rows = labels.row_of[ids]
+        kept = rows >= 0
+        s, y = s[kept], y[kept]
+        g = np.where(labels.dense[rows[kept], p] >= threshold, 0, 1)
         pos = y > 0
         if not pos.any():
             n_skipped += 1

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .compiled import CompiledSystem
+from .compiled import CompiledSystem, Labels
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -57,8 +57,12 @@ from .opportunity import (
     rur,
     utility_of,
 )
-from .pairwise import accuracy_table, intra_inter, sample_pairs
+from .pairwise import accuracy_table, intra_inter, sample_pairs_of
 from .report import MetricResult, aggregate
+
+# perfbench/tracer.py times pair sampling, and counts its pairs, as this
+# module's sample_pairs, so the kernel is called under that name here.
+sample_pairs = sample_pairs_of
 
 
 @dataclass
@@ -92,9 +96,8 @@ class _Context:
         self.scores = scores
 
         extra = chain(chain.from_iterable(r.docs for r in run.rankings.values()),
-                      chain.from_iterable(qrels.judged(q) for q in qrels.requests()),
-                      chain.from_iterable((scores or {}).values()))
-        self.view = CompiledSystem(seq, qrels, extra)
+                      chain.from_iterable(qrels.judged(q) for q in qrels.requests()))
+        self.view = CompiledSystem(seq, qrels, extra, scores)
         self.rho = self.view.rho
         # "error" rejects unlabeled docs outright; "group" extends the space
         # for the multinomial-capable sequence metrics (EED/EEL/IAA).
@@ -266,31 +269,26 @@ def _ratio_rows(
     return rows
 
 
-def _predicted_utility(
-    ctx: _Context,
-    q: str,
-    alignment: AlignmentMatrix,
-    groups: GroupSpace,
-) -> np.ndarray | None:
+def _predicted_utility(ctx: _Context, q: str, labels: Labels) -> np.ndarray | None:
     """Per-group predicted-utility mass for one request's scored documents.
 
     System scores have arbitrary affine scale, so they are shifted by the
     per-request minimum and sum-normalized; a constant score list carries no
     ordering information and falls back to uniform.
     """
-    sc = (ctx.scores or {}).get(q)
-    if not sc:
+    scored = ctx.view.scored_docs(q)
+    if scored is None:
         return None
-    docs = sorted(sc)
-    rows = alignment.indices(docs)
+    ids, scores, _ = scored
+    rows = labels.row_of[ids]
     kept = np.flatnonzero(rows >= 0)
     if not kept.size:
         return None
-    raw = np.array([sc[docs[i]] for i in kept])
+    raw = scores[kept]
     shifted = raw - raw.min()
     total = float(shifted.sum())
     util = shifted / total if total > 0 else np.full(kept.size, 1.0 / kept.size)
-    return alignment.dense()[rows[kept]].T @ util
+    return labels.dense[rows[kept]].T @ util
 
 
 class _MissingInput(FairRankError):
@@ -363,7 +361,7 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
         per_request: dict[str, np.ndarray] = {}
         utils: dict[str, np.ndarray] = {}
         for q, eps in ctx.exposures(model, binarized=False).items():
-            util = _predicted_utility(ctx, q, ctx.ext_alignment, ctx.ext_groups)
+            util = _predicted_utility(ctx, q, ctx.labels["ext"])
             if util is not None:
                 per_request[q], utils[q] = eps, util
         if not per_request:
@@ -376,8 +374,8 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
     if mc.name == "pair":
         if not ctx.scores:
             raise _MissingInput("system score file not provided")
-        sample = sample_pairs(ctx.qrels, ctx.scores, ctx.alignment, ctx.groups,
-                              mc.n_negatives, cfg.seed, cfg.threshold)
+        sample = sample_pairs(ctx.view, ctx.labels["base"], ctx.groups, mc.n_negatives,
+                              cfg.seed, cfg.threshold)
         if sample.n_fallback:
             notes.append(f"{mc.label}: {sample.n_fallback} requests used the "
                          "whole negative pool (smaller than n_negatives)")

@@ -22,7 +22,6 @@ import numpy as np
 from .core import AlignmentMatrix, FairRankError, GroupSpace, RelevanceTable
 from .ingest import (
     RunFile,
-    RunRecord,
     write_alignment,
     write_qrels,
     write_run,
@@ -159,7 +158,10 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
         systems.append(system)
         quality = QUALITY_LEVELS[k % len(QUALITY_LEVELS)]
         bias = float(biases[k])
-        records: list[RunRecord] = []
+        qids: list[str] = []
+        docids: list[str] = []
+        ranks: list[int] = []
+        values: list[float] = []
         scores: dict[str, dict[str, float]] = {}
         for qi in range(spec.n_requests):
             q = _req_id(qi)
@@ -173,9 +175,12 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
                 vals[doc] = float(quality * y_norm + (1.0 - quality) * noise[j] + bias * prot)
             scores[q] = vals
             ranked = sorted(pool, key=lambda d: (-vals[d], d))[: spec.depth]
-            for rank, doc in enumerate(ranked, start=1):
-                records.append(RunRecord(q, doc, rank, vals[doc], system))
-        run = RunFile(tuple(records), {})
+            qids += [q] * len(ranked)
+            docids += ranked
+            ranks += range(1, len(ranked) + 1)
+            values += [vals[doc] for doc in ranked]
+        run = RunFile({}, tuple(qids), tuple(docids), tuple(ranks), tuple(values),
+                      (system,) * len(qids))
         run_path = out / f"run_{system}.txt"
         with open(run_path, "w", encoding="utf-8") as fh:
             write_run(fh, run)

@@ -23,8 +23,8 @@ def hard_alignment():
     return AlignmentMatrix(rows, n_groups=2)
 
 
-def make_ranking(docs, request="q", scores=None):
-    return Ranking(request, tuple(docs), tuple(scores) if scores is not None else None)
+def make_ranking(docs, request="q"):
+    return Ranking(request, tuple(docs))
 
 
 def random_alignment(rng, docs, n_groups=2, soft=False, unlabeled_frac=0.0):

@@ -425,3 +425,119 @@ def oracle_group_utility(requests, rho, pools, grades, rows, n_groups):
     if min(mass) <= 0:
         raise EmptyGroup("a group has no pooled member")
     return np.array(sums) / np.array(mass)
+
+
+def oracle_parse_run(lines):
+    """A run parsed one line at a time.
+
+    Returns (records, {request: docs in rank order}) with the records as
+    (request, doc, rank, score, tag) tuples in file order and the requests in
+    first-appearance order, or raises the first bad line's ParseError.
+    """
+    from fairrank import ParseError
+    from fairrank.ingest import DuplicateRank
+
+    records = []
+    seen = {}  # per request: ranks and documents
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"expected 6 whitespace-separated fields, got {len(parts)}", lineno)
+        qid, _, docid, rank_s, score_s, tag = parts
+        try:
+            rank = int(rank_s)
+        except ValueError:
+            raise ParseError(f"rank {rank_s!r} is not an integer", lineno) from None
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ParseError(f"score {score_s!r} is not a number", lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(f"score {score_s!r} is not finite", lineno)
+        ranks, docs = seen.setdefault(qid, (set(), set()))
+        if rank in ranks:
+            raise DuplicateRank(f"request {qid!r} repeats rank {rank}", lineno)
+        if docid in docs:
+            raise ParseError(f"request {qid!r} repeats document {docid!r}", lineno)
+        ranks.add(rank)
+        docs.add(docid)
+        records.append((qid, docid, rank, score, tag))
+    per_request = {}
+    for rec in records:
+        per_request.setdefault(rec[0], []).append(rec)
+    rankings = {q: tuple(r[1] for r in sorted(recs, key=lambda r: r[2]))
+                for q, recs in per_request.items()}
+    return records, rankings
+
+
+def oracle_parse_qrels(lines, warnings=None):
+    """Judgments parsed one line at a time.
+
+    Returns ({request: {doc: grade}}, [warning messages]) with repeated keys
+    last-wins, or raises the first bad line's ParseError; the warnings go to
+    ``warnings`` when given, so they survive an error.
+    """
+    from fairrank import ParseError
+
+    table, warnings = {}, [] if warnings is None else warnings
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 whitespace-separated fields, got {len(parts)}", lineno)
+        qid, _, docid, grade_s = parts
+        try:
+            grade = float(grade_s)
+        except ValueError:
+            raise ParseError(f"grade {grade_s!r} is not a number", lineno) from None
+        if not math.isfinite(grade):
+            raise ParseError(f"grade {grade_s!r} is not finite", lineno)
+        if grade < 0:
+            raise ParseError(f"negative grade {grade}", lineno)
+        bucket = table.setdefault(qid, {})
+        if docid in bucket:
+            warnings.append(f"qrels line {lineno} overrides earlier grade for ({qid}, {docid})")
+        bucket[docid] = grade
+    return table, warnings
+
+
+def oracle_parse_scores(lines, warnings=None):
+    """Score rows parsed one CSV record at a time.
+
+    A first non-blank row whose first cell is ``qid`` (any case) is a header.
+    Returns ({request: {doc: score}}, [warning messages]) with repeated keys
+    last-wins, or raises the first bad record's ParseError (or csv.Error); the
+    warnings go to ``warnings`` when given, so they survive an error.
+    """
+    import csv
+
+    from fairrank import ParseError
+
+    out, warnings = {}, [] if warnings is None else warnings
+    first = True
+    for lineno, cells in enumerate(csv.reader(lines), start=1):
+        if not cells or all(not c.strip() for c in cells):
+            continue
+        if first and cells[0].strip().lower() == "qid":
+            first = False
+            continue
+        first = False
+        if len(cells) != 3:
+            raise ParseError(f"expected qid,docid,score, got {len(cells)} columns", lineno)
+        qid, docid = cells[0].strip(), cells[1].strip()
+        try:
+            score = float(cells[2])
+        except ValueError:
+            raise ParseError(f"score {cells[2]!r} is not a number", lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(f"score {cells[2]!r} is not finite", lineno)
+        bucket = out.setdefault(qid, {})
+        if docid in bucket:
+            warnings.append(f"scores line {lineno} overrides earlier score for ({qid}, {docid})")
+        bucket[docid] = score
+    return out, warnings

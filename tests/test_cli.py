@@ -181,12 +181,13 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_evaluate_loads_no_yaml_numpy_ma_or_numpy_random(tmp_path):
-    # no config file and no pool larger than n_negatives: none of these is needed
+    # no config file and no pool larger than n_negatives: none of these is needed,
+    # and only the synth command needs fairrank.synth
     paths, _ = _synth(tmp_path)
     argv = _evaluate_args(paths, tmp_path / "out", scores=True)
     code = ("import sys; from fairrank.cli import main; rc = main(%r); "
-            "print(rc, sorted(m for m in ('yaml', 'numpy.ma', 'numpy.random') if m in sys.modules))"
-            % argv)
+            "print(rc, sorted(m for m in ('yaml', 'numpy.ma', 'numpy.random', 'fairrank.synth') "
+            "if m in sys.modules))" % argv)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

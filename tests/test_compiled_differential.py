@@ -94,7 +94,7 @@ def corpora(draw):
 def _context(g, rows, seq, grades, policy):
     al = AlignmentMatrix(rows, n_groups=g)
     groups = GroupSpace(tuple(f"g{i}" for i in range(g)), protected_index=0)
-    run = RunFile((), {q: r for q, r in seq.draws})
+    run = RunFile({q: r for q, r in seq.draws})
     scores = {"q0": {d: 1.0 for d in EXTRA}}
     return _Context("s", run, seq, RelevanceTable(grades), al, groups,
                     EvalConfig(unknown_policy=policy), scores)

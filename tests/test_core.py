@@ -22,11 +22,6 @@ def test_ranking_rejects_duplicates():
         Ranking("q", ("d1", "d2", "d1"))
 
 
-def test_ranking_scores_validated():
-    with pytest.raises(FairRankError):
-        Ranking("q", ("a", "b"), scores=(1.0,))
-
-
 def test_group_space_validation():
     with pytest.raises(FairRankError):
         GroupSpace(("A", "A"))
@@ -173,6 +168,23 @@ def test_compiled_view_holds_each_distinct_ranking_once():
     assert view.draws == [[0, 1, 0, 2, 0], [3]]
     assert view.docs == ["a", "b", "c"]
     assert view.ids.tolist() == [[0, 1], [1, 0], [0, 1], [2, -1]]
+
+
+def test_compiled_view_numbers_scored_documents_once():
+    # scored documents in id order with their scores and grades, also for a request
+    # that is scored and judged but never ranked
+    seq = RankingSequence((("q1", Ranking("q1", ("b", "a"))),))
+    rel = RelevanceTable({"q1": {"a": 2.0, "z": 1.0}, "q3": {"y": 3.0}})
+    scores = {"q3": {"y": 0.5, "x": -1.0}, "q1": {"c": 0.1, "a": 0.7}}
+    view = CompiledSystem(seq, rel, scores=scores)
+    assert view.docs == ["a", "b", "c", "x", "y", "z"]
+    assert view.scored == ["q1", "q3"]
+    ids, scores, grades = view.scored_docs("q1")
+    assert (ids.tolist(), scores.tolist(), grades.tolist()) == ([0, 2], [0.7, 0.1], [2.0, 0.0])
+    ids, scores, grades = view.scored_docs("q3")
+    assert (ids.tolist(), scores.tolist(), grades.tolist()) == ([3, 4], [-1.0, 0.5], [0.0, 3.0])
+    assert view.scored_docs("q2") is None
+    assert view.pool("q1", "judged")[0].tolist() == [0, 5]  # the ranked request's pool is unchanged
 
 
 # Each faulty row with the message that names it.

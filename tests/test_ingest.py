@@ -58,13 +58,13 @@ class TestParseRun:
         text = "q1 Q0 second 2 1.0 r\nq1 Q0 first 1 2.0 r\n"
         run = parse_run(io.StringIO(text))
         assert run.rankings["q1"].docs == ("first", "second")
-        assert run.rankings["q1"].scores == (2.0, 1.0)
+        assert run.scores == (1.0, 2.0)  # the columns keep file order
 
     def test_orders_by_rank_not_score_and_closes_gaps(self):
         text = "q1 Q0 a 10 9.0 r\nq1 Q0 b 3 0.5 r\nq1 Q0 c 7 1.0 r\n"
-        ranking = parse_run(io.StringIO(text)).rankings["q1"]
-        assert ranking.docs == ("b", "c", "a")
-        assert ranking.scores == (0.5, 1.0, 9.0)
+        run = parse_run(io.StringIO(text))
+        assert run.rankings["q1"].docs == ("b", "c", "a")
+        assert (run.ranks, run.scores) == ((10, 3, 7), (9.0, 0.5, 1.0))
 
     def test_malformed_lines(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -220,6 +220,15 @@ class TestParseSequence:
         seq = fallback_sequence(run)
         assert [q for q, _ in seq.draws] == ["q1", "q2"]
 
+    def test_header_only_on_the_first_non_blank_row(self):
+        run = parse_run(io.StringIO("q1 Q0 a 1 1.0 r\n"))
+        seq = parse_sequence(io.StringIO("\nSeq_No,qid\n1,q1\n2,q1\n"), run)
+        assert [q for q, _ in seq.draws] == ["q1", "q1"]
+        with pytest.raises(ParseError, match="^line 3: seq_no 'seq_no' is not an integer$"):
+            parse_sequence(io.StringIO("seq_no,qid\n1,q1\nseq_no,qid\n2,q1\n"), run)
+        with pytest.raises(ParseError, match="^line 2: seq_no 'SEQ_NO' is not an integer$"):
+            parse_sequence(io.StringIO("1,q1\nSEQ_NO,q1\n"), run)
+
     def test_round_trip(self):
         run = parse_run(io.StringIO("q1 Q0 a 1 1.0 r\nq2 Q0 b 1 1.0 r\n"))
         seq = parse_sequence(io.StringIO("seq_no,qid\n1,q2\n2,q1\n3,q2\n"), run)
@@ -248,6 +257,20 @@ class TestParseScores:
         for score in ("nan", "inf", "-inf"):
             with pytest.raises(ParseError, match="line 2.*not finite"):
                 parse_scores(io.StringIO(f"qid,docid,score\nq1,d1,{score}\n"))
+
+    def test_header_only_on_the_first_non_blank_row(self):
+        # a request named like the header column is data anywhere past the first row
+        sc = parse_scores(io.StringIO("qid,docid,score\nq1,d1,0.5\nQID,d2,0.7\n"))
+        assert sc == {"q1": {"d1": 0.5}, "QID": {"d2": 0.7}}
+        text = "\n , \nQid,DocId,Score\nq1,d1,0.5\n"  # the header after blank rows
+        assert parse_scores(io.StringIO(text)) == {"q1": {"d1": 0.5}}
+        assert parse_scores(io.StringIO("QID,d2,0.7\n")) == {}  # the first row is the header
+
+    def test_stray_header_fails_at_its_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("q1,d1,0.5\nqid,docid,score\nq1,d2,0.7\n")
+        with pytest.raises(ParseError, match=f"^{path}: line 2: score 'score' is not a number$"):
+            parse_scores(path)
 
     def test_round_trip(self):
         sc = {"q1": {"d1": 0.125, "d2": 3.5}, "q2": {"d9": -1.75}}

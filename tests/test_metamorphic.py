@@ -84,7 +84,7 @@ def _evaluate(g, rows, draws, grades, scores, battery=BATTERY, target=None, orde
     metrics = tuple(_make_metric(m, f"metrics[{i}]") for i, m in enumerate(battery))
     config = EvalConfig(metrics=metrics)
     seq = RankingSequence(draws)
-    run = RunFile((), {q: r for q, r in draws})
+    run = RunFile({q: r for q, r in draws})
     ev = evaluate_system("s", run, seq, RelevanceTable(grades), al, groups, config, scores)
     return seq, {r.metric: (r.value, r.n_requests, r.n_degenerate) for r in ev.results}
 
