@@ -8,12 +8,18 @@ a matching matrix holds each document's qrels grade (0 when unjudged and for
 padding).  An alignment variant maps the numbers to its dense rows once
 (``Labels``), and every metric family reads these arrays instead of looking
 documents up by string id.
+
+The metric kernels work on many lists at once.  ``left_justified`` moves each
+list's labeled positions to its front, in rank order, and ``by_key`` groups
+the lists by their labeled count (or any other integer key), so that each
+group is one stacked ``(m, n, ...)`` array without padding: a reduction over
+it adds the same elements in the same order as it would for each list alone.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
-from typing import Iterable, Mapping, NamedTuple
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,6 +40,47 @@ def lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarra
         return np.zeros(np.shape(query))
     pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
     return np.where(keys[pos] == query, values[pos], 0.0)
+
+
+def by_key(keys: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each distinct key, ascending, with the ascending indices that hold it."""
+    order = np.argsort(keys, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if order.size else ():
+        yield int(keys[idx[0]]), idx
+
+
+def left_justified(rows: np.ndarray, *alongside: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each list (row) of ``rows`` with its labeled entries (``rows >= 0``) first, in
+    order, and the per-position arrays ``alongside`` (one row per list, or one
+    row for all) rearranged alike; then each list's labeled count."""
+    order = np.argsort(rows < 0, axis=-1, kind="stable")
+    moved = (a[order] if a.ndim == 1 else np.take_along_axis(a, order, axis=-1)
+             for a in (rows, *alongside))
+    return (*moved, np.count_nonzero(rows >= 0, axis=-1))
+
+
+def as_grid(values: np.ndarray, at: np.ndarray, fill: float) -> np.ndarray:
+    """The segments ``values[at[i]:at[i + 1]]`` as the rows of one array, padded with ``fill``."""
+    sizes = np.diff(at)
+    grid = np.full((sizes.size, sizes.max(initial=0)), fill, dtype=values.dtype)
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    grid[segment, np.arange(values.size) - at[segment]] = values
+    return grid
+
+
+def labeled_grid(rows: np.ndarray, at: np.ndarray,
+                 *alongside: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``as_grid`` of the segments of ``rows`` and of ``alongside`` with only the labeled
+    entries (``rows >= 0``), in order; then each segment's labeled count."""
+    keep = rows >= 0
+    at = np.append(0, np.cumsum(keep))[at]
+    return (as_grid(rows[keep], at, -1), *(as_grid(a[keep], at, 0.0) for a in alongside),
+            np.diff(at))
+
+
+def running_total(values: np.ndarray) -> np.ndarray:
+    """The sum over the first axis, adding one entry after another as a loop of ``+=`` does."""
+    return np.cumsum(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
 
 
 def _numbers(number: dict[str, int], groups: Iterable[Iterable[str]], count: int) -> np.ndarray:
@@ -67,9 +114,10 @@ class CompiledSystem:
         scores = scores or {}
         self.scored = sorted(scores)
         self.scored_index = {q: i for i, q in enumerate(self.scored)}
-        # distinct rankings; per request, each draw's ranking index
+        # distinct rankings; each draw's ranking index, request by request
         self.rankings: list[Ranking] = []
-        self.draws: list[list[int]] = []
+        draw_of: list[int] = []
+        draw_at = [0]
         self.starts = [0]
         universe = set(extra)
         # judgments of the ranked requests, then of the scored requests not ranked
@@ -77,7 +125,8 @@ class CompiledSystem:
         judged = [relevance.judged(q) if relevance is not None else {} for q in judged_requests]
         for q in self.requests:
             distinct, index = seq.distinct(q)
-            self.draws.append([len(self.rankings) + i for i in index])
+            draw_of.extend(len(self.rankings) + i for i in index)
+            draw_at.append(len(draw_of))
             self.rankings.extend(distinct)
             self.starts.append(len(self.rankings))
             for ranking in distinct:
@@ -86,6 +135,14 @@ class CompiledSystem:
             universe.update(grades)
         for q in self.scored:
             universe.update(scores[q])
+        self.draw_of = np.array(draw_of, dtype=np.intp)
+        self.draw_at = np.array(draw_at, dtype=np.intp)
+        self.draw_request = np.repeat(np.arange(len(self.requests)), np.diff(self.draw_at))
+        # each request's arrival weight, and the request indices in first-draw order
+        self.weight = np.fromiter(map(self.rho.get, self.requests, repeat(0.0)), dtype=float,
+                                  count=len(self.requests))
+        self.arrival_at = np.fromiter(map(self.request_index.__getitem__, self.arrival),
+                                      dtype=np.intp, count=len(self.arrival))
         self.docs = sorted(universe)
         number = dict(zip(self.docs, range(len(self.docs))))
 
@@ -108,37 +165,41 @@ class CompiledSystem:
             filled, lookup(self._keys, self._grades, request_of[:, None] * n + self.ids), 0.0)
         # scored documents, request by request, ascending; their scores and grades
         sizes = [len(scores[q]) for q in self.scored]
-        self._scored_at = list(accumulate(sizes, initial=0))
+        self.scored_at = np.array(list(accumulate(sizes, initial=0)), dtype=np.intp)
+        # each ranked request's index among the scored ones (-1: none)
+        self.scored_of = np.fromiter(map(self.scored_index.get, self.requests, repeat(-1)),
+                                     dtype=np.intp, count=len(self.requests))
         block = np.repeat(np.arange(len(sizes)), sizes)
-        ids = _numbers(number, map(scores.get, self.scored), self._scored_at[-1])
+        ids = _numbers(number, map(scores.get, self.scored), self.scored_at[-1])
         values = np.fromiter(chain.from_iterable(scores[q].values() for q in self.scored),
-                             dtype=float, count=self._scored_at[-1])
+                             dtype=float, count=self.scored_at[-1])
         order = np.lexsort((ids, block))
-        self._scored_ids, self._scored_values = ids[order], values[order]
+        self.scored_ids, self.scored_values = ids[order], values[order]
         judged_index = {q: i for i, q in enumerate(judged_requests)}
         judged_of = np.array([judged_index[q] for q in self.scored], dtype=np.int64)
         self._scored_grades = lookup(self._keys, self._grades,
-                                     judged_of[block] * n + self._scored_ids)
+                                     judged_of[block] * n + self.scored_ids)
 
-    def pool(self, request: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """A request's candidate documents, ascending, and their grades (0 when unjudged).
+    def pools(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every request's candidate documents, ascending, request after request; their
+        grades (0 when unjudged); and where each request's candidates start, then the end.
 
         ``judged`` pools the judged documents, ``retrieved`` the documents of
         the request's rankings, ``union`` both.
         """
         if kind not in POOLS:
             raise FairRankError(f"unknown candidate pool {kind!r}")
-        i = self.request_index[request]
-        a, b = self._judged_at[i], self._judged_at[i + 1]
-        judged, grades = self._keys[a:b] - i * len(self.docs), self._grades[a:b]
-        if kind == "judged":
-            return judged, grades
-        pool = self.ids[self.starts[i]:self.starts[i + 1]]
-        pool = pool[pool >= 0]
-        if kind == "union":
-            pool = np.concatenate((pool, judged))
-        pool = sorted_distinct(pool)
-        return pool, lookup(judged, grades, pool)
+        n_requests, n = len(self.requests), len(self.docs)
+        end = self._judged_at[n_requests]  # the ranked requests' judgments come first
+        keys, grades = self._keys[:end], self._grades[:end]
+        if kind != "judged":
+            request_of = np.repeat(np.arange(n_requests), np.diff(self.starts))
+            retrieved = (request_of[:, None] * n + self.ids)[self.ids >= 0]
+            keys = sorted_distinct(retrieved if kind == "retrieved"
+                                   else np.concatenate((retrieved, keys)))
+            grades = lookup(self._keys, self._grades, keys)
+        at = np.searchsorted(keys, np.arange(n_requests + 1) * n)
+        return keys - np.repeat(np.arange(n_requests) * n, np.diff(at)), grades, at
 
     def scored_docs(self, request: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """A scored request's documents, ascending, with their scores and grades (0 when
@@ -146,8 +207,8 @@ class CompiledSystem:
         i = self.scored_index.get(request)
         if i is None:
             return None
-        a, b = self._scored_at[i], self._scored_at[i + 1]
-        return self._scored_ids[a:b], self._scored_values[a:b], self._scored_grades[a:b]
+        a, b = self.scored_at[i], self.scored_at[i + 1]
+        return self.scored_ids[a:b], self.scored_values[a:b], self._scored_grades[a:b]
 
     def labels(self, alignment: AlignmentMatrix, row_of: np.ndarray | None = None) -> Labels:
         """``alignment`` read through the document numbers.

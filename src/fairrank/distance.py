@@ -4,13 +4,16 @@ All three operate on 1-D distributions over groups (entries >= 0, summing to
 one).  ``nd`` and ``rd`` are binomial (they reduce the distribution to the
 protected group's share); ``kl`` is multinomial.  The binomial deltas are
 signed: positive means the protected group is over-represented.  Callers
-needing an unfairness magnitude take the absolute value.
+needing an unfairness magnitude take the absolute value.  ``deltas_of``
+compares every row of a matrix at once, and the one-vector functions are
+calls to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .compiled import by_key
 from .core import DegenerateDenominator, FairRankError
 
 DISTANCE_KINDS = ("nd", "rd", "kl")
@@ -40,27 +43,12 @@ def share_pair(protected_share: float) -> np.ndarray:
 
 def delta_nd(observed: np.ndarray, target: np.ndarray, protected_index: int = 0) -> float:
     """Signed difference of protected shares: observed - target."""
-    o = _check_distribution(observed, "observed")
-    t = _check_distribution(target, "target")
-    return float(o[protected_index] - t[protected_index])
+    return delta("nd", observed, target, protected_index)
 
 
 def delta_rd(observed: np.ndarray, target: np.ndarray, protected_index: int = 0) -> float:
     """Signed difference of protected/unprotected odds ratios."""
-    o = _check_distribution(observed, "observed")
-    t = _check_distribution(target, "target")
-    return _rd(o, t, protected_index)
-
-
-def _rd(o: np.ndarray, t: np.ndarray, protected_index: int) -> float:
-    o_plus = float(o[protected_index])
-    o_minus = 1.0 - o_plus
-    t_plus = float(t[protected_index])
-    if o_minus <= 0:
-        raise DegenerateDenominator("unprotected share is zero; ratio difference undefined")
-    if t_plus >= 1:
-        raise DegenerateDenominator("target places all mass on the protected group")
-    return o_plus / o_minus - t_plus / (1.0 - t_plus)
+    return delta("rd", observed, target, protected_index)
 
 
 def delta_kl(observed: np.ndarray, target: np.ndarray) -> float:
@@ -69,20 +57,7 @@ def delta_kl(observed: np.ndarray, target: np.ndarray) -> float:
     Target entries are floored at 1e-10 and renormalized, so the result is
     always finite; 0 * log(0/t) terms contribute nothing.
     """
-    o = _check_distribution(observed, "observed")
-    t = _check_distribution(target, "target")
-    return _kl(o, t)
-
-
-def _kl(o: np.ndarray, t: np.ndarray) -> float:
-    if o.size != t.size:
-        raise FairRankError("observed and target have different group counts")
-    t = np.maximum(t, KL_TARGET_FLOOR)
-    t = t / t.sum()
-    mask = o > 0
-    val = float(np.sum(o[mask] * np.log2(o[mask] / t[mask])))
-    # Gibbs' inequality guarantees >= 0; clamp float-rounding residue.
-    return max(val, 0.0)
+    return delta("kl", observed, target)
 
 
 def delta(
@@ -93,19 +68,57 @@ def delta(
 ) -> float:
     """Dispatch on the distance kind (nd | rd | kl)."""
     _check_kind(kind, protected_index)
-    return delta_of(kind, _check_distribution(observed, "observed"),
-                    _check_distribution(target, "target"), protected_index)
+    values, reasons = deltas_of(kind, _check_distribution(observed, "observed")[None],
+                                _check_distribution(target, "target"), protected_index)
+    if reasons[0] is not None:
+        raise DegenerateDenominator(reasons[0])
+    return float(values[0])
 
 
-def delta_of(kind: str, observed: np.ndarray, target: np.ndarray,
-             protected_index: int | None = None) -> float:
-    """``delta`` of two vectors already known to be distributions, without checking them."""
+# why a rd delta is undefined
+ZERO_UNPROTECTED_SHARE = "unprotected share is zero; ratio difference undefined"
+ALL_PROTECTED_TARGET = "target places all mass on the protected group"
+
+
+def deltas_of(kind: str, observed: np.ndarray, target: np.ndarray,
+              protected_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``delta`` of each row of ``observed`` (n, g), both known to be distributions: the
+    values, and per row None or why its rd delta is undefined (the value is then NaN)."""
     _check_kind(kind, protected_index)
+    reasons = np.full(len(observed), None, dtype=object)
     if kind == "kl":
-        return _kl(observed, target)
+        return _kl(observed, target), reasons
+    o_plus, t_plus = observed[:, protected_index], np.float64(target[protected_index])
     if kind == "nd":
-        return float(observed[protected_index] - target[protected_index])
-    return _rd(observed, target, protected_index)
+        return o_plus - t_plus, reasons
+    o_minus = 1.0 - o_plus
+    if t_plus >= 1:
+        reasons[:] = ALL_PROTECTED_TARGET
+    reasons[o_minus <= 0] = ZERO_UNPROTECTED_SHARE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = o_plus / o_minus - t_plus / (1.0 - t_plus)
+    values[reasons.astype(bool)] = np.nan
+    return values, reasons
+
+
+def _kl(o: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """KL bits of each row of ``o`` from ``t``, over the row's positive entries.
+
+    The rows are grouped by which entries are positive, so each row sums the
+    same terms in the same order as it would alone.
+    """
+    if o.shape[1] != t.size:
+        raise FairRankError("observed and target have different group counts")
+    t = np.maximum(t, KL_TARGET_FLOOR)
+    t = t / t.sum()
+    positive = o > 0
+    out = np.zeros(len(o))
+    for _, idx in by_key(np.unique(positive, axis=0, return_inverse=True)[1]):
+        cols = np.flatnonzero(positive[idx[0]])
+        kept = o[np.ix_(idx, cols)]
+        out[idx] = (kept * np.log2(kept / t[cols])).sum(axis=1)
+    # Gibbs' inequality guarantees >= 0; clamp float-rounding residue.
+    return np.maximum(out, 0.0)
 
 
 def _check_kind(kind: str, protected_index: int | None) -> None:

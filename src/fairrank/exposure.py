@@ -15,11 +15,11 @@ metrics) is built from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .compiled import CompiledSystem, Labels, sorted_distinct
+from .compiled import CompiledSystem, as_grid, by_key, left_justified, sorted_distinct
 from .core import (
     AlignmentMatrix,
     Degenerate,
@@ -135,40 +135,54 @@ def compiled_weights(view: CompiledSystem, model: WeightModel,
                          stop=resolve_stop(model, relevance))
 
 
-def exposure_of(weights: np.ndarray, rows: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Group exposure of one ranking: weights of its labeled positions times their rows.
+def exposures_of(weights: np.ndarray, rows: np.ndarray,
+                 dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group exposure of every list: the weights of its labeled positions times their rows.
 
-    ``rows`` holds each position's dense-row index (-1: unlabeled or padding)
-    and ``weights`` at least as many entries.
+    ``rows`` (R, D) holds each position's dense-row index (-1: unlabeled or
+    padding); ``weights`` is one (D,) vector for every list or one (R, D)
+    row per list.  Returns the (R, g) exposures, an exact zero row for a list
+    without labeled positions, and each list's labeled count.  The lists are
+    grouped by labeled count, and each group is one stacked product.
     """
-    kept = np.flatnonzero(rows >= 0)
-    if kept.size == 0:
-        raise Degenerate("no labeled documents in ranking")
-    return weights[kept] @ dense[rows[kept]]
+    rows, weights, count = left_justified(rows, weights)
+    eps = np.zeros((len(rows), dense.shape[1]))
+    for n, idx in by_key(count):
+        if n:
+            eps[idx] = np.matmul(weights[idx, None, :n], dense[rows[idx, :n]])[:, 0]
+    return eps, count
 
 
-def ranking_exposures(weights: np.ndarray, labels: Labels) -> list:
-    """Group exposure of every distinct ranking, or the ``Degenerate`` it raised."""
-    out = []
-    for r, rows in enumerate(labels.rows):
-        try:
-            out.append(exposure_of(weights if weights.ndim == 1 else weights[r],
-                                   rows, labels.dense))
-        except Degenerate as exc:
-            out.append(exc)
+def request_means(per_ranking: np.ndarray, view: CompiledSystem) -> np.ndarray:
+    """Each request's mean of ``per_ranking`` rows over its draws, grouped by draw count.
+
+    A request's draws are added in draw order, as ``np.sum`` over their list adds them.
+    """
+    counts = np.diff(view.draw_at)
+    out = np.zeros((counts.size, per_ranking.shape[1]))
+    for k, idx in by_key(counts):
+        draws = view.draw_of[view.draw_at[idx, None] + np.arange(k)]
+        out[idx] = per_ranking[draws].sum(axis=1) / k
     return out
 
 
-def mean_over_draws(per_ranking: list, draws: Sequence[int]) -> np.ndarray:
-    """Mean exposure over a request's draws, given each draw's ranking index.
+class RequestExposure(NamedTuple):
+    """Mean group exposure of each request (sorted) over its draws.
 
-    A draw with no labeled document contributes zero exposure; the request
-    is degenerate only when none of its draws has a labeled document.
+    A draw with no labeled document contributes zero exposure; a request is
+    ``labeled`` when some draw has a labeled document, and degenerate otherwise.
     """
-    per_draw = [per_ranking[r] for r in draws if not isinstance(per_ranking[r], Degenerate)]
-    if not per_draw:
-        raise Degenerate("no labeled documents in any draw")
-    return np.sum(per_draw, axis=0) / len(draws)
+
+    eps: np.ndarray      # (Q, g)
+    labeled: np.ndarray  # (Q,) bool
+
+
+def request_exposures(per_ranking: np.ndarray, count: np.ndarray,
+                      view: CompiledSystem) -> RequestExposure:
+    """``RequestExposure`` from each distinct ranking's exposure and labeled count."""
+    labeled = np.bincount(view.draw_request[count[view.draw_of] > 0],
+                          minlength=len(view.requests)) > 0
+    return RequestExposure(request_means(per_ranking, view), labeled)
 
 
 def group_exposure(
@@ -188,8 +202,10 @@ def group_exposure(
     if weights.size != len(ranking):
         raise FairRankError("weights are not aligned to the ranking")
     _check_width(alignment, groups)
-    eps = exposure_of(weights, alignment.indices(ranking.docs), alignment.dense())
-    return normalized(eps) if normalize else eps
+    eps, count = exposures_of(weights, alignment.indices(ranking.docs)[None], alignment.dense())
+    if not count[0]:
+        raise Degenerate("no labeled documents in ranking")
+    return normalized(eps[0]) if normalize else eps[0]
 
 
 def normalized(eps: np.ndarray) -> np.ndarray:
@@ -223,9 +239,13 @@ def request_exposure(
         raise UnknownRequest(f"no draws for request {request!r}")
     _check_width(alignment, groups)
     view = CompiledSystem(seq, relevance)
-    weights = compiled_weights(view, model, relevance)
-    per_ranking = ranking_exposures(weights, view.labels(alignment))
-    return mean_over_draws(per_ranking, view.draws[view.request_index[request]])
+    labels = view.labels(alignment)
+    exposures = request_exposures(*exposures_of(compiled_weights(view, model, relevance),
+                                                labels.rows, labels.dense), view)
+    i = view.request_index[request]
+    if not exposures.labeled[i]:
+        raise Degenerate("no labeled documents in any draw")
+    return exposures.eps[i]
 
 
 def system_exposure(
@@ -243,11 +263,15 @@ def system_exposure(
     stacked = np.stack([per_request[q] for q in keys])
     if rho is None:
         return np.mean(stacked, axis=0)
-    w = np.array([float(rho.get(q, 0.0)) for q in keys])
-    total = float(w.sum())
+    return weighted_mean(stacked, np.array([float(rho.get(q, 0.0)) for q in keys]))
+
+
+def weighted_mean(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Mean of the (Q, g) ``rows``, weighted by the (Q,) ``weights`` renormalized to sum one."""
+    total = float(weights.sum())
     if total <= 0:
         raise FairRankError("request weights assign no mass to the given requests")
-    return np.average(stacked, axis=0, weights=w / total)
+    return np.average(rows, axis=0, weights=weights / total)
 
 
 def target_exposure(
@@ -271,24 +295,42 @@ def target_exposure(
         raise FairRankError("candidate set is empty")
     _check_width(alignment, groups)
     grades = np.array([relevance.grade(request, d) for d in cands])
-    return ideal_exposure(grades, alignment.indices(cands), alignment.dense(), model,
-                          resolve_stop(model, relevance))
-
-
-def ideal_exposure(grades: np.ndarray, rows: np.ndarray, dense: np.ndarray, model: WeightModel,
-                   stop: Callable[[float], float] | None) -> np.ndarray:
-    """``target_exposure`` of candidates in id order, by grade and dense row (-1: unlabeled)."""
-    if not np.any(rows >= 0):
+    tgt, count = ideal_exposures(grades, alignment.indices(cands), np.array([0, len(cands)]),
+                                 alignment.dense(), model, resolve_stop(model, relevance))
+    if not count[0]:
         raise Degenerate("no labeled candidates")
-    order = np.argsort(-grades, kind="stable")
+    return tgt[0]
+
+
+def ideal_exposures(grades: np.ndarray, rows: np.ndarray, at: np.ndarray, dense: np.ndarray,
+                    model: WeightModel,
+                    stop: Callable[[float], float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """``target_exposure`` of many candidate sets at once, and each set's labeled count.
+
+    Set i holds the candidates ``at[i]:at[i + 1]`` of ``grades`` and ``rows``
+    (dense row, -1: unlabeled), in id order; a set without labeled
+    candidates has an exact zero row.  Each set is sorted by non-increasing
+    grade, ties in id order, and every tier's mean weight is one sum of its
+    position block: the tiers are grouped by length and each group summed
+    row by row, which adds a block as a lone sum of it does (np.add.reduceat
+    adds long tiers in another order, and so can move the last bit).
+    """
+    sizes = np.diff(at)
+    set_of = np.repeat(np.arange(sizes.size), sizes)
+    col = np.arange(grades.size) - at[set_of]  # position within the set
+    order = np.lexsort((-grades, set_of))
     sorted_grades = grades[order]
-    weights = weight_vector(model, np.arange(1, len(grades) + 1), sorted_grades, stop=stop)
-    # Mean weight of each tier's position block, mapped back to each document.
-    # Each tier is summed on its own: np.add.reduceat adds long tiers in
-    # another order than a lone sum, and so can move the last bit.
-    new_tier = np.concatenate(([True], sorted_grades[1:] != sorted_grades[:-1]))
-    bounds = [*np.flatnonzero(new_tier).tolist(), len(grades)]
-    tier_weight = np.array([weights[a:b].sum() / (b - a) for a, b in zip(bounds, bounds[1:])])
-    doc_weights = np.empty(len(grades))
-    doc_weights[order] = tier_weight[np.cumsum(new_tier) - 1]
-    return exposure_of(doc_weights, rows, dense)
+    pos = np.arange(1, sizes.max(initial=0) + 1)
+    # one weight row per set under the cascade, else one row shared by every set
+    grid = as_grid(sorted_grades, at, 0.0) if model.kind == "cascade" else None
+    weights = np.broadcast_to(weight_vector(model, pos, grid, stop=stop), (sizes.size, pos.size))
+    new_tier = (col == 0) | np.concatenate(([True], sorted_grades[1:] != sorted_grades[:-1]))
+    starts = np.flatnonzero(new_tier)
+    lengths = np.diff(np.append(starts, grades.size))
+    tier_sum = np.empty(starts.size)
+    for length, idx in by_key(lengths):
+        block = weights[set_of[starts[idx], None], col[starts[idx], None] + np.arange(length)]
+        tier_sum[idx] = block.sum(axis=1)
+    doc_weights = np.empty(grades.size)
+    doc_weights[order] = (tier_sum / lengths)[np.cumsum(new_tier) - 1]
+    return exposures_of(as_grid(doc_weights, at, 0.0), as_grid(rows, at, -1), dense)

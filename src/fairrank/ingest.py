@@ -19,10 +19,10 @@ or ``qid``, any case), recognized on the first non-blank row only.
 Runs, qrels and score files are read whole: one split of the file gives
 every field, each numeric column is converted by one ``map(int)`` or
 ``map(float)`` and checked as one array, and a run's requests are grouped by
-one sort.  Only when a check fails, or a qrels or score key repeats, are the
-lines read again one at a time, to fail at the first bad line or to warn at
-each repeat.  The alignment parser checks its cells as one array the same
-way; the sequence parser reads line by line.  Every parser either produces a
+one sort.  The alignment parser reads its group columns the same way.  Only
+when a check fails, or a qrels, score or alignment key repeats, are the lines
+read again one at a time, to fail at the first bad line or to warn at each
+repeat; the sequence parser reads line by line.  Every parser either produces a
 value or fails with a 1-based line number, after the file's path when given a
 path.  A run may not repeat a document within a request; duplicate
 alignment/qrels/score keys are last-wins with a warning.
@@ -36,9 +36,9 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, TextIO, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TextIO, TypeVar
 
 import numpy as np
 
@@ -393,46 +393,66 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
 
     Rows summing within 0.01 of 1 are renormalized to exactly 1; anything
     further off is rejected.  Empty cells read as 0, except an all-empty row,
-    which marks the document unlabeled.  The cells are converted and checked
-    as one array; only when that check fails are the lines checked one by
-    one, to name the first bad line.
+    which marks the document unlabeled.  The columns are converted and
+    checked whole; a failed check, a repeated document or CSV quoting
+    reparses the lines one by one.
     """
-    reader = csv.reader(_lines(source))
+    text, lines = _read(source)
+    parsed = _alignment_of_columns(text) if text is not None else None
+    if parsed is not None:
+        return parsed
+    return _parse_alignment_lines(lines if text is None else io.StringIO(text))
+
+
+def _alignment_of_columns(text: str) -> tuple[AlignmentMatrix, GroupSpace] | None:
+    """The alignment, when its columns pass every check whole and no document repeats;
+    else None."""
+    rows = _csv_rows(text)
+    if not rows:
+        return None
+    header = rows[0].split(",")
+    if len(header) < 2:
+        return None
+    columns = _columns(rows[1:], len(header), ",")
+    if columns is None:  # blank rows, or a row of another width
+        columns = _columns([row for row in rows[1:] if row.replace(",", "").strip()],
+                           len(header), ",")
+    if columns is None:
+        return None
+    cells = [_stripped(column) for column in columns[1:]]
+    filled = np.array([list(map(bool, column)) for column in cells], dtype=bool).reshape(
+        len(cells), -1)
+    labeled = filled.any(axis=0)
+    docs = list(compress(_stripped(columns[0]), labeled))
+    if len(set(docs)) != len(docs):
+        return None  # a repeated document
+    values = np.zeros(filled.shape)
+    try:
+        values[filled] = list(map(float, compress(chain.from_iterable(cells), filled.ravel())))
+    except ValueError:
+        return None
+    vals = np.ascontiguousarray(values.T[labeled])
+    totals = vals.sum(axis=1)
+    if (not np.all(np.isfinite(vals)) or np.any(vals < 0)
+            or np.any(np.abs(totals - 1.0) > ALIGNMENT_SUM_TOL)):
+        return None
+    return (AlignmentMatrix._stacked(docs, vals / totals[:, None]),
+            GroupSpace(tuple(name.strip() for name in header[1:])))
+
+
+def _parse_alignment_lines(lines: Iterable[str]) -> tuple[AlignmentMatrix, GroupSpace]:
+    """Parse the alignment lines one at a time through ``csv.reader``: fail at the first
+    bad line, warn at each repeated document (which keeps its first position and
+    takes its last row)."""
+    reader = csv.reader(lines)
     header = next(reader, None)
     if not header or len(header) < 2:
         raise ParseError("alignment header must be docid,<group1>,...", 1)
     names = tuple(h.strip() for h in header[1:])
-    lines = [(lineno, cells) for lineno, cells in enumerate(reader, start=2)
-             if cells and not all(not c.strip() for c in cells)]
-    labeled = []  # (line, doc, group cells) of every labeled row
-    for lineno, cells in lines:
-        if len(cells) != len(names) + 1:
-            _raise_first_bad_line(lines, names)
-        raw = [c.strip() for c in cells[1:]]
-        if any(raw):
-            labeled.append((lineno, cells[0].strip(), raw))
-    try:
-        vals = np.array([[float(c) if c else 0.0 for c in raw] for _, _, raw in labeled],
-                        dtype=float).reshape(len(labeled), len(names))
-    except ValueError:
-        _raise_first_bad_line(lines, names)
-    totals = vals.sum(axis=1)
-    if (not np.all(np.isfinite(vals)) or np.any(vals < 0)
-            or np.any(np.abs(totals - 1.0) > ALIGNMENT_SUM_TOL)):
-        _raise_first_bad_line(lines, names)
-    # a repeated document keeps its first position and takes its last row
-    row_of: dict[str, int] = {}
-    for i, (lineno, doc, _) in enumerate(labeled):
-        if doc in row_of:
-            log.warning("alignment line %d overrides earlier row for %s", lineno, doc)
-        row_of[doc] = i
-    dense = (vals / totals[:, None])[list(row_of.values())]
-    return AlignmentMatrix._stacked(list(row_of), dense), GroupSpace(names)
-
-
-def _raise_first_bad_line(lines: list[tuple[int, list[str]]], names: tuple[str, ...]) -> NoReturn:
-    """Check the alignment lines one at a time and fail naming the first bad one."""
-    for lineno, cells in lines:
+    rows: dict[str, np.ndarray] = {}
+    for lineno, cells in enumerate(reader, start=2):
+        if not cells or all(not c.strip() for c in cells):
+            continue
         if len(cells) != len(names) + 1:
             raise ParseError(f"expected {len(names) + 1} columns, got {len(cells)}", lineno)
         doc = cells[0].strip()
@@ -442,10 +462,14 @@ def _raise_first_bad_line(lines: list[tuple[int, list[str]]], names: tuple[str, 
         vec = np.array([_finite(c, "alignment cell", lineno) if c else 0.0 for c in raw])
         if np.any(vec < 0):
             raise NegativeWeight(f"negative alignment weight for {doc!r}", lineno)
-        total = float(vec.sum())
+        total = vec.sum()
         if abs(total - 1.0) > ALIGNMENT_SUM_TOL:
             raise RowSumOutOfTolerance(f"row for {doc!r} sums to {total:.6g}", lineno)
-    raise AssertionError("the bulk alignment checks refused lines that pass one by one")
+        if doc in rows:
+            log.warning("alignment line %d overrides earlier row for %s", lineno, doc)
+        rows[doc] = vec / total
+    dense = np.array(list(rows.values())).reshape(len(rows), len(names))
+    return AlignmentMatrix._stacked(list(rows), dense), GroupSpace(names)
 
 
 def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) -> None:

@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .compiled import CompiledSystem, Labels
+from .compiled import CompiledSystem, Labels, by_key, labeled_grid, running_total
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -39,8 +39,10 @@ from .core import (
 from .exposure import (
     WeightModel,
     compiled_weights,
-    ideal_exposure,
+    exposures_of,
+    ideal_exposures,
     position_weights,
+    request_means,
     resolve_stop,
     target_exposure,
 )
@@ -76,23 +78,26 @@ def group_utility(
 
 
 def utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, pool: str) -> np.ndarray:
-    """``group_utility`` of a compiled system, on one alignment variant."""
-    sums = np.zeros(groups.g)
-    mass = np.zeros(groups.g)
-    for q in view.arrival:
-        cands, grades = view.pool(q, pool)
-        rows = labels.row_of[cands]
-        kept = rows >= 0
-        if not kept.any():
-            continue
-        w = view.rho.get(q, 0.0)
-        members = labels.dense[rows[kept]] > 0.5
-        counts = members.sum(axis=0)
-        with np.errstate(invalid="ignore"):
-            means = (grades[kept] @ members) / counts
-        has = counts > 0
-        sums[has] += w * means[has]
-        mass[has] += w
+    """``group_utility`` of a compiled system, on one alignment variant.
+
+    The requests are grouped by their number of labeled candidates, and the
+    arrival-weighted sums run over the requests in arrival order.
+    """
+    docs, grades, at = view.pools(pool)
+    rows, grades, count = labeled_grid(labels.row_of[docs], at, grades)
+    means = np.zeros((len(rows), groups.g))
+    members = np.zeros((len(rows), groups.g), dtype=np.intp)
+    for n, idx in by_key(count):
+        if n:
+            member = labels.dense[rows[idx, :n]] > 0.5
+            members[idx] = member.sum(axis=1)
+            graded = np.matmul(grades[idx, None, :n], member.astype(float))[:, 0]
+            with np.errstate(invalid="ignore"):
+                means[idx] = graded / members[idx]
+    has = members[view.arrival_at] > 0
+    w = view.weight[view.arrival_at, None]
+    sums = running_total(np.where(has, w * means[view.arrival_at], 0.0))
+    mass = running_total(np.where(has, w, 0.0))
     out = np.empty(groups.g)
     for g in range(groups.g):
         if mass[g] <= 0:
@@ -117,16 +122,9 @@ def discounted_group_utility(
 def discounted_utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpace,
                           weights: np.ndarray) -> np.ndarray:
     """``discounted_group_utility`` of a compiled system, given its position weights."""
-    masses = []  # per distinct ranking; no labeled document gives an exact zero vector
-    for r, rows in enumerate(labels.rows):
-        kept = np.flatnonzero(rows >= 0)
-        w = weights if weights.ndim == 1 else weights[r]
-        masses.append((w[kept] * view.grades[r, kept]) @ labels.dense[rows[kept]])
-    total = np.zeros(groups.g)
-    for q in view.arrival:
-        draws = [masses[r] for r in view.draws[view.request_index[q]]]
-        total += view.rho.get(q, 0.0) * (sum(draws, np.zeros(groups.g)) / len(draws))
-    return total
+    masses, _ = exposures_of(weights * view.grades, labels.rows, labels.dense)
+    per_request = request_means(masses, view)[view.arrival_at]
+    return running_total(view.weight[view.arrival_at, None] * per_request)
 
 
 def eur(system_eps: np.ndarray, upsilon: np.ndarray, groups: GroupSpace) -> float:
@@ -206,36 +204,57 @@ def expected_exposure(
     means.
     """
     view = CompiledSystem(seq, relevance)
+    zero = np.zeros(groups.g)
+    per_request = np.array([exposures.get(q, zero) for q in view.requests]).reshape(-1, groups.g)
     return exposure_loss_of(view, view.labels(alignment), groups, model,
-                            resolve_stop(model, relevance), exposures, pool)
+                            resolve_stop(model, relevance), per_request, pool)
 
 
 def exposure_loss_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, model: WeightModel,
-                     stop: Callable[[float], float] | None, exposures: Mapping[str, np.ndarray],
+                     stop: Callable[[float], float] | None, exposures: np.ndarray,
                      pool: str) -> ExpectedExposureResult:
-    """``expected_exposure`` of a compiled system, on one alignment variant."""
-    zero = np.zeros(groups.g)
-    eps_acc = np.zeros(groups.g)
-    tgt_acc = np.zeros(groups.g)
-    weight_total = 0.0
-    n_requests = 0
-    n_skipped = 0
-    for q in view.arrival:
-        n_requests += 1
-        cands, grades = view.pool(q, pool)
-        if not cands.size or grades.max() <= 0:
-            n_skipped += 1
-            continue
-        try:
-            tgt = ideal_exposure(grades, labels.row_of[cands], labels.dense, model, stop)
-        except Degenerate:
-            n_skipped += 1
-            continue
-        w = view.rho.get(q, 0.0)
-        eps_acc += w * exposures.get(q, zero)
-        tgt_acc += w * tgt
-        weight_total += w
+    """``expected_exposure`` of a compiled system, on one alignment variant.
+
+    ``exposures`` holds each request's raw exposure (sorted requests, zero
+    for a degenerate one); the sums run over the requests in arrival order.
+    """
+    docs, grades, at = view.pools(pool)
+    targets, count = ideal_exposures(grades, labels.row_of[docs], at, labels.dense, model, stop)
+    # a request counts when its pool has a relevant document and a labeled one
+    relevant = np.bincount(np.repeat(np.arange(len(at) - 1), np.diff(at))[grades > 0],
+                           minlength=len(at) - 1) > 0
+    kept = (relevant & (count > 0))[view.arrival_at]
+    w = np.where(kept, view.weight[view.arrival_at], 0.0)
+    weight_total = float(running_total(w))
     if weight_total <= 0:
         raise AllDegenerate("no request has a scorable ideal policy")
-    eel, eer, eed_raw = ee_decompose(eps_acc / weight_total, tgt_acc / weight_total)
-    return ExpectedExposureResult(eel, eer, eed_raw, n_requests, n_skipped)
+    eel, eer, eed_raw = ee_decompose(
+        running_total(w[:, None] * exposures[view.arrival_at]) / weight_total,
+        running_total(w[:, None] * targets[view.arrival_at]) / weight_total)
+    return ExpectedExposureResult(eel, eer, eed_raw, kept.size, int(np.count_nonzero(~kept)))
+
+
+def predicted_utility_of(view: CompiledSystem, labels: Labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group predicted-utility mass of each request's scored labeled documents.
+
+    System scores have arbitrary affine scale, so they are shifted by the
+    per-request minimum and sum-normalized; a constant score list carries no
+    ordering information and falls back to uniform.  Returns one (g,) row
+    per request (sorted) and whether it has one: a request without scores,
+    or without a labeled scored document, has none.  The scored requests are
+    grouped by their number of labeled scored documents.
+    """
+    rows, scores, count = labeled_grid(labels.row_of[view.scored_ids], view.scored_at,
+                                       view.scored_values)
+    util = np.zeros((len(rows) + 1, labels.dense.shape[1]))  # the last row: no scores
+    for n, idx in by_key(count):
+        if n:
+            raw = scores[idx, :n]
+            shifted = raw - raw.min(axis=1, keepdims=True)
+            total = shifted.sum(axis=1, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mass = np.where(total > 0, shifted / total, 1.0 / n)
+            util[idx] = np.matmul(labels.dense[rows[idx, :n]].transpose(0, 2, 1),
+                                  mass[:, :, None])[:, :, 0]
+    has = np.append(count > 0, False)[view.scored_of]
+    return util[view.scored_of], has

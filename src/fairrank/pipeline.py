@@ -5,19 +5,22 @@ group alignment, this evaluates every configured metric and returns table
 rows plus human-readable notes about skipped or degenerate computations.
 Single-ranking metrics are computed per draw, averaged per request, then
 averaged over requests; sequence metrics aggregate exposure with the
-empirical request-arrival distribution first.
+empirical request-arrival distribution first.  Each metric family is one
+array pass over the system's compiled view: its kernel scores every
+distinct ranking (or request) at once, grouped by labeled length or draw
+count, and nothing here loops over rankings or requests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Mapping
+from itertools import chain, compress
+from typing import Mapping
 
 import numpy as np
 
-from .compiled import CompiledSystem, Labels
+from .compiled import CompiledSystem, by_key
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -31,21 +34,31 @@ from .core import (
     apply_unknown_policy,
     binarize,
 )
-# request_exposure, awrf, pref_fairness, group_utility, discounted_group_utility
-# and expected_exposure are the per-ranking wrappers over the kernels used
-# here; they stay importable under this module's name for perfbench/tracer.py.
+# request_exposure, awrf, fair_score, pref_fairness, group_utility,
+# discounted_group_utility and expected_exposure are the per-ranking wrappers
+# over the kernels used here; they stay importable under this module's name for
+# perfbench/tracer.py.
 from .exposure import (
+    RequestExposure,
     WeightModel,
     compiled_weights,
-    mean_over_draws,
-    ranking_exposures,
+    exposures_of,
     request_exposure,
+    request_exposures,
     resolve_stop,
-    system_exposure,
+    weighted_mean,
 )
 from .ingest import EvalConfig, MetricConfig, RunFile
 from .metrics_multi import demographic_parity, eed
-from .metrics_single import awrf, awrf_of, fair_score, pref_fairness, prefd_of
+from .metrics_single import (
+    ListScores,
+    awrf,
+    awrf_scores,
+    fair_score,
+    fair_scores,
+    pref_fairness,
+    prefd_scores,
+)
 from .opportunity import (
     discounted_group_utility,
     discounted_utility_of,
@@ -54,6 +67,7 @@ from .opportunity import (
     exposure_loss_of,
     group_utility,
     iaa,
+    predicted_utility_of,
     rur,
     utility_of,
 )
@@ -98,7 +112,6 @@ class _Context:
         extra = chain(chain.from_iterable(r.docs for r in run.rankings.values()),
                       chain.from_iterable(qrels.judged(q) for q in qrels.requests()))
         self.view = CompiledSystem(seq, qrels, extra, scores)
-        self.rho = self.view.rho
         # "error" rejects unlabeled docs outright; "group" extends the space
         # for the multinomial-capable sequence metrics (EED/EEL/IAA).
         self.ext_alignment, self.ext_groups = apply_unknown_policy(
@@ -115,8 +128,8 @@ class _Context:
                        "bin": self.view.labels(self.bin_alignment, row_of)}
         self._catalog: TargetDistribution | None = None
         self._weights: dict[WeightModel, np.ndarray] = {}
-        self._ranking_eps: dict[tuple[str, WeightModel], list] = {}
-        self._exposures: dict[tuple[bool, WeightModel], dict[str, np.ndarray]] = {}
+        self._ranking_eps: dict[tuple[str, WeightModel], tuple[np.ndarray, ...]] = {}
+        self._exposures: dict[tuple[bool, WeightModel], RequestExposure] = {}
         self._utilities: dict[str, np.ndarray] = {}
 
     def weights(self, model: WeightModel) -> np.ndarray:
@@ -124,33 +137,24 @@ class _Context:
             self._weights[model] = compiled_weights(self.view, model, self.qrels)
         return self._weights[model]
 
-    def ranking_exposures(self, model: WeightModel, variant: str) -> list:
-        """Group exposure of every distinct ranking on one variant, once per model."""
+    def ranking_exposures(self, model: WeightModel, variant: str) -> tuple[np.ndarray, ...]:
+        """Group exposure of every distinct ranking on one variant, and its labeled count,
+        once per model."""
         key = (variant, model)
         if key not in self._ranking_eps:
-            self._ranking_eps[key] = ranking_exposures(self.weights(model), self.labels[variant])
+            labels = self.labels[variant]
+            self._ranking_eps[key] = exposures_of(self.weights(model), labels.rows, labels.dense)
         return self._ranking_eps[key]
 
-    def labeled(self, r: int) -> np.ndarray:
-        """Base alignment rows of ranking r's labeled documents, in rank order."""
-        rows = self.labels["base"].rows[r]
-        return self.alignment.dense()[rows[rows >= 0]]
-
-    def exposures(self, model: WeightModel, binarized: bool) -> dict[str, np.ndarray]:
-        """Per-request exposure on one alignment variant; degenerate requests are absent.
+    def exposures(self, model: WeightModel, binarized: bool) -> RequestExposure:
+        """Per-request exposure on one alignment variant.
 
         Computed once per (variant, model) and shared by DP, EUR, EED, EEL and IAA.
         """
         key = (binarized, model)
         if key not in self._exposures:
-            per_ranking = self.ranking_exposures(model, "bin" if binarized else "ext")
-            per_request: dict[str, np.ndarray] = {}
-            for q, draws in zip(self.view.requests, self.view.draws):
-                try:
-                    per_request[q] = mean_over_draws(per_ranking, draws)
-                except Degenerate:
-                    pass
-            self._exposures[key] = per_request
+            per_ranking, count = self.ranking_exposures(model, "bin" if binarized else "ext")
+            self._exposures[key] = request_exposures(per_ranking, count, self.view)
         return self._exposures[key]
 
     def utility(self, pool: str) -> np.ndarray:
@@ -186,68 +190,49 @@ class _Context:
         if mc.target == "equal":
             return 0.5
         if mc.target == "custom":
-            return float(np.asarray(mc.custom_target)[p])
+            return self.target_vector(mc).scalar(p)
         raise FairRankError(f"target mode {mc.target!r} has no scalar form")
 
 
-def _per_draw(
-    ctx: _Context,
-    fn: Callable,
-    mc: MetricConfig,
-    notes: list[str],
-) -> MetricResult:
-    """Evaluate a single-ranking metric over every draw and aggregate.
+def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
+              notes: list[str]) -> MetricResult:
+    """Aggregate a single-ranking metric, given per distinct ranking, over every draw.
 
-    ``fn`` runs once per distinct ranking, given its index in the compiled
-    view, and its outcome counts for every draw of that ranking.  A draw
-    returning NaN (or raising a degenerate error) is excluded; draws scored
-    by convention (short lists, undefined normalizer) keep their value but
-    are noted.  A request is degenerate when all its draws are.
+    A ranking's outcome counts for every draw of it.  A draw without a
+    score (NaN with a degenerate reason) is excluded; draws scored by
+    convention (short lists, undefined normalizer) keep their value but are
+    noted.  A request's value is the mean over its other draws, in draw
+    order, with the requests grouped by that count; a request is degenerate
+    when all its draws are, and is flagged with its first draw's reason.
     """
-    outcomes = []
-    for r in range(len(ctx.view.rankings)):
-        try:
-            outcomes.append(fn(r))
-        except Degenerate as exc:
-            outcomes.append(exc)
-    values: dict[str, float] = {}
-    flags: dict[str, str] = {}
-    conventions = 0
-    direction = None
-    for q, draws in zip(ctx.view.requests, ctx.view.draws):
-        draw_vals = []
-        draw_flags = []
-        for res in (outcomes[r] for r in draws):
-            if isinstance(res, Degenerate):
-                draw_flags.append(res.reason)
-                continue
-            direction = res.direction
-            if res.degenerate is not None and math.isnan(res.value):
-                draw_flags.append(res.degenerate)
-                continue
-            if res.degenerate is not None:
-                conventions += 1
-            draw_vals.append(res.value)
-        if draw_vals:
-            values[q] = float(np.mean(draw_vals))
-        else:
-            flags[q] = draw_flags[0] if draw_flags else "no draws"
+    view = ctx.view
+    values, reasons = scores.values[view.draw_of], scores.reasons[view.draw_of]
+    flagged = reasons.astype(bool)
+    excluded = flagged & np.isnan(values)
+    conventions = int(np.count_nonzero(flagged & ~excluded))
+    # each request's scored draws first, in draw order
+    order = np.lexsort((excluded, view.draw_request))
+    counts = np.bincount(view.draw_request[~excluded], minlength=len(view.requests))
+    means = np.zeros(len(view.requests))
+    for k, idx in by_key(counts):
+        if k:
+            means[idx] = values[order[view.draw_at[idx, None] + np.arange(k)]].mean(axis=1)
+    scored = counts > 0
+    per_request = dict(zip(compress(view.requests, scored), means[scored].tolist()))
+    flags = dict(zip(compress(view.requests, ~scored), reasons[view.draw_at[:-1][~scored]]))
     if conventions:
         notes.append(f"{mc.label}: {conventions} draws scored by edge-case convention")
-    if direction is None:
-        direction = Direction.ZERO_IS_FAIR
-    return aggregate(values, flags, mc.label, ctx.system, direction)
+    return aggregate(per_request, flags, mc.label, ctx.system, scores.direction)
 
 
-def _sequence_exposure(
-    ctx: _Context,
-    per_request: Mapping[str, np.ndarray],
-) -> tuple[np.ndarray, int, int]:
+def _sequence_exposure(ctx: _Context, exposures: RequestExposure) -> tuple[np.ndarray, int, int]:
     """System expected exposure (raw), with request and degenerate counts."""
-    if not per_request:
+    n_labeled = int(np.count_nonzero(exposures.labeled))
+    if not n_labeled:
         raise AllDegenerate("no request has any labeled exposure")
-    n_requests = len(ctx.seq.requests())
-    return system_exposure(per_request, ctx.rho), n_requests, n_requests - len(per_request)
+    eps = weighted_mean(exposures.eps[exposures.labeled], ctx.view.weight[exposures.labeled])
+    n_requests = len(exposures.labeled)
+    return eps, n_requests, n_requests - n_labeled
 
 
 def _ratio_rows(
@@ -269,28 +254,6 @@ def _ratio_rows(
     return rows
 
 
-def _predicted_utility(ctx: _Context, q: str, labels: Labels) -> np.ndarray | None:
-    """Per-group predicted-utility mass for one request's scored documents.
-
-    System scores have arbitrary affine scale, so they are shifted by the
-    per-request minimum and sum-normalized; a constant score list carries no
-    ordering information and falls back to uniform.
-    """
-    scored = ctx.view.scored_docs(q)
-    if scored is None:
-        return None
-    ids, scores, _ = scored
-    rows = labels.row_of[ids]
-    kept = np.flatnonzero(rows >= 0)
-    if not kept.size:
-        return None
-    raw = scores[kept]
-    shifted = raw - raw.min()
-    total = float(shifted.sum())
-    util = shifted / total if total > 0 else np.full(kept.size, 1.0 / kept.size)
-    return labels.dense[rows[kept]].T @ util
-
-
 class _MissingInput(FairRankError):
     """An optional input needed by this metric was not supplied."""
 
@@ -299,27 +262,26 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
     cfg = ctx.config
     model = WeightModel(mc.weight_model, mc.gamma)
 
+    base = ctx.labels["base"]
     if mc.name == "prefd":
         target = None if mc.target == "composition" else ctx.target_vector(mc)
-        return [_per_draw(
-            ctx,
-            lambda r: prefd_of(ctx.labeled(r), ctx.groups, target, mc.dist, mc.step,
-                               cfg.threshold),
-            mc, notes)]
+        scores = prefd_scores(base.rows, base.dense, ctx.groups, target, mc.dist, mc.step,
+                              cfg.threshold)
+        return [_per_draw(ctx, scores, mc, notes)]
 
     if mc.name == "awrf":
         target = ctx.target_vector(mc)
-        eps = ctx.ranking_exposures(model, "base")
-        return [_per_draw(
-            ctx, lambda r: awrf_of(eps[r], ctx.groups, target, mc.dist, mc.signed), mc, notes)]
+        eps, count = ctx.ranking_exposures(model, "base")
+        scores = awrf_scores(eps, count, ctx.groups, target, mc.dist, mc.signed)
+        return [_per_draw(ctx, scores, mc, notes)]
 
     if mc.name == "fair":
         p_hat = ctx.scalar_phat(mc)
         if not 0 < p_hat < 1:
             raise Degenerate(f"target protected probability {p_hat:.6g} outside (0, 1)")
-        p = ctx.groups.require_protected()
-        return [_per_draw(
-            ctx, lambda r: fair_score(ctx.labeled(r)[:, p] >= cfg.threshold, p_hat), mc, notes)]
+        scores = fair_scores(base.rows, base.dense, ctx.groups.require_protected(), p_hat,
+                             cfg.threshold)
+        return [_per_draw(ctx, scores, mc, notes)]
 
     if mc.name == "dp":
         eps, n_req, n_deg = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
@@ -346,7 +308,7 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
     if mc.name == "eel":
         res = exposure_loss_of(ctx.view, ctx.labels["ext"], ctx.ext_groups, model,
                                resolve_stop(model, ctx.qrels),
-                               ctx.exposures(model, binarized=False), mc.pool)
+                               ctx.exposures(model, binarized=False).eps, mc.pool)
         eer_label = "EER" if mc.label == "EEL" else f"{mc.label}_EER"
         return [
             MetricResult(mc.label, ctx.system, res.eel, res.n_requests, res.n_skipped,
@@ -358,18 +320,16 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
     if mc.name == "iaa":
         if not ctx.scores:
             raise _MissingInput("system score file not provided")
-        per_request: dict[str, np.ndarray] = {}
-        utils: dict[str, np.ndarray] = {}
-        for q, eps in ctx.exposures(model, binarized=False).items():
-            util = _predicted_utility(ctx, q, ctx.labels["ext"])
-            if util is not None:
-                per_request[q], utils[q] = eps, util
-        if not per_request:
+        exposures = ctx.exposures(model, binarized=False)
+        utils, has = predicted_utility_of(ctx.view, ctx.labels["ext"])
+        both = exposures.labeled & has
+        if not both.any():
             raise AllDegenerate("no request has both exposure and predicted utility")
-        value = iaa(system_exposure(per_request, ctx.rho), system_exposure(utils, ctx.rho))
+        w = ctx.view.weight[both]
+        value = iaa(weighted_mean(exposures.eps[both], w), weighted_mean(utils[both], w))
         n_req = len(ctx.seq.requests())
-        return [MetricResult(mc.label, ctx.system, value, n_req, n_req - len(per_request),
-                             Direction.ZERO_IS_FAIR)]
+        return [MetricResult(mc.label, ctx.system, value, n_req,
+                             n_req - int(np.count_nonzero(both)), Direction.ZERO_IS_FAIR)]
 
     if mc.name == "pair":
         if not ctx.scores:

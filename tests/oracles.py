@@ -369,7 +369,10 @@ def oracle_parse_alignment(text):
     from fairrank import ParseError
 
     reader = csv.reader(io.StringIO(text))
-    names = next(reader)[1:]
+    header = next(reader, None)
+    if not header or len(header) < 2:
+        raise ParseError("alignment header must be docid,<group1>,...", 1)
+    names = header[1:]
     rows, warnings = {}, []
     for lineno, cells in enumerate(reader, start=2):
         if not cells or all(not c.strip() for c in cells):
@@ -541,3 +544,313 @@ def oracle_parse_scores(lines, warnings=None):
             warnings.append(f"scores line {lineno} overrides earlier score for ({qid}, {docid})")
         bucket[docid] = score
     return out, warnings
+
+
+# --- per-list bodies the batched kernels replaced ---------------------------
+#
+# Each function below is the per-ranking (or per-request) code the library
+# ran before its metric families became one array pass per group of lists.
+# The batched kernels must reproduce them bit for bit: they add the same
+# elements in the same order.  They share ``weight_vector`` and the compiled
+# view with the library, which other tests check on their own.
+
+
+def list_scores(results, direction=None):
+    """``ListScores`` of per-list results, a raised ``Degenerate`` counting as its reason."""
+    from fairrank.metrics_single import ListScores
+
+    values = np.full(len(results), math.nan)
+    reasons = np.full(len(results), None, dtype=object)
+    for i, res in enumerate(results):
+        if isinstance(res, Degenerate):
+            reasons[i] = res.reason
+        else:
+            values[i], reasons[i] = res.value, res.degenerate
+            direction = res.direction
+    return ListScores(values, reasons, direction or Direction.ZERO_IS_FAIR)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the ``Degenerate`` it raises."""
+    try:
+        return fn(*args)
+    except Degenerate as exc:
+        return exc
+
+
+def list_exposure(weights, rows, dense):
+    """Group exposure of one list: weights of its labeled positions times their rows."""
+    kept = np.flatnonzero(rows >= 0)
+    if kept.size == 0:
+        raise Degenerate("no labeled documents in ranking")
+    return weights[kept] @ dense[rows[kept]]
+
+
+def draws_mean(per_ranking, draws):
+    """Mean exposure over a request's draws; a draw without labeled documents adds zero."""
+    per_draw = [per_ranking[r] for r in draws if not isinstance(per_ranking[r], Degenerate)]
+    if not per_draw:
+        raise Degenerate("no labeled documents in any draw")
+    return np.sum(per_draw, axis=0) / len(draws)
+
+
+def _list_prefix_raw(cols, target, dist, step):
+    from fairrank.distance import KL_TARGET_FLOOR
+
+    ks = np.array(_prefix_lengths(cols.shape[-2], step))
+    shares = np.cumsum(cols, axis=-2)[..., ks - 1, :] / ks[:, None]
+    if dist == "kl":
+        t = np.maximum(target, KL_TARGET_FLOOR)
+        t = t / t.sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(shares > 0, shares * np.log2(shares / t), 0.0)
+        deltas = np.maximum(terms.sum(axis=-1), 0.0)
+    elif dist == "nd":
+        deltas = shares[..., 0] - target[0]
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deltas = shares[..., 0] / (1.0 - shares[..., 0]) - target[0] / (1.0 - target[0])
+        deltas[np.any(shares[..., 0] >= 1, axis=-1) | (target[0] >= 1)] = math.nan
+    terms = np.abs(deltas) / np.log2(ks)
+    return np.array([np.sum(row) for row in terms.reshape(-1, ks.size)]).reshape(terms.shape[:-1])
+
+
+def list_prefd(cols, groups, target, dist, step, threshold):
+    """prefD of one list given by its labeled alignment rows, in rank order."""
+    from fairrank import DegenerateDenominator, SingleListResult
+
+    n = len(cols)
+    if n == 0:
+        return SingleListResult(math.nan, Direction.ZERO_IS_FAIR, degenerate="no_labeled_docs")
+    if n < step:
+        return SingleListResult(0.0, Direction.ZERO_IS_FAIR, degenerate="short_list")
+    if dist == "kl":
+        if target is None:
+            if n == step:
+                return SingleListResult(0.0, Direction.ZERO_IS_FAIR,
+                                        degenerate="undefined_normalizer")
+            cols = cols[:, cols.sum(axis=0) > 0]
+            tvec = cols.mean(axis=0)
+        else:
+            tvec = target.probs
+    else:
+        p = groups.require_protected()
+        cols = cols[:, [p]] >= threshold
+        tvec = np.array([target.scalar(p) if target is not None else cols.sum() / n])
+    arrangements = [cols]
+    for j in range(cols.shape[1]):
+        order = np.argsort(cols[:, j], kind="stable")
+        arrangements += [cols[order], cols[order[::-1]]]
+    raws = _list_prefix_raw(np.stack(arrangements), tvec, dist, step)
+    if math.isnan(raws[0]):
+        raise DegenerateDenominator("the target or a prefix has no unprotected documents")
+    best = max((float(r) for r in raws[1:] if not math.isnan(r)), default=None)
+    if best is None:
+        raise Degenerate("no extreme arrangement is scorable under this distance")
+    if best <= 0:
+        return SingleListResult(0.0, Direction.ZERO_IS_FAIR, degenerate="undefined_normalizer")
+    return SingleListResult(min(float(raws[0]) / best, 1.0), Direction.ZERO_IS_FAIR)
+
+
+def list_fair(mask, p_hat):
+    """FAIR of one protected mask, from the prefix binomial CDF recurrence."""
+    from fairrank import SingleListResult
+
+    mask = np.asarray(mask, dtype=bool)
+    if mask.size == 0:
+        return SingleListResult(math.nan, Direction.ONE_IS_FAIR, degenerate="no_labeled_docs")
+    n = mask.size
+    counts = np.cumsum(mask)
+    trials = np.arange(n)
+    fails = trials - counts
+    possible = fails >= 0
+    fails = np.where(possible, fails, 0)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(2 * n + 1)])
+    log_pmf = (log_fact[trials] - log_fact[counts] - log_fact[fails]
+               + counts * math.log(p_hat) + fails * math.log1p(-p_hat))
+    steps = np.where(possible, np.exp(log_pmf), 0.0) * np.where(mask, 1.0 - p_hat, -p_hat)
+    probs = np.clip(1.0 + np.cumsum(steps), 0.0, 1.0)
+    return SingleListResult(float(np.mean(probs)), Direction.ONE_IS_FAIR)
+
+
+def list_awrf(eps, groups, target, dist, signed):
+    """AWRF of one list given by its raw group exposure (or the ``Degenerate`` it has)."""
+    from fairrank import DegenerateDenominator, SingleListResult
+    from fairrank.distance import KL_TARGET_FLOOR
+
+    if not isinstance(eps, Degenerate):
+        total = float(eps.sum())
+        eps = (eps / total if total > 0
+               else Degenerate("labeled documents received zero exposure mass"))
+    if isinstance(eps, Degenerate):
+        return SingleListResult(math.nan, Direction.ZERO_IS_FAIR, degenerate=eps.reason)
+    t = target.probs
+    if dist == "kl":
+        t = np.maximum(t, KL_TARGET_FLOOR)
+        t = t / t.sum()
+        mask = eps > 0
+        d = max(float(np.sum(eps[mask] * np.log2(eps[mask] / t[mask]))), 0.0)
+    elif dist == "nd":
+        p = groups.protected_index
+        d = float(eps[p] - t[p])
+    else:
+        p = groups.protected_index
+        o_plus, t_plus = float(eps[p]), float(t[p])
+        if 1.0 - o_plus <= 0:
+            raise DegenerateDenominator("unprotected share is zero; ratio difference undefined")
+        if t_plus >= 1:
+            raise DegenerateDenominator("target places all mass on the protected group")
+        d = o_plus / (1.0 - o_plus) - t_plus / (1.0 - t_plus)
+    return SingleListResult(d if signed else abs(d), Direction.ZERO_IS_FAIR)
+
+
+def per_draw_of_rankings(view, outcomes, label, system):
+    """Per-draw aggregation over each request's draws, given each distinct ranking's
+    outcome (a result or a ``Degenerate``); as ``oracle_per_draw`` returns it."""
+    values, flags, notes = {}, {}, []
+    conventions = 0
+    direction = None
+    for i, q in enumerate(view.requests):
+        draw_vals, draw_flags = [], []
+        for r in view.draw_of[view.draw_at[i]:view.draw_at[i + 1]]:
+            res = outcomes[r]
+            if isinstance(res, Degenerate):
+                draw_flags.append(res.reason)
+                continue
+            direction = res.direction
+            if res.degenerate is not None and math.isnan(res.value):
+                draw_flags.append(res.degenerate)
+                continue
+            if res.degenerate is not None:
+                conventions += 1
+            draw_vals.append(res.value)
+        if draw_vals:
+            values[q] = float(np.mean(draw_vals))
+        else:
+            flags[q] = draw_flags[0]
+    if conventions:
+        notes.append(f"{label}: {conventions} draws scored by edge-case convention")
+    try:
+        result = aggregate(values, flags, label, system, direction or Direction.ZERO_IS_FAIR)
+    except FairRankError as exc:
+        result = (type(exc), str(exc))
+    return result, notes
+
+
+def ideal_list_exposure(grades, rows, dense, model, stop):
+    """Ideal-policy exposure of one candidate set in id order (rows -1: unlabeled)."""
+    from fairrank.exposure import weight_vector
+
+    if not np.any(rows >= 0):
+        raise Degenerate("no labeled candidates")
+    order = np.argsort(-grades, kind="stable")
+    sorted_grades = grades[order]
+    weights = weight_vector(model, np.arange(1, len(grades) + 1), sorted_grades, stop=stop)
+    new_tier = np.concatenate(([True], sorted_grades[1:] != sorted_grades[:-1]))
+    bounds = [*np.flatnonzero(new_tier).tolist(), len(grades)]
+    tier_weight = np.array([weights[a:b].sum() / (b - a) for a, b in zip(bounds, bounds[1:])])
+    doc_weights = np.empty(len(grades))
+    doc_weights[order] = tier_weight[np.cumsum(new_tier) - 1]
+    return list_exposure(doc_weights, rows, dense)
+
+
+def request_pool(view, q, kind):
+    """One request's candidate documents, ascending, and their grades (0 when unjudged),
+    read from a compiled system's judgment keys one request at a time."""
+    from fairrank.compiled import lookup, sorted_distinct
+
+    i = view.request_index[q]
+    a, b = view._judged_at[i], view._judged_at[i + 1]
+    judged, grades = view._keys[a:b] - i * len(view.docs), view._grades[a:b]
+    if kind == "judged":
+        return judged, grades
+    pool = view.ids[view.starts[i]:view.starts[i + 1]]
+    pool = pool[pool >= 0]
+    if kind == "union":
+        pool = np.concatenate((pool, judged))
+    pool = sorted_distinct(pool)
+    return pool, lookup(judged, grades, pool)
+
+
+def request_group_utility(view, labels, n_groups, pool):
+    """Group utility of a compiled system, one request at a time in arrival order."""
+    from fairrank import EmptyGroup
+
+    sums, mass = np.zeros(n_groups), np.zeros(n_groups)
+    for q in view.arrival:
+        cands, grades = request_pool(view, q, pool)
+        rows = labels.row_of[cands]
+        kept = rows >= 0
+        if not kept.any():
+            continue
+        w = view.rho.get(q, 0.0)
+        members = labels.dense[rows[kept]] > 0.5
+        counts = members.sum(axis=0)
+        with np.errstate(invalid="ignore"):
+            means = (grades[kept] @ members) / counts
+        has = counts > 0
+        sums[has] += w * means[has]
+        mass[has] += w
+    if np.any(mass <= 0):
+        raise EmptyGroup("a group has no members in any candidate pool")
+    return sums / mass
+
+
+def request_discounted_utility(view, labels, n_groups, weights):
+    """Discounted group utility of a compiled system, one ranking at a time."""
+    masses = []
+    for r, rows in enumerate(labels.rows):
+        kept = np.flatnonzero(rows >= 0)
+        w = weights if weights.ndim == 1 else weights[r]
+        masses.append((w[kept] * view.grades[r, kept]) @ labels.dense[rows[kept]])
+    total = np.zeros(n_groups)
+    for q in view.arrival:
+        i = view.request_index[q]
+        draws = [masses[r] for r in view.draw_of[view.draw_at[i]:view.draw_at[i + 1]]]
+        total += view.rho.get(q, 0.0) * (sum(draws, np.zeros(n_groups)) / len(draws))
+    return total
+
+
+def request_exposure_loss(view, labels, n_groups, model, stop, exposures, pool):
+    """(EEL, EER, EED_raw, n_requests, n_skipped) one request at a time in arrival order;
+    ``exposures`` maps each non-degenerate request to its raw exposure."""
+    from fairrank import AllDegenerate, ee_decompose
+
+    zero = np.zeros(n_groups)
+    eps_acc, tgt_acc = np.zeros(n_groups), np.zeros(n_groups)
+    weight_total, n_requests, n_skipped = 0.0, 0, 0
+    for q in view.arrival:
+        n_requests += 1
+        cands, grades = request_pool(view, q, pool)
+        if not cands.size or grades.max() <= 0:
+            n_skipped += 1
+            continue
+        try:
+            tgt = ideal_list_exposure(grades, labels.row_of[cands], labels.dense, model, stop)
+        except Degenerate:
+            n_skipped += 1
+            continue
+        w = view.rho.get(q, 0.0)
+        eps_acc += w * exposures.get(q, zero)
+        tgt_acc += w * tgt
+        weight_total += w
+    if weight_total <= 0:
+        raise AllDegenerate("no request has a scorable ideal policy")
+    return (*ee_decompose(eps_acc / weight_total, tgt_acc / weight_total), n_requests, n_skipped)
+
+
+def request_predicted_utility(view, q, labels):
+    """Per-group predicted-utility mass of one request's scored labeled documents, or None."""
+    scored = view.scored_docs(q)
+    if scored is None:
+        return None
+    ids, scores, _ = scored
+    rows = labels.row_of[ids]
+    kept = np.flatnonzero(rows >= 0)
+    if not kept.size:
+        return None
+    raw = scores[kept]
+    shifted = raw - raw.min()
+    total = float(shifted.sum())
+    util = shifted / total if total > 0 else np.full(kept.size, 1.0 / kept.size)
+    return labels.dense[rows[kept]].T @ util

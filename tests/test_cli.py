@@ -129,6 +129,20 @@ class TestEvaluate:
         rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
         assert rc == 3
 
+    @pytest.mark.parametrize("name", ["fair", "awrf"])
+    def test_custom_target_of_the_wrong_width_fails(self, tmp_path, caplog, name):
+        # the corpus has two groups: a three-entry target fits neither FAIR nor AWRF
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"metrics:\n  - {{name: {name}, target: custom, "
+                       "custom_target: [0.3, 0.2, 0.5]}\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert rc == 2
+        assert any("custom target has 3 entries for 2 groups" in r.getMessage()
+                   for r in caplog.records)
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from fairrank import (
     AlignmentMatrix,
     AllDegenerate,
-    Degenerate,
     EmptyGroup,
     GroupSpace,
     Ranking,
@@ -35,7 +34,7 @@ from fairrank import (
 )
 from fairrank.exposure import WEIGHT_KINDS, resolve_stop
 from fairrank.ingest import EvalConfig, RunFile
-from fairrank.metrics_single import awrf_of
+from fairrank.metrics_single import awrf_scores
 from fairrank.opportunity import discounted_utility_of, exposure_loss_of
 from fairrank.pipeline import _Context
 
@@ -108,6 +107,12 @@ def _variant_rows(ctx, rows, universe):
     return {"base": rows, "ext": ext, "bin": oracle_binarize_rows(rows, 0, 0.5)}
 
 
+def _labeled(ctx, r):
+    """The base alignment rows of ranking r's labeled documents, in rank order."""
+    rows = ctx.labels["base"].rows[r]
+    return ctx.alignment.dense()[rows[rows >= 0]]
+
+
 def _oracle_draw_exposure(ranking, rows, judged, n_groups, model, y_max, utility=False):
     stop = (lambda y: y / y_max) if y_max > 0 else None
     ys = [judged.get(d, 0.0) for d in ranking.docs]
@@ -155,36 +160,38 @@ def test_compiled_context_matches_oracles(corpus):
         want = [rel.grade(ranking.request, d) for d in ranking.docs]
         assert view.grades[r].tolist() == want + [0.0] * (view.ids.shape[1] - len(ranking))
         labeled = [rows[d] for d in ranking.docs if d in rows]
-        assert np.array_equal(ctx.labeled(r), np.array(labeled).reshape(-1, g))
+        assert np.array_equal(_labeled(ctx, r), np.array(labeled).reshape(-1, g))
 
     # exposure per ranking and per request, on every variant
     y_max = rel.max_grade()
     for name in ("base", "ext", "bin"):
-        per_ranking = ctx.ranking_exposures(model, name)
+        per_ranking, count = ctx.ranking_exposures(model, name)
         for r, ranking in enumerate(view.rankings):
             if any(d in variants[name] for d in ranking.docs):
                 want = _oracle_draw_exposure(ranking, variants[name], grades[ranking.request],
                                              n_groups[name], model, y_max)
                 assert _close(per_ranking[r], want)
             else:
-                assert isinstance(per_ranking[r], Degenerate)
+                assert count[r] == 0 and not per_ranking[r].any()
     # AWRF reads the base exposures; FAIR the labeled rows' protected column
     equal = TargetDistribution.equal(g)
+    awrfs = {dist: awrf_scores(*ctx.ranking_exposures(model, "base"), ctx.groups, equal, dist,
+                               signed=True)
+             for dist in ("nd", "kl")}
     for r, ranking in enumerate(view.rankings):
-        eps = ctx.ranking_exposures(model, "base")[r]
         labeled_docs = [d for d in ranking.docs if d in rows]
         want = _oracle_draw_exposure(ranking, rows, grades[ranking.request], g, model, y_max)
         for dist in ("nd", "kl"):
-            res = awrf_of(eps, ctx.groups, equal, dist, signed=True)
+            value, reason = awrfs[dist].values[r], awrfs[dist].reasons[r]
             if not labeled_docs or want.sum() <= 0:
-                assert np.isnan(res.value) and res.degenerate is not None
+                assert np.isnan(value) and reason is not None
                 continue
             share = want / want.sum()
             expected = (share[0] - 1.0 / g if dist == "nd"
                         else oracle_kl_bits(share.tolist(), [1.0 / g] * g))
-            assert res.value == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert value == pytest.approx(expected, rel=1e-9, abs=1e-12)
         mask = [rows[d][0] >= 0.5 for d in labeled_docs]
-        res = fair_score(ctx.labeled(r)[:, 0] >= 0.5, 0.3)
+        res = fair_score(_labeled(ctx, r)[:, 0] >= 0.5, 0.3)
         if mask:
             assert res.value == pytest.approx(oracle_fair(mask, 0.3), rel=1e-9, abs=1e-12)
         else:
@@ -195,20 +202,22 @@ def test_compiled_context_matches_oracles(corpus):
         got = ctx.exposures(model, binarized)
         for q in seq.requests():
             draws = seq.draws_for(q)
+            i = view.request_index[q]
             if any(d in variants[name] for r in draws for d in r.docs):
                 want = sum(_oracle_draw_exposure(r, variants[name], grades[q], n_groups[name],
                                                  model, y_max) for r in draws) / len(draws)
-                assert _close(got[q], want)
+                assert got.labeled[i] and _close(got.eps[i], want)
             else:
-                assert q not in got
+                assert not got.labeled[i] and not got.eps[i].any()
 
     # pools, group utility and discounted utility on the binarized variant
     rho = seq.rho()
     pools = {q: oracle_pool(grades[q], seq.draws_for(q), pool) for q in seq.requests()}
+    docs, ys, at = view.pools(pool)
     for q in seq.requests():
-        cands, ys = view.pool(q, pool)
-        assert [view.docs[i] for i in cands] == pools[q]
-        assert ys.tolist() == [grades[q].get(d, 0.0) for d in pools[q]]
+        i = view.request_index[q]
+        assert [view.docs[d] for d in docs[at[i]:at[i + 1]]] == pools[q]
+        assert ys[at[i]:at[i + 1]].tolist() == [grades[q].get(d, 0.0) for d in pools[q]]
     try:
         want = oracle_group_utility(seq.requests(), rho, pools, grades, variants["bin"], 2)
     except EmptyGroup:
@@ -224,7 +233,7 @@ def test_compiled_context_matches_oracles(corpus):
     assert _close(got, gamma_disc)
 
     # expected exposure loss over the pool, with the ideal policy as target
-    exposures = ctx.exposures(model, binarized=False)
+    exposures = ctx.exposures(model, binarized=False).eps
     stop = (lambda y: y / y_max) if y_max > 0 else None
     eps_acc, tgt_acc, weight, skipped = 0.0, 0.0, 0.0, 0
     for q in seq.requests():
@@ -235,7 +244,7 @@ def test_compiled_context_matches_oracles(corpus):
             continue
         tgt = oracle_target_exposure(cands, ys, variants["ext"], n_groups["ext"], model.kind,
                                      model.gamma, stop)
-        eps_acc = eps_acc + rho[q] * exposures.get(q, np.zeros(n_groups["ext"]))
+        eps_acc = eps_acc + rho[q] * exposures[view.request_index[q]]
         tgt_acc = tgt_acc + rho[q] * tgt
         weight += rho[q]
     args = (view, ctx.labels["ext"], ctx.ext_groups, model, resolve_stop(model, rel),

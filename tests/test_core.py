@@ -165,7 +165,7 @@ def test_compiled_view_holds_each_distinct_ranking_once():
     assert seq.distinct("q9") == ([], [])
     view = CompiledSystem(seq)
     assert [r is s for r, s in zip(view.rankings, (shared, other, twin, single))] == [True] * 4
-    assert view.draws == [[0, 1, 0, 2, 0], [3]]
+    assert view.draw_of.tolist() == [0, 1, 0, 2, 0, 3] and view.draw_at.tolist() == [0, 5, 6]
     assert view.docs == ["a", "b", "c"]
     assert view.ids.tolist() == [[0, 1], [1, 0], [0, 1], [2, -1]]
 
@@ -184,7 +184,8 @@ def test_compiled_view_numbers_scored_documents_once():
     ids, scores, grades = view.scored_docs("q3")
     assert (ids.tolist(), scores.tolist(), grades.tolist()) == ([3, 4], [-1.0, 0.5], [0.0, 3.0])
     assert view.scored_docs("q2") is None
-    assert view.pool("q1", "judged")[0].tolist() == [0, 5]  # the ranked request's pool is unchanged
+    docs, _, at = view.pools("judged")
+    assert docs[at[0]:at[1]].tolist() == [0, 5]  # the ranked request's pool is unchanged
 
 
 # Each faulty row with the message that names it.

@@ -1,4 +1,4 @@
-"""Differential tests: the whole-column run, qrels and score parsers against line-by-line oracles.
+"""Differential tests: the whole-column parsers against line-by-line oracles.
 
 Random files mix data lines with comments, blank lines, CRLF endings, tabs
 and runs of spaces, repeated ranks, documents and keys, non-numeric,
@@ -12,7 +12,11 @@ breaks, and from a path.  ``parse_run``, ``parse_qrels`` and
 and ``oracle_parse_scores`` give for the same lines: the same value (floats
 compared by ``repr``, dict order included), or an exception of the same
 class with the same message and line (after the path, given a path), and
-the same warnings in the same order.
+the same warnings in the same order.  ``parse_alignment`` is held to
+``oracle_parse_alignment`` the same way, over hard, soft, unlabeled and
+blank rows, empty and padded cells, repeated documents, rows off the
+sum tolerance, odd headers and quoted cells; its rows are compared within
+1e-15, since the oracle sums each row with ``math.fsum``.
 """
 
 import io
@@ -23,9 +27,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairrank.ingest import parse_qrels, parse_run, parse_scores
+from fairrank.ingest import parse_alignment, parse_qrels, parse_run, parse_scores
 
-from oracles import oracle_parse_qrels, oracle_parse_run, oracle_parse_scores
+from oracles import (
+    oracle_parse_alignment,
+    oracle_parse_qrels,
+    oracle_parse_run,
+    oracle_parse_scores,
+)
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -114,6 +123,33 @@ def score_texts(draw):
         cells = [qid, doc, score]
         width = _odd(draw, 3, (2, 4))
         lines.append(",".join((cells + ["extra"])[:width]))
+    return _join(draw, lines, ",")
+
+
+ALIGNMENT_ROWS = {
+    1: (("1",), (" 1 ",), ("1.005",)),
+    2: (("1", "0"), ("0", "1"), ("", "1"), ("0.25", "0.75"), ("0.5", "0.505"), (" 0.3", "0.7 ")),
+    3: (("1", "0", "0"), ("", "", "1"), ("0.2", "0.3", "0.5"), ("0.5", "0", "0.5")),
+}
+ODD_CELLS = ("x", "-0.5", "1.5", "inf", "nan", "1e400", "0.9", "1_0", "٣", '"1"', "\x00")
+
+
+@st.composite
+def alignment_texts(draw):
+    g = draw(st.integers(1, 3))
+    lines = [_odd(draw, ",".join(["docid", *(f" g{j}" for j in range(g))]),
+                  ("", "docid", "docid,a", '"docid",g0,g1'))]
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:  # blank
+            lines.append(draw(st.sampled_from(("", "  ", ",,", ", ,", ","))))
+            continue
+        doc = _odd(draw, _doc(draw, i), (" d1", "d1 ", ""))
+        cells = [""] * g if kind == 1 else list(draw(st.sampled_from(ALIGNMENT_ROWS[g])))
+        if draw(st.integers(0, 7)) == 0:
+            cells[draw(st.integers(0, g - 1))] = draw(st.sampled_from(ODD_CELLS))
+        width = _odd(draw, g, (g - 1, g + 1))
+        lines.append(",".join([doc, *(cells + ["0"])[:width]]))
     return _join(draw, lines, ",")
 
 
@@ -223,3 +259,34 @@ def test_parse_scores_matches_oracle(tmp, text):
     _check(parse_scores, lambda lines, warnings: oracle_parse_scores(lines, warnings)[0],
            lambda scores: scores, text, tmp)
 
+
+
+@SETTINGS
+@given(alignment_texts())
+@example("docid,F,M\nd1,1,0\nd1,0,1\n")  # a repeated document: first position, last row
+@example("docid,F,M\nd1,,\nd2,nan,1\n")
+@example("docid,F,M\r\nd1,0.25,0.75\r\n,,\r\nd2,,1")
+def test_parse_alignment_matches_oracle(tmp, text):
+    try:
+        want_rows, want_warnings = oracle_parse_alignment(text)
+        want_exc = None
+    except Exception as exc:  # noqa: BLE001 - compared below
+        want_exc = exc
+    for source, _, prefix in _sources(text, tmp):
+        with _warnings() as got_warnings:
+            try:
+                alignment, groups = parse_alignment(source)
+                got_exc = None
+            except Exception as exc:  # noqa: BLE001 - compared below
+                got_exc = exc
+        if want_exc is not None:
+            assert type(got_exc) is type(want_exc), (got_exc, want_exc)
+            assert str(got_exc) == prefix + str(want_exc)
+            assert getattr(got_exc, "line", None) == getattr(want_exc, "line", None)
+            continue
+        assert got_exc is None, got_exc
+        assert list(alignment.docs()) == list(want_rows)
+        for doc, row in want_rows.items():
+            assert alignment.row(doc).tolist() == pytest.approx(row, rel=1e-15, abs=0)
+        assert groups.names == tuple(h.strip() for h in text.split("\n")[0].split(",")[1:])
+        assert got_warnings == want_warnings

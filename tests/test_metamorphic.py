@@ -10,7 +10,10 @@ cannot matter and requires the same rows back:
 * permuting the group columns together with the target leaves the
   multinomial metrics (EED, IAA, EEL, KL AWRF and KL prefD) unchanged;
 * reordering the ``--run`` arguments leaves ``metrics.csv`` and
-  ``correlations.csv`` byte-identical.
+  ``correlations.csv`` byte-identical;
+* moving a hard-protected document one rank up, past a hard-unprotected
+  one, never lowers the protected exposure or DP, under every weight model;
+* a positive affine transform of the scores leaves IAA unchanged.
 
 Values are compared at 1e-12, since a transform may change summation order.
 """
@@ -20,11 +23,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrank import AlignmentMatrix, GroupSpace, Ranking, RankingSequence, RelevanceTable
+from fairrank import (
+    AlignmentMatrix,
+    GroupSpace,
+    Ranking,
+    RankingSequence,
+    RelevanceTable,
+    WeightModel,
+    binarize,
+    system_exposure,
+)
 from fairrank.cli import main
+from fairrank.exposure import WEIGHT_KINDS
 from fairrank.ingest import EvalConfig, RunFile, _make_metric
 from fairrank.pipeline import evaluate_system
 from fairrank.synth import SynthSpec, generate
+
+from conftest import request_exposures
 
 DOCS = tuple(f"d{i}" for i in range(10))
 
@@ -171,3 +186,78 @@ def test_reordering_run_arguments_keeps_the_tables_byte_identical(tmp_path):
     for out in outs[1:]:
         for name in ("metrics.csv", "correlations.csv"):
             assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
+def _one_hot(g, j):
+    row = np.zeros(g)
+    row[j] = 1.0
+    return row
+
+
+def _system_exposure(seq, al, groups, model, grades):
+    eps = request_exposures(seq, RelevanceTable(grades), al, groups, model)
+    return system_exposure(eps, seq.rho()) if eps else None
+
+
+@given(corpora(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_moving_a_protected_document_up_never_lowers_its_exposure_or_dp(corpus, data):
+    # Moving protected p from rank i + 1 to rank i, past unprotected u, gives p
+    # the weight of rank i and u that of rank i + 1.  Every model weights rank i
+    # at least as much; under the cascade the weight after both is unchanged,
+    # and u's new weight is its old one times gamma (1 - stop(p)), p's new one
+    # its old one over gamma (1 - stop(u)).  So protected exposure never falls
+    # and unprotected exposure never rises.  The argument needs hard rows for p
+    # and u: with soft rows, u carries protected mass that the cascade can take
+    # away (stop(p) = 1 leaves u no weight), so it does not hold there.
+    g, rows, draws, grades, scores = corpus
+    rows = dict(rows, d0=_one_hot(g, 0), d1=_one_hot(g, data.draw(st.integers(1, g - 1))))
+    q, target = data.draw(st.sampled_from(draws))
+    rest = [d for d in target.docs if d not in ("d0", "d1")]
+    k = data.draw(st.integers(0, len(rest)))
+    before = Ranking(q, tuple(rest[:k] + ["d1", "d0"] + rest[k:]))
+    after = Ranking(q, tuple(rest[:k] + ["d0", "d1"] + rest[k:]))
+    draws_before = tuple((dq, before if r is target else r) for dq, r in draws)
+    draws_after = tuple((dq, after if r is target else r) for dq, r in draws)
+    al = AlignmentMatrix(rows, n_groups=g)
+    groups = GroupSpace(tuple(f"g{j}" for j in range(g)), protected_index=0)
+    bin_al, bin_groups = binarize(al, groups, 0.5)
+    gamma = data.draw(st.floats(0.1, 1.0))
+    battery = tuple({"name": "dp", "label": f"DP_{kind}", "weight_model": kind, "gamma": gamma}
+                    for kind in WEIGHT_KINDS)
+    _, dp_before = _evaluate(g, rows, draws_before, grades, scores, battery)
+    _, dp_after = _evaluate(g, rows, draws_after, grades, scores, battery)
+    for kind in WEIGHT_KINDS:
+        model = WeightModel(kind, gamma)
+        for alignment, space in ((al, groups), (bin_al, bin_groups)):
+            eps_before = _system_exposure(RankingSequence(draws_before), alignment, space,
+                                          model, grades)
+            eps_after = _system_exposure(RankingSequence(draws_after), alignment, space,
+                                         model, grades)
+            tol = 1e-12 * max(1.0, float(eps_before.sum()))
+            assert eps_after[0] >= eps_before[0] - tol, kind
+            if space is bin_groups:
+                assert eps_after[1] <= eps_before[1] + tol, kind
+        label = f"DP_{kind}"
+        if label in dp_before and label in dp_after:
+            value = dp_before[label][0]
+            assert dp_after[label][0] >= value - 1e-12 * max(1.0, value), kind
+        else:
+            # DP is undefined only without unprotected exposure, which the
+            # move can take away but never give
+            assert label not in dp_before or eps_after[1] <= 0, kind
+
+
+@given(corpora(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_an_affine_transform_of_the_scores_leaves_iaa_unchanged(corpus, data):
+    g, rows, draws, grades, _ = corpus
+    # scores on a grid of quarters, so that the transform cannot merge two of them
+    scores = {q: {d: data.draw(st.integers(-12, 12)) / 4 for d in DOCS}
+              for q in sorted({q for q, _ in draws})}
+    scale = data.draw(st.sampled_from((0.1, 0.5, 3.0, 1e3)))
+    shift = data.draw(st.sampled_from((-7.25, 0.0, 2.5, 1e3)))
+    moved = {q: {d: scale * v + shift for d, v in per.items()} for q, per in scores.items()}
+    _, base = _evaluate(g, rows, draws, grades, scores, ({"name": "iaa"},))
+    _, again = _evaluate(g, rows, draws, grades, moved, ({"name": "iaa"},))
+    _assert_same(again, base)

@@ -1,14 +1,14 @@
-"""Differential tests: per-draw metrics evaluated once per distinct ranking.
+"""Differential tests: per-draw metrics given once per distinct ranking.
 
 A parsed sequence gives every draw of a request the same ``Ranking`` object,
-and ``_per_draw`` calls the metric once per distinct object (by its index in
-the compiled view).  Random
+and ``_per_draw`` takes the metric's outcome for each distinct object (by its
+index in the compiled view) and counts it for every draw of it.  Random
 sequences here mix requests whose draws share objects with draws holding
 equal-but-distinct copies, over hard, soft and unlabeled documents, so that
 prefD (nd, rd, kl), AWRF and FAIR hit short lists, empty lists, rd lists
 that raise ``Degenerate`` and lists scored by convention.  The result and
 notes must equal ``oracle_per_draw``, which calls the metric for every
-draw, exactly; the metric must run once per distinct object.
+draw, exactly.
 """
 
 from types import SimpleNamespace
@@ -34,7 +34,7 @@ from fairrank import (
 from fairrank.compiled import CompiledSystem
 from fairrank.pipeline import _per_draw
 
-from oracles import oracle_per_draw
+from oracles import list_scores, oracle_per_draw, outcome
 
 DOCS = tuple(f"d{i}" for i in range(8))
 GROUPS = GroupSpace(("A", "B"), protected_index=0)
@@ -84,25 +84,17 @@ def _metric(draw_choice, alignment, relevance):
 def test_per_draw_matches_draw_by_draw_oracle(corpus, data):
     alignment, relevance, seq = corpus
     fn = _metric(data.draw, alignment, relevance)
-    calls = []
-
-    def counted(r):
-        calls.append(r)
-        return fn(r)
-
     notes = []
     view = CompiledSystem(seq)
+    scores = list_scores([outcome(fn, r) for r in view.rankings])
     try:
-        got = _per_draw(SimpleNamespace(view=view, system="s"),
-                        lambda i: counted(view.rankings[i]), SimpleNamespace(label="M"), notes)
+        got = _per_draw(SimpleNamespace(view=view, system="s"), scores,
+                        SimpleNamespace(label="M"), notes)
     except FairRankError as exc:
         got = (type(exc), str(exc))
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
     assert got == want
     assert notes == want_notes
-    per_request = [{id(r) for r in seq.draws_for(q)} for q in seq.requests()]
-    assert len(calls) == sum(len(ids) for ids in per_request)
-    assert len({id(r) for r in calls}) == len(calls)
 
 
 def test_per_draw_reuses_a_raising_ranking_for_each_draw():
@@ -111,17 +103,16 @@ def test_per_draw_reuses_a_raising_ranking_for_each_draw():
     mixed = Ranking("q1", ("p0", "u0", "p1"))
     seq = RankingSequence((("q1", all_protected), ("q1", mixed), ("q1", all_protected),
                            ("q2", Ranking("q2", ("p0", "p1")))))
-    calls = []
 
     def fn(r):
-        calls.append(r)
         return pref_fairness(r, alignment, GROUPS, None, "rd", 2)
 
     notes = []
     view = CompiledSystem(seq)
-    got = _per_draw(SimpleNamespace(view=view, system="s"), lambda i: fn(view.rankings[i]),
-                    SimpleNamespace(label="M"), notes)
+    assert len(view.rankings) == 3  # three distinct objects, four draws
+    scores = list_scores([outcome(fn, r) for r in view.rankings])
+    got = _per_draw(SimpleNamespace(view=view, system="s"), scores, SimpleNamespace(label="M"),
+                    notes)
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
     assert got == want and notes == want_notes
     assert got.n_requests == 2 and got.n_degenerate == 1
-    assert len(calls) == 3 + 4  # three distinct objects here, four draws in the oracle
