@@ -1,118 +1,48 @@
-"""Group fairness metrics for ranked retrieval and recommendation outputs."""
+"""Group fairness metrics for ranked retrieval and recommendation outputs.
 
-from .core import (
-    AlignmentMatrix,
-    AllDegenerate,
-    ConfigError,
-    Degenerate,
-    DegenerateDenominator,
-    DegenerateUtility,
-    Direction,
-    EmptyGroup,
-    FairRankError,
-    GroupSpace,
-    NoPairs,
-    ParseError,
-    Ranking,
-    RankingSequence,
-    RelevanceTable,
-    TargetDistribution,
-    UndefinedNormalizer,
-    UnknownRequest,
-    apply_unknown_policy,
-    binarize,
-    protected_mask,
-)
-from .distance import delta, delta_kl, delta_nd, delta_rd
-from .exposure import (
-    WeightModel,
-    group_exposure,
-    position_weights,
-    request_exposure,
-    system_exposure,
-    target_exposure,
-)
-from .metrics_multi import demographic_parity, eed
-from .metrics_single import SingleListResult, awrf, fair_score, pref_fairness, pref_normalizer
-from .opportunity import (
-    ExpectedExposureResult,
-    discounted_group_utility,
-    ee_decompose,
-    eur,
-    expected_exposure,
-    group_utility,
-    iaa,
-    rur,
-)
-from .pairwise import PairCounts, PairSample, accuracy_table, intra_inter, pairwise_accuracy, sample_pairs
-from .report import (
-    CorrelationMatrix,
-    MetricResult,
-    aggregate,
-    correlation_matrix,
-    emit_tables,
-    kendall_tau_c,
-)
+Public names load their module on first access (PEP 562), so ``import
+fairrank`` stays cheap and a caller that only reads and correlates metric
+tables never loads numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentMatrix",
-    "AllDegenerate",
-    "ConfigError",
-    "CorrelationMatrix",
-    "Degenerate",
-    "DegenerateDenominator",
-    "DegenerateUtility",
-    "Direction",
-    "EmptyGroup",
-    "ExpectedExposureResult",
-    "FairRankError",
-    "GroupSpace",
-    "MetricResult",
-    "NoPairs",
-    "PairCounts",
-    "PairSample",
-    "ParseError",
-    "Ranking",
-    "RankingSequence",
-    "RelevanceTable",
-    "SingleListResult",
-    "TargetDistribution",
-    "UndefinedNormalizer",
-    "UnknownRequest",
-    "WeightModel",
-    "accuracy_table",
-    "aggregate",
-    "apply_unknown_policy",
-    "awrf",
-    "binarize",
-    "correlation_matrix",
-    "delta",
-    "delta_kl",
-    "delta_nd",
-    "delta_rd",
-    "demographic_parity",
-    "discounted_group_utility",
-    "ee_decompose",
-    "eed",
-    "emit_tables",
-    "eur",
-    "expected_exposure",
-    "fair_score",
-    "group_exposure",
-    "group_utility",
-    "iaa",
-    "intra_inter",
-    "kendall_tau_c",
-    "pairwise_accuracy",
-    "position_weights",
-    "pref_fairness",
-    "pref_normalizer",
-    "protected_mask",
-    "request_exposure",
-    "rur",
-    "sample_pairs",
-    "system_exposure",
-    "target_exposure",
-]
+_MODULE_NAMES = {
+    "errors": ("AllDegenerate", "ConfigError", "Degenerate", "DegenerateDenominator",
+               "DegenerateUtility", "Direction", "EmptyGroup", "FairRankError", "NoPairs",
+               "ParseError", "UndefinedNormalizer", "UnknownRequest"),
+    "core": ("AlignmentMatrix", "GroupSpace", "Ranking", "RankingSequence", "RelevanceTable",
+             "TargetDistribution", "apply_unknown_policy", "binarize", "protected_mask"),
+    "distance": ("delta", "delta_kl", "delta_nd", "delta_rd"),
+    "exposure": ("WeightModel", "group_exposure", "position_weights", "request_exposure",
+                 "system_exposure", "target_exposure"),
+    "metrics_multi": ("demographic_parity", "eed"),
+    "metrics_single": ("SingleListResult", "awrf", "fair_score", "pref_fairness",
+                       "pref_normalizer"),
+    "opportunity": ("ExpectedExposureResult", "discounted_group_utility", "ee_decompose", "eur",
+                    "expected_exposure", "group_utility", "iaa", "rur"),
+    "pairwise": ("PairCounts", "PairSample", "accuracy_table", "intra_inter",
+                 "pairwise_accuracy", "sample_pairs"),
+    "report": ("CorrelationMatrix", "MetricResult", "aggregate", "correlation_matrix",
+               "emit_tables", "kendall_tau_c"),
+}
+_MODULE_OF = {name: module for module, names in _MODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_NAMES or name == "compiled":  # submodules once imported eagerly
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

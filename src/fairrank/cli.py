@@ -3,28 +3,29 @@
 Exit codes: 0 success; 2 parse or configuration error; 3 a metric named
 explicitly in the config was degenerate for every request; 4 compare was
 given fewer than two systems.  Logs go to stderr, data to files only.
+
+Only ``evaluate`` loads the array stack (``ingest``, ``pipeline`` and numpy):
+its names bind on first use, so ``compare`` starts without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import sys
 from pathlib import Path
 
-from .core import ConfigError, FairRankError, GroupSpace, ParseError
-from .ingest import (
-    EvalConfig,
-    fallback_sequence,
-    load_config,
-    parse_alignment,
-    parse_qrels,
-    parse_run,
-    parse_scores,
-    parse_sequence,
-)
-from .pipeline import evaluate_system
+from .errors import ConfigError, FairRankError, ParseError
 from .report import correlation_matrix, emit_tables, read_metrics_table
+
+# Module of each name only evaluate uses.  They stay attributes of this
+# module, so a caller may read or replace them before ``main`` runs.
+_EVALUATE_NAMES = {
+    "GroupSpace": "core", "evaluate_system": "pipeline",
+    **dict.fromkeys(("EvalConfig", "fallback_sequence", "load_config", "parse_alignment",
+                     "parse_qrels", "parse_run", "parse_scores", "parse_sequence"), "ingest"),
+}
 
 log = logging.getLogger("fairrank")
 
@@ -32,6 +33,22 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_TOO_FEW_SYSTEMS = 4
+
+
+def __getattr__(name: str):
+    module = _EVALUATE_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind_evaluate_names() -> None:
+    """Bind each evaluate-only name not bound yet; one already set is kept."""
+    for name in _EVALUATE_NAMES:
+        if name not in globals():
+            __getattr__(name)
 
 
 def _resolve_groups(groups: GroupSpace, config: EvalConfig) -> GroupSpace:
@@ -65,6 +82,7 @@ def _system_names(run_paths: list[Path]) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _bind_evaluate_names()
     config = load_config(args.config)
     qrels = parse_qrels(args.qrels)
     alignment, groups = parse_alignment(args.alignment)

@@ -4,6 +4,9 @@ Every emitted metric row carries a direction (which end of its range is
 fair).  Correlations between metrics use Kendall's tau-c (Stuart's variant)
 over system orderings, after orienting each metric so that larger means
 fairer; by default, signed zero-is-fair metrics enter as magnitudes.
+
+The correlation side is plain Python, so ``compare`` runs without numpy;
+only ``aggregate``, on the evaluate path, imports it.
 """
 
 from __future__ import annotations
@@ -12,11 +15,9 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-import numpy as np
-
-from .core import AllDegenerate, Degenerate, Direction, FairRankError
+from .errors import AllDegenerate, Degenerate, Direction, FairRankError
 
 # Canonical row order for tables and correlation matrices.
 CANONICAL_ORDER = (
@@ -29,6 +30,8 @@ CANONICAL_ORDER = (
 # Raw ratio rows duplicate their log forms and are not monotone in fairness,
 # so only the log forms participate in correlations.
 CORRELATION_EXCLUDE = frozenset({"DP", "EUR", "RUR"})
+
+METRICS_COLUMNS = ("system", "metric", "value", "n_requests", "n_degenerate", "direction")
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,10 @@ class MetricResult:
 @dataclass(frozen=True)
 class CorrelationMatrix:
     metrics: tuple[str, ...]
-    taus: np.ndarray  # NaN marks missing cells
+    taus: dict[tuple[int, int], float]  # taus[i, j] for every cell; NaN marks missing ones
 
     def tau(self, a: str, b: str) -> float:
-        return float(self.taus[self.metrics.index(a), self.metrics.index(b)])
+        return self.taus[self.metrics.index(a), self.metrics.index(b)]
 
 
 def aggregate(
@@ -64,6 +67,8 @@ def aggregate(
     direction: Direction,
 ) -> MetricResult:
     """Mean over non-degenerate requests, with degenerate counts retained."""
+    import numpy as np  # evaluate path only; compare never loads numpy
+
     values = [v for q, v in per_request.items() if q not in degenerate_flags]
     n_requests = len(per_request) + sum(1 for q in degenerate_flags if q not in per_request)
     if not values:
@@ -72,17 +77,18 @@ def aggregate(
                         len(degenerate_flags), direction)
 
 
-def orient(values: Sequence[float], direction: Direction, magnitude: bool = True) -> np.ndarray:
-    """Rescale values so that larger always means fairer."""
-    v = np.asarray(values, dtype=float)
+def orient(values: Iterable[float], direction: Direction | None,
+           magnitude: bool = True) -> list[float]:
+    """Rescale values so that larger always means fairer (no direction: as given)."""
+    v = [float(x) for x in values]
     if direction is Direction.ZERO_IS_FAIR:
-        return -np.abs(v) if magnitude else -v
+        return [-abs(x) for x in v] if magnitude else [-x for x in v]
     return v
 
 
 def kendall_tau_c(
-    x: Sequence[float],
-    y: Sequence[float],
+    x: Iterable[float],
+    y: Iterable[float],
     direction_x: Direction | None = None,
     direction_y: Direction | None = None,
     magnitude: bool = True,
@@ -93,23 +99,23 @@ def kendall_tau_c(
     values; tied pairs count as neither concordant nor discordant.  Lists are
     oriented per their directions first when given.
     """
-    xs = orient(x, direction_x, magnitude) if direction_x is not None else np.asarray(x, float)
-    ys = orient(y, direction_y, magnitude) if direction_y is not None else np.asarray(y, float)
-    n = xs.size
-    if n != ys.size:
+    xs, ys = orient(x, direction_x, magnitude), orient(y, direction_y, magnitude)
+    n = len(xs)
+    if n != len(ys):
         raise FairRankError("value lists have different lengths")
     if n < 2:
         raise FairRankError("need at least 2 systems")
-    m = min(len(set(xs.tolist())), len(set(ys.tolist())))
+    m = min(len(set(xs)), len(set(ys)))
     if m < 2:
         raise Degenerate("a value list is constant; tau-c undefined")
     concordant = discordant = 0
-    for i in range(n):
-        dx = xs[i + 1:] - xs[i]
-        dy = ys[i + 1:] - ys[i]
-        prod = dx * dy
-        concordant += int(np.count_nonzero(prod > 0))
-        discordant += int(np.count_nonzero(prod < 0))
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        for xj, yj in zip(xs[i + 1:], ys[i + 1:]):
+            prod = (xj - xi) * (yj - yi)
+            if prod > 0:
+                concordant += 1
+            elif prod < 0:
+                discordant += 1
     return 2.0 * m * (concordant - discordant) / (n * n * (m - 1))
 
 
@@ -135,9 +141,8 @@ def correlation_matrix(
     names = [m for m in CANONICAL_ORDER if m in by_metric]
     names += sorted(set(by_metric) - set(names))
     k = len(names)
-    taus = np.full((k, k), np.nan)
+    taus = {(i, j): 1.0 if i == j else math.nan for i in range(k) for j in range(k)}
     for i in range(k):
-        taus[i, i] = 1.0
         for j in range(i + 1, k):
             a, b = by_metric[names[i]], by_metric[names[j]]
             common = sorted(set(a) & set(b))
@@ -180,7 +185,7 @@ def emit_tables(
     metrics_path = out_dir / "metrics.csv"
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["system", "metric", "value", "n_requests", "n_degenerate", "direction"])
+        writer.writerow(METRICS_COLUMNS)
         for r in rows:
             writer.writerow([r.system, r.metric, _fmt(r.value), r.n_requests,
                              r.n_degenerate, r.direction.value])
@@ -210,20 +215,35 @@ def emit_tables(
 
 
 def read_metrics_table(path: str | Path) -> list[MetricResult]:
-    """Read back a metrics.csv written by ``emit_tables``."""
+    """Read back a metrics.csv written by ``emit_tables``.
+
+    Each (system, metric) pair may appear once; a repeat is an error, since
+    the correlation would silently keep only the last value.
+    """
     out: list[MetricResult] = []
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
+        for column in METRICS_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise FairRankError(f"{path}:1: missing column {column!r}")
+        for row in reader:
+            lineno = reader.line_num
             try:
-                out.append(MetricResult(
+                result = MetricResult(
                     metric=row["metric"],
                     system=row["system"],
                     value=float(row["value"]),
                     n_requests=int(row["n_requests"]),
                     n_degenerate=int(row["n_degenerate"]),
                     direction=Direction(row["direction"]),
-                ))
-            except (KeyError, ValueError, FairRankError) as exc:
+                )
+            except (TypeError, ValueError, FairRankError) as exc:  # TypeError: a short row
                 raise FairRankError(f"{path}:{lineno}: bad metrics row ({exc})") from None
+            key = (result.system, result.metric)
+            if key in first_line:
+                raise FairRankError(f"{path}:{lineno}: repeated row for system {key[0]!r}, "
+                                    f"metric {key[1]!r} (first at line {first_line[key]})")
+            first_line[key] = lineno
+            out.append(result)
     return out

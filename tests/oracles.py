@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import kendalltau
 
 from fairrank import Degenerate, Direction, FairRankError, NoPairs
-from fairrank.report import aggregate
+from fairrank.report import CANONICAL_ORDER, CORRELATION_EXCLUDE, aggregate
 
 
 def oracle_weights(kind, gamma, positions, grades=None, stop=None):
@@ -290,6 +290,73 @@ def oracle_tau_c_pairs(x, y):
     if m < 2:
         return None
     return 2.0 * m * (conc - disc) / (n * n * (m - 1))
+
+
+# The numpy bodies of ``orient``, ``kendall_tau_c`` and ``correlation_matrix``
+# that ``report`` had before ``compare`` stopped loading numpy.  The plain-float
+# loops that replaced them use the same IEEE operations, so they must agree
+# bit for bit.
+
+
+def oracle_orient(values, direction, magnitude=True):
+    v = np.asarray(values, dtype=float)
+    if direction is Direction.ZERO_IS_FAIR:
+        return -np.abs(v) if magnitude else -v
+    return v
+
+
+def oracle_kendall_tau_c(x, y, direction_x=None, direction_y=None, magnitude=True):
+    xs = oracle_orient(x, direction_x, magnitude) if direction_x is not None else np.asarray(x, float)
+    ys = oracle_orient(y, direction_y, magnitude) if direction_y is not None else np.asarray(y, float)
+    n = xs.size
+    if n != ys.size:
+        raise FairRankError("value lists have different lengths")
+    if n < 2:
+        raise FairRankError("need at least 2 systems")
+    m = min(len(set(xs.tolist())), len(set(ys.tolist())))
+    if m < 2:
+        raise Degenerate("a value list is constant; tau-c undefined")
+    concordant = discordant = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            dx = xs[i + 1:] - xs[i]
+            dy = ys[i + 1:] - ys[i]
+            prod = dx * dy
+            concordant += int(np.count_nonzero(prod > 0))
+            discordant += int(np.count_nonzero(prod < 0))
+    return 2.0 * m * (concordant - discordant) / (n * n * (m - 1))
+
+
+def oracle_correlation_matrix(results, magnitude=True, exclude=CORRELATION_EXCLUDE):
+    """``(metric names, (k, k) tau array)``, NaN marking missing cells."""
+    by_metric, directions = {}, {}
+    for r in results:
+        if r.metric in exclude:
+            continue
+        by_metric.setdefault(r.metric, {})[r.system] = r.value
+        directions[r.metric] = r.direction
+    if len(by_metric) < 2:
+        raise FairRankError("need at least 2 metrics to correlate")
+    names = [m for m in CANONICAL_ORDER if m in by_metric]
+    names += sorted(set(by_metric) - set(names))
+    k = len(names)
+    taus = np.full((k, k), np.nan)
+    for i in range(k):
+        taus[i, i] = 1.0
+        for j in range(i + 1, k):
+            a, b = by_metric[names[i]], by_metric[names[j]]
+            common = sorted(set(a) & set(b))
+            if len(common) < 2:
+                continue
+            try:
+                t = oracle_kendall_tau_c(
+                    [a[s] for s in common], [b[s] for s in common],
+                    directions[names[i]], directions[names[j]], magnitude,
+                )
+            except Degenerate:
+                continue
+            taus[i, j] = taus[j, i] = t
+    return tuple(names), taus
 
 
 def oracle_kl_bits(observed, target):

@@ -172,6 +172,20 @@ class TestCompare:
     def test_missing_results_exits_2(self, tmp_path):
         assert main(["compare", "--results", str(tmp_path)]) == 2
 
+    def test_repeated_metrics_row_exits_2_and_writes_nothing(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path, n_systems=2)
+        out = tmp_path / "out"
+        assert main(_evaluate_args(paths, out)) == 0
+        table = out / "metrics.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        before = "".join(lines) + ",".join(fields[:2] + ["123.0"] + fields[3:])
+        table.write_text(before)
+        assert main(["compare", "--results", str(out)]) == 2
+        assert f"metrics.csv:{len(lines) + 1}: repeated row" in caplog.text
+        assert table.read_text() == before
+        assert not (out / "correlations.csv").exists()
+
 
 class TestEndToEndDeterminism:
     def test_evaluate_compare_byte_identical(self, tmp_path):
@@ -192,6 +206,33 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _run_python(code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_package_and_cli_import_load_no_numpy_yaml_ingest_or_pipeline():
+    code = ("import sys, fairrank, fairrank.cli; print(sorted(m for m in ('numpy', 'yaml', "
+            "'fairrank.ingest', 'fairrank.pipeline') if m in sys.modules))")
+    assert _run_python(code) == "[]"
+
+
+def test_compare_runs_without_numpy_and_writes_the_same_tables(tmp_path):
+    paths, _ = _synth(tmp_path, n_systems=3, exposure_skew=0.6)
+    out = tmp_path / "out"
+    assert main(_evaluate_args(paths, out, scores=True)) == 0
+    assert main(["compare", "--results", str(out), "--long", "--out", str(tmp_path / "with")]) == 0
+    argv = ["compare", "--results", str(out), "--long", "--out", str(tmp_path / "without")]
+    code = ("import sys; sys.modules['numpy'] = None; from fairrank.cli import main; "
+            "print(main(%r))" % argv)
+    assert _run_python(code) == "0"
+    for name in ("correlations.csv", "correlations_long.csv"):
+        want = (tmp_path / "with" / name).read_bytes()
+        assert (tmp_path / "without" / name).read_bytes() == want, name
 
 
 def test_evaluate_loads_no_yaml_numpy_ma_or_numpy_random(tmp_path):

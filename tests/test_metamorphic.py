@@ -9,13 +9,17 @@ cannot matter and requires the same rows back:
   last rank leaves AWRF, DP, EED, EUR, IAA, prefD and FAIR unchanged;
 * permuting the group columns together with the target leaves the
   multinomial metrics (EED, IAA, EEL, KL AWRF and KL prefD) unchanged;
+* renaming the non-protected groups, or reordering the group columns, leaves
+  the binary metrics (ND and RD prefD and AWRF, FAIR, DP, EUR, RUR and the
+  pair accuracies) unchanged;
 * reordering the ``--run`` arguments leaves ``metrics.csv`` and
   ``correlations.csv`` byte-identical;
 * moving a hard-protected document one rank up, past a hard-unprotected
   one, never lowers the protected exposure or DP, under every weight model;
 * a positive affine transform of the scores leaves IAA unchanged.
 
-Values are compared at 1e-12, since a transform may change summation order.
+Values are compared at 1e-12, since a transform may change summation order,
+and exactly where it cannot (renaming alone).
 """
 
 import numpy as np
@@ -88,10 +92,15 @@ def corpora(draw):
     return g, rows, tuple(draws), grades, scores
 
 
-def _evaluate(g, rows, draws, grades, scores, battery=BATTERY, target=None, order=None):
-    """(metric -> (value, n_requests, n_degenerate)) of one system."""
+def _evaluate(g, rows, draws, grades, scores, battery=BATTERY, target=None, order=None,
+              labels=None):
+    """(metric -> (value, n_requests, n_degenerate)) of one system.
+
+    Column ``k`` holds the original group ``order[k]``, named ``labels[order[k]]``.
+    """
     order = list(range(g)) if order is None else order
-    names = tuple(f"g{j}" for j in order)
+    labels = [f"g{j}" for j in range(g)] if labels is None else labels
+    names = tuple(labels[j] for j in order)
     al = AlignmentMatrix({d: np.asarray(r)[order] for d, r in rows.items()}, n_groups=g)
     groups = GroupSpace(names, protected_index=order.index(0))
     battery = [dict(m, custom_target=[target[j] for j in order]) if m.get("target") == "custom"
@@ -104,14 +113,17 @@ def _evaluate(g, rows, draws, grades, scores, battery=BATTERY, target=None, orde
     return seq, {r.metric: (r.value, r.n_requests, r.n_degenerate) for r in ev.results}
 
 
-def _assert_same(got, want, labels=None):
+def _assert_same(got, want, labels=None, exact=False):
     labels = set(want) | set(got) if labels is None else labels
     for label in sorted(labels):
         assert (label in got) == (label in want), label
         if label in want:
             (v1, *c1), (v2, *c2) = got[label], want[label]
             assert c1 == c2, label
-            assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12), label
+            if exact:
+                assert v1 == v2, label
+            else:
+                assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12), label
 
 
 @given(corpora())
@@ -164,6 +176,36 @@ def test_permuting_groups_with_the_target_changes_nothing(corpus, data):
     _, base = _evaluate(g, rows, draws, grades, scores, MULTINOMIAL, target)
     _, again = _evaluate(g, rows, draws, grades, scores, MULTINOMIAL, target, list(order))
     _assert_same(again, base)
+
+
+BINARY = (
+    {"name": "prefd", "step": 2},
+    {"name": "prefd", "label": "prefD_rd", "dist": "rd", "target": "equal", "step": 3},
+    {"name": "awrf"},
+    {"name": "awrf", "label": "AWRF_cascade", "weight_model": "cascade"},
+    {"name": "awrf", "label": "AWRF_rd", "dist": "rd", "target": "equal", "signed": True},
+    {"name": "fair"},
+    {"name": "dp"},
+    {"name": "eur"},
+    {"name": "rur"},
+    {"name": "pair", "n_negatives": 3},
+)
+
+
+@given(corpora(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_renaming_or_reordering_non_protected_groups_leaves_binary_metrics_unchanged(corpus, data):
+    # binary metrics see only the protected column and the mass of all the others
+    g, rows, draws, grades, scores = corpus
+    _, base = _evaluate(g, rows, draws, grades, scores, BINARY)
+    fresh = data.draw(st.lists(st.sampled_from(("a", "b", "rest", "z", "g1", "g2", "g00")),
+                               min_size=g - 1, max_size=g - 1, unique=True))
+    labels = ["g0", *fresh]
+    _, renamed = _evaluate(g, rows, draws, grades, scores, BINARY, labels=labels)
+    _assert_same(renamed, base, exact=True)
+    order = list(data.draw(st.permutations(range(g))))
+    _, reordered = _evaluate(g, rows, draws, grades, scores, BINARY, order=order, labels=labels)
+    _assert_same(reordered, base)
 
 
 def test_reordering_run_arguments_keeps_the_tables_byte_identical(tmp_path):

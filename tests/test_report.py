@@ -183,6 +183,37 @@ class TestEmitTables(object):
             with pytest.raises(FairRankError, match=r"metrics\.csv:3: bad metrics row"):
                 read_metrics_table(path)
 
+    def test_read_rejects_a_repeated_row_with_its_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
+                        "s1,AWRF,0.5,10,0,ZeroIsFair\n"
+                        "s2,AWRF,0.25,10,0,ZeroIsFair\n"
+                        "\n"
+                        "s1,AWRF,123.0,10,0,ZeroIsFair\n")
+        with pytest.raises(FairRankError, match=r"metrics\.csv:5: repeated row for system "
+                                                r"'s1', metric 'AWRF' \(first at line 2\)"):
+            read_metrics_table(path)
+
+    def test_read_reports_a_missing_column_on_the_header_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        header = "system,metric,value,n_requests,n_degenerate,direction\n"
+        row = "s1,AWRF,0.5,10,0,ZeroIsFair\n"
+        # a byte-order mark glues itself to the first column's name
+        for text, column in (("\ufeff" + header + row, "system"),
+                             (header.replace(",n_degenerate", "") + row, "n_degenerate"),
+                             ("", "system")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(FairRankError, match=rf"metrics\.csv:1: missing column '{column}'"):
+                read_metrics_table(path)
+
+    def test_read_rejects_a_short_row_with_its_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
+                        "s1,AWRF,0.5,10,0,ZeroIsFair\n"
+                        "s2,AWRF\n")
+        with pytest.raises(FairRankError, match=r"metrics\.csv:3: bad metrics row"):
+            read_metrics_table(path)
+
     def test_single_row(self, tmp_path):
         emit_tables([_result("AWRF", "s", 0.1)], None, tmp_path)
         assert len((tmp_path / "metrics.csv").read_text().strip().splitlines()) == 2
