@@ -74,22 +74,26 @@ def _sniff_tag(path: Path) -> str | None:
 
 
 def _system_names(run_paths: list[Path]) -> list[str]:
-    """Run tags when present and unique, else file stems."""
+    """Run tags when present and unique, else file stems, which must then be unique."""
     tags = [_sniff_tag(p) for p in run_paths]
     if all(tags) and len(set(tags)) == len(tags):
         return tags  # type: ignore[return-value]
+    first: dict[str, Path] = {}
+    for path in run_paths:
+        other = first.setdefault(path.stem, path)
+        if other is not path:
+            raise ConfigError(f"runs {other} and {path} both resolve to system name {path.stem!r}")
     return [p.stem for p in run_paths]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _bind_evaluate_names()
+    run_paths = [Path(p) for p in args.run]
+    systems = _system_names(run_paths)
     config = load_config(args.config)
     qrels = parse_qrels(args.qrels)
     alignment, groups = parse_alignment(args.alignment)
     groups = _resolve_groups(groups, config)
-
-    run_paths = [Path(p) for p in args.run]
-    systems = _system_names(run_paths)
 
     score_paths = [Path(p) for p in args.scores] if args.scores else []
     if score_paths and len(score_paths) not in (1, len(run_paths)):

@@ -321,6 +321,9 @@ def binarize(
 ) -> tuple[AlignmentMatrix, GroupSpace]:
     """Collapse soft alignment to hard protected/rest membership.
 
+    The second group is named ``rest``, or ``other`` when the protected group
+    itself is named ``rest``.
+
     Metrics built on binomial group counts or ratios need definitive
     membership; this applies the same >= threshold rule as ``protected_mask``.
     Unlabeled documents stay unlabeled.
@@ -329,7 +332,8 @@ def binarize(
     if not 0 < threshold <= 1:
         raise FairRankError(f"threshold must lie in (0, 1], got {threshold}")
     hard = np.where((alignment.dense()[:, p] >= threshold)[:, None], [1.0, 0.0], [0.0, 1.0])
-    space = GroupSpace((groups.names[p], "rest"), protected_index=0)
+    name = groups.names[p]
+    space = GroupSpace((name, "rest" if name != "rest" else "other"), protected_index=0)
     return AlignmentMatrix._stacked(list(alignment.docs()), hard), space
 
 

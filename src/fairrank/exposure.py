@@ -4,7 +4,7 @@ Weight models, for a document at 1-based rank i:
 
     geometric     gamma * (1 - gamma)^(i - 1)
     logarithmic   1 / log2(max(i, 2))
-    rbp           gamma^(i - 1)            (gamma^i behind ``rbp_verbatim``)
+    rbp           gamma^(i - 1)
     cascade       gamma^(i - 1) * prod_{j < i} (1 - stop(y_j))
 
 Group exposure is the alignment-weighted sum of position weights,
@@ -47,7 +47,6 @@ class WeightModel:
     kind: str
     gamma: float = 0.5
     stop: Callable[[float], float] | None = None
-    rbp_verbatim: bool = False
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
@@ -76,8 +75,7 @@ def weight_vector(
     if model.kind == "logarithmic":
         return 1.0 / np.log2(np.maximum(pos, 2.0))
     if model.kind == "rbp":
-        exponent = pos if model.rbp_verbatim else pos - 1.0
-        return model.gamma ** exponent
+        return model.gamma ** (pos - 1.0)
     # cascade
     stop_fn = stop or model.stop
     if stop_fn is None:

@@ -16,16 +16,19 @@ File formats (UTF-8, LF or CRLF):
 A sequence or scores file may open with a header row (first cell ``seq_no``
 or ``qid``, any case), recognized on the first non-blank row only.
 
-Runs, qrels and score files are read whole: one split of the file gives
-every field, each numeric column is converted by one ``map(int)`` or
-``map(float)`` and checked as one array, and a run's requests are grouped by
-one sort.  The alignment parser reads its group columns the same way.  Only
-when a check fails, or a qrels, score or alignment key repeats, are the lines
-read again one at a time, to fail at the first bad line or to warn at each
-repeat; the sequence parser reads line by line.  Every parser either produces a
-value or fails with a 1-based line number, after the file's path when given a
-path.  A run may not repeat a document within a request; duplicate
-alignment/qrels/score keys are last-wins with a warning.
+Each format has one parser: a row source and one ordered cascade of column
+checks.  The row source is one split of the whole text, which gives every
+field column by column; a CSV file with quotes, a NUL or a lone carriage
+return, or a source whose lines do not join into one text, is read through
+``csv.reader`` instead.  The checks run in the order one line's checks would:
+field count, ``int``/``float`` conversion, finite, sign and row sum, then
+repeated ranks and documents.  Each runs on the rows before the earliest
+failure found so far, so the first bad line wins, and line numbers are looked
+up only for a failure or a warning.  Every parser either produces a value or
+fails with a 1-based line number, after the file's path when given a path.  A
+run may not repeat a rank or a document within a request; a repeated alignment,
+qrels or score key keeps its first position and takes its last value, with a
+warning at each repeat before the first bad line.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, repeat
+from itertools import compress, count, groupby, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, TextIO, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -110,14 +113,6 @@ class RunFile:
         return sorted(self.rankings)
 
 
-def _lines(source: TextIO | Iterable[str] | str | Path) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-        return
-    yield from source
-
-
 def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list[str]]:
     """The text of ``source`` and its lines.
 
@@ -156,17 +151,6 @@ def _names_path(parse: Callable[..., T]) -> Callable[..., T]:
     return parse_file
 
 
-def _finite(text: str, what: str, lineno: int) -> float:
-    """Parse a finite number, or fail naming the line (inf and nan included)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"{what} {text!r} is not a number", lineno) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{what} {text!r} is not finite", lineno)
-    return value
-
-
 def _columns(rows: list[str], width: int, sep: str | None = None) -> list[list[str]] | None:
     """The ``width`` columns of ``rows``, each as one list; None when a row has another width.
 
@@ -202,19 +186,136 @@ def _csv_rows(text: str) -> list[str] | None:
     return rows
 
 
-def _all_finite(values: list[float], minimum: float = -math.inf) -> bool:
-    """Whether every value is finite and at least ``minimum``.
+def _csv_source(source: TextIO | Iterable[str] | str | Path) -> tuple[list, csv.Error | None]:
+    """The rows of a CSV input, and the error that stopped ``csv.reader`` partway.
 
-    One inf or nan makes the sum non-finite; so does a sum that overflows,
-    which only sends the file to the line-by-line parser.
+    The rows are the lines of the text, to be split at commas, when that reads
+    them as ``csv.reader`` does; otherwise the records ``csv.reader`` gives.
     """
-    return math.isfinite(sum(values)) and min(values, default=minimum) >= minimum
+    text, lines = _read(source)
+    rows = None if text is None else _csv_rows(text)
+    if rows is not None:
+        return rows, None
+    records: list[list[str]] = []
+    try:
+        records.extend(csv.reader(lines if text is None else io.StringIO(text)))
+    except csv.Error as exc:
+        return records, exc
+    return records, None
 
 
 def _stripped(cells: list[str]) -> list[str]:
     """``cells`` without surrounding whitespace (the list itself when no cell has any)."""
     joined = "".join(cells)
     return cells if joined.split() == [joined] else list(map(str.strip, cells))
+
+
+class _Table:
+    """A file's data rows, column by column, checked in the order one line's checks run.
+
+    Each check looks at the first ``n`` rows only, those before the earliest
+    failure found so far.  So ``error`` ends up the first bad line's, and of
+    the checks that fail on that line, the one that ran first.  Data row i is
+    line ``lines[i]`` of the file.
+    """
+
+    def __init__(self, columns: list[list[str]], lines: Sequence[int], error: Exception | None):
+        self.columns, self.lines, self.n, self.error = columns, lines, len(lines), error
+
+    def head(self, values: list[T]) -> list[T]:
+        """The entries of ``values`` for the first ``n`` rows (``values`` when it has no more)."""
+        return values if len(values) <= self.n else values[:self.n]
+
+    def fail(self, i: int, error: Exception) -> None:
+        """Row ``i`` fails with ``error``, if it comes before every failure found so far."""
+        if i < self.n:
+            self.n, self.error = i, error
+
+    def check(self, bad: Sequence[bool] | np.ndarray, error: Callable[[int], Exception]) -> None:
+        """Fail at the first of the first ``n`` rows where ``bad`` holds, with ``error(row)``."""
+        hits = np.flatnonzero(bad[:self.n])
+        if hits.size:
+            self.fail(int(hits[0]), error(int(hits[0])))
+
+    def numbers(self, cells: list[str], what: str, convert: Callable[[str], T] = float,
+                row_of: np.ndarray | None = None) -> list[T]:
+        """``convert`` of the cells of the first ``n`` rows, failing at the first cell that it
+        refuses or, for floats, that is not finite.
+
+        Cell j belongs to row ``row_of[j]`` (row j when None), in row order.
+        """
+        cells = self.head(cells) if row_of is None else cells[:np.searchsorted(row_of, self.n)]
+        values: list[T] = []
+        try:
+            values.extend(map(convert, cells))
+        except ValueError:
+            pass
+        bad = len(values)
+        if convert is float and not math.isfinite(sum(values)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = int(finite.argmin())
+        if bad < len(cells):
+            problem = ("is not finite" if bad < len(values)
+                       else "is not an integer" if convert is int else "is not a number")
+            i = bad if row_of is None else int(row_of[bad])
+            self.fail(i, ParseError(f"{what} {cells[bad]!r} {problem}", self.lines[i]))
+        return values
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _tabulate(rows: list, width: int, sep: str | None, shape: str, *, header: str | None = None,
+              comments: bool = False, first_line: int = 1,
+              error: Exception | None = None) -> _Table:
+    """The data rows of ``rows``: lines to split at ``sep`` (whitespace when None), or
+    ``csv.reader`` records.
+
+    Blank rows are skipped, and with ``comments`` so are rows whose first field
+    starts with ``#``.  The first other row is a header when its first cell is
+    ``header`` (any case).  A data row of another width fails with ``shape``
+    formatted with its width.  Row i of ``rows`` is line ``first_line + i``, and
+    ``error`` is what stopped the rows after their last.
+    """
+    if rows and isinstance(rows[0], str):
+        skip = int(header is not None and rows[0].split(sep, 1)[0].strip().lower() == header)
+        columns = _columns(rows[skip:], width, sep)
+        if columns is not None:
+            first = columns[0] if sep is None else _stripped(columns[0])
+            if all(first) and not (comments and "#" in "".join(first)):
+                start = first_line + skip
+                return _Table(columns, range(start, start + len(first)), error)
+        rows = list(map(str.split, rows, repeat(sep)))
+    kept = [i for i, cells in enumerate(rows)
+            if "".join(cells).strip() and not (comments and cells[0].startswith("#"))]
+    if header is not None and kept and rows[kept[0]][0].strip().lower() == header:
+        del kept[0]
+    bad = next((j for j, i in enumerate(kept) if len(rows[i]) != width), len(kept))
+    columns = [list(column) for column in zip(*map(rows.__getitem__, kept[:bad]))]
+    table = _Table(columns or [[] for _ in range(width)], [i + first_line for i in kept], error)
+    if bad < len(kept):
+        table.fail(bad, ParseError(shape.format(len(rows[kept[bad]])), table.lines[bad]))
+    return table
+
+
+def _repeats(keys: list) -> list[int]:
+    """The positions of the keys that equal an earlier key, in order."""
+    if len(set(keys)) == len(keys):
+        return []
+    first: dict = {}
+    firsts = np.fromiter(map(first.setdefault, keys, count()), dtype=np.intp, count=len(keys))
+    return np.flatnonzero(firsts != np.arange(len(keys))).tolist()
+
+
+def _int_key(values: list[int]) -> np.ndarray:
+    """int64 keys that order and compare as ``values`` do, which may exceed 64 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        index = {v: k for k, v in enumerate(sorted(set(values)))}
+        return np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
 
 
 def _request_codes(qids: list[str]) -> tuple[list[str], np.ndarray]:
@@ -228,102 +329,62 @@ def _request_codes(qids: list[str]) -> tuple[list[str], np.ndarray]:
     return requests, np.fromiter(map(index.__getitem__, qids), dtype=np.intp, count=len(qids))
 
 
-def _nested(qids: list[str], docids: list[str],
-            values: list[float]) -> dict[str, dict[str, float]] | None:
+def _nested(table: _Table, qids: list[str], docids: list[str], values: list[float],
+            warning: str) -> dict[str, dict[str, float]]:
     """``{request: {document: value}}``, requests in first-appearance order and each
-    request's documents in file order; None when a (request, document) key repeats.
+    request's documents in file order.
 
-    One stable sort by request groups the lines, unless each request's lines
-    are contiguous already.
+    A repeated (request, document) key keeps its first position and takes its
+    last value; each repeat logs ``warning`` with its line and key.  One stable
+    sort by request groups the lines, unless each request's lines are
+    contiguous already.
     """
     requests, code = _request_codes(qids)
+    docs, vals = docids, values
     if np.any(code[1:] < code[:-1]):
         order = np.argsort(code, kind="stable")
         code, order = code[order], order.tolist()
-        docids, values = (list(map(col.__getitem__, order)) for col in (docids, values))
+        docs, vals = (list(map(col.__getitem__, order)) for col in (docids, values))
     bounds = np.searchsorted(code, np.arange(len(requests) + 1)).tolist()
-    out = {q: dict(zip(docids[a:b], values[a:b])) for q, a, b in zip(requests, bounds, bounds[1:])}
-    return out if sum(map(len, out.values())) == len(values) else None
+    out = {q: dict(zip(docs[a:b], vals[a:b])) for q, a, b in zip(requests, bounds, bounds[1:])}
+    if sum(map(len, out.values())) != len(values):
+        for i in _repeats(list(zip(qids, docids))):
+            log.warning(warning, table.lines[i], qids[i], docids[i])
+    return out
 
 
 @_names_path
 def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
     """Parse a TREC-style run file into its columns and per-request rankings.
 
-    Rankings follow the rank column, with gaps closed.  The columns are
-    converted and checked whole; only when that fails are the lines parsed
-    one by one, to name the first bad line.
+    Rankings follow the rank column, with gaps closed.  A request may not
+    repeat a rank or a document.
     """
-    _, lines = _read(source)
-    run = _run_of_columns(lines)
-    return run if run is not None else _parse_run_lines(lines)
-
-
-def _run_of_columns(lines: list[str]) -> RunFile | None:
-    """The run, when its columns pass every check whole; else None."""
-    columns = _columns(lines, 6)
-    if columns is None or "#" in "".join(columns[0]):  # blank or comment lines, or a bad one
-        columns = _columns([line for line in lines
-                            if line.strip() and not line.lstrip().startswith("#")], 6)
-    if columns is None:
-        return None
-    qids, _, docids, rank_cells, score_cells, tags = columns
-    try:
-        ranks = list(map(int, rank_cells))
-        scores = list(map(float, score_cells))
-        rank_key = np.array(ranks, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if not _all_finite(scores):
-        return None
-    requests, code = _request_codes(qids)
+    table = _tabulate(_read(source)[1], 6, None,
+                      "expected 6 whitespace-separated fields, got {}", comments=True)
+    qids, _, docids, rank_cells, score_cells, tags = table.columns
+    ranks = table.numbers(rank_cells, "rank", int)
+    scores = table.numbers(score_cells, "score")
+    requests, code = _request_codes(table.head(qids))
+    rank_key = _int_key(table.head(ranks))
     order = np.lexsort((rank_key, code))
     code, rank_key = code[order], rank_key[order]
-    if np.any((code[1:] == code[:-1]) & (rank_key[1:] == rank_key[:-1])):
-        return None  # a repeated rank
+    repeated = order[1:][(code[1:] == code[:-1]) & (rank_key[1:] == rank_key[:-1])]
+    if repeated.size:
+        i = int(repeated.min())
+        table.fail(i, DuplicateRank(f"request {qids[i]!r} repeats rank {ranks[i]}",
+                                    table.lines[i]))
     ranked = list(map(docids.__getitem__, order.tolist()))
     bounds = np.searchsorted(code, np.arange(len(requests) + 1)).tolist()
     try:
         rankings = {q: Ranking(q, tuple(ranked[a:b]))
                     for q, a, b in zip(requests, bounds, bounds[1:])}
-    except FairRankError:
-        return None  # a repeated document
+    except FairRankError:  # a repeated document, so raise_first reports it or an earlier line
+        for i in _repeats(list(zip(table.head(qids), table.head(docids))))[:1]:
+            table.fail(i, ParseError(f"request {qids[i]!r} repeats document {docids[i]!r}",
+                                     table.lines[i]))
+    table.raise_first()
     return RunFile(rankings, tuple(qids), tuple(docids), tuple(ranks), tuple(scores), tuple(tags))
-
-
-def _parse_run_lines(lines: list[str]) -> RunFile:
-    """Parse the run lines one at a time, failing at the first bad line."""
-    columns: tuple[list, ...] = ([], [], [], [], [])  # qids, docids, ranks, scores, tags
-    seen: dict[str, tuple[set[int], set[str]]] = {}  # per request: ranks and documents
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 whitespace-separated fields, got {len(parts)}", lineno)
-        qid, _, docid, rank_s, score_s, tag = parts
-        try:
-            rank = int(rank_s)
-        except ValueError:
-            raise ParseError(f"rank {rank_s!r} is not an integer", lineno) from None
-        score = _finite(score_s, "score", lineno)
-        ranks, docs = seen.setdefault(qid, (set(), set()))
-        if rank in ranks:
-            raise DuplicateRank(f"request {qid!r} repeats rank {rank}", lineno)
-        if docid in docs:
-            raise ParseError(f"request {qid!r} repeats document {docid!r}", lineno)
-        ranks.add(rank)
-        docs.add(docid)
-        for column, value in zip(columns, (qid, docid, rank, score, tag)):
-            column.append(value)
-    qids, docids, ranks, scores, tags = columns
-    per_request: dict[str, list[int]] = {}
-    for i, qid in enumerate(qids):
-        per_request.setdefault(qid, []).append(i)
-    rankings = {q: Ranking(q, tuple(docids[i] for i in sorted(rows, key=ranks.__getitem__)))
-                for q, rows in per_request.items()}
-    return RunFile(rankings, *map(tuple, columns))
 
 
 def write_run(fh: TextIO, run: RunFile) -> None:
@@ -333,51 +394,17 @@ def write_run(fh: TextIO, run: RunFile) -> None:
 
 @_names_path
 def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
-    """Parse 4-column relevance judgments; negative grades are rejected.
-
-    The columns are converted and checked whole; a failed check or a
-    repeated (request, document) key reparses the lines one by one.
-    """
-    _, lines = _read(source)
-    table = _qrels_of_columns(lines)
-    return table if table is not None else _parse_qrels_lines(lines)
-
-
-def _qrels_of_columns(lines: list[str]) -> RelevanceTable | None:
-    """The judgments, when their columns pass every check whole and no key repeats; else None."""
-    columns = _columns(lines, 4) or _columns(list(filter(str.strip, lines)), 4)
-    if columns is None:
-        return None
-    qids, _, docids, grade_cells = columns
-    try:
-        grades = list(map(float, grade_cells))
-    except ValueError:
-        return None
-    if not _all_finite(grades, minimum=0.0):
-        return None
-    table = _nested(qids, docids, grades)
-    return None if table is None else RelevanceTable._trusted(table)
-
-
-def _parse_qrels_lines(lines: list[str]) -> RelevanceTable:
-    """Parse the qrels lines one at a time: fail at the first bad line, warn at each repeat."""
-    table: dict[str, dict[str, float]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 whitespace-separated fields, got {len(parts)}", lineno)
-        qid, _, docid, grade_s = parts
-        grade = _finite(grade_s, "grade", lineno)
-        if grade < 0:
-            raise ParseError(f"negative grade {grade}", lineno)
-        bucket = table.setdefault(qid, {})
-        if docid in bucket:
-            log.warning("qrels line %d overrides earlier grade for (%s, %s)", lineno, qid, docid)
-        bucket[docid] = grade
-    return RelevanceTable._trusted(table)
+    """Parse 4-column relevance judgments; negative grades are rejected."""
+    table = _tabulate(_read(source)[1], 4, None, "expected 4 whitespace-separated fields, got {}")
+    qids, _, docids, grade_cells = table.columns
+    grades = table.numbers(grade_cells, "grade")
+    if min(grades, default=0.0) < 0:
+        table.check(np.array(grades) < 0,
+                    lambda i: ParseError(f"negative grade {grades[i]}", table.lines[i]))
+    judged = _nested(table, table.head(qids), table.head(docids), table.head(grades),
+                     "qrels line %d overrides earlier grade for (%s, %s)")
+    table.raise_first()
+    return RelevanceTable._trusted(judged)
 
 
 def write_qrels(fh: TextIO, table: RelevanceTable) -> None:
@@ -393,83 +420,47 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
 
     Rows summing within 0.01 of 1 are renormalized to exactly 1; anything
     further off is rejected.  Empty cells read as 0, except an all-empty row,
-    which marks the document unlabeled.  The columns are converted and
-    checked whole; a failed check, a repeated document or CSV quoting
-    reparses the lines one by one.
+    which marks the document unlabeled.  A repeated document keeps its first
+    position and takes its last row.
     """
-    text, lines = _read(source)
-    parsed = _alignment_of_columns(text) if text is not None else None
-    if parsed is not None:
-        return parsed
-    return _parse_alignment_lines(lines if text is None else io.StringIO(text))
-
-
-def _alignment_of_columns(text: str) -> tuple[AlignmentMatrix, GroupSpace] | None:
-    """The alignment, when its columns pass every check whole and no document repeats;
-    else None."""
-    rows = _csv_rows(text)
-    if not rows:
-        return None
-    header = rows[0].split(",")
+    rows, error = _csv_source(source)
+    if not rows and error is not None:
+        raise error
+    header = (rows[0].split(",") if isinstance(rows[0], str) else rows[0]) if rows else []
     if len(header) < 2:
-        return None
-    columns = _columns(rows[1:], len(header), ",")
-    if columns is None:  # blank rows, or a row of another width
-        columns = _columns([row for row in rows[1:] if row.replace(",", "").strip()],
-                           len(header), ",")
-    if columns is None:
-        return None
-    cells = [_stripped(column) for column in columns[1:]]
-    filled = np.array([list(map(bool, column)) for column in cells], dtype=bool).reshape(
-        len(cells), -1)
-    labeled = filled.any(axis=0)
-    docs = list(compress(_stripped(columns[0]), labeled))
-    if len(set(docs)) != len(docs):
-        return None  # a repeated document
-    values = np.zeros(filled.shape)
-    try:
-        values[filled] = list(map(float, compress(chain.from_iterable(cells), filled.ravel())))
-    except ValueError:
-        return None
-    vals = np.ascontiguousarray(values.T[labeled])
-    totals = vals.sum(axis=1)
-    if (not np.all(np.isfinite(vals)) or np.any(vals < 0)
-            or np.any(np.abs(totals - 1.0) > ALIGNMENT_SUM_TOL)):
-        return None
-    return (AlignmentMatrix._stacked(docs, vals / totals[:, None]),
-            GroupSpace(tuple(name.strip() for name in header[1:])))
-
-
-def _parse_alignment_lines(lines: Iterable[str]) -> tuple[AlignmentMatrix, GroupSpace]:
-    """Parse the alignment lines one at a time through ``csv.reader``: fail at the first
-    bad line, warn at each repeated document (which keeps its first position and
-    takes its last row)."""
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if not header or len(header) < 2:
         raise ParseError("alignment header must be docid,<group1>,...", 1)
-    names = tuple(h.strip() for h in header[1:])
-    rows: dict[str, np.ndarray] = {}
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells or all(not c.strip() for c in cells):
-            continue
-        if len(cells) != len(names) + 1:
-            raise ParseError(f"expected {len(names) + 1} columns, got {len(cells)}", lineno)
-        doc = cells[0].strip()
-        raw = [c.strip() for c in cells[1:]]
-        if all(not c for c in raw):
-            continue  # unlabeled
-        vec = np.array([_finite(c, "alignment cell", lineno) if c else 0.0 for c in raw])
-        if np.any(vec < 0):
-            raise NegativeWeight(f"negative alignment weight for {doc!r}", lineno)
-        total = vec.sum()
-        if abs(total - 1.0) > ALIGNMENT_SUM_TOL:
-            raise RowSumOutOfTolerance(f"row for {doc!r} sums to {total:.6g}", lineno)
-        if doc in rows:
-            log.warning("alignment line %d overrides earlier row for %s", lineno, doc)
-        rows[doc] = vec / total
-    dense = np.array(list(rows.values())).reshape(len(rows), len(names))
-    return AlignmentMatrix._stacked(list(rows), dense), GroupSpace(names)
+    g = len(header) - 1
+    table = _tabulate(rows[1:], g + 1, ",", f"expected {g + 1} columns, got {{}}",
+                      first_line=2, error=error)
+    n = table.n  # the columns' length
+    docs = _stripped(table.columns[0])
+    dense, labeled = np.zeros((n, g)), np.zeros(n, dtype=bool)
+    for j, column in enumerate(table.columns[1:]):  # a row's cells are checked left to right
+        column = _stripped(column)
+        filled = np.fromiter(map(bool, column), dtype=bool, count=n)
+        at = np.flatnonzero(filled)
+        values = table.numbers(list(filter(None, column)), "alignment cell", row_of=at)
+        dense[at[:len(values)], j] = values
+        labeled |= filled
+    dense, labeled = dense[:table.n], labeled[:table.n]
+    table.check((dense < 0).any(axis=1), lambda i: NegativeWeight(
+        f"negative alignment weight for {docs[i]!r}", table.lines[i]))
+    table.check(labeled & (np.abs(dense.sum(axis=1) - 1.0) > ALIGNMENT_SUM_TOL),
+                lambda i: RowSumOutOfTolerance(f"row for {docs[i]!r} sums to {dense[i].sum():.6g}",
+                                               table.lines[i]))
+    labeled = labeled[:table.n]
+    kept_docs = list(compress(docs, labeled.tolist()))
+    repeated = _repeats(kept_docs)
+    for j, i in zip(repeated, np.flatnonzero(labeled)[repeated].tolist()):
+        log.warning("alignment line %d overrides earlier row for %s", table.lines[i], kept_docs[j])
+    table.raise_first()
+    vals = dense[labeled]
+    vals = vals / vals.sum(axis=1)[:, None]
+    if repeated:  # a repeated document keeps its first position and takes its last row
+        last = dict(zip(kept_docs, range(len(kept_docs))))
+        kept_docs, vals = list(last), vals[list(last.values())]
+    return (AlignmentMatrix._stacked(kept_docs, vals),
+            GroupSpace(tuple(name.strip() for name in header[1:])))
 
 
 def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) -> None:
@@ -481,29 +472,19 @@ def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) 
 
 @_names_path
 def parse_sequence(source: TextIO | Iterable[str] | str | Path, run: RunFile) -> RankingSequence:
-    """Parse draw rows ``seq_no,qid`` against a run's rankings."""
-    draws: list[tuple[int, str]] = []
-    reader = csv.reader(_lines(source))
-    first = True
-    for lineno, cells in enumerate(reader, start=1):
-        if not cells or all(not c.strip() for c in cells):
-            continue
-        if first and cells[0].strip().lower() == "seq_no":
-            first = False
-            continue  # optional header, on the first non-blank row only
-        first = False
-        if len(cells) != 2:
-            raise ParseError(f"expected seq_no,qid, got {len(cells)} columns", lineno)
-        try:
-            seq_no = int(cells[0])
-        except ValueError:
-            raise ParseError(f"seq_no {cells[0]!r} is not an integer", lineno) from None
-        qid = cells[1].strip()
-        if qid not in run.rankings:
-            raise UnknownRequest(f"sequence line {lineno} references unknown request {qid!r}")
-        draws.append((seq_no, qid))
-    draws.sort(key=lambda t: t[0])
-    return RankingSequence(tuple((qid, run.rankings[qid]) for _, qid in draws))
+    """Parse draw rows ``seq_no,qid`` against a run's rankings, in seq_no order (stably)."""
+    rows, error = _csv_source(source)
+    table = _tabulate(rows, 2, ",", "expected seq_no,qid, got {} columns", header="seq_no",
+                      error=error)
+    seq_cells, qid_cells = table.columns
+    seq_nos = table.numbers(seq_cells, "seq_no", int)
+    qids = _stripped(table.head(qid_cells))
+    table.check(np.logical_not(list(map(run.rankings.__contains__, qids))),
+                lambda i: UnknownRequest(
+                    f"sequence line {table.lines[i]} references unknown request {qids[i]!r}"))
+    table.raise_first()
+    order = sorted(range(table.n), key=seq_nos.__getitem__)
+    return RankingSequence(tuple((q, run.rankings[q]) for q in map(qids.__getitem__, order)))
 
 
 def fallback_sequence(run: RunFile) -> RankingSequence:
@@ -523,60 +504,15 @@ def parse_scores(source: TextIO | Iterable[str] | str | Path) -> dict[str, dict[
     """Parse ``qid,docid,score`` rows into a nested score map.
 
     A first non-blank row whose first cell is ``qid`` (any case) is a header.
-    The columns are converted and checked whole; a failed check, a repeated
-    (request, document) key or CSV quoting reparses the lines one by one.
     """
-    text, lines = _read(source)
-    if text is None:
-        return _parse_scores_lines(lines)
-    scores = _scores_of_columns(text)
-    return scores if scores is not None else _parse_scores_lines(io.StringIO(text))
-
-
-def _scores_of_columns(text: str) -> dict[str, dict[str, float]] | None:
-    """The score map, when its columns pass every check whole and no key repeats; else None."""
-    rows = _csv_rows(text)
-    if rows is None:
-        return None
-    columns = _columns(_without_header(rows), 3, ",")
-    if columns is None:  # blank rows, or a row of another width
-        columns = _columns(_without_header(list(filter(str.strip, rows))), 3, ",")
-    if columns is None:
-        return None
-    qids, docids, score_cells = columns
-    try:
-        scores = list(map(float, score_cells))
-    except ValueError:
-        return None
-    if not _all_finite(scores):
-        return None
-    return _nested(_stripped(qids), _stripped(docids), scores)
-
-
-def _without_header(rows: list[str]) -> list[str]:
-    """Score rows past a first row whose first cell is ``qid`` (any case)."""
-    return rows[1:] if rows and rows[0].split(",", 1)[0].strip().lower() == "qid" else rows
-
-
-def _parse_scores_lines(lines: Iterable[str]) -> dict[str, dict[str, float]]:
-    """Parse the score rows one at a time: fail at the first bad row, warn at each repeated key."""
-    out: dict[str, dict[str, float]] = {}
-    first = True
-    for lineno, cells in enumerate(csv.reader(lines), start=1):
-        if not cells or all(not c.strip() for c in cells):
-            continue
-        if first and cells[0].strip().lower() == "qid":
-            first = False
-            continue  # header, on the first non-blank row only
-        first = False
-        if len(cells) != 3:
-            raise ParseError(f"expected qid,docid,score, got {len(cells)} columns", lineno)
-        qid, docid = cells[0].strip(), cells[1].strip()
-        score = _finite(cells[2], "score", lineno)
-        bucket = out.setdefault(qid, {})
-        if docid in bucket:
-            log.warning("scores line %d overrides earlier score for (%s, %s)", lineno, qid, docid)
-        bucket[docid] = score
+    rows, error = _csv_source(source)
+    table = _tabulate(rows, 3, ",", "expected qid,docid,score, got {} columns", header="qid",
+                      error=error)
+    qids, docids, score_cells = table.columns
+    scores = table.numbers(score_cells, "score")
+    out = _nested(table, _stripped(table.head(qids)), _stripped(table.head(docids)),
+                  table.head(scores), "scores line %d overrides earlier score for (%s, %s)")
+    table.raise_first()
     return out
 
 
@@ -655,6 +591,21 @@ def _domain(cond: bool, path: str, message: str):
         raise ConfigError(f"ParameterOutOfDomain: {message}", path)
 
 
+def _as(kind: type, value, path: str):
+    """``value`` as a ``kind`` (bool, int or float), or a ConfigError at ``path``.
+
+    Only a YAML boolean is a bool, and no boolean is a number.  A number may
+    be written as a string (YAML reads ``1e-3`` as one); an int must be whole.
+    """
+    try:
+        if isinstance(value, bool) != (kind is bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"expected {kind.__name__}, got {value!r}", path) from None
+
+
 def _make_metric(entry: Mapping, path: str) -> MetricConfig:
     if not isinstance(entry, Mapping) or "name" not in entry:
         raise ConfigError("metric entries need a 'name'", path)
@@ -667,11 +618,11 @@ def _make_metric(entry: Mapping, path: str) -> MetricConfig:
         if key not in known:
             raise ConfigError(f"unknown parameter {key!r}", f"{path}.{key}")
     weight_model = str(entry.get("weight_model", _DEFAULT_WEIGHTS.get(name, "geometric")))
-    gamma = float(entry.get("gamma", 0.5))
+    gamma = _as(float, entry.get("gamma", 0.5), f"{path}.gamma")
     dist = str(entry.get("dist", "nd")).lower()
     target = str(entry.get("target", _DEFAULT_TARGETS.get(name, "catalog"))).lower()
-    step = int(entry.get("step", 10))
-    n_negatives = int(entry.get("n_negatives", 10000))
+    step = _as(int, entry.get("step", 10), f"{path}.step")
+    n_negatives = _as(int, entry.get("n_negatives", 10000), f"{path}.n_negatives")
     pool = str(entry.get("pool", "union" if name == "eel" else "judged"))
     _domain(weight_model in ("geometric", "logarithmic", "rbp", "cascade"),
             f"{path}.weight_model", f"unknown weight model {weight_model!r}")
@@ -685,13 +636,17 @@ def _make_metric(entry: Mapping, path: str) -> MetricConfig:
     _domain(pool in ("judged", "retrieved", "union"), f"{path}.pool", f"unknown pool {pool!r}")
     custom = entry.get("custom_target")
     if custom is not None:
-        custom = tuple(float(v) for v in custom)
+        if not isinstance(custom, (list, tuple)):
+            raise ConfigError(f"expected a list of numbers, got {custom!r}",
+                              f"{path}.custom_target")
+        custom = tuple(_as(float, v, f"{path}.custom_target[{i}]") for i, v in enumerate(custom))
         _domain(abs(sum(custom) - 1.0) <= 1e-6, f"{path}.custom_target", "must sum to 1")
     _domain(target != "custom" or custom is not None,
             f"{path}.custom_target", "custom target mode needs custom_target")
     label = str(entry.get("label", _DEFAULT_LABELS[name]))
+    signed = _as(bool, entry.get("signed", False), f"{path}.signed")
     return MetricConfig(name, label, weight_model, gamma, dist, target, custom,
-                        step, n_negatives, pool, bool(entry.get("signed", False)))
+                        step, n_negatives, pool, signed)
 
 
 def load_config(source: str | Path | TextIO | None) -> EvalConfig:
@@ -715,7 +670,7 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
     for key in doc:
         if key not in known:
             raise ConfigError(f"unknown parameter {key!r}", str(key))
-    threshold = float(doc.get("threshold", 0.5))
+    threshold = _as(float, doc.get("threshold", 0.5), "threshold")
     _domain(0 < threshold <= 1, "threshold", f"threshold {threshold} outside (0, 1]")
     policy = str(doc.get("unknown_policy", "exclude"))
     _domain(policy in ("exclude", "group", "error"), "unknown_policy",
@@ -734,7 +689,7 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
         unknown=str(doc["unknown"]) if "unknown" in doc and doc["unknown"] is not None else None,
         unknown_policy=policy,
         threshold=threshold,
-        seed=int(doc.get("seed", 42)),
+        seed=_as(int, doc.get("seed", 42), "seed"),
         metrics=metrics,
         explicit_metrics=explicit,
     )

@@ -613,6 +613,40 @@ def oracle_parse_scores(lines, warnings=None):
     return out, warnings
 
 
+def oracle_parse_sequence(lines, run):
+    """Draw rows ``seq_no,qid`` parsed one CSV record at a time against ``run``.
+
+    A first non-blank row whose first cell is ``seq_no`` (any case) is a
+    header.  Returns the RankingSequence, draws ordered by seq_no (stably), or
+    raises the first bad record's ParseError or UnknownRequest (or csv.Error).
+    """
+    import csv
+
+    from fairrank import ParseError, RankingSequence, UnknownRequest
+
+    draws = []
+    first = True
+    for lineno, cells in enumerate(csv.reader(lines), start=1):
+        if not cells or all(not c.strip() for c in cells):
+            continue
+        if first and cells[0].strip().lower() == "seq_no":
+            first = False
+            continue
+        first = False
+        if len(cells) != 2:
+            raise ParseError(f"expected seq_no,qid, got {len(cells)} columns", lineno)
+        try:
+            seq_no = int(cells[0])
+        except ValueError:
+            raise ParseError(f"seq_no {cells[0]!r} is not an integer", lineno) from None
+        qid = cells[1].strip()
+        if qid not in run.rankings:
+            raise UnknownRequest(f"sequence line {lineno} references unknown request {qid!r}")
+        draws.append((seq_no, qid))
+    draws.sort(key=lambda t: t[0])
+    return RankingSequence(tuple((qid, run.rankings[qid]) for _, qid in draws))
+
+
 # --- per-list bodies the batched kernels replaced ---------------------------
 #
 # Each function below is the per-ranking (or per-request) code the library

@@ -151,6 +151,41 @@ class TestEvaluate:
             rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
             assert rc == 2, text
 
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("metrics:\n  - {name: awrf, gamma: x}\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert rc == 2
+        assert "metrics[0].gamma: expected float, got 'x'" in caplog.text
+
+    def test_protected_group_named_rest(self, tmp_path):
+        # binarize names the other group "rest", which must not collide with a protected "rest"
+        paths, _ = _synth(tmp_path)
+        assert main(_evaluate_args(paths, tmp_path / "before")) == 0
+        text = paths["alignment"].read_text().split("\n", 1)[1]
+        paths["alignment"].write_text("docid,rest,other\n" + text)
+        assert main(_evaluate_args(paths, tmp_path / "after")) == 0
+        assert ((tmp_path / "after" / "metrics.csv").read_bytes()
+                == (tmp_path / "before" / "metrics.csv").read_bytes())
+
+    def test_runs_that_resolve_to_one_system_name_exit_2(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        run = paths["runs"][0]
+        copies = [tmp_path / d / "run.txt" for d in ("a", "b")]
+        for copy in copies:  # the same tag and the same stem
+            copy.parent.mkdir()
+            copy.write_bytes(run.read_bytes())
+        for runs in ([run, run], copies):
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="fairrank"):
+                rc = main(_evaluate_args(paths, tmp_path / "out", runs=runs))
+            assert rc == 2
+            assert (f"runs {runs[0]} and {runs[1]} both resolve to system name "
+                    f"{runs[0].stem!r}") in caplog.text
+            assert not (tmp_path / "out").exists()
+
 
 class TestCompare:
     def test_matrix_shape(self, tmp_path):

@@ -33,12 +33,8 @@ def test_logarithmic_weights_with_gaps():
     assert np.allclose(w, [1.0, 1.0, 0.5])
 
 
-def test_rbp_weights_and_verbatim_variant():
+def test_rbp_weights():
     assert np.allclose(weight_vector(WeightModel("rbp", 0.5), [1, 2, 3]), [1.0, 0.5, 0.25])
-    assert np.allclose(
-        weight_vector(WeightModel("rbp", 0.5, rbp_verbatim=True), [1, 2, 3]),
-        [0.5, 0.25, 0.125],
-    )
 
 
 def test_cascade_full_patience_no_stopping():

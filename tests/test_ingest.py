@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -331,6 +332,33 @@ class TestLoadConfig:
         doc = io.StringIO("metrics:\n  - name: awrf\n    target: composition\n")
         with pytest.raises(ConfigError, match="composition"):
             load_config(doc)
+
+    @pytest.mark.parametrize("text, path", [
+        ("threshold: abc\n", "threshold"),
+        ("seed: x\n", "seed"),
+        ("seed: 4.5\n", "seed"),
+        ("metrics: [{name: awrf, gamma: x}]\n", "metrics[0].gamma"),
+        ("metrics: [{name: awrf, target: custom, custom_target: 5}]\n", "metrics[0].custom_target"),
+        ("metrics: [{name: awrf, custom_target: [0.5, x]}]\n", "metrics[0].custom_target[1]"),
+        ("metrics: [{name: awrf, step: 2.5}]\n", "metrics[0].step"),
+        ("metrics: [{name: pair, n_negatives: 10.5}]\n", "metrics[0].n_negatives"),
+        ("metrics: [{name: awrf, signed: 'false'}]\n", "metrics[0].signed"),
+        ("metrics: [{name: awrf, signed: 0}]\n", "metrics[0].signed"),
+        ("metrics: [{name: awrf, gamma: true}]\n", "metrics[0].gamma"),
+    ])
+    def test_value_of_the_wrong_type_names_its_key(self, text, path):
+        with pytest.raises(ConfigError, match=r"^" + re.escape(path) + ": expected "):
+            load_config(io.StringIO(text))
+
+    def test_whole_and_string_numbers_still_read(self):
+        cfg = load_config(io.StringIO(
+            "threshold: '0.25'\nseed: 7.0\nmetrics: [{name: awrf, gamma: 1e-1, step: '4', "
+            "signed: true, target: custom, custom_target: [0.5, '0.5']}]\n"))
+        assert (cfg.threshold, cfg.seed) == (0.25, 7)
+        metric = cfg.metrics[0]
+        assert (metric.gamma, metric.step, metric.signed) == (0.1, 4, True)
+        assert metric.custom_target == (0.5, 0.5)
+        assert type(cfg.seed) is int and type(metric.step) is int
 
 
 @pytest.mark.parametrize("parse, text, line", [

@@ -16,7 +16,9 @@ the same warnings in the same order.  ``parse_alignment`` is held to
 ``oracle_parse_alignment`` the same way, over hard, soft, unlabeled and
 blank rows, empty and padded cells, repeated documents, rows off the
 sum tolerance, odd headers and quoted cells; its rows are compared within
-1e-15, since the oracle sums each row with ``math.fsum``.
+1e-15, since the oracle sums each row with ``math.fsum``.  ``parse_sequence``
+is held to ``oracle_parse_sequence`` over headers (also further down), blank
+rows, quoted cells, wrong widths, unknown requests and odd ``seq_no`` cells.
 """
 
 import io
@@ -27,13 +29,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairrank.ingest import parse_alignment, parse_qrels, parse_run, parse_scores
+from fairrank.ingest import (
+    parse_alignment,
+    parse_qrels,
+    parse_run,
+    parse_scores,
+    parse_sequence,
+)
 
 from oracles import (
     oracle_parse_alignment,
     oracle_parse_qrels,
     oracle_parse_run,
     oracle_parse_scores,
+    oracle_parse_sequence,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -290,3 +299,43 @@ def test_parse_alignment_matches_oracle(tmp, text):
             assert alignment.row(doc).tolist() == pytest.approx(row, rel=1e-15, abs=0)
         assert groups.names == tuple(h.strip() for h in text.split("\n")[0].split(",")[1:])
         assert got_warnings == want_warnings
+
+
+SEQUENCE_RUN = parse_run(io.StringIO("q1 Q0 a 1 1.0 r\nq2 Q0 b 1 1.0 r\nq2 Q0 c 2 0.5 r\n"))
+
+
+@st.composite
+def sequence_texts(draw):
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(("seq_no,qid", "SEQ_NO,QID", " Seq_No ,x", "seq_no"))))
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(("", "  ", ",", ", ,", "\t"))))
+            continue
+        if kind == 1:  # a stray header, a quoted cell, a NUL or a lone carriage return
+            lines.append(draw(st.sampled_from((
+                "seq_no,qid", "SEQ_NO,q1", '"3",q1', '4,"q2"', '5,"q\n1"', '"6,q1"',
+                "7,q\x001", "8,q\r1"))))
+            continue
+        seq_no = _odd(draw, str(draw(st.integers(-2, 9))),
+                      ("x", " 3", "3 ", "3_0", "٣", "+2", "1.0", "", str(2**70)))
+        qid = _odd(draw, draw(st.sampled_from(("q1", "q2", " q2", "q1 "))), ("q9", "Q1", ""))
+        cells = [seq_no, qid]
+        width = _odd(draw, 2, (1, 3))
+        lines.append(",".join((cells + ["extra"])[:width]))
+    return _join(draw, lines, ",")
+
+
+@SETTINGS
+@given(sequence_texts())
+@example("seq_no,qid\n2,q2\n1,q1\n2,q1\n")  # draws ordered by seq_no, stably
+@example("\r\nSEQ_NO,QID\r\n 3,q1\r\nseq_no,q2\r\n")
+@example('1,q1\n"2",q2\n3,q9\n')
+def test_parse_sequence_matches_oracle(tmp, text):
+    def view(seq):
+        return [(q, r.docs) for q, r in seq.draws]
+
+    _check(lambda source: parse_sequence(source, SEQUENCE_RUN),
+           lambda lines, _: view(oracle_parse_sequence(lines, SEQUENCE_RUN)), view, text, tmp)
