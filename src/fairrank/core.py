@@ -167,12 +167,18 @@ class RelevanceTable:
     def __init__(self, entries: Mapping[str, Mapping[str, float]] | None = None):
         table: dict[str, dict[str, float]] = {}
         for req, docs in (entries or {}).items():
-            inner: dict[str, float] = {}
-            for doc, grade in docs.items():
-                grade = float(grade)
-                if not np.isfinite(grade) or grade < 0:
-                    raise FairRankError(f"grade for ({req!r}, {doc!r}) must be finite and >= 0")
-                inner[doc] = grade
+            try:  # a finite sum and a non-negative minimum clear a request's grades at once
+                inner = dict(zip(docs.keys(), map(float, docs.values())))
+                valid = math.isfinite(sum(inner.values())) and min(inner.values(), default=0) >= 0
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:  # find the first bad grade, or accept finite grades whose sum overflowed
+                inner = {}
+                for doc, grade in docs.items():
+                    grade = float(grade)
+                    if not np.isfinite(grade) or grade < 0:
+                        raise FairRankError(f"grade for ({req!r}, {doc!r}) must be finite and >= 0")
+                    inner[doc] = grade
             table[req] = inner
         self._adopt(table)
 

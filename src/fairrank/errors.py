@@ -46,7 +46,12 @@ class AllDegenerate(FairRankError):
 
 
 class UnknownRequest(FairRankError):
-    """A referenced request id is absent from the run."""
+    """A referenced request id is absent from the run; carries the 1-based line of the
+    reference when it is read from a file."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 class ParseError(FairRankError):

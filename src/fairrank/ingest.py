@@ -25,10 +25,16 @@ field count, ``int``/``float`` conversion, finite, sign and row sum, then
 repeated ranks and documents.  Each runs on the rows before the earliest
 failure found so far, so the first bad line wins, and line numbers are looked
 up only for a failure or a warning.  Every parser either produces a value or
-fails with a 1-based line number, after the file's path when given a path.  A
+fails with a 1-based line number, after the file's path when given a path; a
+file that ``csv.reader`` refuses partway (a field longer than
+``csv.field_size_limit()``) fails at the line the reader stopped on.  A
 run may not repeat a rank or a document within a request; a repeated alignment,
 qrels or score key keeps its first position and takes its last value, with a
 warning at each repeat before the first bad line.
+
+Each writer formats its file in one pass over sorted or file-order columns,
+streaming the lines rather than holding the whole text.  CSV lines are joined
+directly unless a cell needs quoting, which ``csv.writer`` then does.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from itertools import compress, count, groupby, repeat
+from itertools import chain, compress, count, groupby, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
@@ -186,20 +192,25 @@ def _csv_rows(text: str) -> list[str] | None:
     return rows
 
 
-def _csv_source(source: TextIO | Iterable[str] | str | Path) -> tuple[list, csv.Error | None]:
+def _csv_source(source: TextIO | Iterable[str] | str | Path) -> tuple[list, Exception | None]:
     """The rows of a CSV input, and the error that stopped ``csv.reader`` partway.
 
     The rows are the lines of the text, to be split at commas, when that reads
     them as ``csv.reader`` does; otherwise the records ``csv.reader`` gives.
+    For a file, the error is a ``ParseError`` at the line the reader stopped
+    on; for other sources, the ``csv.Error`` itself.
     """
     text, lines = _read(source)
     rows = None if text is None else _csv_rows(text)
     if rows is not None:
         return rows, None
     records: list[list[str]] = []
+    reader = csv.reader(lines if text is None else io.StringIO(text))
     try:
-        records.extend(csv.reader(lines if text is None else io.StringIO(text)))
+        records.extend(reader)
     except csv.Error as exc:
+        if isinstance(source, (str, Path)):
+            return records, ParseError(str(exc), reader.line_num)
         return records, exc
     return records, None
 
@@ -388,8 +399,8 @@ def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
 
 
 def write_run(fh: TextIO, run: RunFile) -> None:
-    for qid, docid, rank, score, tag in zip(run.qids, run.docids, run.ranks, run.scores, run.tags):
-        fh.write(f"{qid} Q0 {docid} {rank} {float(score)!r} {tag}\n")
+    fh.writelines(f"{qid} Q0 {docid} {rank} {score!r} {tag}\n" for qid, docid, rank, score, tag
+                  in zip(run.qids, run.docids, run.ranks, map(float, run.scores), run.tags))
 
 
 @_names_path
@@ -408,10 +419,9 @@ def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
 
 
 def write_qrels(fh: TextIO, table: RelevanceTable) -> None:
-    for qid in sorted(table.requests()):
-        judged = table.judged(qid)
-        for docid in sorted(judged):
-            fh.write(f"{qid} 0 {docid} {judged[docid]!r}\n")
+    qids, docids, grades = _sorted_cells({q: table.judged(q) for q in table.requests()})
+    fh.writelines(f"{qid} 0 {docid} {grade}\n"
+                  for qid, docid, grade in zip(qids, docids, _reprs(grades)))
 
 
 @_names_path
@@ -464,10 +474,11 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
 
 
 def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["docid", *groups.names])
-    for doc in sorted(alignment.docs()):
-        writer.writerow([doc, *[repr(float(v)) for v in alignment.row(doc)]])
+    header = ("docid", *groups.names)
+    docs = sorted(alignment.docs())
+    rows = _reprs(alignment.dense()[alignment.indices(docs)])
+    _write_csv(fh, chain(header, docs),
+               chain([header], ((doc, *row) for doc, row in zip(docs, rows))))
 
 
 @_names_path
@@ -481,7 +492,8 @@ def parse_sequence(source: TextIO | Iterable[str] | str | Path, run: RunFile) ->
     qids = _stripped(table.head(qid_cells))
     table.check(np.logical_not(list(map(run.rankings.__contains__, qids))),
                 lambda i: UnknownRequest(
-                    f"sequence line {table.lines[i]} references unknown request {qids[i]!r}"))
+                    f"sequence line {table.lines[i]} references unknown request {qids[i]!r}",
+                    table.lines[i]))
     table.raise_first()
     order = sorted(range(table.n), key=seq_nos.__getitem__)
     return RankingSequence(tuple((q, run.rankings[q]) for q in map(qids.__getitem__, order)))
@@ -517,11 +529,51 @@ def parse_scores(source: TextIO | Iterable[str] | str | Path) -> dict[str, dict[
 
 
 def write_scores(fh: TextIO, scores: Mapping[str, Mapping[str, float]]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["qid", "docid", "score"])
-    for qid in sorted(scores):
-        for docid in sorted(scores[qid]):
-            writer.writerow([qid, docid, repr(float(scores[qid][docid]))])
+    header = ("qid", "docid", "score")
+    qids, docids, values = _sorted_cells(scores)
+    _write_csv(fh, chain(header, qids, docids),
+               chain([header], zip(qids, docids, map(repr, map(float, values)))))
+
+
+def _sorted_cells(table: Mapping[str, Mapping[str, float]]) -> tuple[list, list, list]:
+    """The (request, document, value) columns of a nested map, sorted by request, then
+    document."""
+    qids: list[str] = []
+    docids: list[str] = []
+    values: list[float] = []
+    for qid in sorted(table):
+        row = table[qid]
+        docs = sorted(row)
+        qids += repeat(qid, len(docs))
+        docids += docs
+        values += map(row.__getitem__, docs)
+    return qids, docids, values
+
+
+def _reprs(values: Sequence[float] | np.ndarray) -> list:
+    """``repr`` of each value as a float, in nested lists of the values' shape.
+
+    Grades and membership weights take few distinct values, so each distinct
+    value (by its bits: -0.0 is not 0.0) is formatted once.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    distinct, at = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return text[at.reshape(values.shape)].tolist()
+
+
+def _write_csv(fh: TextIO, cells: Iterable[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write ``rows`` of string cells as ``csv.writer`` does.
+
+    ``cells`` are all cells of ``rows`` but the formatted numbers.  When none
+    holds a comma, a quote or a line break (the files ``_csv_rows`` reads
+    without ``csv.reader``), the cells are joined directly.
+    """
+    text = "".join(cells)
+    if '"' in text or "," in text or "\r" in text or "\n" in text:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    else:
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 # --- evaluation configuration -------------------------------------------

@@ -8,13 +8,18 @@ which decouples statistical-parity behavior from equal-opportunity behavior.
 Edge-case switches produce corpora with an empty protected group, a
 zero-relevance protected group, or unlabeled documents.
 
-Identical parameters (including the seed) produce byte-identical files.
+Identical parameters (including the seed) produce byte-identical files.  The
+order in which values are drawn from the seeded stream is part of that output
+contract: the benchmark's reference tables are computed from these corpora,
+so a change to the draw order rewrites them and belongs in a benchmark change.
+Values are drawn as whole arrays where the stream allows it, and each file is
+formatted in one pass by its ``ingest`` writer.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +86,18 @@ def _sys_id(k: int) -> str:
 
 
 def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
-    """Write the corpus files and return their paths (plus system names)."""
+    """Write the corpus files and return their paths (plus system names).
+
+    Every value is drawn from one PCG64 stream seeded with ``spec.seed``, in a
+    fixed order: the unlabeled mask, the group shuffle, the soft rows, then
+    per request its pool and its grades, then per system its score noise.
+    Each file is written before the next one is built, and the writers stream
+    their lines, so the calling process never holds the text of a whole file.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
+    doc_ids = list(map(_doc_id, range(spec.n_docs)))
     group_names = tuple(["prot"] + [f"g{i}" for i in range(1, spec.n_groups)])
     groups = GroupSpace(group_names, protected_index=0)
 
@@ -92,8 +105,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
     # matches protected_fraction up to rounding), optionally softened, with a
     # Bernoulli-unlabeled slice.
     p_frac = 0.0 if spec.empty_protected else spec.protected_fraction
-    labeled = [_doc_id(i) for i in range(spec.n_docs)
-               if rng.random() >= spec.unlabeled_fraction]
+    labeled = np.flatnonzero(rng.random(spec.n_docs) >= spec.unlabeled_fraction)
     n_prot = round(p_frac * len(labeled))
     assignments = np.ones(len(labeled), dtype=int)
     assignments[:n_prot] = 0
@@ -101,55 +113,87 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
         rest = len(labeled) - n_prot
         assignments[n_prot:] = 1 + np.arange(rest) % (spec.n_groups - 1)
     rng.shuffle(assignments)
-    rows: dict[str, np.ndarray] = {}
-    protected_mass: dict[str, float] = {}
-    for doc, own in zip(labeled, assignments):
-        row = np.zeros(spec.n_groups)
-        row[own] = 1.0
-        if spec.soft_fraction > 0 and rng.random() < spec.soft_fraction:
-            other = int(rng.integers(spec.n_groups))
-            if other != own:
-                row[own] = 0.7
-                row[other] = 0.3
-        rows[doc] = row
-        protected_mass[doc] = float(row[0])
-    alignment = AlignmentMatrix(rows, n_groups=spec.n_groups)
+    dense = np.zeros((len(labeled), spec.n_groups))
+    dense[np.arange(len(labeled)), assignments] = 1.0
+    if spec.soft_fraction > 0:  # integers() and random() interleave, so one row at a time
+        soft = []
+        for i, own in enumerate(assignments.tolist()):
+            if rng.random() < spec.soft_fraction:
+                other = int(rng.integers(spec.n_groups))
+                if other != own:
+                    soft.append((i, own, other))
+        if soft:
+            i, own, other = np.array(soft).T
+            dense[i, own], dense[i, other] = 0.7, 0.3
+    alignment = AlignmentMatrix(dict(zip(map(doc_ids.__getitem__, labeled.tolist()), dense)),
+                                n_groups=spec.n_groups)
+    align_path = out / "alignment.csv"
+    with open(align_path, "w", encoding="utf-8") as fh:
+        write_alignment(fh, alignment, groups)
+    protected_mass = np.zeros(spec.n_docs)
+    protected_mass[labeled] = dense[:, 0]
 
-    # Per-request candidate pools and graded relevance.
+    # Per-request candidate pools, in document-id order, and graded relevance.
+    # A judged document draws once, and a relevant one draws its grade next:
+    # a buffer of two draws per document covers every case, and the stream is
+    # then rewound to just past the draws the walk used.
     pool_size = spec.pool_size or min(spec.n_docs, 4 * spec.depth)
     pool_size = min(pool_size, spec.n_docs)
     rate_plus = BASE_RELEVANCE_RATE * (1.0 + spec.relevance_skew)
     rate_minus = BASE_RELEVANCE_RATE * (1.0 - spec.relevance_skew)
-    pools: dict[str, list[str]] = {}
-    qrels_rows: dict[str, dict[str, float]] = {}
-    for qi in range(spec.n_requests):
-        q = _req_id(qi)
-        pool = sorted(_doc_id(int(i)) for i in rng.choice(spec.n_docs, pool_size, replace=False))
-        pools[q] = pool
-        judged: dict[str, float] = {}
-        for doc in pool:
-            prot = protected_mass.get(doc, 0.0)
-            if spec.zero_relevance_group and prot >= 0.5:
-                judged[doc] = 0.0
-                continue
-            rate = rate_plus if prot >= 0.5 else rate_minus
-            if rng.random() < min(max(rate, 0.0), 0.95):
-                judged[doc] = 2.0 if rng.random() < HIGH_GRADE_RATE else 1.0
+    rates = (min(max(rate_minus, 0.0), 0.95), min(max(rate_plus, 0.0), 0.95))
+    requests = [_req_id(qi) for qi in range(spec.n_requests)]
+    pools, pool_ids, grades = [], [], []
+    for _ in requests:
+        pool = np.sort(rng.choice(spec.n_docs, pool_size, replace=False))
+        ids = list(map(doc_ids.__getitem__, pool.tolist()))
+        if spec.n_docs > 10**6:  # past d999999, id order is not number order
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            pool, ids = pool[order], [ids[j] for j in order]
+        pools.append(pool)
+        pool_ids.append(ids)
+        state = rng.bit_generator.state
+        draws = rng.random(2 * len(pool)).tolist()
+        used = 0
+        judged = []
+        for prot in (protected_mass[pool] >= 0.5).tolist():
+            if spec.zero_relevance_group and prot:
+                judged.append(0.0)
+            elif draws[used] < rates[prot]:
+                judged.append(2.0 if draws[used + 1] < HIGH_GRADE_RATE else 1.0)
+                used += 2
             else:
-                judged[doc] = 0.0
-        qrels_rows[q] = judged
-    qrels = RelevanceTable(qrels_rows)
+                judged.append(0.0)
+                used += 1
+        rng.bit_generator.state = state
+        rng.random(used)
+        grades.append(judged)
+    qrels_path = out / "qrels.txt"
+    with open(qrels_path, "w", encoding="utf-8") as fh:
+        write_qrels(fh, RelevanceTable({q: dict(zip(ids, judged))
+                                        for q, ids, judged in zip(requests, pool_ids, grades)}))
 
     # Draw sequence shared by all systems: request i appears 1 + (i mod max_draws) times.
-    draw_ids: list[str] = []
-    for qi in range(spec.n_requests):
-        draw_ids.extend([_req_id(qi)] * (1 + qi % spec.max_draws))
+    seq_path = out / "sequence.csv"
+    with open(seq_path, "w", encoding="utf-8", newline="") as fh:
+        draw_ids = [q for qi, q in enumerate(requests) for _ in range(1 + qi % spec.max_draws)]
+        fh.write("seq_no,qid\n" + "".join([f"{i},{q}\n" for i, q in enumerate(draw_ids, 1)]))
 
     # Systems: placement bias spread over [-skew, +skew], alternating quality.
+    # Scores are one array expression, in the per-document expression's
+    # operand order; ties rank in document-id order.
     if spec.n_systems == 1:
         biases = np.array([spec.exposure_skew])
     else:
         biases = np.linspace(-spec.exposure_skew, spec.exposure_skew, spec.n_systems)
+    pools = np.array(pools)
+    y_norm = np.array(grades) / 2.0
+    prot = protected_mass[pools]
+    flat_ids = list(chain.from_iterable(pool_ids))
+    offsets = np.arange(0, pools.size, pool_size)[:, None]
+    depth = min(spec.depth, pool_size)
+    qids = tuple(q for q in requests for _ in range(depth))
+    ranks = tuple(range(1, depth + 1)) * spec.n_requests
     run_paths: list[Path] = []
     score_paths: list[Path] = []
     systems: list[str] = []
@@ -157,51 +201,21 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
         system = _sys_id(k)
         systems.append(system)
         quality = QUALITY_LEVELS[k % len(QUALITY_LEVELS)]
-        bias = float(biases[k])
-        qids: list[str] = []
-        docids: list[str] = []
-        ranks: list[int] = []
-        values: list[float] = []
-        scores: dict[str, dict[str, float]] = {}
-        for qi in range(spec.n_requests):
-            q = _req_id(qi)
-            pool = pools[q]
-            judged = qrels_rows[q]
-            noise = rng.random(len(pool))
-            vals = {}
-            for j, doc in enumerate(pool):
-                y_norm = judged.get(doc, 0.0) / 2.0
-                prot = protected_mass.get(doc, 0.0)
-                vals[doc] = float(quality * y_norm + (1.0 - quality) * noise[j] + bias * prot)
-            scores[q] = vals
-            ranked = sorted(pool, key=lambda d: (-vals[d], d))[: spec.depth]
-            qids += [q] * len(ranked)
-            docids += ranked
-            ranks += range(1, len(ranked) + 1)
-            values += [vals[doc] for doc in ranked]
-        run = RunFile({}, tuple(qids), tuple(docids), tuple(ranks), tuple(values),
-                      (system,) * len(qids))
+        noise = rng.random(pools.shape)
+        vals = quality * y_norm + (1.0 - quality) * noise + float(biases[k]) * prot
+        ranked = np.argsort(-vals, axis=1, kind="stable")[:, :depth]
+        docids = tuple(map(flat_ids.__getitem__, (ranked + offsets).ravel().tolist()))
+        values = tuple(np.take_along_axis(vals, ranked, 1).ravel().tolist())
+        run = RunFile({}, qids, docids, ranks, values, (system,) * len(qids))
         run_path = out / f"run_{system}.txt"
         with open(run_path, "w", encoding="utf-8") as fh:
             write_run(fh, run)
         run_paths.append(run_path)
         score_path = out / f"scores_{system}.csv"
         with open(score_path, "w", encoding="utf-8") as fh:
-            write_scores(fh, scores)
+            write_scores(fh, {q: dict(zip(ids, row))
+                              for q, ids, row in zip(requests, pool_ids, vals.tolist())})
         score_paths.append(score_path)
-
-    qrels_path = out / "qrels.txt"
-    with open(qrels_path, "w", encoding="utf-8") as fh:
-        write_qrels(fh, qrels)
-    align_path = out / "alignment.csv"
-    with open(align_path, "w", encoding="utf-8") as fh:
-        write_alignment(fh, alignment, groups)
-    seq_path = out / "sequence.csv"
-    with open(seq_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seq_no", "qid"])
-        for i, q in enumerate(draw_ids, start=1):
-            writer.writerow([i, q])
 
     return {
         "runs": run_paths,

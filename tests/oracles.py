@@ -641,7 +641,8 @@ def oracle_parse_sequence(lines, run):
             raise ParseError(f"seq_no {cells[0]!r} is not an integer", lineno) from None
         qid = cells[1].strip()
         if qid not in run.rankings:
-            raise UnknownRequest(f"sequence line {lineno} references unknown request {qid!r}")
+            raise UnknownRequest(f"sequence line {lineno} references unknown request {qid!r}",
+                                 lineno)
         draws.append((seq_no, qid))
     draws.sort(key=lambda t: t[0])
     return RankingSequence(tuple((qid, run.rankings[qid]) for _, qid in draws))
@@ -955,3 +956,176 @@ def request_predicted_utility(view, q, labels):
     total = float(shifted.sum())
     util = shifted / total if total > 0 else np.full(kept.size, 1.0 / kept.size)
     return labels.dense[rows[kept]].T @ util
+
+
+# --- the corpus generator, one scalar draw at a time ---------------------------
+#
+# A reference ``fairrank.synth.generate`` that draws one value at a time, and
+# reference ``ingest`` writers that format one row per call.  The library must
+# write the same bytes: the draw order is part of its output contract.
+
+
+def oracle_write_run(fh, run):
+    for qid, docid, rank, score, tag in zip(run.qids, run.docids, run.ranks, run.scores, run.tags):
+        fh.write(f"{qid} Q0 {docid} {rank} {float(score)!r} {tag}\n")
+
+
+def oracle_write_qrels(fh, table):
+    for qid in sorted(table.requests()):
+        judged = table.judged(qid)
+        for docid in sorted(judged):
+            fh.write(f"{qid} 0 {docid} {judged[docid]!r}\n")
+
+
+def oracle_write_alignment(fh, alignment, groups):
+    import csv
+
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["docid", *groups.names])
+    for doc in sorted(alignment.docs()):
+        writer.writerow([doc, *[repr(float(v)) for v in alignment.row(doc)]])
+
+
+def oracle_write_scores(fh, scores):
+    import csv
+
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["qid", "docid", "score"])
+    for qid in sorted(scores):
+        for docid in sorted(scores[qid]):
+            writer.writerow([qid, docid, repr(float(scores[qid][docid]))])
+
+
+def oracle_generate(spec, out_dir):
+    """The corpus of ``spec`` drawn one document at a time, written by the oracle writers."""
+    import csv
+    from pathlib import Path
+
+    from fairrank import AlignmentMatrix, GroupSpace, RelevanceTable
+    from fairrank.ingest import RunFile
+    from fairrank.synth import BASE_RELEVANCE_RATE, HIGH_GRADE_RATE, QUALITY_LEVELS
+
+    def doc_id(i):
+        return f"d{i:06d}"
+
+    def req_id(i):
+        return f"q{i:04d}"
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(spec.seed)
+    group_names = tuple(["prot"] + [f"g{i}" for i in range(1, spec.n_groups)])
+    groups = GroupSpace(group_names, protected_index=0)
+
+    p_frac = 0.0 if spec.empty_protected else spec.protected_fraction
+    labeled = [doc_id(i) for i in range(spec.n_docs)
+               if rng.random() >= spec.unlabeled_fraction]
+    n_prot = round(p_frac * len(labeled))
+    assignments = np.ones(len(labeled), dtype=int)
+    assignments[:n_prot] = 0
+    if spec.n_groups > 2:
+        rest = len(labeled) - n_prot
+        assignments[n_prot:] = 1 + np.arange(rest) % (spec.n_groups - 1)
+    rng.shuffle(assignments)
+    rows = {}
+    protected_mass = {}
+    for doc, own in zip(labeled, assignments):
+        row = np.zeros(spec.n_groups)
+        row[own] = 1.0
+        if spec.soft_fraction > 0 and rng.random() < spec.soft_fraction:
+            other = int(rng.integers(spec.n_groups))
+            if other != own:
+                row[own] = 0.7
+                row[other] = 0.3
+        rows[doc] = row
+        protected_mass[doc] = float(row[0])
+    alignment = AlignmentMatrix(rows, n_groups=spec.n_groups)
+
+    pool_size = spec.pool_size or min(spec.n_docs, 4 * spec.depth)
+    pool_size = min(pool_size, spec.n_docs)
+    rate_plus = BASE_RELEVANCE_RATE * (1.0 + spec.relevance_skew)
+    rate_minus = BASE_RELEVANCE_RATE * (1.0 - spec.relevance_skew)
+    pools = {}
+    qrels_rows = {}
+    for qi in range(spec.n_requests):
+        q = req_id(qi)
+        pool = sorted(doc_id(int(i)) for i in rng.choice(spec.n_docs, pool_size, replace=False))
+        pools[q] = pool
+        judged = {}
+        for doc in pool:
+            prot = protected_mass.get(doc, 0.0)
+            if spec.zero_relevance_group and prot >= 0.5:
+                judged[doc] = 0.0
+                continue
+            rate = rate_plus if prot >= 0.5 else rate_minus
+            if rng.random() < min(max(rate, 0.0), 0.95):
+                judged[doc] = 2.0 if rng.random() < HIGH_GRADE_RATE else 1.0
+            else:
+                judged[doc] = 0.0
+        qrels_rows[q] = judged
+    qrels = RelevanceTable(qrels_rows)
+
+    draw_ids = []
+    for qi in range(spec.n_requests):
+        draw_ids.extend([req_id(qi)] * (1 + qi % spec.max_draws))
+
+    if spec.n_systems == 1:
+        biases = np.array([spec.exposure_skew])
+    else:
+        biases = np.linspace(-spec.exposure_skew, spec.exposure_skew, spec.n_systems)
+    run_paths, score_paths, systems = [], [], []
+    for k in range(spec.n_systems):
+        system = f"sys{k:02d}"
+        systems.append(system)
+        quality = QUALITY_LEVELS[k % len(QUALITY_LEVELS)]
+        bias = float(biases[k])
+        qids, docids, ranks, values = [], [], [], []
+        scores = {}
+        for qi in range(spec.n_requests):
+            q = req_id(qi)
+            pool = pools[q]
+            judged = qrels_rows[q]
+            noise = rng.random(len(pool))
+            vals = {}
+            for j, doc in enumerate(pool):
+                y_norm = judged.get(doc, 0.0) / 2.0
+                prot = protected_mass.get(doc, 0.0)
+                vals[doc] = float(quality * y_norm + (1.0 - quality) * noise[j] + bias * prot)
+            scores[q] = vals
+            ranked = sorted(pool, key=lambda d: (-vals[d], d))[: spec.depth]
+            qids += [q] * len(ranked)
+            docids += ranked
+            ranks += range(1, len(ranked) + 1)
+            values += [vals[doc] for doc in ranked]
+        run = RunFile({}, tuple(qids), tuple(docids), tuple(ranks), tuple(values),
+                      (system,) * len(qids))
+        run_path = out / f"run_{system}.txt"
+        with open(run_path, "w", encoding="utf-8") as fh:
+            oracle_write_run(fh, run)
+        run_paths.append(run_path)
+        score_path = out / f"scores_{system}.csv"
+        with open(score_path, "w", encoding="utf-8") as fh:
+            oracle_write_scores(fh, scores)
+        score_paths.append(score_path)
+
+    qrels_path = out / "qrels.txt"
+    with open(qrels_path, "w", encoding="utf-8") as fh:
+        oracle_write_qrels(fh, qrels)
+    align_path = out / "alignment.csv"
+    with open(align_path, "w", encoding="utf-8") as fh:
+        oracle_write_alignment(fh, alignment, groups)
+    seq_path = out / "sequence.csv"
+    with open(seq_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["seq_no", "qid"])
+        for i, q in enumerate(draw_ids, start=1):
+            writer.writerow([i, q])
+
+    return {
+        "runs": run_paths,
+        "scores": score_paths,
+        "qrels": qrels_path,
+        "alignment": align_path,
+        "sequence": seq_path,
+        "systems": systems,
+    }

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -121,6 +122,18 @@ class TestEvaluate:
         assert rc == 2
         assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
             f"{bad}: line 2: rank 'x' is not an integer"]
+
+    def test_csv_field_over_the_size_limit_names_file_and_line(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        bad = paths["scores"][0]
+        lines = bad.read_text().split("\n")
+        lines[2] = "q0000," + "d" * (csv.field_size_limit() + 10) + ",0.5"
+        bad.write_text("\n".join(lines))
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", scores=True))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"{bad}: line 3: field larger than field limit ({csv.field_size_limit()})"]
 
     def test_explicit_degenerate_metric_exits_3(self, tmp_path):
         paths, _ = _synth(tmp_path, zero_relevance_group=True)

@@ -391,3 +391,14 @@ def test_sequence_parse_error_names_the_file(tmp_path):
     path.write_text("seq_no,qid\n1,q1\n2,q9\n")
     with pytest.raises(UnknownRequest, match=f"^{path}: sequence line 3 references unknown"):
         parse_sequence(path, run)
+
+
+def test_unknown_request_in_a_sequence_carries_its_line(tmp_path):
+    run = parse_run(io.StringIO("q1 Q0 d1 1 2.0 r\n"))
+    path = tmp_path / "seq.csv"
+    path.write_text("seq_no,qid\n1,q1\n\n2,q9\n")
+    for source in (path, io.StringIO(path.read_text()), path.read_text().split("\n")):
+        with pytest.raises(UnknownRequest) as caught:
+            parse_sequence(source, run)
+        assert caught.value.line == 4
+        assert str(caught.value).endswith("sequence line 4 references unknown request 'q9'")
