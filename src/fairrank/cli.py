@@ -11,6 +11,7 @@ its names bind on first use, so ``compare`` starts without it.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import logging
 import sys
@@ -22,9 +23,10 @@ from .report import correlation_matrix, emit_tables, read_metrics_table
 # Module of each name only evaluate uses.  They stay attributes of this
 # module, so a caller may read or replace them before ``main`` runs.
 _EVALUATE_NAMES = {
-    "GroupSpace": "core", "evaluate_system": "pipeline",
-    **dict.fromkeys(("EvalConfig", "fallback_sequence", "load_config", "parse_alignment",
-                     "parse_qrels", "parse_run", "parse_scores", "parse_sequence"), "ingest"),
+    "GroupSpace": "core", "CompiledSystem": "compiled", "Corpus": "compiled",
+    **dict.fromkeys(("SharedInputs", "evaluate_system"), "pipeline"),
+    **dict.fromkeys(("EvalConfig", "load_config", "parse_alignment", "parse_qrels",
+                     "parse_run", "parse_scores", "parse_sequence", "single_draws"), "ingest"),
 }
 
 log = logging.getLogger("fairrank")
@@ -45,10 +47,25 @@ def __getattr__(name: str):
 
 
 def _bind_evaluate_names() -> None:
-    """Bind each evaluate-only name not bound yet; one already set is kept."""
-    for name in _EVALUATE_NAMES:
-        if name not in globals():
+    """Bind each evaluate-only name not bound yet; one already set is kept.
+
+    Loading the array stack makes tens of thousands of objects that live until
+    exit, and the cyclic collector would scan them over and over while they
+    load.  So they load with it off, and are then frozen: later collections
+    skip them.
+    """
+    missing = [name for name in _EVALUATE_NAMES if name not in globals()]
+    if not missing:
+        return
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for name in missing:
             __getattr__(name)
+    finally:
+        gc.freeze()
+        if collecting:
+            gc.enable()
 
 
 def _resolve_groups(groups: GroupSpace, config: EvalConfig) -> GroupSpace:
@@ -61,21 +78,8 @@ def _resolve_groups(groups: GroupSpace, config: EvalConfig) -> GroupSpace:
     return GroupSpace(groups.names, protected_index=p, unknown_index=u)
 
 
-def _sniff_tag(path: Path) -> str | None:
-    """Tag field of the first data line, without parsing the whole run."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            return parts[5] if len(parts) == 6 else None
-    return None
-
-
-def _system_names(run_paths: list[Path]) -> list[str]:
+def _system_names(run_paths: list[Path], tags: list[str | None]) -> list[str]:
     """Run tags when present and unique, else file stems, which must then be unique."""
-    tags = [_sniff_tag(p) for p in run_paths]
     if all(tags) and len(set(tags)) == len(tags):
         return tags  # type: ignore[return-value]
     first: dict[str, Path] = {}
@@ -88,29 +92,33 @@ def _system_names(run_paths: list[Path]) -> list[str]:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _bind_evaluate_names()
-    run_paths = [Path(p) for p in args.run]
-    systems = _system_names(run_paths)
     config = load_config(args.config)
     qrels = parse_qrels(args.qrels)
     alignment, groups = parse_alignment(args.alignment)
     groups = _resolve_groups(groups, config)
 
+    run_paths = [Path(p) for p in args.run]
     score_paths = [Path(p) for p in args.scores] if args.scores else []
     if score_paths and len(score_paths) not in (1, len(run_paths)):
         raise ConfigError(
             f"got {len(score_paths)} score files for {len(run_paths)} runs; pass "
             "one shared file or one per run")
-    shared_scores = parse_scores(score_paths[0]) if len(score_paths) == 1 else None
+    # The corpus compile: each input is parsed once into flat columns (of a run,
+    # only its ranking table and tag are kept), every document is numbered once,
+    # and each system is then a view of lookups into that corpus.
+    runs = [(run.table, run.tag) for run in map(parse_run, run_paths)]
+    systems = _system_names(run_paths, [tag for _, tag in runs])
+    draws = parse_sequence(args.sequence) if args.sequence else None
+    scores = [parse_scores(p) for p in score_paths]
+    corpus = Corpus([*(table.docs for table, _ in runs), *(s.docs for s in scores)], qrels)
+    shared = SharedInputs(corpus, qrels, alignment, groups, config)
 
     def job(idx: int):
-        # runs are parsed per job so only the systems being evaluated are resident
-        run = parse_run(run_paths[idx])
-        seq = parse_sequence(args.sequence, run) if args.sequence else fallback_sequence(run)
-        scores = None
-        if score_paths:
-            scores = shared_scores if shared_scores is not None else parse_scores(score_paths[idx])
-        return evaluate_system(systems[idx], run, seq, qrels, alignment, groups,
-                               config, scores)
+        table = runs[idx][0]
+        index = (draws.resolve(table.requests) if draws is not None
+                 else single_draws(table.requests))
+        view = CompiledSystem(corpus, table, index, scores[idx % len(scores)] if scores else None)
+        return evaluate_system(systems[idx], view, shared)
 
     results = []
     failed = False

@@ -19,7 +19,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .compiled import CompiledSystem, as_grid, by_key, left_justified, sorted_distinct
+from .compiled import (CompiledSystem, as_grid, by_key, compile_sequence, left_justified,
+                       sorted_distinct)
 from .core import (
     AlignmentMatrix,
     Degenerate,
@@ -236,7 +237,7 @@ def request_exposure(
     if not seq.distinct(request)[1]:
         raise UnknownRequest(f"no draws for request {request!r}")
     _check_width(alignment, groups)
-    view = CompiledSystem(seq, relevance)
+    view = compile_sequence(seq, relevance)
     labels = view.labels(alignment)
     exposures = request_exposures(*exposures_of(compiled_weights(view, model, relevance),
                                                 labels.rows, labels.dense), view)

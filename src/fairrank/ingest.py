@@ -44,13 +44,13 @@ import functools
 import io
 import logging
 import math
-from dataclasses import dataclass
 from itertools import chain, compress, count, groupby, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
 
+from .compiled import RankingTable, Scores, first_codes, sorted_distinct
 from .core import (
     AlignmentMatrix,
     ConfigError,
@@ -91,20 +91,30 @@ class RunRecord(NamedTuple):
     tag: str
 
 
-@dataclass(frozen=True)
 class RunFile:
-    """A parsed system run: per-request rankings plus the file's columns.
+    """A parsed system run: its rankings as flat columns (``table``) plus the file's columns.
 
     Data line i of the file is ``qids[i] Q0 docids[i] ranks[i] scores[i]
-    tags[i]``.  A run built from rankings alone has empty columns.
+    tags[i]``.  The table lists the requests in first-appearance order.  A run
+    built from rankings alone has empty file columns.
     """
 
-    rankings: dict[str, Ranking]
-    qids: tuple[str, ...] = ()
-    docids: tuple[str, ...] = ()
-    ranks: tuple[int, ...] = ()
-    scores: tuple[float, ...] = ()
-    tags: tuple[str, ...] = ()
+    def __init__(self, rankings: Mapping[str, Ranking] | RankingTable,
+                 qids: tuple[str, ...] = (), docids: tuple[str, ...] = (),
+                 ranks: tuple[int, ...] = (), scores: tuple[float, ...] = (),
+                 tags: tuple[str, ...] = ()):
+        self.table = (rankings if isinstance(rankings, RankingTable)
+                      else RankingTable.of(rankings.values()))
+        self.qids, self.docids, self.ranks, self.scores, self.tags = (
+            qids, docids, ranks, scores, tags)
+
+    @functools.cached_property
+    def rankings(self) -> dict[str, Ranking]:
+        """Each request's ranking, built on first use."""
+        table = self.table
+        docs = list(map(table.docs.__getitem__, table.codes.tolist()))
+        return {q: Ranking(q, tuple(docs[a:b]))
+                for q, a, b in zip(table.requests, table.at.tolist(), table.at[1:].tolist())}
 
     @property
     def records(self) -> tuple[RunRecord, ...]:
@@ -116,7 +126,13 @@ class RunFile:
         return self.tags[0] if self.tags else None
 
     def requests(self) -> list[str]:
-        return sorted(self.rankings)
+        return sorted(self.table.requests)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunFile):
+            return NotImplemented
+        return (self.rankings == other.rankings
+                and self.records == other.records)
 
 
 def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list[str]]:
@@ -128,8 +144,7 @@ def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list
     (every line but the last ends in its only line feed), else None.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(source)
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
@@ -142,6 +157,28 @@ def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list
     return text, lines
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file with universal newlines (``\\r\\n`` and a lone ``\\r`` read as
+    ``\\n``); a byte that is not UTF-8 is a ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})",
+                         line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _named(exc: FairRankError, source) -> FairRankError:
+    """``exc`` with the path ``source`` (when it is one) before its message."""
+    if isinstance(source, (str, Path)):
+        exc.args = (f"{source}: {exc}", *exc.args[1:])
+    return exc
+
+
 def _names_path(parse: Callable[..., T]) -> Callable[..., T]:
     """A parser that, given a path, puts it before the message of the error it raises."""
 
@@ -150,15 +187,15 @@ def _names_path(parse: Callable[..., T]) -> Callable[..., T]:
         try:
             return parse(source, *args, **kwargs)
         except FairRankError as exc:
-            if isinstance(source, (str, Path)):
-                exc.args = (f"{source}: {exc}", *exc.args[1:])
+            _named(exc, source)
             raise
 
     return parse_file
 
 
 def _columns(rows: list[str], width: int, sep: str | None = None) -> list[list[str]] | None:
-    """The ``width`` columns of ``rows``, each as one list; None when a row has another width.
+    """The ``width`` columns of ``rows``, each as one list; None when a row has another width
+    or holds a NUL.
 
     Fields are split at whitespace (``sep`` None) or at ``sep``.  The rows are
     joined with a NUL field after each, so one split of the whole text gives
@@ -167,10 +204,12 @@ def _columns(rows: list[str], width: int, sep: str | None = None) -> list[list[s
     if not rows:
         return [[] for _ in range(width)]
     glue = " " if sep is None else sep
-    fields, stride = (f"{glue}\0{glue}".join(rows) + f"{glue}\0").split(sep), width + 1
-    if (len(fields) != len(rows) * stride or fields.count("\0") != len(rows)
-            or fields[width::stride].count("\0") != len(rows)):
-        return None  # a row of another width, or a NUL field of its own
+    text, stride = f"{glue}\0{glue}".join(rows) + f"{glue}\0", width + 1
+    if text.count("\0") != len(rows):
+        return None  # a NUL of the rows' own
+    fields = text.split(sep)
+    if len(fields) != len(rows) * stride or fields[width::stride].count("\0") != len(rows):
+        return None  # a row of another width
     return [fields[i::stride] for i in range(width)]
 
 
@@ -258,9 +297,17 @@ class _Table:
         cells = self.head(cells) if row_of is None else cells[:np.searchsorted(row_of, self.n)]
         values: list[T] = []
         try:
-            values.extend(map(convert, cells))
-        except ValueError:
-            pass
+            if 2 * len(set(cells[:64])) < len(cells[:64]):  # ranks, grades, weights repeat:
+                distinct = dict.fromkeys(cells)            # convert each distinct cell once
+                values = list(map(dict(zip(distinct, map(convert, distinct))).__getitem__, cells))
+            else:
+                values.extend(map(convert, cells))
+        except ValueError:  # convert cell by cell, up to the first it refuses
+            values = []
+            try:
+                values.extend(map(convert, cells))
+            except ValueError:
+                pass
         bad = len(values)
         if convert is float and not math.isfinite(sum(values)):
             finite = np.isfinite(values)
@@ -340,28 +387,29 @@ def _request_codes(qids: list[str]) -> tuple[list[str], np.ndarray]:
     return requests, np.fromiter(map(index.__getitem__, qids), dtype=np.intp, count=len(qids))
 
 
-def _nested(table: _Table, qids: list[str], docids: list[str], values: list[float],
-            warning: str) -> dict[str, dict[str, float]]:
-    """``{request: {document: value}}``, requests in first-appearance order and each
-    request's documents in file order.
+def _keyed(table: _Table, qids: list[str], docids: list[str], values: list[float],
+           warning: str) -> Scores:
+    """The (request, document) values of the rows as ``Scores`` columns: requests in
+    first-appearance order, each request's documents in file order.
 
-    A repeated (request, document) key keeps its first position and takes its
-    last value; each repeat logs ``warning`` with its line and key.  One stable
-    sort by request groups the lines, unless each request's lines are
-    contiguous already.
+    A repeated key keeps its first position and takes its last value; each
+    repeat logs ``warning`` with its line and key.
     """
     requests, code = _request_codes(qids)
-    docs, vals = docids, values
-    if np.any(code[1:] < code[:-1]):
-        order = np.argsort(code, kind="stable")
-        code, order = code[order], order.tolist()
-        docs, vals = (list(map(col.__getitem__, order)) for col in (docids, values))
-    bounds = np.searchsorted(code, np.arange(len(requests) + 1)).tolist()
-    out = {q: dict(zip(docs[a:b], vals[a:b])) for q, a, b in zip(requests, bounds, bounds[1:])}
-    if sum(map(len, out.values())) != len(values):
-        for i in _repeats(list(zip(qids, docids))):
+    docs, doc_code = first_codes(docids)
+    values = np.array(values, dtype=float)
+    key = code * len(docs) + doc_code
+    if sorted_distinct(key).size < key.size:
+        for i in _repeats(key.tolist()):
             log.warning(warning, table.lines[i], qids[i], docids[i])
-    return out
+        by_key = np.argsort(key, kind="stable")
+        new = np.append(True, np.diff(key[by_key]) != 0)
+        first, last = by_key[new], by_key[np.append(new[1:], True)]
+        kept = np.argsort(first)
+        code, doc_code, values = code[first[kept]], doc_code[first[kept]], values[last[kept]]
+    order = np.argsort(code, kind="stable")
+    return Scores(requests, docs, doc_code[order],
+                  np.searchsorted(code[order], np.arange(len(requests) + 1)), values[order])
 
 
 @_names_path
@@ -377,6 +425,7 @@ def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
     ranks = table.numbers(rank_cells, "rank", int)
     scores = table.numbers(score_cells, "score")
     requests, code = _request_codes(table.head(qids))
+    docs, doc_code = first_codes(table.head(docids))
     rank_key = _int_key(table.head(ranks))
     order = np.lexsort((rank_key, code))
     code, rank_key = code[order], rank_key[order]
@@ -385,17 +434,15 @@ def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
         i = int(repeated.min())
         table.fail(i, DuplicateRank(f"request {qids[i]!r} repeats rank {ranks[i]}",
                                     table.lines[i]))
-    ranked = list(map(docids.__getitem__, order.tolist()))
-    bounds = np.searchsorted(code, np.arange(len(requests) + 1)).tolist()
-    try:
-        rankings = {q: Ranking(q, tuple(ranked[a:b]))
-                    for q, a, b in zip(requests, bounds, bounds[1:])}
-    except FairRankError:  # a repeated document, so raise_first reports it or an earlier line
+    if sorted_distinct(code * len(docs) + doc_code[order]).size < order.size:
+        # a repeated document, so raise_first reports it or an earlier line
         for i in _repeats(list(zip(table.head(qids), table.head(docids))))[:1]:
             table.fail(i, ParseError(f"request {qids[i]!r} repeats document {docids[i]!r}",
                                      table.lines[i]))
     table.raise_first()
-    return RunFile(rankings, tuple(qids), tuple(docids), tuple(ranks), tuple(scores), tuple(tags))
+    at = np.searchsorted(code, np.arange(len(requests) + 1))
+    return RunFile(RankingTable(requests, docs, doc_code[order], at), tuple(qids), tuple(docids),
+                   tuple(ranks), tuple(scores), tuple(tags))
 
 
 def write_run(fh: TextIO, run: RunFile) -> None:
@@ -412,10 +459,10 @@ def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
     if min(grades, default=0.0) < 0:
         table.check(np.array(grades) < 0,
                     lambda i: ParseError(f"negative grade {grades[i]}", table.lines[i]))
-    judged = _nested(table, table.head(qids), table.head(docids), table.head(grades),
-                     "qrels line %d overrides earlier grade for (%s, %s)")
+    judged = _keyed(table, table.head(qids), table.head(docids), table.head(grades),
+                    "qrels line %d overrides earlier grade for (%s, %s)")
     table.raise_first()
-    return RelevanceTable._trusted(judged)
+    return RelevanceTable._trusted(dict(judged.items()))
 
 
 def write_qrels(fh: TextIO, table: RelevanceTable) -> None:
@@ -481,22 +528,73 @@ def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) 
                chain([header], ((doc, *row) for doc, row in zip(docs, rows))))
 
 
+class Draws(NamedTuple):
+    """A sequence file's draws, read once and checked against each run later.
+
+    ``qids[i]`` is the request of data row i, at line ``lines[i]``, for the
+    rows before the first bad one, whose error (path first) is ``error``;
+    ``order`` lists the rows in draw order, by seq_no, stably.
+    """
+
+    qids: list[str]
+    lines: Sequence[int]
+    order: list[int]
+    error: Exception | None
+    where: str  # the path and ": " before an error message, or ""
+
+    def resolve(self, requests: Sequence[str]) -> np.ndarray:
+        """Each draw's index into ``requests``, in draw order.
+
+        A request not among them fails as ``UnknownRequest`` at the first line
+        that names one, unless a bad row comes first.
+        """
+        index = dict(zip(requests, range(len(requests))))
+        at = np.fromiter(map(index.get, self.qids, repeat(-1)), dtype=np.intp,
+                         count=len(self.qids))
+        unknown = np.flatnonzero(at < 0)
+        if unknown.size:
+            line, q = self.lines[unknown[0]], self.qids[unknown[0]]
+            raise UnknownRequest(
+                f"{self.where}sequence line {line} references unknown request {q!r}", line)
+        if self.error is not None:
+            raise self.error
+        return at[self.order]
+
+
 @_names_path
-def parse_sequence(source: TextIO | Iterable[str] | str | Path, run: RunFile) -> RankingSequence:
-    """Parse draw rows ``seq_no,qid`` against a run's rankings, in seq_no order (stably)."""
+def _parse_draws(source: TextIO | Iterable[str] | str | Path) -> Draws:
     rows, error = _csv_source(source)
     table = _tabulate(rows, 2, ",", "expected seq_no,qid, got {} columns", header="seq_no",
                       error=error)
     seq_cells, qid_cells = table.columns
     seq_nos = table.numbers(seq_cells, "seq_no", int)
     qids = _stripped(table.head(qid_cells))
-    table.check(np.logical_not(list(map(run.rankings.__contains__, qids))),
-                lambda i: UnknownRequest(
-                    f"sequence line {table.lines[i]} references unknown request {qids[i]!r}",
-                    table.lines[i]))
-    table.raise_first()
-    order = sorted(range(table.n), key=seq_nos.__getitem__)
-    return RankingSequence(tuple((q, run.rankings[q]) for q in map(qids.__getitem__, order)))
+    return Draws(qids, table.lines, sorted(range(table.n), key=seq_nos.__getitem__),
+                 table.error if table.error is None else _named(table.error, source),
+                 f"{source}: " if isinstance(source, (str, Path)) else "")
+
+
+def parse_sequence(source: TextIO | Iterable[str] | str | Path,
+                   run: RunFile | None = None) -> RankingSequence | Draws:
+    """Parse draw rows ``seq_no,qid``, in seq_no order (stably).
+
+    Against ``run``, the sequence of its rankings.  Without one, the ``Draws``,
+    read once for every run of an evaluate: ``Draws.resolve`` checks them
+    against each run and fails as parsing against that run does.
+    """
+    draws = _parse_draws(source)
+    if run is None:
+        return draws
+    requests = run.table.requests
+    rankings = run.rankings
+    return RankingSequence(tuple((q, rankings[q]) for q in map(
+        requests.__getitem__, draws.resolve(requests).tolist())))
+
+
+def single_draws(requests: Sequence[str]) -> np.ndarray:
+    """No sequence file: one draw per distinct request, in sorted order, as indices into
+    ``requests`` (deterministic policy)."""
+    return np.array(sorted(range(len(requests)), key=requests.__getitem__), dtype=np.intp)
 
 
 def fallback_sequence(run: RunFile) -> RankingSequence:
@@ -512,8 +610,9 @@ def write_sequence(fh: TextIO, seq: RankingSequence) -> None:
 
 
 @_names_path
-def parse_scores(source: TextIO | Iterable[str] | str | Path) -> dict[str, dict[str, float]]:
-    """Parse ``qid,docid,score`` rows into a nested score map.
+def parse_scores(source: TextIO | Iterable[str] | str | Path) -> Scores:
+    """Parse ``qid,docid,score`` rows into ``Scores``, the mapping ``{request: {document:
+    score}}`` held as columns.
 
     A first non-blank row whose first cell is ``qid`` (any case) is a header.
     """
@@ -522,8 +621,8 @@ def parse_scores(source: TextIO | Iterable[str] | str | Path) -> dict[str, dict[
                       error=error)
     qids, docids, score_cells = table.columns
     scores = table.numbers(score_cells, "score")
-    out = _nested(table, _stripped(table.head(qids)), _stripped(table.head(docids)),
-                  table.head(scores), "scores line %d overrides earlier score for (%s, %s)")
+    out = _keyed(table, _stripped(table.head(qids)), _stripped(table.head(docids)),
+                 table.head(scores), "scores line %d overrides earlier score for (%s, %s)")
     table.raise_first()
     return out
 
@@ -587,8 +686,7 @@ _DEFAULT_WEIGHTS = {"dp": "logarithmic", "eur": "logarithmic", "rur": "logarithm
                     "eed": "rbp", "eel": "rbp"}
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(NamedTuple):
     name: str
     label: str
     weight_model: str = "geometric"
@@ -602,8 +700,7 @@ class MetricConfig:
     signed: bool = False
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(NamedTuple):
     protected: str | None = None
     unknown: str | None = None
     unknown_policy: str = "exclude"
@@ -711,11 +808,16 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
     if source is not None:
         import yaml  # only a config file needs it
 
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh) or {}
-        else:
-            doc = yaml.safe_load(source) or {}
+        try:
+            text = _read_text(source) if isinstance(source, (str, Path)) else source
+            doc = yaml.safe_load(text) or {}
+        except yaml.YAMLError as exc:  # a syntax error, at its line when the parser marks one
+            mark = getattr(exc, "problem_mark", None)
+            raise _named(ParseError(getattr(exc, "problem", None) or str(exc),
+                                    None if mark is None else mark.line + 1), source) from None
+        except ParseError as exc:
+            _named(exc, source)
+            raise
     if not isinstance(doc, Mapping):
         raise ConfigError("config document must be a mapping")
     known = {"protected", "unknown", "unknown_policy", "threshold", "seed", "metrics"}

@@ -18,7 +18,6 @@ Three families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +45,7 @@ from .distance import (
 from .exposure import WeightModel, exposures_of, position_weights
 
 
-@dataclass(frozen=True)
-class SingleListResult:
+class SingleListResult(NamedTuple):
     """A single-ranking metric value with its fairness direction.
 
     ``degenerate`` names the edge case when the input admits no meaningful

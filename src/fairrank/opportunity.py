@@ -16,12 +16,12 @@ relevance should receive a comparable share of the exposure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .compiled import CompiledSystem, Labels, by_key, labeled_grid, running_total
+from .compiled import (CompiledSystem, Labels, by_key, compile_sequence, labeled_grid,
+                       running_total)
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -49,8 +49,7 @@ from .exposure import (
 from .metrics_multi import binomial_split
 
 
-@dataclass(frozen=True)
-class ExpectedExposureResult:
+class ExpectedExposureResult(NamedTuple):
     eel: float
     eer: float
     eed_raw: float
@@ -73,7 +72,7 @@ def group_utility(
     Requests where a group has no pooled members are skipped for that group,
     with the arrival weights renormalized over the rest.
     """
-    view = CompiledSystem(seq, relevance)
+    view = compile_sequence(seq, relevance)
     return utility_of(view, view.labels(alignment), groups, pool)
 
 
@@ -114,7 +113,7 @@ def discounted_group_utility(
     model: WeightModel,
 ) -> np.ndarray:
     """Expected position-weight x relevance mass per group under the policy."""
-    view = CompiledSystem(seq, relevance)
+    view = compile_sequence(seq, relevance)
     return discounted_utility_of(view, view.labels(alignment), groups,
                                  compiled_weights(view, model, relevance))
 
@@ -203,7 +202,7 @@ def expected_exposure(
     surviving requests; the loss and its decomposition are computed on those
     means.
     """
-    view = CompiledSystem(seq, relevance)
+    view = compile_sequence(seq, relevance)
     zero = np.zeros(groups.g)
     per_request = np.array([exposures.get(q, zero) for q in view.requests]).reshape(-1, groups.g)
     return exposure_loss_of(view, view.labels(alignment), groups, model,

@@ -13,11 +13,11 @@ the number of pairs, so every accuracy is an exact ratio of integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .compiled import CompiledSystem, Labels, sorted_distinct
+from .compiled import CompiledSystem, Labels, compile_sequence, sorted_distinct
 from .core import (
     AlignmentMatrix,
     FairRankError,
@@ -49,30 +49,34 @@ class PairCounts:
                 and np.array_equal(self.totals, other.totals))
 
 
-@dataclass(frozen=True)
-class PairSample:
+class PairSample(NamedTuple):
     pairs: PairCounts
     n_fallback: int  # requests whose negative pool was smaller than n_negatives
     n_skipped: int   # requests with no scorable relevant document
 
 
-def _count(
-    twice_hits: np.ndarray,
-    totals: np.ndarray,
-    hi_scores: np.ndarray,
-    hi_groups: np.ndarray,
-    lo_scores: np.ndarray,
-    lo_groups: np.ndarray,
-) -> None:
-    """Add every (hi, lo) pair across the two document sets to the tables."""
-    n_hi = np.bincount(hi_groups, minlength=2)
-    for lo in (0, 1):
-        below = np.sort(lo_scores[lo_groups == lo])
+def _count(twice_hits: np.ndarray, totals: np.ndarray, keys: np.ndarray, groups: np.ndarray,
+           span: int, hi, lo) -> None:
+    """Add every (hi, lo) pair of documents of one request to the tables, for all requests
+    at once.
+
+    A document's key is its request's index times ``span`` plus its score's
+    rank among all scores, so keys order a request's scores and tie where the
+    scores tie.  ``hi`` and ``lo`` select documents, as masks or indices.
+    """
+    hi_keys, hi_groups = keys[hi], groups[hi]
+    start = hi_keys - hi_keys % span
+    for lo_group in (0, 1):
+        below = np.sort(keys[lo][groups[lo] == lo_group])
+        first = np.searchsorted(below, start)
         # left + right insertion points: twice the count strictly below plus the ties
-        twice = (np.searchsorted(below, hi_scores, "left")
-                 + np.searchsorted(below, hi_scores, "right"))
-        twice_hits[:, lo] += np.bincount(hi_groups, weights=twice, minlength=2).astype(np.int64)
-        totals[:, lo] += n_hi * below.size
+        twice = (np.searchsorted(below, hi_keys, "left") + np.searchsorted(below, hi_keys, "right")
+                 - 2 * first)
+        n_below = np.searchsorted(below, start + span) - first
+        for hi_group in (0, 1):
+            mine = hi_groups == hi_group
+            twice_hits[hi_group, lo_group] += twice[mine].sum()
+            totals[hi_group, lo_group] += n_below[mine].sum()
 
 
 def sample_pairs(
@@ -96,49 +100,50 @@ def sample_pairs(
     documents with differing grades are always counted exhaustively.
     Identical seeds yield identical samples.
     """
-    view = CompiledSystem(RankingSequence(()), relevance, scores=scores)
+    view = compile_sequence(RankingSequence(()), relevance, scores=scores)
     return sample_pairs_of(view, view.labels(alignment), groups, n_negatives, seed, threshold)
 
 
 def sample_pairs_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, n_negatives: int,
                     seed: int, threshold: float) -> PairSample:
-    """``sample_pairs`` of a compiled system's scored documents, on one alignment variant."""
+    """``sample_pairs`` of a compiled system's scored documents, on one alignment variant.
+
+    The exhaustive pairs of every request are counted in one pass; only the
+    requests whose negative pool exceeds ``n_negatives`` draw, one request
+    after another.
+    """
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
     p = groups.require_protected()
-    rng = None  # made on first use: a run with no oversized pool never imports numpy.random
+    rows = labels.row_of[view.scored_ids]
+    kept = rows >= 0
+    request = np.repeat(np.arange(len(view.scored)), np.diff(view.scored_at))[kept]
+    s, y = view.scored_values[kept], view.scored_grades[kept]
+    g = np.where(labels.dense[rows[kept], p] >= threshold, 0, 1)
+    pos = y > 0
+    n_pos = np.bincount(request[pos], minlength=len(view.scored))
+    n_neg = np.bincount(request[~pos], minlength=len(view.scored))
+    sampled = (n_pos > 0) & (n_neg > n_negatives)
     twice_hits = np.zeros((2, 2), dtype=np.int64)
     totals = np.zeros((2, 2), dtype=np.int64)
-    n_fallback = 0
-    n_skipped = 0
 
-    for q in view.scored:
-        ids, s, y = view.scored_docs(q)
-        rows = labels.row_of[ids]
-        kept = rows >= 0
-        s, y = s[kept], y[kept]
-        g = np.where(labels.dense[rows[kept], p] >= threshold, 0, 1)
-        pos = y > 0
-        if not pos.any():
-            n_skipped += 1
-            continue
-        pos_s, pos_g, pos_y = s[pos], g[pos], y[pos]
-        neg_s, neg_g = s[~pos], g[~pos]
-        if neg_s.size < n_negatives:
-            n_fallback += 1
-        if neg_s.size <= n_negatives:
-            _count(twice_hits, totals, pos_s, pos_g, neg_s, neg_g)
-        else:
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            for i in range(pos_s.size):
-                idx = rng.choice(neg_s.size, size=n_negatives, replace=False)
-                _count(twice_hits, totals, pos_s[i:i + 1], pos_g[i:i + 1],
-                       neg_s[idx], neg_g[idx])
-        for grade in sorted_distinct(pos_y)[1:]:
-            hi, lo = pos_y == grade, pos_y < grade
-            _count(twice_hits, totals, pos_s[hi], pos_g[hi], pos_s[lo], pos_g[lo])
-    return PairSample(PairCounts(twice_hits, totals), n_fallback, n_skipped)
+    ranks = sorted_distinct(s)
+    span = ranks.size + 1
+    keys = request.astype(np.int64) * span + np.searchsorted(ranks, s)
+    _count(twice_hits, totals, keys, g, span, pos & ~sampled[request], ~pos)
+    for grade in sorted_distinct(y[pos])[1:]:
+        _count(twice_hits, totals, keys, g, span, pos & (y == grade), pos & (y < grade))
+    # made only for an oversized pool: otherwise numpy.random is never imported
+    rng = np.random.default_rng(seed) if sampled.any() else None
+    at = np.searchsorted(request, np.arange(len(view.scored) + 1))
+    for q in np.flatnonzero(sampled).tolist():
+        negatives = np.flatnonzero(~pos[at[q]:at[q + 1]]) + at[q]
+        for i in (np.flatnonzero(pos[at[q]:at[q + 1]]) + at[q]).tolist():
+            chosen = rng.choice(negatives.size, size=n_negatives, replace=False)
+            _count(twice_hits, totals, keys, g, span, [i], negatives[chosen])
+    n_fallback = int(np.count_nonzero((n_pos > 0) & (n_neg < n_negatives)))
+    return PairSample(PairCounts(twice_hits, totals), n_fallback,
+                      int(np.count_nonzero(n_pos == 0)))
 
 
 def pairwise_accuracy(counts: PairCounts, group_hi: int, group_lo: int) -> float:

@@ -1,7 +1,8 @@
 """Per-system metric evaluation: binds ingestion outputs to the metric modules.
 
-Given one system's run (and its draw sequence), the relevance table, and the
-group alignment, this evaluates every configured metric and returns table
+Given one system's compiled view and the inputs every system shares (the
+corpus, the relevance table, the group alignment and its variants, built
+once per evaluate), this evaluates every configured metric and returns table
 rows plus human-readable notes about skipped or degenerate computations.
 Single-ranking metrics are computed per draw, averaged per request, then
 averaged over requests; sequence metrics aggregate exposure with the
@@ -14,13 +15,12 @@ count, and nothing here loops over rankings or requests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
 
-from .compiled import CompiledSystem, by_key
+from .compiled import CompiledSystem, Corpus, by_key, compile_sequence
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -79,58 +79,73 @@ from .report import MetricResult, aggregate
 sample_pairs = sample_pairs_of
 
 
-@dataclass
 class SystemEvaluation:
-    system: str
-    results: list[MetricResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)  # explicitly-requested metrics that degenerated
+    """One system's metric rows and notes, and the metrics the config listed explicitly
+    that degenerated."""
 
-
-class _Context:
-    """Shared evaluation state for one system: its compiled view and memos."""
-
-    def __init__(
-        self,
-        system: str,
-        run: RunFile,
-        seq: RankingSequence,
-        qrels: RelevanceTable,
-        alignment: AlignmentMatrix,
-        groups: GroupSpace,
-        config: EvalConfig,
-        scores: Mapping[str, Mapping[str, float]] | None,
-    ):
+    def __init__(self, system: str):
         self.system = system
-        self.seq = seq
+        self.results: list[MetricResult] = []
+        self.notes: list[str] = []
+        self.failures: list[str] = []
+
+
+class SharedInputs:
+    """What every system of one evaluate shares: the corpus, the judgments, the groups and
+    each alignment variant read through the corpus's document numbers."""
+
+    def __init__(self, corpus: Corpus, qrels: RelevanceTable, alignment: AlignmentMatrix,
+                 groups: GroupSpace, config: EvalConfig):
+        self.corpus = corpus
         self.qrels = qrels
         self.alignment = alignment
         self.groups = groups
         self.config = config
-        self.scores = scores
-
-        extra = chain(chain.from_iterable(r.docs for r in run.rankings.values()),
-                      chain.from_iterable(qrels.judged(q) for q in qrels.requests()))
-        self.view = CompiledSystem(seq, qrels, extra, scores)
-        # "error" rejects unlabeled docs outright; "group" extends the space
-        # for the multinomial-capable sequence metrics (EED/EEL/IAA).
+        # "group" extends the space for the multinomial-capable sequence metrics
+        # (EED/EEL/IAA) with a row for every unlabeled document of the corpus;
+        # rows no system ranks, judges or scores are never read.  "error" rejects
+        # a system's unlabeled docs outright, so it is checked per system.
         self.ext_alignment, self.ext_groups = apply_unknown_policy(
-            alignment, groups, self.view.docs, config.unknown_policy,
-            unknown_label=config.unknown or "unknown",
+            alignment, groups, corpus.docs if config.unknown_policy == "group" else (),
+            config.unknown_policy, unknown_label=config.unknown or "unknown",
         )
         self.bin_alignment, self.bin_groups = binarize(alignment, groups, config.threshold)
         # binarize keeps the row order and apply_unknown_policy only appends
         # rows, so the extended variant's row indices below len(alignment)
         # serve the base and binarized variants as well
-        ext = self.view.labels(self.ext_alignment)
-        row_of = np.where(ext.row_of < len(alignment), ext.row_of, -1)
-        self.labels = {"ext": ext, "base": self.view.labels(alignment, row_of),
-                       "bin": self.view.labels(self.bin_alignment, row_of)}
+        self.row_of = np.append(self.ext_alignment.indices(corpus.docs), -1)
+        self.base_row_of = np.where(self.row_of < len(alignment), self.row_of, -1)
         self._catalog: TargetDistribution | None = None
+
+    def catalog(self) -> TargetDistribution:
+        if self._catalog is None:
+            vec = self.alignment.mean_row()
+            self._catalog = TargetDistribution(vec / vec.sum())
+        return self._catalog
+
+
+class _Context:
+    """Evaluation state for one system: its compiled view and memos.  The inputs every
+    system shares (qrels, alignment, groups, config and the variants) read through
+    to ``shared``."""
+
+    def __init__(self, system: str, view: CompiledSystem, shared: SharedInputs):
+        self.system = system
+        self.view = view
+        self.shared = shared
+        if shared.config.unknown_policy == "error":
+            apply_unknown_policy(shared.alignment, shared.groups,
+                                 view.unlabeled(shared.base_row_of), "error")
+        self.labels = {"ext": view.labels(shared.ext_alignment, shared.row_of),
+                       "base": view.labels(shared.alignment, shared.base_row_of),
+                       "bin": view.labels(shared.bin_alignment, shared.base_row_of)}
         self._weights: dict[WeightModel, np.ndarray] = {}
         self._ranking_eps: dict[tuple[str, WeightModel], tuple[np.ndarray, ...]] = {}
         self._exposures: dict[tuple[bool, WeightModel], RequestExposure] = {}
         self._utilities: dict[str, np.ndarray] = {}
+
+    def __getattr__(self, name: str):
+        return getattr(self.shared, name)
 
     def weights(self, model: WeightModel) -> np.ndarray:
         if model not in self._weights:
@@ -162,12 +177,6 @@ class _Context:
         if pool not in self._utilities:
             self._utilities[pool] = utility_of(self.view, self.labels["bin"], self.bin_groups, pool)
         return self._utilities[pool]
-
-    def catalog(self) -> TargetDistribution:
-        if self._catalog is None:
-            vec = self.alignment.mean_row()
-            self._catalog = TargetDistribution(vec / vec.sum())
-        return self._catalog
 
     def target_vector(self, mc: MetricConfig) -> TargetDistribution:
         if mc.target == "catalog":
@@ -302,7 +311,7 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
         gamma_disc = discounted_utility_of(ctx.view, ctx.labels["bin"], ctx.bin_groups,
                                            ctx.weights(model))
         ratio = rur(gamma_disc, ctx.utility(mc.pool), ctx.bin_groups)
-        n_req = len(ctx.seq.requests())
+        n_req = len(ctx.view.requests)
         return _ratio_rows(ctx, mc, ratio, n_req, 0, notes)
 
     if mc.name == "eel":
@@ -318,7 +327,7 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
         ]
 
     if mc.name == "iaa":
-        if not ctx.scores:
+        if not ctx.view.scored:
             raise _MissingInput("system score file not provided")
         exposures = ctx.exposures(model, binarized=False)
         utils, has = predicted_utility_of(ctx.view, ctx.labels["ext"])
@@ -327,12 +336,12 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
             raise AllDegenerate("no request has both exposure and predicted utility")
         w = ctx.view.weight[both]
         value = iaa(weighted_mean(exposures.eps[both], w), weighted_mean(utils[both], w))
-        n_req = len(ctx.seq.requests())
+        n_req = len(ctx.view.requests)
         return [MetricResult(mc.label, ctx.system, value, n_req,
                              n_req - int(np.count_nonzero(both)), Direction.ZERO_IS_FAIR)]
 
     if mc.name == "pair":
-        if not ctx.scores:
+        if not ctx.view.scored:
             raise _MissingInput("system score file not provided")
         sample = sample_pairs(ctx.view, ctx.labels["base"], ctx.groups, mc.n_negatives,
                               cfg.seed, cfg.threshold)
@@ -341,7 +350,7 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
                          "whole negative pool (smaller than n_negatives)")
         table = accuracy_table(sample.pairs)
         intra, inter = intra_inter(table)
-        n_req = len(ctx.scores)
+        n_req = len(ctx.view.scored)
         return [
             MetricResult("IntraAcc", ctx.system, intra, n_req, sample.n_skipped,
                          Direction.ZERO_IS_FAIR),
@@ -352,24 +361,16 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
     raise FairRankError(f"unhandled metric {mc.name!r}")
 
 
-def evaluate_system(
-    system: str,
-    run: RunFile,
-    seq: RankingSequence,
-    qrels: RelevanceTable,
-    alignment: AlignmentMatrix,
-    groups: GroupSpace,
-    config: EvalConfig,
-    scores: Mapping[str, Mapping[str, float]] | None = None,
-) -> SystemEvaluation:
-    """Evaluate every configured metric for one system.
+def evaluate_system(system: str, view: CompiledSystem, shared: SharedInputs) -> SystemEvaluation:
+    """Evaluate every configured metric for one compiled system.
 
     Degenerate metrics are skipped with a note; when the config listed its
     metrics explicitly, such skips are additionally recorded as failures so
     the CLI can exit non-zero.
     """
-    ctx = _Context(system, run, seq, qrels, alignment, groups, config, scores)
+    ctx = _Context(system, view, shared)
     out = SystemEvaluation(system)
+    config = shared.config
     for mc in config.metrics:
         try:
             out.results.extend(_eval_metric(ctx, mc, out.notes))
@@ -381,3 +382,14 @@ def evaluate_system(
             if config.explicit_metrics:
                 out.failures.append(mc.label)
     return out
+
+
+def compile_run(run: RunFile, seq: RankingSequence, qrels: RelevanceTable,
+                alignment: AlignmentMatrix, groups: GroupSpace, config: EvalConfig,
+                scores: Mapping[str, Mapping[str, float]] | None = None,
+                ) -> tuple[CompiledSystem, SharedInputs]:
+    """One system given as objects, compiled through a corpus of its own: its view, with
+    ``seq``'s rankings as rows and ``run``'s documents its own, and the shared inputs."""
+    view = compile_sequence(seq, qrels, run.rankings.values(), scores)
+    return view, SharedInputs(view.corpus, qrels, alignment, groups, config)
+

@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AllDegenerate, Degenerate, Direction, FairRankError
 
@@ -50,8 +50,7 @@ class MetricResult:
             raise FairRankError("degenerate count exceeds request count")
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     metrics: tuple[str, ...]
     taus: dict[tuple[int, int], float]  # taus[i, j] for every cell; NaN marks missing ones
 

@@ -858,12 +858,15 @@ def ideal_list_exposure(grades, rows, dense, model, stop):
 
 def request_pool(view, q, kind):
     """One request's candidate documents, ascending, and their grades (0 when unjudged),
-    read from a compiled system's judgment keys one request at a time."""
+    read from the corpus's judgment keys one request at a time."""
     from fairrank.compiled import lookup, sorted_distinct
 
     i = view.request_index[q]
-    a, b = view._judged_at[i], view._judged_at[i + 1]
-    judged, grades = view._keys[a:b] - i * len(view.docs), view._grades[a:b]
+    corpus = view.corpus
+    j = corpus.judged_index.get(q)
+    a, b = (0, 0) if j is None else (corpus.judged_at[j], corpus.judged_at[j + 1])
+    judged = corpus.keys[a:b] - (j or 0) * len(corpus.docs)
+    grades = corpus.grades[a:b]
     if kind == "judged":
         return judged, grades
     pool = view.ids[view.starts[i]:view.starts[i + 1]]
@@ -885,7 +888,7 @@ def request_group_utility(view, labels, n_groups, pool):
         kept = rows >= 0
         if not kept.any():
             continue
-        w = view.rho.get(q, 0.0)
+        w = view.weight[view.request_index[q]]
         members = labels.dense[rows[kept]] > 0.5
         counts = members.sum(axis=0)
         with np.errstate(invalid="ignore"):
@@ -909,7 +912,7 @@ def request_discounted_utility(view, labels, n_groups, weights):
     for q in view.arrival:
         i = view.request_index[q]
         draws = [masses[r] for r in view.draw_of[view.draw_at[i]:view.draw_at[i + 1]]]
-        total += view.rho.get(q, 0.0) * (sum(draws, np.zeros(n_groups)) / len(draws))
+        total += view.weight[view.request_index[q]] * (sum(draws, np.zeros(n_groups)) / len(draws))
     return total
 
 
@@ -932,7 +935,7 @@ def request_exposure_loss(view, labels, n_groups, model, stop, exposures, pool):
         except Degenerate:
             n_skipped += 1
             continue
-        w = view.rho.get(q, 0.0)
+        w = view.weight[view.request_index[q]]
         eps_acc += w * exposures.get(q, zero)
         tgt_acc += w * tgt
         weight_total += w
@@ -1129,3 +1132,121 @@ def oracle_generate(spec, out_dir):
         "sequence": seq_path,
         "systems": systems,
     }
+
+
+class OracleCompiledSystem:
+    """One system compiled on its own, as the evaluate path did before the corpus
+    compile: documents numbered per system (those of ``seq``, the judged
+    documents of its requests and of the scored requests, the scored documents
+    and ``extra``), judgments renumbered per system, every array built from
+    ``Ranking`` objects and nested score dicts.  The corpus view must give the
+    same documents, grades, pools and scored arrays, read back as ids.
+    """
+
+    def __init__(self, seq, relevance=None, extra=(), scores=None):
+        from itertools import accumulate, chain, repeat
+
+        from fairrank.compiled import lookup
+
+        def numbers(number, groups, count):
+            return np.fromiter(map(number.__getitem__, chain.from_iterable(groups)),
+                               dtype=np.intp, count=count)
+
+        self.requests = sorted(seq.requests())
+        self.request_index = {q: i for i, q in enumerate(self.requests)}
+        self.arrival = seq.requests()
+        self.rho = seq.rho()
+        scores = scores or {}
+        self.scored = sorted(scores)
+        self.scored_index = {q: i for i, q in enumerate(self.scored)}
+        self.rankings = []
+        draw_of = []
+        draw_at = [0]
+        self.starts = [0]
+        universe = set(extra)
+        judged_requests = self.requests + [q for q in self.scored if q not in self.request_index]
+        judged = [relevance.judged(q) if relevance is not None else {} for q in judged_requests]
+        for q in self.requests:
+            distinct, index = seq.distinct(q)
+            draw_of.extend(len(self.rankings) + i for i in index)
+            draw_at.append(len(draw_of))
+            self.rankings.extend(distinct)
+            self.starts.append(len(self.rankings))
+            for ranking in distinct:
+                universe.update(ranking.docs)
+        for grades in judged:
+            universe.update(grades)
+        for q in self.scored:
+            universe.update(scores[q])
+        self.draw_of = np.array(draw_of, dtype=np.intp)
+        self.draw_at = np.array(draw_at, dtype=np.intp)
+        self.draw_request = np.repeat(np.arange(len(self.requests)), np.diff(self.draw_at))
+        self.weight = np.fromiter(map(self.rho.get, self.requests, repeat(0.0)), dtype=float,
+                                  count=len(self.requests))
+        self.arrival_at = np.fromiter(map(self.request_index.__getitem__, self.arrival),
+                                      dtype=np.intp, count=len(self.arrival))
+        self.docs = sorted(universe)
+        number = dict(zip(self.docs, range(len(self.docs))))
+
+        lengths = np.array([len(r) for r in self.rankings], dtype=np.intp)
+        filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        self.ids = np.full(filled.shape, -1, dtype=np.intp)
+        self.ids[filled] = numbers(number, (r.docs for r in self.rankings), int(lengths.sum()))
+        n = len(self.docs)
+        sizes = [len(g) for g in judged]
+        keys = (np.repeat(np.arange(len(judged), dtype=np.int64) * n, sizes)
+                + numbers(number, judged, sum(sizes)))
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._grades = np.fromiter(chain.from_iterable(g.values() for g in judged), dtype=float,
+                                   count=keys.size)[order]
+        self._judged_at = np.searchsorted(self._keys, np.arange(len(judged) + 1) * n)
+        request_of = np.repeat(np.arange(len(self.requests)), np.diff(self.starts))
+        self.grades = np.where(
+            filled, lookup(self._keys, self._grades, request_of[:, None] * n + self.ids), 0.0)
+        sizes = [len(scores[q]) for q in self.scored]
+        self.scored_at = np.array(list(accumulate(sizes, initial=0)), dtype=np.intp)
+        self.scored_of = np.fromiter(map(self.scored_index.get, self.requests, repeat(-1)),
+                                     dtype=np.intp, count=len(self.requests))
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        ids = numbers(number, map(scores.get, self.scored), self.scored_at[-1])
+        values = np.fromiter(chain.from_iterable(scores[q].values() for q in self.scored),
+                             dtype=float, count=self.scored_at[-1])
+        order = np.lexsort((ids, block))
+        self.scored_ids, self.scored_values = ids[order], values[order]
+        judged_index = {q: i for i, q in enumerate(judged_requests)}
+        judged_of = np.array([judged_index[q] for q in self.scored], dtype=np.int64)
+        self._scored_grades = lookup(self._keys, self._grades,
+                                     judged_of[block] * n + self.scored_ids)
+
+    def pools(self, kind):
+        from fairrank.compiled import lookup, sorted_distinct
+
+        n_requests, n = len(self.requests), len(self.docs)
+        end = self._judged_at[n_requests]
+        keys, grades = self._keys[:end], self._grades[:end]
+        if kind != "judged":
+            request_of = np.repeat(np.arange(n_requests), np.diff(self.starts))
+            retrieved = (request_of[:, None] * n + self.ids)[self.ids >= 0]
+            keys = sorted_distinct(retrieved if kind == "retrieved"
+                                   else np.concatenate((retrieved, keys)))
+            grades = lookup(self._keys, self._grades, keys)
+        at = np.searchsorted(keys, np.arange(n_requests + 1) * n)
+        return keys - np.repeat(np.arange(n_requests) * n, np.diff(at)), grades, at
+
+    def scored_docs(self, request):
+        i = self.scored_index.get(request)
+        if i is None:
+            return None
+        a, b = self.scored_at[i], self.scored_at[i + 1]
+        return self.scored_ids[a:b], self.scored_values[a:b], self._scored_grades[a:b]
+
+
+def view_rankings(view):
+    """A compiled view's rows as rankings, their requests and document ids read back from
+    its arrays."""
+    from fairrank import Ranking
+
+    request_of = np.repeat(np.arange(len(view.requests)), np.diff(view.starts))
+    return [Ranking(view.requests[i], tuple(view.docs[d] for d in row if d >= 0))
+            for i, row in zip(request_of.tolist(), view.ids.tolist())]

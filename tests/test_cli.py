@@ -173,6 +173,98 @@ class TestEvaluate:
         assert rc == 2
         assert "metrics[0].gamma: expected float, got 'x'" in caplog.text
 
+    def test_config_with_bad_yaml_exits_2_at_its_line(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("metrics:\n  - {name: awrf\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"{cfg}: line 3: expected ',' or '}}', but got '<stream end>'"]
+
+    def test_run_that_is_not_utf8_exits_2_at_its_line(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        bad = tmp_path / "bad_run.txt"
+        bad.write_bytes(b"q0000 Q0 d000001 1 3.5 tag\r\nq0000 Q0 d\xe9 2 3.0 tag\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"{bad}: line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)"]
+
+    def test_shared_inputs_are_built_once_per_evaluate(self, tmp_path, monkeypatch):
+        # three runs: the qrels, alignment and sequence files are each read once, and
+        # the judgments are numbered once, for all systems
+        import fairrank.compiled
+        import fairrank.ingest
+
+        paths, _ = _synth(tmp_path, n_systems=3, max_draws=3)
+        reads, corpora = [], []
+        read_text, corpus_init = fairrank.ingest._read_text, fairrank.compiled.Corpus.__init__
+
+        def counted_read(path):
+            reads.append(str(path))
+            return read_text(path)
+
+        def counted_corpus(self, *args, **kwargs):
+            corpora.append(self)
+            corpus_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(fairrank.ingest, "_read_text", counted_read)
+        monkeypatch.setattr(fairrank.compiled.Corpus, "__init__", counted_corpus)
+        assert main(_evaluate_args(paths, tmp_path / "out", scores=True)) == 0
+        for name in ("qrels", "alignment", "sequence"):
+            assert reads.count(str(paths[name])) == 1, name
+        for path in (*paths["runs"], *paths["scores"]):
+            assert reads.count(str(path)) == 1, path
+        assert len(corpora) == 1
+
+    @staticmethod
+    def _two_systems(tmp_path, runs):
+        """A corpus of two hand-written runs over the same requests, labeled a to c."""
+        (tmp_path / "qrels.txt").write_text("q1 0 a 1\nq1 0 b 0\n")
+        (tmp_path / "alignment.csv").write_text("docid,P,U\na,1,0\nb,0,1\nc,1,0\n")
+        (tmp_path / "sequence.csv").write_text("seq_no,qid\n1,q1\n2,q2\n3,q1\n")
+        paths = {"qrels": tmp_path / "qrels.txt", "alignment": tmp_path / "alignment.csv",
+                 "sequence": tmp_path / "sequence.csv", "runs": []}
+        for name, text in runs.items():
+            paths["runs"].append(tmp_path / f"{name}.txt")
+            paths["runs"][-1].write_text(text)
+        return paths
+
+    def test_unknown_policy_error_names_each_systems_own_documents(self, tmp_path, caplog):
+        # the corpus holds three unlabeled documents, "m" and "x" of the second
+        # system and "z" of the first: each system reports its own count and first one
+        paths = self._two_systems(tmp_path, {
+            "first": "q1 Q0 a 1 1 first\nq1 Q0 z 2 1 first\nq2 Q0 c 1 1 first\n",
+            "second": "q1 Q0 x 1 1 second\nq2 Q0 m 1 1 second\nq2 Q0 a 2 1 second\n"})
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("unknown_policy: error\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "1 unlabeled documents (first: 'z')"]
+        caplog.clear()
+        paths["runs"].reverse()
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "2 unlabeled documents (first: 'm')"]
+
+    def test_unknown_policy_group_rows_of_other_systems_change_no_value(self, tmp_path):
+        paths, _ = _synth(tmp_path, n_systems=3, unlabeled_fraction=0.3, max_draws=3)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("unknown_policy: group\n")
+        extra = ["--config", str(cfg)]
+        assert main(_evaluate_args(paths, tmp_path / "all", scores=True, extra=extra)) == 0
+        together = [r for r in read_metrics_table(tmp_path / "all" / "metrics.csv")
+                    if r.system == "sys01"]
+        alone_paths = dict(paths, runs=[paths["runs"][1]], scores=[paths["scores"][1]])
+        assert main(_evaluate_args(alone_paths, tmp_path / "one", scores=True, extra=extra)) == 0
+        assert read_metrics_table(tmp_path / "one" / "metrics.csv") == together
+
     def test_protected_group_named_rest(self, tmp_path):
         # binarize names the other group "rest", which must not collide with a protected "rest"
         paths, _ = _synth(tmp_path)

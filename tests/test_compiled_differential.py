@@ -36,7 +36,7 @@ from fairrank.exposure import WEIGHT_KINDS, resolve_stop
 from fairrank.ingest import EvalConfig, RunFile
 from fairrank.metrics_single import awrf_scores
 from fairrank.opportunity import discounted_utility_of, exposure_loss_of
-from fairrank.pipeline import _Context
+from fairrank.pipeline import _Context, compile_run
 
 from oracles import (
     oracle_binarize_rows,
@@ -48,6 +48,7 @@ from oracles import (
     oracle_target_exposure,
     oracle_unknown_rows,
     oracle_weights,
+    view_rankings,
 )
 
 DOCS = ("d0", "d1", "d2", "d3")  # with UNLABELED, pools stay small enough to enumerate
@@ -95,8 +96,8 @@ def _context(g, rows, seq, grades, policy):
     groups = GroupSpace(tuple(f"g{i}" for i in range(g)), protected_index=0)
     run = RunFile({q: r for q, r in seq.draws})
     scores = {"q0": {d: 1.0 for d in EXTRA}}
-    return _Context("s", run, seq, RelevanceTable(grades), al, groups,
-                    EvalConfig(unknown_policy=policy), scores)
+    return _Context("s", *compile_run(run, seq, RelevanceTable(grades), al, groups,
+                                      EvalConfig(unknown_policy=policy), scores))
 
 
 def _variant_rows(ctx, rows, universe):
@@ -147,7 +148,7 @@ def test_compiled_context_matches_oracles(corpus):
     alignments = {"base": ctx.alignment, "ext": ctx.ext_alignment, "bin": ctx.bin_alignment}
     for name, labels in ctx.labels.items():
         assert np.array_equal(labels.dense, alignments[name].dense())
-        for r, ranking in enumerate(view.rankings):
+        for r, ranking in enumerate(view_rankings(view)):
             docs = list(ranking.docs) + [None] * (view.ids.shape[1] - len(ranking))
             for k, d in enumerate(docs):
                 i = labels.rows[r, k]
@@ -156,7 +157,7 @@ def test_compiled_context_matches_oracles(corpus):
                 else:
                     assert labels.dense[i].tolist() == pytest.approx(list(variants[name][d]))
                     assert alignments[name].row(d).tolist() == labels.dense[i].tolist()
-    for r, ranking in enumerate(view.rankings):
+    for r, ranking in enumerate(view_rankings(view)):
         want = [rel.grade(ranking.request, d) for d in ranking.docs]
         assert view.grades[r].tolist() == want + [0.0] * (view.ids.shape[1] - len(ranking))
         labeled = [rows[d] for d in ranking.docs if d in rows]
@@ -166,7 +167,7 @@ def test_compiled_context_matches_oracles(corpus):
     y_max = rel.max_grade()
     for name in ("base", "ext", "bin"):
         per_ranking, count = ctx.ranking_exposures(model, name)
-        for r, ranking in enumerate(view.rankings):
+        for r, ranking in enumerate(view_rankings(view)):
             if any(d in variants[name] for d in ranking.docs):
                 want = _oracle_draw_exposure(ranking, variants[name], grades[ranking.request],
                                              n_groups[name], model, y_max)
@@ -178,7 +179,7 @@ def test_compiled_context_matches_oracles(corpus):
     awrfs = {dist: awrf_scores(*ctx.ranking_exposures(model, "base"), ctx.groups, equal, dist,
                                signed=True)
              for dist in ("nd", "kl")}
-    for r, ranking in enumerate(view.rankings):
+    for r, ranking in enumerate(view_rankings(view)):
         labeled_docs = [d for d in ranking.docs if d in rows]
         want = _oracle_draw_exposure(ranking, rows, grades[ranking.request], g, model, y_max)
         for dist in ("nd", "kl"):

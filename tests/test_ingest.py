@@ -402,3 +402,47 @@ def test_unknown_request_in_a_sequence_carries_its_line(tmp_path):
             parse_sequence(source, run)
         assert caught.value.line == 4
         assert str(caught.value).endswith("sequence line 4 references unknown request 'q9'")
+
+
+NOT_UTF8 = {  # each format: a good line, a line broken by CRLF and lone CR, then a bad byte
+    "run": (b"q1 Q0 d1 1 2.0 r\r\nq1 Q0 d2 2 1.0 r\rq1 Q0 d\xe93 3 0.5 r\n", parse_run),
+    "qrels": (b"q1 0 d1 1\r\nq1 0 d2 0\rq1 0 d\xe93 1\n", parse_qrels),
+    "alignment": (b"docid,F,M\r\nd1,1,0\rd\xe92,0,1\n", parse_alignment),
+    "sequence": (b"seq_no,qid\r\n1,q1\r2,q\xe91\n",
+                 lambda path: parse_sequence(path, parse_run(io.StringIO("q1 Q0 d1 1 2.0 r\n")))),
+    "scores": (b"qid,docid,score\r\nq1,d1,0.5\rq1,d\xe92,0.7\n", parse_scores),
+    "config": (b"seed: 7\r\nthreshold: 0.5\rprotected: F\xe9\n", load_config),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_a_byte_that_is_not_utf8_fails_at_its_line(tmp_path, name):
+    data, parse = NOT_UTF8[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as caught:
+        parse(path)
+    assert str(caught.value) == f"{path}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+    assert caught.value.line == 3
+
+
+def test_a_config_with_bad_yaml_fails_at_its_line(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("metrics:\n  - {name: awrf\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: expected ','"):
+        load_config(path)
+    with pytest.raises(ParseError, match="^line 2: mapping values are not allowed here$"):
+        load_config(io.StringIO("seed: 1\nthreshold: a: b\n"))
+
+
+@pytest.mark.parametrize("max_draws", [1, 8])
+def test_write_sequence_gives_the_synth_sequence_bytes(tmp_path, max_draws):
+    from fairrank.synth import SynthSpec, generate
+
+    paths = generate(SynthSpec(n_docs=60, n_requests=9, depth=5, seed=3, max_draws=max_draws),
+                     tmp_path)
+    seq = parse_sequence(paths["sequence"], parse_run(paths["runs"][0]))
+    assert max_draws == 1 or len(seq) > len(seq.requests())
+    buf = io.StringIO(newline="")
+    write_sequence(buf, seq)
+    assert buf.getvalue().encode("utf-8") == paths["sequence"].read_bytes()

@@ -41,7 +41,7 @@ from fairrank.opportunity import (
     predicted_utility_of,
     utility_of,
 )
-from fairrank.pipeline import _Context, _per_draw
+from fairrank.pipeline import _Context, _per_draw, compile_run
 
 from oracles import (
     draws_mean,
@@ -64,6 +64,7 @@ from oracles import (
     request_group_utility,
     request_pool,
     request_predicted_utility,
+    view_rankings,
 )
 
 DOCS = tuple(f"d{i}" for i in range(24))  # long enough for more than 8 prefixes at step 2
@@ -110,8 +111,8 @@ def systems(draw):
     al = AlignmentMatrix(rows, n_groups=g)
     groups = GroupSpace(tuple(f"g{i}" for i in range(g)), protected_index=0)
     run = RunFile({q: r for q, r in seq.draws})
-    ctx = _Context("s", run, seq, RelevanceTable(grades), al, groups,
-                   EvalConfig(unknown_policy=policy), scores or None)
+    ctx = _Context("s", *compile_run(run, seq, RelevanceTable(grades), al, groups,
+                                     EvalConfig(unknown_policy=policy), scores or None))
     return ctx, rows, grades, model, step, target
 
 
@@ -161,7 +162,7 @@ def test_exposure_kernels_match_the_per_list_bodies(system):
         for i, q in enumerate(view.requests):
             total = 0.0
             for r in _draws(view, i):
-                docs = view.rankings[r].docs
+                docs = view_rankings(view)[r].docs
                 ys = [grades[q].get(d, 0.0) for d in docs]
                 w = oracle_weights(model.kind, model.gamma, range(1, len(docs) + 1), ys, stop)
                 total = total + oracle_group_exposure(docs, rows, w, ctx.groups.g)

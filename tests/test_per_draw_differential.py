@@ -31,10 +31,10 @@ from fairrank import (
     pref_fairness,
     protected_mask,
 )
-from fairrank.compiled import CompiledSystem
+from fairrank.compiled import compile_sequence
 from fairrank.pipeline import _per_draw
 
-from oracles import list_scores, oracle_per_draw, outcome
+from oracles import list_scores, oracle_per_draw, outcome, view_rankings
 
 DOCS = tuple(f"d{i}" for i in range(8))
 GROUPS = GroupSpace(("A", "B"), protected_index=0)
@@ -85,8 +85,8 @@ def test_per_draw_matches_draw_by_draw_oracle(corpus, data):
     alignment, relevance, seq = corpus
     fn = _metric(data.draw, alignment, relevance)
     notes = []
-    view = CompiledSystem(seq)
-    scores = list_scores([outcome(fn, r) for r in view.rankings])
+    view = compile_sequence(seq)
+    scores = list_scores([outcome(fn, r) for r in view_rankings(view)])
     try:
         got = _per_draw(SimpleNamespace(view=view, system="s"), scores,
                         SimpleNamespace(label="M"), notes)
@@ -108,9 +108,9 @@ def test_per_draw_reuses_a_raising_ranking_for_each_draw():
         return pref_fairness(r, alignment, GROUPS, None, "rd", 2)
 
     notes = []
-    view = CompiledSystem(seq)
-    assert len(view.rankings) == 3  # three distinct objects, four draws
-    scores = list_scores([outcome(fn, r) for r in view.rankings])
+    view = compile_sequence(seq)
+    assert len(view_rankings(view)) == 3  # three distinct rankings, four draws
+    scores = list_scores([outcome(fn, r) for r in view_rankings(view)])
     got = _per_draw(SimpleNamespace(view=view, system="s"), scores, SimpleNamespace(label="M"),
                     notes)
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
