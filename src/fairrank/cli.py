@@ -23,10 +23,11 @@ from .report import correlation_matrix, emit_tables, read_metrics_table
 # Module of each name only evaluate uses.  They stay attributes of this
 # module, so a caller may read or replace them before ``main`` runs.
 _EVALUATE_NAMES = {
-    "GroupSpace": "core", "CompiledSystem": "compiled", "Corpus": "compiled",
+    "CompiledSystem": "compiled", "Corpus": "compiled",
+    **dict.fromkeys(("GroupSpace", "single_draw_order"), "core"),
     **dict.fromkeys(("SharedInputs", "evaluate_system"), "pipeline"),
     **dict.fromkeys(("EvalConfig", "load_config", "parse_alignment", "parse_qrels",
-                     "parse_run", "parse_scores", "parse_sequence", "single_draws"), "ingest"),
+                     "parse_run", "parse_scores", "parse_sequence", "read_draws"), "ingest"),
 }
 
 log = logging.getLogger("fairrank")
@@ -47,25 +48,10 @@ def __getattr__(name: str):
 
 
 def _bind_evaluate_names() -> None:
-    """Bind each evaluate-only name not bound yet; one already set is kept.
-
-    Loading the array stack makes tens of thousands of objects that live until
-    exit, and the cyclic collector would scan them over and over while they
-    load.  So they load with it off, and are then frozen: later collections
-    skip them.
-    """
-    missing = [name for name in _EVALUATE_NAMES if name not in globals()]
-    if not missing:
-        return
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for name in missing:
+    """Bind each evaluate-only name not bound yet; one already set is kept."""
+    for name in _EVALUATE_NAMES:
+        if name not in globals():
             __getattr__(name)
-    finally:
-        gc.freeze()
-        if collecting:
-            gc.enable()
 
 
 def _resolve_groups(groups: GroupSpace, config: EvalConfig) -> GroupSpace:
@@ -108,7 +94,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # and each system is then a view of lookups into that corpus.
     runs = [(run.table, run.tag) for run in map(parse_run, run_paths)]
     systems = _system_names(run_paths, [tag for _, tag in runs])
-    draws = parse_sequence(args.sequence) if args.sequence else None
+    draws = read_draws(args.sequence) if args.sequence else None
     scores = [parse_scores(p) for p in score_paths]
     corpus = Corpus([*(table.docs for table, _ in runs), *(s.docs for s in scores)], qrels)
     shared = SharedInputs(corpus, qrels, alignment, groups, config)
@@ -116,7 +102,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     def job(idx: int):
         table = runs[idx][0]
         index = (draws.resolve(table.requests) if draws is not None
-                 else single_draws(table.requests))
+                 else single_draw_order(table.requests))
         view = CompiledSystem(corpus, table, index, scores[idx % len(scores)] if scores else None)
         return evaluate_system(systems[idx], view, shared)
 
@@ -253,5 +239,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
 
-if __name__ == "__main__":
+def script() -> None:
+    """The ``fairrank`` command and ``python -m fairrank.cli``: ``main`` in a process of its
+    own, which exits with its code.
+
+    There, evaluate's array stack lives until exit: it loads with the cyclic
+    collector off and is then frozen, so that no collection scans those tens of
+    thousands of objects again.  ``main`` itself leaves the collector alone for
+    callers that run it in their own process.
+    """
+    if next((arg for arg in sys.argv[1:] if not arg.startswith("-")), None) == "evaluate":
+        gc.disable()
+        _bind_evaluate_names()
+        gc.freeze()
+        gc.enable()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    script()

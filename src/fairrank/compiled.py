@@ -263,11 +263,12 @@ class CompiledSystem:
     the system (``unlabeled``).
     """
 
-    def __init__(self, corpus: Corpus, table: RankingTable, draws: np.ndarray,
+    def __init__(self, corpus: Corpus, table: RankingTable, draws: Sequence[int],
                  scores: Scores | None = None, weights: Mapping[str, float] | None = None):
         self.corpus = corpus
         self.docs = corpus.docs
         self._own = corpus.numbers(table.docs)
+        draws = np.asarray(draws, dtype=np.intp)
         names = list(map(table.requests.__getitem__, draws.tolist()))
         self.arrival = list(dict.fromkeys(names))  # first-draw order
         self.requests = sorted(self.arrival)

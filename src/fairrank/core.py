@@ -298,7 +298,15 @@ class RankingSequence:
     @classmethod
     def single_draws(cls, rankings: Mapping[str, Ranking]) -> "RankingSequence":
         """Deterministic-policy fallback: one draw per distinct request."""
-        return cls(tuple((q, rankings[q]) for q in sorted(rankings)))
+        requests = list(rankings)
+        return cls(tuple((requests[i], rankings[requests[i]])
+                         for i in single_draw_order(requests)))
+
+
+def single_draw_order(requests: Sequence[str]) -> list[int]:
+    """The deterministic policy when no sequence is given: one draw per distinct request, in
+    sorted order, as indices into ``requests``."""
+    return sorted(range(len(requests)), key=requests.__getitem__)
 
 
 def protected_mask(

@@ -44,6 +44,7 @@ import functools
 import io
 import logging
 import math
+from dataclasses import dataclass
 from itertools import chain, compress, count, groupby, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
@@ -297,17 +298,9 @@ class _Table:
         cells = self.head(cells) if row_of is None else cells[:np.searchsorted(row_of, self.n)]
         values: list[T] = []
         try:
-            if 2 * len(set(cells[:64])) < len(cells[:64]):  # ranks, grades, weights repeat:
-                distinct = dict.fromkeys(cells)            # convert each distinct cell once
-                values = list(map(dict(zip(distinct, map(convert, distinct))).__getitem__, cells))
-            else:
-                values.extend(map(convert, cells))
-        except ValueError:  # convert cell by cell, up to the first it refuses
-            values = []
-            try:
-                values.extend(map(convert, cells))
-            except ValueError:
-                pass
+            values.extend(map(convert, cells))
+        except ValueError:
+            pass
         bad = len(values)
         if convert is float and not math.isfinite(sum(values)):
             finite = np.isfinite(values)
@@ -387,6 +380,30 @@ def _request_codes(qids: list[str]) -> tuple[list[str], np.ndarray]:
     return requests, np.fromiter(map(index.__getitem__, qids), dtype=np.intp, count=len(qids))
 
 
+def _nested(table: _Table, qids: list[str], docids: list[str], values: list[float],
+            warning: str) -> dict[str, dict[str, float]]:
+    """``{request: {document: value}}``, requests in first-appearance order and each
+    request's documents in file order.
+
+    A repeated (request, document) key keeps its first position and takes its
+    last value; each repeat logs ``warning`` with its line and key.  One stable
+    sort by request groups the lines, unless each request's lines are
+    contiguous already.
+    """
+    requests, code = _request_codes(qids)
+    docs, vals = docids, values
+    if np.any(code[1:] < code[:-1]):
+        order = np.argsort(code, kind="stable")
+        code, order = code[order], order.tolist()
+        docs, vals = (list(map(col.__getitem__, order)) for col in (docids, values))
+    bounds = np.searchsorted(code, np.arange(len(requests) + 1)).tolist()
+    out = {q: dict(zip(docs[a:b], vals[a:b])) for q, a, b in zip(requests, bounds, bounds[1:])}
+    if sum(map(len, out.values())) != len(values):
+        for i in _repeats(list(zip(qids, docids))):
+            log.warning(warning, table.lines[i], qids[i], docids[i])
+    return out
+
+
 def _keyed(table: _Table, qids: list[str], docids: list[str], values: list[float],
            warning: str) -> Scores:
     """The (request, document) values of the rows as ``Scores`` columns: requests in
@@ -398,15 +415,14 @@ def _keyed(table: _Table, qids: list[str], docids: list[str], values: list[float
     requests, code = _request_codes(qids)
     docs, doc_code = first_codes(docids)
     values = np.array(values, dtype=float)
-    key = code * len(docs) + doc_code
-    if sorted_distinct(key).size < key.size:
-        for i in _repeats(key.tolist()):
-            log.warning(warning, table.lines[i], qids[i], docids[i])
-        by_key = np.argsort(key, kind="stable")
-        new = np.append(True, np.diff(key[by_key]) != 0)
-        first, last = by_key[new], by_key[np.append(new[1:], True)]
-        kept = np.argsort(first)
-        code, doc_code, values = code[first[kept]], doc_code[first[kept]], values[last[kept]]
+    keys = (code * len(docs) + doc_code).tolist()
+    repeated = _repeats(keys)
+    for i in repeated:
+        log.warning(warning, table.lines[i], qids[i], docids[i])
+    if repeated:  # each key at its first position, with its last index
+        last = dict(zip(keys, range(len(keys))))
+        code, doc_code = np.divmod(np.fromiter(last, dtype=np.intp, count=len(last)), len(docs))
+        values = values[list(last.values())]
     order = np.argsort(code, kind="stable")
     return Scores(requests, docs, doc_code[order],
                   np.searchsorted(code[order], np.arange(len(requests) + 1)), values[order])
@@ -459,10 +475,10 @@ def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
     if min(grades, default=0.0) < 0:
         table.check(np.array(grades) < 0,
                     lambda i: ParseError(f"negative grade {grades[i]}", table.lines[i]))
-    judged = _keyed(table, table.head(qids), table.head(docids), table.head(grades),
-                    "qrels line %d overrides earlier grade for (%s, %s)")
+    judged = _nested(table, table.head(qids), table.head(docids), table.head(grades),
+                     "qrels line %d overrides earlier grade for (%s, %s)")
     table.raise_first()
-    return RelevanceTable._trusted(dict(judged.items()))
+    return RelevanceTable._trusted(judged)
 
 
 def write_qrels(fh: TextIO, table: RelevanceTable) -> None:
@@ -562,7 +578,8 @@ class Draws(NamedTuple):
 
 
 @_names_path
-def _parse_draws(source: TextIO | Iterable[str] | str | Path) -> Draws:
+def read_draws(source: TextIO | Iterable[str] | str | Path) -> Draws:
+    """Read draw rows ``seq_no,qid`` once, to check against each run with ``Draws.resolve``."""
     rows, error = _csv_source(source)
     table = _tabulate(rows, 2, ",", "expected seq_no,qid, got {} columns", header="seq_no",
                       error=error)
@@ -574,32 +591,11 @@ def _parse_draws(source: TextIO | Iterable[str] | str | Path) -> Draws:
                  f"{source}: " if isinstance(source, (str, Path)) else "")
 
 
-def parse_sequence(source: TextIO | Iterable[str] | str | Path,
-                   run: RunFile | None = None) -> RankingSequence | Draws:
-    """Parse draw rows ``seq_no,qid``, in seq_no order (stably).
-
-    Against ``run``, the sequence of its rankings.  Without one, the ``Draws``,
-    read once for every run of an evaluate: ``Draws.resolve`` checks them
-    against each run and fails as parsing against that run does.
-    """
-    draws = _parse_draws(source)
-    if run is None:
-        return draws
-    requests = run.table.requests
-    rankings = run.rankings
+def parse_sequence(source: TextIO | Iterable[str] | str | Path, run: RunFile) -> RankingSequence:
+    """Parse draw rows ``seq_no,qid`` against a run's rankings, in seq_no order (stably)."""
+    requests, rankings = run.table.requests, run.rankings
     return RankingSequence(tuple((q, rankings[q]) for q in map(
-        requests.__getitem__, draws.resolve(requests).tolist())))
-
-
-def single_draws(requests: Sequence[str]) -> np.ndarray:
-    """No sequence file: one draw per distinct request, in sorted order, as indices into
-    ``requests`` (deterministic policy)."""
-    return np.array(sorted(range(len(requests)), key=requests.__getitem__), dtype=np.intp)
-
-
-def fallback_sequence(run: RunFile) -> RankingSequence:
-    """No sequence file: one draw per distinct request (deterministic policy)."""
-    return RankingSequence.single_draws(run.rankings)
+        requests.__getitem__, read_draws(source).resolve(requests).tolist())))
 
 
 def write_sequence(fh: TextIO, seq: RankingSequence) -> None:
@@ -686,7 +682,8 @@ _DEFAULT_WEIGHTS = {"dp": "logarithmic", "eur": "logarithmic", "rur": "logarithm
                     "eed": "rbp", "eel": "rbp"}
 
 
-class MetricConfig(NamedTuple):
+@dataclass(frozen=True)
+class MetricConfig:
     name: str
     label: str
     weight_model: str = "geometric"
@@ -700,7 +697,8 @@ class MetricConfig(NamedTuple):
     signed: bool = False
 
 
-class EvalConfig(NamedTuple):
+@dataclass(frozen=True)
+class EvalConfig:
     protected: str | None = None
     unknown: str | None = None
     unknown_policy: str = "exclude"

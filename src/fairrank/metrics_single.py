@@ -18,6 +18,7 @@ Three families:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,8 @@ from .distance import (
 from .exposure import WeightModel, exposures_of, position_weights
 
 
-class SingleListResult(NamedTuple):
+@dataclass(frozen=True)
+class SingleListResult:
     """A single-ranking metric value with its fairness direction.
 
     ``degenerate`` names the edge case when the input admits no meaningful

@@ -16,7 +16,8 @@ relevance should receive a comparable share of the exposure.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -49,7 +50,8 @@ from .exposure import (
 from .metrics_multi import binomial_split
 
 
-class ExpectedExposureResult(NamedTuple):
+@dataclass(frozen=True)
+class ExpectedExposureResult:
     eel: float
     eer: float
     eed_raw: float

@@ -13,7 +13,7 @@ the number of pairs, so every accuracy is an exact ratio of integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class PairCounts:
                 and np.array_equal(self.totals, other.totals))
 
 
-class PairSample(NamedTuple):
+@dataclass(frozen=True)
+class PairSample:
     pairs: PairCounts
     n_fallback: int  # requests whose negative pool was smaller than n_negatives
     n_skipped: int   # requests with no scorable relevant document

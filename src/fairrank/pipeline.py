@@ -15,6 +15,7 @@ count, and nothing here loops over rankings or requests.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Mapping
 
@@ -79,15 +80,12 @@ from .report import MetricResult, aggregate
 sample_pairs = sample_pairs_of
 
 
+@dataclass
 class SystemEvaluation:
-    """One system's metric rows and notes, and the metrics the config listed explicitly
-    that degenerated."""
-
-    def __init__(self, system: str):
-        self.system = system
-        self.results: list[MetricResult] = []
-        self.notes: list[str] = []
-        self.failures: list[str] = []
+    system: str
+    results: list[MetricResult] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)  # explicitly-requested metrics that degenerated
 
 
 class SharedInputs:
@@ -125,27 +123,26 @@ class SharedInputs:
 
 
 class _Context:
-    """Evaluation state for one system: its compiled view and memos.  The inputs every
-    system shares (qrels, alignment, groups, config and the variants) read through
-    to ``shared``."""
+    """Evaluation state for one system: its compiled view, the inputs every system shares
+    and memos."""
 
     def __init__(self, system: str, view: CompiledSystem, shared: SharedInputs):
         self.system = system
         self.view = view
-        self.shared = shared
-        if shared.config.unknown_policy == "error":
-            apply_unknown_policy(shared.alignment, shared.groups,
+        self.qrels, self.config, self.catalog = shared.qrels, shared.config, shared.catalog
+        self.alignment, self.groups = shared.alignment, shared.groups
+        self.ext_alignment, self.ext_groups = shared.ext_alignment, shared.ext_groups
+        self.bin_alignment, self.bin_groups = shared.bin_alignment, shared.bin_groups
+        if self.config.unknown_policy == "error":
+            apply_unknown_policy(self.alignment, self.groups,
                                  view.unlabeled(shared.base_row_of), "error")
-        self.labels = {"ext": view.labels(shared.ext_alignment, shared.row_of),
-                       "base": view.labels(shared.alignment, shared.base_row_of),
-                       "bin": view.labels(shared.bin_alignment, shared.base_row_of)}
+        self.labels = {"ext": view.labels(self.ext_alignment, shared.row_of),
+                       "base": view.labels(self.alignment, shared.base_row_of),
+                       "bin": view.labels(self.bin_alignment, shared.base_row_of)}
         self._weights: dict[WeightModel, np.ndarray] = {}
         self._ranking_eps: dict[tuple[str, WeightModel], tuple[np.ndarray, ...]] = {}
         self._exposures: dict[tuple[bool, WeightModel], RequestExposure] = {}
         self._utilities: dict[str, np.ndarray] = {}
-
-    def __getattr__(self, name: str):
-        return getattr(self.shared, name)
 
     def weights(self, model: WeightModel) -> np.ndarray:
         if model not in self._weights:

@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import AllDegenerate, Degenerate, Direction, FairRankError
 
@@ -50,7 +50,8 @@ class MetricResult:
             raise FairRankError("degenerate count exceeds request count")
 
 
-class CorrelationMatrix(NamedTuple):
+@dataclass(frozen=True)
+class CorrelationMatrix:
     metrics: tuple[str, ...]
     taus: dict[tuple[int, int], float]  # taus[i, j] for every cell; NaN marks missing ones
 

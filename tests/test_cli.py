@@ -375,6 +375,28 @@ def test_compare_runs_without_numpy_and_writes_the_same_tables(tmp_path):
         assert (tmp_path / "without" / name).read_bytes() == want, name
 
 
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    import gc
+
+    paths, _ = _synth(tmp_path)
+    frozen = gc.get_freeze_count()
+    assert main(_evaluate_args(paths, tmp_path / "out")) == 0
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+
+def test_script_entry_freezes_the_array_stack_for_evaluate_only(tmp_path):
+    # the fairrank command runs in a process of its own: evaluate's modules load with
+    # the collector off and are then frozen, and the collector is back on for the run
+    paths, _ = _synth(tmp_path, n_systems=3)
+    assert main(_evaluate_args(paths, tmp_path / "out")) == 0
+    code = ("import gc, sys; from fairrank import cli; sys.argv = ['fairrank', *%r]\n"
+            "try:\n    cli.script()\nexcept SystemExit as exc:\n"
+            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)")
+    argv = _evaluate_args(paths, tmp_path / "again")
+    assert _run_python(code % argv) == "0 True True"
+    assert _run_python(code % ["compare", "--results", str(tmp_path / "out")]) == "0 True False"
+
+
 def test_evaluate_loads_no_yaml_numpy_ma_or_numpy_random(tmp_path):
     # no config file and no pool larger than n_negatives: none of these is needed,
     # and only the synth command needs fairrank.synth

@@ -21,16 +21,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrank import AlignmentMatrix
+from fairrank import AlignmentMatrix, RankingSequence
 from fairrank.compiled import POOLS, CompiledSystem, Corpus
-from fairrank.ingest import (
-    fallback_sequence,
-    parse_qrels,
-    parse_run,
-    parse_scores,
-    parse_sequence,
-    single_draws,
-)
+from fairrank.core import single_draw_order
+from fairrank.ingest import parse_qrels, parse_run, parse_scores, parse_sequence, read_draws
 
 from oracles import OracleCompiledSystem
 
@@ -84,7 +78,7 @@ def test_corpus_views_match_systems_compiled_alone(corpus):
     runs, sequence, qrels_text, score_texts, alignment = corpus
     qrels = parse_qrels(io.StringIO(qrels_text))
     tables = [parse_run(io.StringIO(text)).table for text in runs]
-    draws = None if sequence is None else parse_sequence(io.StringIO(sequence))
+    draws = None if sequence is None else read_draws(io.StringIO(sequence))
     scores = [parse_scores(io.StringIO(text)) for text in score_texts]
     shared = Corpus([*(t.docs for t in tables), *(s.docs for s in scores)], qrels)
     assert shared.docs == sorted(set(shared.docs))  # number order is id order
@@ -92,12 +86,13 @@ def test_corpus_views_match_systems_compiled_alone(corpus):
 
     for i, text in enumerate(runs):
         table = tables[i]
-        index = single_draws(table.requests) if draws is None else draws.resolve(table.requests)
+        index = (single_draw_order(table.requests) if draws is None
+                 else draws.resolve(table.requests))
         system_scores = scores[i % len(scores)] if scores else None
         view = CompiledSystem(shared, table, index, system_scores)
 
         run = parse_run(io.StringIO(text))
-        seq = (fallback_sequence(run) if sequence is None
+        seq = (RankingSequence.single_draws(run.rankings) if sequence is None
                else parse_sequence(io.StringIO(sequence), run))
         nested = None if system_scores is None else {q: dict(v) for q, v in system_scores.items()}
         extra = {d for r in run.rankings.values() for d in r.docs}

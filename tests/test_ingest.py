@@ -4,12 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from fairrank import ConfigError, ParseError, UnknownRequest
+from fairrank import ConfigError, ParseError, RankingSequence, UnknownRequest
 from fairrank.ingest import (
     DuplicateRank,
     NegativeWeight,
     RowSumOutOfTolerance,
-    fallback_sequence,
     load_config,
     parse_alignment,
     parse_qrels,
@@ -218,7 +217,7 @@ class TestParseSequence:
 
     def test_fallback_one_draw_per_request(self):
         run = parse_run(io.StringIO("q2 Q0 a 1 1.0 r\nq1 Q0 b 1 1.0 r\n"))
-        seq = fallback_sequence(run)
+        seq = RankingSequence.single_draws(run.rankings)
         assert [q for q, _ in seq.draws] == ["q1", "q2"]
 
     def test_header_only_on_the_first_non_blank_row(self):
