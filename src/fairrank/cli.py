@@ -89,14 +89,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"got {len(score_paths)} score files for {len(run_paths)} runs; pass "
             "one shared file or one per run")
-    # The corpus compile: each input is parsed once into flat columns (of a run,
-    # only its ranking table and tag are kept), every document is numbered once,
-    # and each system is then a view of lookups into that corpus.
+    # The corpus compile: each input is parsed once into flat columns (of a run, only its
+    # ranking table and tag are kept), every document is numbered and each score file
+    # sorted once, and each system is then a view of lookups into that corpus.
     runs = [(run.table, run.tag) for run in map(parse_run, run_paths)]
     systems = _system_names(run_paths, [tag for _, tag in runs])
     draws = read_draws(args.sequence) if args.sequence else None
     scores = [parse_scores(p) for p in score_paths]
     corpus = Corpus([*(table.docs for table, _ in runs), *(s.docs for s in scores)], qrels)
+    scores = list(map(corpus.scored, scores))
     shared = SharedInputs(corpus, qrels, alignment, groups, config)
 
     def job(idx: int):

@@ -13,10 +13,14 @@ request, then document.  An alignment variant maps the numbers to its dense
 rows once per evaluate (``Labels``), and every metric family reads these
 arrays instead of looking documents up by string id.
 
-Parsed files arrive as flat columns, ``RankingTable`` and ``Scores``, with no
-``Ranking`` object or nested dict.  The entry points that take objects
-(``compile_sequence``) flatten them into the same columns and compile them
-through a corpus of their own.
+Parsed files arrive as flat columns, with no ``Ranking`` object or nested
+dict: a run as a ``RankingTable``, and a score file and the judgments
+(``RelevanceTable.columns``) as ``Scores``.  One sort, by request and then
+document number, turns the judgments and each score file alike into the
+corpus's arrays; a score file is sorted once and shared by every system
+that reads it.  The entry points that take objects (``compile_sequence``)
+flatten them into the same columns and compile them through a corpus of
+their own.
 
 The metric kernels work on many lists at once.  ``left_justified`` moves each
 list's labeled positions to its front, in rank order, and ``by_key`` groups
@@ -27,12 +31,13 @@ it adds the same elements in the same order as it would for each list alone.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import AlignmentMatrix, FairRankError, Ranking, RankingSequence, RelevanceTable
+from .core import (AlignmentMatrix, FairRankError, Ranking, RankingSequence, RelevanceTable,
+                   Scores, _bounds, first_codes)
 
 POOLS = ("judged", "retrieved", "union")
 
@@ -87,23 +92,16 @@ def labeled_grid(rows: np.ndarray, at: np.ndarray,
             np.diff(at))
 
 
+def ranks(names: Sequence[str]) -> np.ndarray:
+    """Each of the distinct ``names``' place in sorted order."""
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank
+
+
 def running_total(values: np.ndarray) -> np.ndarray:
     """The sum over the first axis, adding one entry after another as a loop of ``+=`` does."""
     return np.cumsum(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
-
-
-def first_codes(items: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct ``items`` in first-appearance order, and each item's index among them."""
-    first: dict[str, int] = {}
-    at = np.fromiter(map(first.setdefault, items, count()), dtype=np.intp, count=len(items))
-    dense = np.empty(len(items), dtype=np.intp)
-    dense[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = np.arange(len(first))
-    return list(first), dense[at]
-
-
-def _bounds(sizes: Iterable[int], n: int) -> np.ndarray:
-    """Where each of ``n`` consecutive segments of the given sizes starts, then the end."""
-    return np.fromiter(accumulate(sizes, initial=0), dtype=np.intp, count=n + 1)
 
 
 class RankingTable(NamedTuple):
@@ -123,93 +121,34 @@ class RankingTable(NamedTuple):
                    _bounds(map(len, rankings), len(rankings)))
 
 
-class Scores(Mapping):
-    """System scores, ``{request: {document: score}}``, held as flat columns.
-
-    Entry i scores document ``docs[codes[i]]`` with ``score[i]``, and request
-    ``requests[k]`` owns entries ``at[k]`` to ``at[k + 1]``.  Requests come in
-    first-appearance order, each with distinct documents in file order.
-    Reading a request builds its dict; the compile step reads the columns.
-    """
-
-    def __init__(self, requests: list[str], docs: list[str], codes: np.ndarray, at: np.ndarray,
-                 score: np.ndarray):
-        self.requests, self.docs, self.codes, self.at, self.score = (
-            requests, docs, codes, at, score)
-        self._index = dict(zip(requests, range(len(requests))))
-
-    @classmethod
-    def of(cls, scores: Mapping[str, Mapping[str, float]]) -> "Scores":
-        """``scores`` as columns (``scores`` itself when it is ``Scores``)."""
-        if isinstance(scores, cls):
-            return scores
-        requests = list(scores)
-        rows = [scores[q] for q in requests]
-        docs, codes = first_codes(list(chain.from_iterable(rows)))
-        values = np.fromiter(chain.from_iterable(r.values() for r in rows), dtype=float,
-                             count=codes.size)
-        return cls(requests, docs, codes, _bounds(map(len, rows), len(rows)), values)
-
-    def __getitem__(self, request: str) -> dict[str, float]:
-        k = self._index[request]
-        a, b = self.at[k], self.at[k + 1]
-        return dict(zip(map(self.docs.__getitem__, self.codes[a:b].tolist()),
-                        self.score[a:b].tolist()))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.requests)
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
 _NO_SCORES = Scores([], [], np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp), np.zeros(0))
 
 
-class _Scored(NamedTuple):
-    """A score file's entries sorted by request, then document number."""
-
-    requests: list[str]      # sorted
-    index: dict[str, int]
-    at: np.ndarray           # where each request's entries start, then the end
-    ids: np.ndarray
-    values: np.ndarray
-    grades: np.ndarray       # 0 when unjudged
+class Sorted(Scores):
+    """``Scores`` sorted by request, then document number, over a corpus's ``docs``: the
+    codes are document numbers."""
 
 
 class Corpus:
     """The documents and judgments every system of one evaluate shares.
 
     ``docs`` are the documents of ``documents`` and of ``relevance``,
-    ascending, and a document's number is its index there.  The judgments are
-    ``keys``, judged request index times ``len(docs)`` plus document number,
-    ascending over the sorted ``judged`` requests, with their ``grades``;
-    request ``judged[j]`` owns entries ``judged_at[j]`` to ``judged_at[j + 1]``.
-    A score file is sorted once however many systems read it.
+    ascending, and a document's number is its index there.  The judgments,
+    sorted as ``scored`` sorts a score file, are ``keys``, judged request
+    index times ``len(docs)`` plus document number, ascending over the sorted
+    ``judged`` requests, with their ``grades``; request ``judged[j]`` owns
+    entries ``judged_at[j]`` to ``judged_at[j + 1]``.
     """
 
     def __init__(self, documents: Iterable[Iterable[str]], relevance: RelevanceTable | None = None):
-        self.judged = sorted(relevance.requests()) if relevance is not None else []
-        rows = [relevance.judged(q) for q in self.judged]
-        universe = set(chain.from_iterable(documents))
-        for grades in rows:
-            universe.update(grades)
-        self.docs = sorted(universe)
+        judgments = _NO_SCORES if relevance is None else relevance.columns
+        self.docs = sorted(set(chain(chain.from_iterable(documents), judgments.docs)))
         self._number = dict(zip(self.docs, range(len(self.docs))))
-        self.judged_index = dict(zip(self.judged, range(len(self.judged))))
-        n = len(self.docs)
-        sizes = list(map(len, rows))
-        self.judged_docs = self.numbers(list(chain.from_iterable(rows)))
-        keys = np.repeat(np.arange(len(rows), dtype=np.int64) * n, sizes) + self.judged_docs
-        order = np.argsort(keys, kind="stable")
-        self.keys, self.judged_docs = keys[order], self.judged_docs[order]
-        self.grades = np.fromiter(chain.from_iterable(r.values() for r in rows), dtype=float,
-                                  count=keys.size)[order]
-        self.judged_at = np.searchsorted(self.keys, np.arange(len(rows) + 1) * n)
-        self._scored: dict[int, tuple[Scores, _Scored]] = {}
+        judged = self.scored(judgments)
+        self.judged, self.judged_index, self.judged_at = judged.requests, judged.index, judged.at
+        self.judged_docs, self.grades = judged.codes, judged.score
+        self.keys = (np.repeat(np.arange(len(judged)) * len(self.docs), np.diff(judged.at))
+                     + judged.codes)
 
     def numbers(self, docs: Sequence[str]) -> np.ndarray:
         """The number of each of ``docs``."""
@@ -225,24 +164,16 @@ class Corpus:
         0 when unjudged.  ``ids`` must be document numbers."""
         return lookup(self.keys, self.grades, judged * len(self.docs) + ids)
 
-    def scored(self, scores: Scores | None) -> _Scored:
-        """``scores`` sorted by request, then document, with the grades."""
+    def scored(self, scores: Scores | None) -> Sorted:
+        """``scores``, the judgments or a score file, sorted by request, then document.  Every
+        system that reads one score file can share its sorted form."""
         scores = _NO_SCORES if scores is None else scores
-        hit = self._scored.get(id(scores))
-        if hit is None:
-            names = sorted(range(len(scores.requests)), key=scores.requests.__getitem__)
-            rank = np.empty(len(names), dtype=np.intp)
-            rank[names] = np.arange(len(names))
-            block = np.repeat(rank, np.diff(scores.at))
-            ids = self.numbers(scores.docs)[scores.codes]
-            order = np.lexsort((ids, block))
-            block, ids = block[order], ids[order]
-            requests = list(map(scores.requests.__getitem__, names))
-            hit = self._scored[id(scores)] = (scores, _Scored(
-                requests, dict(zip(requests, range(len(requests)))),
-                np.searchsorted(block, np.arange(len(names) + 1)), ids, scores.score[order],
-                self.grade(self.judged_of(requests)[block], ids)))
-        return hit[1]
+        ids = self.numbers(scores.docs)[scores.codes]
+        keys = np.repeat(ranks(scores.requests) * len(self.docs), np.diff(scores.at)) + ids
+        order = np.argsort(keys)  # the keys are distinct
+        return Sorted(sorted(scores.requests), self.docs, ids[order],
+                      np.searchsorted(keys[order], np.arange(len(scores) + 1) * len(self.docs)),
+                      scores.score[order])
 
 
 class Labels(NamedTuple):
@@ -260,11 +191,11 @@ class CompiledSystem:
     and ``draws`` the candidate of each draw, in draw order.  A request's
     arrival weight is ``weights[request]`` when given, else its share of the
     draws.  Candidates never drawn are not rows, but their documents belong to
-    the system (``unlabeled``).
+    the system (``unlabeled``).  ``scores`` may come sorted by ``corpus.scored``.
     """
 
     def __init__(self, corpus: Corpus, table: RankingTable, draws: Sequence[int],
-                 scores: Scores | None = None, weights: Mapping[str, float] | None = None):
+                 scores: Sorted | Scores | None = None, weights: Mapping[str, float] | None = None):
         self.corpus = corpus
         self.docs = corpus.docs
         self._own = corpus.numbers(table.docs)
@@ -305,10 +236,11 @@ class CompiledSystem:
         judged = np.repeat(self._judged_of, np.diff(self.starts))
         self.grades = np.where(filled, corpus.grade(judged[:, None], self.ids), 0.0)
 
-        scored = corpus.scored(scores)
+        scored = scores if isinstance(scores, Sorted) else corpus.scored(scores)
         self.scored, self.scored_index, self.scored_at = scored.requests, scored.index, scored.at
-        self.scored_ids, self.scored_values = scored.ids, scored.values
-        self.scored_grades = scored.grades
+        self.scored_ids, self.scored_values = scored.codes, scored.score
+        block = np.repeat(np.arange(len(self.scored)), np.diff(self.scored_at))
+        self.scored_grades = corpus.grade(corpus.judged_of(self.scored)[block], self.scored_ids)
         # each ranked request's index among the scored ones (-1: none)
         self.scored_of = np.fromiter(map(scored.index.get, self.requests, repeat(-1)),
                                      dtype=np.intp, count=len(self.requests))
@@ -374,13 +306,7 @@ def compile_sequence(seq: RankingSequence, relevance: RelevanceTable | None = No
     The candidates are the distinct rankings of ``seq`` (by identity) and the
     ``extra`` rankings, which are never drawn.
     """
-    slot: dict[int, int] = {}
-    candidates: list[Ranking] = []
-    for _, ranking in seq.draws:
-        if slot.setdefault(id(ranking), len(candidates)) == len(candidates):
-            candidates.append(ranking)
-    draws = np.fromiter((slot[id(r)] for _, r in seq.draws), dtype=np.intp, count=len(seq))
-    table = RankingTable.of(chain(candidates, extra))
+    table = RankingTable.of(chain(seq.candidates, extra))
     scores = None if scores is None else Scores.of(scores)
     corpus = Corpus((table.docs, () if scores is None else scores.docs), relevance)
-    return CompiledSystem(corpus, table, draws, scores, seq.request_weights)
+    return CompiledSystem(corpus, table, seq.slots, scores, seq.request_weights)

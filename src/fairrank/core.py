@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain, count, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -161,52 +161,121 @@ def _raise_first_bad_row(rows: Mapping[str, Sequence[float]], n_groups: int | No
             raise FairRankError(f"alignment row for {doc!r} does not sum to 1")
 
 
+def first_codes(items: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``items`` in first-appearance order, and each item's index among them."""
+    first: dict[str, int] = {}
+    at = np.fromiter(map(first.setdefault, items, count()), dtype=np.intp, count=len(items))
+    dense = np.empty(len(items), dtype=np.intp)
+    dense[np.fromiter(first.values(), dtype=np.intp, count=len(first))] = np.arange(len(first))
+    return list(first), dense[at]
+
+
+def _bounds(sizes: Iterable[int], n: int) -> np.ndarray:
+    """Where each of ``n`` consecutive segments of the given sizes starts, then the end."""
+    return np.fromiter(accumulate(sizes, initial=0), dtype=np.intp, count=n + 1)
+
+
+class Scores(Mapping):
+    """A score file's scores or a relevance table's grades, ``{request: {document: value}}``,
+    held as flat columns.
+
+    Entry i holds document ``docs[codes[i]]`` with ``score[i]``, and request
+    ``requests[k]`` (``index[requests[k]]`` is k) owns entries ``at[k]`` to
+    ``at[k + 1]``.  Requests come in first-appearance order, each with distinct
+    documents in file order.  Reading a request builds a new dict; the compile
+    step reads the columns.
+    """
+
+    def __init__(self, requests: list[str], docs: list[str], codes: np.ndarray, at: np.ndarray,
+                 score: np.ndarray):
+        self.requests, self.docs, self.codes, self.at, self.score = (
+            requests, docs, codes, at, score)
+        self.index = dict(zip(requests, range(len(requests))))
+
+    @classmethod
+    def of(cls, scores: Mapping[str, Mapping[str, float]]) -> "Scores":
+        """``scores`` as columns (``scores`` itself when it is ``Scores``)."""
+        if isinstance(scores, cls):
+            return scores
+        requests = list(scores)
+        rows = [scores[q] for q in requests]
+        docs, codes = first_codes(list(chain.from_iterable(rows)))
+        values = np.fromiter(chain.from_iterable(r.values() for r in rows), dtype=float,
+                             count=codes.size)
+        return cls(requests, docs, codes, _bounds(map(len, rows), len(rows)), values)
+
+    def __getitem__(self, request: str) -> dict[str, float]:
+        k = self.index[request]
+        a, b = self.at[k], self.at[k + 1]
+        return dict(zip(map(self.docs.__getitem__, self.codes[a:b].tolist()),
+                        self.score[a:b].tolist()))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.requests)
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class RelevanceTable:
-    """Graded ground-truth relevance y(d|q), keyed by request then document."""
+    """Graded ground-truth relevance y(d|q), keyed by request then document.
+
+    The grades are one read-only ``Scores``, ``columns``: requests in the
+    order given, each with its documents in the order given.  ``judged``
+    builds a new dict of a request's grades on each call.
+    """
 
     def __init__(self, entries: Mapping[str, Mapping[str, float]] | None = None):
-        table: dict[str, dict[str, float]] = {}
-        for req, docs in (entries or {}).items():
-            try:  # a finite sum and a non-negative minimum clear a request's grades at once
-                inner = dict(zip(docs.keys(), map(float, docs.values())))
-                valid = math.isfinite(sum(inner.values())) and min(inner.values(), default=0) >= 0
-            except (TypeError, ValueError, OverflowError):
-                valid = False
-            if not valid:  # find the first bad grade, or accept finite grades whose sum overflowed
-                inner = {}
-                for doc, grade in docs.items():
+        entries = entries or {}
+        rows = list(entries.values())
+        try:  # a finite sum and a non-negative minimum clear the grades at once
+            grades = list(map(float, chain.from_iterable(row.values() for row in rows)))
+            valid = math.isfinite(sum(grades)) and min(grades, default=0) >= 0
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:  # find the first bad grade, or accept finite grades whose sum overflowed
+            grades = []
+            for req, row in entries.items():
+                for doc, grade in row.items():
                     grade = float(grade)
                     if not np.isfinite(grade) or grade < 0:
                         raise FairRankError(f"grade for ({req!r}, {doc!r}) must be finite and >= 0")
-                    inner[doc] = grade
-            table[req] = inner
-        self._adopt(table)
+                    grades.append(grade)
+        docs, codes = first_codes(list(chain.from_iterable(rows)))
+        self._adopt(Scores(list(entries), docs, codes, _bounds(map(len, rows), len(rows)),
+                           np.array(grades, dtype=float)))
 
     @classmethod
-    def _trusted(cls, table: dict[str, dict[str, float]]) -> "RelevanceTable":
+    def _trusted(cls, columns: Scores) -> "RelevanceTable":
         """Wrap grades already known to be finite, non-negative floats."""
         out = cls.__new__(cls)
-        out._adopt(table)
+        out._adopt(columns)
         return out
 
-    def _adopt(self, table: dict[str, dict[str, float]]) -> None:
-        self._table = table
-        self._max_grade = max(chain.from_iterable(map(dict.values, table.values())), default=0.0)
+    def _adopt(self, columns: Scores) -> None:
+        for array in (columns.codes, columns.at, columns.score):
+            array.flags.writeable = False
+        self.columns = columns
+        self._max_grade = max(columns.score.tolist(), default=0.0)
 
     def grade(self, request: str, doc: str, default: float = 0.0) -> float:
-        return self._table.get(request, {}).get(doc, default)
+        return self.judged(request).get(doc, default)
 
-    def judged(self, request: str) -> Mapping[str, float]:
-        return self._table.get(request, {})
+    def judged(self, request: str) -> dict[str, float]:
+        """The request's judged documents and their grades, as a new dict."""
+        return self.columns.get(request, {})
 
     def requests(self) -> Iterable[str]:
-        return self._table.keys()
+        return self.columns.keys()
 
     def max_grade(self) -> float:
         return self._max_grade
 
     def __len__(self) -> int:
-        return sum(len(d) for d in self._table.values())
+        return self.columns.score.size
 
 
 @dataclass(frozen=True)
@@ -242,6 +311,8 @@ class RankingSequence:
 
     ``request_weights`` optionally fixes the request arrival distribution;
     when absent, ``rho()`` falls back to the empirical draw frequencies.
+    ``candidates`` are the distinct rankings by identity, in first-draw order,
+    and ``slots`` each draw's index into them.
     """
 
     draws: tuple[tuple[str, Ranking], ...]
@@ -253,17 +324,15 @@ class RankingSequence:
             if ranking.request != q:
                 raise FairRankError(f"draw key {q!r} does not match ranking request {ranking.request!r}")
         object.__setattr__(self, "draws", draws)
-        # Per request: its distinct rankings by identity, in first-draw order,
-        # and each draw's index into them.  A ranking belongs to one request,
-        # so one identity map serves them all.
-        by_request: dict[str, tuple[list[Ranking], list[int]]] = {}
         slot: dict[int, int] = {}
+        candidates: list[Ranking] = []
+        by_request: dict[str, list[int]] = {}
         for q, ranking in draws:
-            rankings, index = by_request.setdefault(q, ([], []))
-            if id(ranking) not in slot:
-                slot[id(ranking)] = len(rankings)
-                rankings.append(ranking)
-            index.append(slot[id(ranking)])
+            if slot.setdefault(id(ranking), len(candidates)) == len(candidates):
+                candidates.append(ranking)
+            by_request.setdefault(q, []).append(slot[id(ranking)])
+        object.__setattr__(self, "candidates", tuple(candidates))
+        object.__setattr__(self, "slots", tuple(slot[id(r)] for _, r in draws))
         object.__setattr__(self, "_by_request", by_request)
         if self.request_weights is not None:
             for q, w in self.request_weights.items():
@@ -282,18 +351,19 @@ class RankingSequence:
 
     def distinct(self, request: str) -> tuple[list[Ranking], list[int]]:
         """The request's distinct rankings (first-draw order) and each draw's index into them."""
-        return self._by_request.get(request, ([], []))
+        slots = self._by_request.get(request, [])
+        local = dict(zip(dict.fromkeys(slots), count()))
+        return [self.candidates[s] for s in local], [local[s] for s in slots]
 
     def draws_for(self, request: str) -> list[Ranking]:
-        rankings, index = self.distinct(request)
-        return [rankings[i] for i in index]
+        return [self.candidates[s] for s in self._by_request.get(request, ())]
 
     def rho(self) -> dict[str, float]:
         """Request arrival distribution: explicit weights or draw frequencies."""
         if self.request_weights is not None:
             return dict(self.request_weights)
         total = len(self.draws)
-        return {q: len(index) / total for q, (_, index) in self._by_request.items()}
+        return {q: len(slots) / total for q, slots in self._by_request.items()}
 
     @classmethod
     def single_draws(cls, rankings: Mapping[str, Ranking]) -> "RankingSequence":

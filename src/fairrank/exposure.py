@@ -15,6 +15,7 @@ metrics) is built from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -118,7 +119,7 @@ def position_weights(
     """Per-document attention weights for a ranking, at ranks 1..N."""
     grades = None
     if model.kind == "cascade" and relevance is not None:
-        grades = [relevance.grade(ranking.request, d) for d in ranking.docs]
+        grades = list(map(relevance.judged(ranking.request).get, ranking.docs, repeat(0.0)))
     return weight_vector(model, np.arange(1, len(ranking) + 1), grades,
                          stop=resolve_stop(model, relevance))
 
@@ -293,7 +294,7 @@ def target_exposure(
     if not cands:
         raise FairRankError("candidate set is empty")
     _check_width(alignment, groups)
-    grades = np.array([relevance.grade(request, d) for d in cands])
+    grades = np.array(list(map(relevance.judged(request).get, cands, repeat(0.0))))
     tgt, count = ideal_exposures(grades, alignment.indices(cands), np.array([0, len(cands)]),
                                  alignment.dense(), model, resolve_stop(model, relevance))
     if not count[0]:

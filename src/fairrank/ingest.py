@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, Ty
 
 import numpy as np
 
-from .compiled import RankingTable, Scores, first_codes, sorted_distinct
+from .compiled import RankingTable, ranks, sorted_distinct
 from .core import (
     AlignmentMatrix,
     ConfigError,
@@ -61,7 +61,9 @@ from .core import (
     Ranking,
     RankingSequence,
     RelevanceTable,
+    Scores,
     UnknownRequest,
+    first_codes,
 )
 
 log = logging.getLogger("fairrank")
@@ -380,30 +382,6 @@ def _request_codes(qids: list[str]) -> tuple[list[str], np.ndarray]:
     return requests, np.fromiter(map(index.__getitem__, qids), dtype=np.intp, count=len(qids))
 
 
-def _nested(table: _Table, qids: list[str], docids: list[str], values: list[float],
-            warning: str) -> dict[str, dict[str, float]]:
-    """``{request: {document: value}}``, requests in first-appearance order and each
-    request's documents in file order.
-
-    A repeated (request, document) key keeps its first position and takes its
-    last value; each repeat logs ``warning`` with its line and key.  One stable
-    sort by request groups the lines, unless each request's lines are
-    contiguous already.
-    """
-    requests, code = _request_codes(qids)
-    docs, vals = docids, values
-    if np.any(code[1:] < code[:-1]):
-        order = np.argsort(code, kind="stable")
-        code, order = code[order], order.tolist()
-        docs, vals = (list(map(col.__getitem__, order)) for col in (docids, values))
-    bounds = np.searchsorted(code, np.arange(len(requests) + 1)).tolist()
-    out = {q: dict(zip(docs[a:b], vals[a:b])) for q, a, b in zip(requests, bounds, bounds[1:])}
-    if sum(map(len, out.values())) != len(values):
-        for i in _repeats(list(zip(qids, docids))):
-            log.warning(warning, table.lines[i], qids[i], docids[i])
-    return out
-
-
 def _keyed(table: _Table, qids: list[str], docids: list[str], values: list[float],
            warning: str) -> Scores:
     """The (request, document) values of the rows as ``Scores`` columns: requests in
@@ -415,11 +393,11 @@ def _keyed(table: _Table, qids: list[str], docids: list[str], values: list[float
     requests, code = _request_codes(qids)
     docs, doc_code = first_codes(docids)
     values = np.array(values, dtype=float)
-    keys = (code * len(docs) + doc_code).tolist()
-    repeated = _repeats(keys)
-    for i in repeated:
-        log.warning(warning, table.lines[i], qids[i], docids[i])
-    if repeated:  # each key at its first position, with its last index
+    keys = code * len(docs) + doc_code
+    if sorted_distinct(keys).size < keys.size:  # each key at its first position, last index
+        keys = keys.tolist()
+        for i in _repeats(keys):
+            log.warning(warning, table.lines[i], qids[i], docids[i])
         last = dict(zip(keys, range(len(keys))))
         code, doc_code = np.divmod(np.fromiter(last, dtype=np.intp, count=len(last)), len(docs))
         values = values[list(last.values())]
@@ -475,16 +453,20 @@ def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
     if min(grades, default=0.0) < 0:
         table.check(np.array(grades) < 0,
                     lambda i: ParseError(f"negative grade {grades[i]}", table.lines[i]))
-    judged = _nested(table, table.head(qids), table.head(docids), table.head(grades),
-                     "qrels line %d overrides earlier grade for (%s, %s)")
+    judged = _keyed(table, table.head(qids), table.head(docids), table.head(grades),
+                    "qrels line %d overrides earlier grade for (%s, %s)")
     table.raise_first()
     return RelevanceTable._trusted(judged)
 
 
 def write_qrels(fh: TextIO, table: RelevanceTable) -> None:
-    qids, docids, grades = _sorted_cells({q: table.judged(q) for q in table.requests()})
+    columns, sizes = table.columns, np.diff(table.columns.at)
+    order = np.argsort(np.repeat(ranks(columns.requests) * len(columns.docs), sizes)
+                       + ranks(columns.docs)[columns.codes])  # by request, then document
+    qids = np.repeat(np.array(columns.requests, dtype=object), sizes)[order]
+    docids = np.array(columns.docs, dtype=object)[columns.codes[order]]
     fh.writelines(f"{qid} 0 {docid} {grade}\n"
-                  for qid, docid, grade in zip(qids, docids, _reprs(grades)))
+                  for qid, docid, grade in zip(qids, docids, _reprs(columns.score[order])))
 
 
 @_names_path
@@ -599,10 +581,13 @@ def parse_sequence(source: TextIO | Iterable[str] | str | Path, run: RunFile) ->
 
 
 def write_sequence(fh: TextIO, seq: RankingSequence) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["seq_no", "qid"])
-    for i, (qid, _) in enumerate(seq.draws, start=1):
-        writer.writerow([i, qid])
+    write_draws(fh, [qid for qid, _ in seq.draws])
+
+
+def write_draws(fh: TextIO, qids: Sequence[str]) -> None:
+    """Write a sequence file that draws the requests ``qids``, in order."""
+    header = ("seq_no", "qid")
+    _write_csv(fh, chain(header, qids), chain([header], zip(map(str, count(1)), qids)))
 
 
 @_names_path
@@ -625,24 +610,16 @@ def parse_scores(source: TextIO | Iterable[str] | str | Path) -> Scores:
 
 def write_scores(fh: TextIO, scores: Mapping[str, Mapping[str, float]]) -> None:
     header = ("qid", "docid", "score")
-    qids, docids, values = _sorted_cells(scores)
-    _write_csv(fh, chain(header, qids, docids),
-               chain([header], zip(qids, docids, map(repr, map(float, values)))))
-
-
-def _sorted_cells(table: Mapping[str, Mapping[str, float]]) -> tuple[list, list, list]:
-    """The (request, document, value) columns of a nested map, sorted by request, then
-    document."""
     qids: list[str] = []
     docids: list[str] = []
     values: list[float] = []
-    for qid in sorted(table):
-        row = table[qid]
-        docs = sorted(row)
-        qids += repeat(qid, len(docs))
-        docids += docs
-        values += map(row.__getitem__, docs)
-    return qids, docids, values
+    for qid in sorted(scores):
+        row = scores[qid]
+        qids += repeat(qid, len(row))
+        docids += sorted(row)
+        values += map(row.__getitem__, docids[len(docids) - len(row):])
+    _write_csv(fh, chain(header, qids, docids),
+               chain([header], zip(qids, docids, map(repr, map(float, values)))))
 
 
 def _reprs(values: Sequence[float] | np.ndarray) -> list:

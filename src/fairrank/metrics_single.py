@@ -43,7 +43,7 @@ from .distance import (
     ZERO_UNPROTECTED_SHARE,
     deltas_of,
 )
-from .exposure import WeightModel, exposures_of, position_weights
+from .exposure import WeightModel, _check_width, exposures_of, position_weights
 
 
 @dataclass(frozen=True)
@@ -376,8 +376,7 @@ def awrf(
     signed value for the binomial distances (positive = protected group
     over-exposed).
     """
-    if alignment.n_groups != groups.g:
-        raise FairRankError("alignment width does not match the group space")
+    _check_width(alignment, groups)
     weights = position_weights(model, ranking, relevance)
     eps, count = exposures_of(weights, alignment.indices(ranking.docs)[None], alignment.dense())
     return awrf_scores(eps, count, groups, target, dist, signed).only()

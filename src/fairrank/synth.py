@@ -28,6 +28,7 @@ from .core import AlignmentMatrix, FairRankError, GroupSpace, RelevanceTable
 from .ingest import (
     RunFile,
     write_alignment,
+    write_draws,
     write_qrels,
     write_run,
     write_scores,
@@ -176,8 +177,8 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
     # Draw sequence shared by all systems: request i appears 1 + (i mod max_draws) times.
     seq_path = out / "sequence.csv"
     with open(seq_path, "w", encoding="utf-8", newline="") as fh:
-        draw_ids = [q for qi, q in enumerate(requests) for _ in range(1 + qi % spec.max_draws)]
-        fh.write("seq_no,qid\n" + "".join([f"{i},{q}\n" for i, q in enumerate(draw_ids, 1)]))
+        write_draws(fh, [q for qi, q in enumerate(requests)
+                         for _ in range(1 + qi % spec.max_draws)])
 
     # Systems: placement bias spread over [-skew, +skew], alternating quality.
     # Scores are one array expression, in the per-document expression's

@@ -14,7 +14,7 @@ from fairrank import (
     binarize,
     protected_mask,
 )
-from fairrank.compiled import compile_sequence
+from fairrank.compiled import Corpus, compile_sequence
 
 
 def test_ranking_rejects_duplicates():
@@ -52,6 +52,29 @@ def test_relevance_table_basics():
     assert RelevanceTable().max_grade() == 0.0
     with pytest.raises(FairRankError):
         RelevanceTable({"q": {"a": -1.0}})
+
+
+def test_relevance_table_judged_is_a_copy():
+    rel = RelevanceTable({"q1": {"a": 1.0}})
+    rel.judged("q1")["b"] = 3.0
+    assert rel.grade("q1", "b") == 0.0 and len(rel) == 1 and rel.max_grade() == 1.0
+    assert rel.judged("q1") == {"a": 1.0} and Corpus([], rel).docs == ["a"]
+
+
+def test_relevance_table_request_without_judgments():
+    rel = RelevanceTable({"q": {}, "r": {"a": 2.0}})
+    assert list(rel.requests()) == ["q", "r"] and len(rel) == 1 and rel.judged("q") == {}
+    corpus = Corpus([], rel)
+    assert corpus.judged == ["q", "r"] and corpus.judged_at.tolist() == [0, 0, 1]
+    assert corpus.keys.tolist() == [1] and corpus.grades.tolist() == [2.0]  # request 1, doc 0
+
+
+def test_relevance_table_request_missing():
+    rel = RelevanceTable({"q": {"a": 2.0}})
+    rel.judged("x")["a"] = 1.0
+    assert rel.judged("x") == {} and "x" not in list(rel.requests())
+    assert rel.grade("x", "a") == 0.0 and rel.grade("x", "a", -1.0) == -1.0
+    assert rel.grade("q", "b", 5.0) == 5.0 and rel.grade("q", "a", 5.0) == 2.0
 
 
 def test_target_distribution_validation():
@@ -113,6 +136,16 @@ def test_ranking_sequence_index_keeps_draw_and_first_draw_order():
     assert seq.draws_for("q2") == [r2a, r2b]
     assert seq.draws_for("q9") == []
     assert list(seq.rho().items()) == [("q2", 2 / 3), ("q1", 1 / 3)]
+
+
+def test_ranking_sequence_distinct_is_a_copy():
+    r1, r2 = Ranking("q1", ("a",)), Ranking("q2", ("b",))
+    seq = RankingSequence((("q1", r1), ("q2", r2)))
+    rankings, index = seq.distinct("q1")
+    rankings.append(r2)
+    index.append(0)
+    assert seq.rho() == {"q1": 0.5, "q2": 0.5}
+    assert seq.distinct("q1") == ([r1], [0]) and seq.draws_for("q1") == [r1]
 
 
 def test_apply_unknown_policy(two_groups):

@@ -1,10 +1,11 @@
+import csv
 import io
 import re
 
 import numpy as np
 import pytest
 
-from fairrank import ConfigError, ParseError, RankingSequence, UnknownRequest
+from fairrank import ConfigError, ParseError, RankingSequence, RelevanceTable, UnknownRequest
 from fairrank.ingest import (
     DuplicateRank,
     NegativeWeight,
@@ -16,6 +17,7 @@ from fairrank.ingest import (
     parse_scores,
     parse_sequence,
     write_alignment,
+    write_draws,
     write_qrels,
     write_run,
     write_scores,
@@ -121,6 +123,16 @@ class TestParseQrels:
         again = parse_qrels(io.StringIO(buf.getvalue()))
         for q in ("q1", "q2"):
             assert dict(again.judged(q)) == dict(rel.judged(q))
+
+    def test_written_table_parses_back_to_equal_columns(self):
+        # requests and documents in sorted order, as write_qrels writes them
+        rel = RelevanceTable({"q1": {"a": 1.0, "c": 0.0}, "q2": {"a": 2.0, "b": -0.0}})
+        buf = io.StringIO()
+        write_qrels(buf, rel)
+        parsed = parse_qrels(io.StringIO(buf.getvalue())).columns
+        assert (parsed.requests, parsed.docs) == (rel.columns.requests, rel.columns.docs)
+        for name in ("codes", "at", "score"):  # the score bytes keep the sign of -0.0
+            assert getattr(parsed, name).tobytes() == getattr(rel.columns, name).tobytes(), name
 
 
 class TestParseAlignment:
@@ -236,6 +248,13 @@ class TestParseSequence:
         write_sequence(buf, seq)
         again = parse_sequence(io.StringIO(buf.getvalue()), run)
         assert [q for q, _ in again.draws] == [q for q, _ in seq.draws]
+
+    @pytest.mark.parametrize("qids", [["q1", "q2", "q1"], ["q,1", 'q"2', "q\n3"]])
+    def test_draws_written_as_csv_writer_writes_them(self, qids):
+        buf, want = io.StringIO(), io.StringIO()
+        write_draws(buf, qids)
+        csv.writer(want, lineterminator="\n").writerows([["seq_no", "qid"], *enumerate(qids, 1)])
+        assert buf.getvalue() == want.getvalue()
 
 
 class TestParseScores:
