@@ -299,14 +299,10 @@ class CompiledSystem:
 
 
 def compile_sequence(seq: RankingSequence, relevance: RelevanceTable | None = None,
-                     extra: Iterable[Ranking] = (),
                      scores: Mapping[str, Mapping[str, float]] | None = None) -> CompiledSystem:
-    """A system given as objects, compiled through a corpus of its own.
-
-    The candidates are the distinct rankings of ``seq`` (by identity) and the
-    ``extra`` rankings, which are never drawn.
-    """
-    table = RankingTable.of(chain(seq.candidates, extra))
+    """A system given as objects, compiled through a corpus of its own, with the distinct
+    rankings of ``seq`` (by identity) as its candidates."""
+    table = RankingTable.of(seq.candidates)
     scores = None if scores is None else Scores.of(scores)
     corpus = Corpus((table.docs, () if scores is None else scores.docs), relevance)
     return CompiledSystem(corpus, table, seq.slots, scores, seq.request_weights)

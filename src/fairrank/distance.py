@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compiled import by_key
-from .core import DegenerateDenominator, FairRankError
+from .core import DISTRIBUTION_ATOL, DegenerateDenominator, FairRankError
 
 DISTANCE_KINDS = ("nd", "rd", "kl")
 
@@ -29,7 +29,7 @@ def _check_distribution(vec: np.ndarray, name: str) -> np.ndarray:
         raise FairRankError(f"{name} must be a non-empty 1-D distribution")
     if not np.all(np.isfinite(vec)) or np.any(vec < 0):
         raise FairRankError(f"{name} entries must be finite and non-negative")
-    if abs(float(vec.sum()) - 1.0) > 1e-6:
+    if abs(float(vec.sum()) - 1.0) > DISTRIBUTION_ATOL:
         raise FairRankError(f"{name} must sum to 1 (got {vec.sum():.9g})")
     return vec
 

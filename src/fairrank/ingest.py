@@ -51,8 +51,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, Ty
 
 import numpy as np
 
-from .compiled import RankingTable, ranks, sorted_distinct
+from .compiled import POOLS, RankingTable, ranks, sorted_distinct
 from .core import (
+    UNKNOWN_POLICIES,
     AlignmentMatrix,
     ConfigError,
     FairRankError,
@@ -62,9 +63,12 @@ from .core import (
     RankingSequence,
     RelevanceTable,
     Scores,
+    TargetDistribution,
     UnknownRequest,
     first_codes,
 )
+from .distance import DISTANCE_KINDS
+from .exposure import WEIGHT_KINDS
 
 log = logging.getLogger("fairrank")
 
@@ -127,9 +131,6 @@ class RunFile:
     @property
     def tag(self) -> str | None:
         return self.tags[0] if self.tags else None
-
-    def requests(self) -> list[str]:
-        return sorted(self.table.requests)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunFile):
@@ -663,15 +664,15 @@ _DEFAULT_WEIGHTS = {"dp": "logarithmic", "eur": "logarithmic", "rur": "logarithm
 class MetricConfig:
     name: str
     label: str
-    weight_model: str = "geometric"
-    gamma: float = 0.5
-    dist: str = "nd"
-    target: str = "catalog"
-    custom_target: tuple[float, ...] | None = None
-    step: int = 10
-    n_negatives: int = 10000
-    pool: str = "judged"
-    signed: bool = False
+    weight_model: str
+    gamma: float
+    dist: str
+    target: str
+    custom_target: tuple[float, ...] | None
+    step: int
+    n_negatives: int
+    pool: str
+    signed: bool
 
 
 @dataclass(frozen=True)
@@ -736,10 +737,8 @@ def _make_metric(entry: Mapping, path: str) -> MetricConfig:
     name = str(entry["name"]).lower()
     if name not in METRIC_NAMES:
         raise ConfigError(f"UnknownMetric: {name!r}", f"{path}.name")
-    known = {"name", "label", "weight_model", "gamma", "dist", "target",
-             "custom_target", "step", "n_negatives", "pool", "signed"}
     for key in entry:
-        if key not in known:
+        if key not in MetricConfig.__dataclass_fields__:  # a metric's keys are its fields
             raise ConfigError(f"unknown parameter {key!r}", f"{path}.{key}")
     weight_model = str(entry.get("weight_model", _DEFAULT_WEIGHTS.get(name, "geometric")))
     gamma = _as(float, entry.get("gamma", 0.5), f"{path}.gamma")
@@ -748,23 +747,26 @@ def _make_metric(entry: Mapping, path: str) -> MetricConfig:
     step = _as(int, entry.get("step", 10), f"{path}.step")
     n_negatives = _as(int, entry.get("n_negatives", 10000), f"{path}.n_negatives")
     pool = str(entry.get("pool", "union" if name == "eel" else "judged"))
-    _domain(weight_model in ("geometric", "logarithmic", "rbp", "cascade"),
-            f"{path}.weight_model", f"unknown weight model {weight_model!r}")
+    _domain(weight_model in WEIGHT_KINDS, f"{path}.weight_model",
+            f"unknown weight model {weight_model!r}")
     _domain(0 < gamma <= 1, f"{path}.gamma", f"gamma {gamma} outside (0, 1]")
-    _domain(dist in ("nd", "rd", "kl"), f"{path}.dist", f"unknown distance {dist!r}")
+    _domain(dist in DISTANCE_KINDS, f"{path}.dist", f"unknown distance {dist!r}")
     _domain(target in TARGET_MODES, f"{path}.target", f"unknown target mode {target!r}")
     _domain(name == "prefd" or target != "composition",
             f"{path}.target", "composition target only applies to prefd")
     _domain(step >= 2, f"{path}.step", f"step {step} must be >= 2")
     _domain(n_negatives >= 1, f"{path}.n_negatives", f"n_negatives {n_negatives} must be >= 1")
-    _domain(pool in ("judged", "retrieved", "union"), f"{path}.pool", f"unknown pool {pool!r}")
+    _domain(pool in POOLS, f"{path}.pool", f"unknown pool {pool!r}")
     custom = entry.get("custom_target")
     if custom is not None:
         if not isinstance(custom, (list, tuple)):
             raise ConfigError(f"expected a list of numbers, got {custom!r}",
                               f"{path}.custom_target")
         custom = tuple(_as(float, v, f"{path}.custom_target[{i}]") for i, v in enumerate(custom))
-        _domain(abs(sum(custom) - 1.0) <= 1e-6, f"{path}.custom_target", "must sum to 1")
+        try:
+            TargetDistribution(custom)
+        except FairRankError as exc:
+            raise ConfigError(f"ParameterOutOfDomain: {exc}", f"{path}.custom_target") from None
     _domain(target != "custom" or custom is not None,
             f"{path}.custom_target", "custom target mode needs custom_target")
     label = str(entry.get("label", _DEFAULT_LABELS[name]))
@@ -799,11 +801,10 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
     for key in doc:
         if key not in known:
             raise ConfigError(f"unknown parameter {key!r}", str(key))
-    threshold = _as(float, doc.get("threshold", 0.5), "threshold")
+    threshold = _as(float, doc.get("threshold", EvalConfig.threshold), "threshold")
     _domain(0 < threshold <= 1, "threshold", f"threshold {threshold} outside (0, 1]")
-    policy = str(doc.get("unknown_policy", "exclude"))
-    _domain(policy in ("exclude", "group", "error"), "unknown_policy",
-            f"unknown policy {policy!r}")
+    policy = str(doc.get("unknown_policy", EvalConfig.unknown_policy))
+    _domain(policy in UNKNOWN_POLICIES, "unknown_policy", f"unknown policy {policy!r}")
     raw_metrics = doc.get("metrics")
     if raw_metrics is None:
         metrics = default_metrics()
@@ -818,7 +819,7 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
         unknown=str(doc["unknown"]) if "unknown" in doc and doc["unknown"] is not None else None,
         unknown_policy=policy,
         threshold=threshold,
-        seed=_as(int, doc.get("seed", 42), "seed"),
+        seed=_as(int, doc.get("seed", EvalConfig.seed), "seed"),
         metrics=metrics,
         explicit_metrics=explicit,
     )

@@ -17,7 +17,7 @@ relevance should receive a comparable share of the exposure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -39,10 +39,12 @@ from .core import (
 # patches them under this module's name.
 from .exposure import (
     WeightModel,
+    _check_width,
     compiled_weights,
     exposures_of,
     ideal_exposures,
     position_weights,
+    request_exposures,
     request_means,
     resolve_stop,
     target_exposure,
@@ -130,24 +132,24 @@ def discounted_utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpa
 
 def eur(system_eps: np.ndarray, upsilon: np.ndarray, groups: GroupSpace) -> float:
     """Exposed utility ratio: (eps+/ups+) / (eps-/ups-); 1 is fair."""
-    e_plus, e_minus = binomial_split(system_eps, groups)
-    u_plus, u_minus = binomial_split(upsilon, groups)
-    if u_plus <= 0 or u_minus <= 0:
-        raise DegenerateUtility("a group's mean relevance is zero; ratio undefined")
-    if e_minus <= 0:
-        raise DegenerateDenominator("unprotected group received zero exposure")
-    return (e_plus / u_plus) / (e_minus / u_minus)
+    return _utility_ratio(system_eps, upsilon, groups, "unprotected group received zero exposure")
 
 
 def rur(gamma_disc: np.ndarray, upsilon: np.ndarray, groups: GroupSpace) -> float:
     """Realized utility ratio: (gamma+/ups+) / (gamma-/ups-); 1 is fair."""
-    g_plus, g_minus = binomial_split(gamma_disc, groups)
+    return _utility_ratio(gamma_disc, upsilon, groups,
+                          "unprotected group realized zero discounted utility")
+
+
+def _utility_ratio(mass: np.ndarray, upsilon: np.ndarray, groups: GroupSpace, reason: str) -> float:
+    """(mass+/ups+) / (mass-/ups-); ``reason`` explains a zero mass-."""
+    m_plus, m_minus = binomial_split(mass, groups)
     u_plus, u_minus = binomial_split(upsilon, groups)
     if u_plus <= 0 or u_minus <= 0:
         raise DegenerateUtility("a group's mean relevance is zero; ratio undefined")
-    if g_minus <= 0:
-        raise DegenerateDenominator("unprotected group realized zero discounted utility")
-    return (g_plus / u_plus) / (g_minus / u_minus)
+    if m_minus <= 0:
+        raise DegenerateDenominator(reason)
+    return (m_plus / u_plus) / (m_minus / u_minus)
 
 
 def iaa(system_eps: np.ndarray, predicted_utility: np.ndarray) -> float:
@@ -189,26 +191,26 @@ def expected_exposure(
     alignment: AlignmentMatrix,
     groups: GroupSpace,
     model: WeightModel,
-    exposures: Mapping[str, np.ndarray],
     pool: str = "union",
 ) -> ExpectedExposureResult:
     """System-level expected exposure loss against the ideal policy.
 
-    ``exposures`` maps each request to its raw exposure vector, as
-    ``request_exposure`` gives it on the same alignment and weight model; a
-    request absent from it (no draw has a labeled document) has zero
-    exposure.  The target comes from the relevance-sorted ideal policy over
+    Each request's raw exposure is the one ``request_exposure`` gives on the
+    same alignment and weight model, and zero when no draw has a labeled
+    document.  The target comes from the relevance-sorted ideal policy over
     the candidate pool (judged plus retrieved documents by default).
     Requests with no relevant document, or with no labeled candidate, are
     skipped and counted.  Both vectors are arrival-weighted means over the
     surviving requests; the loss and its decomposition are computed on those
     means.
     """
+    _check_width(alignment, groups)
     view = compile_sequence(seq, relevance)
-    zero = np.zeros(groups.g)
-    per_request = np.array([exposures.get(q, zero) for q in view.requests]).reshape(-1, groups.g)
-    return exposure_loss_of(view, view.labels(alignment), groups, model,
-                            resolve_stop(model, relevance), per_request, pool)
+    labels = view.labels(alignment)
+    exposures = request_exposures(*exposures_of(compiled_weights(view, model, relevance),
+                                                labels.rows, labels.dense), view)
+    return exposure_loss_of(view, labels, groups, model, resolve_stop(model, relevance),
+                            exposures.eps, pool)
 
 
 def exposure_loss_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, model: WeightModel,

@@ -49,7 +49,7 @@ from .exposure import (
     resolve_stop,
     weighted_mean,
 )
-from .ingest import EvalConfig, MetricConfig, RunFile
+from .ingest import EvalConfig, MetricConfig
 from .metrics_multi import demographic_parity, eed
 from .metrics_single import (
     ListScores,
@@ -189,15 +189,8 @@ class _Context:
         raise FairRankError(f"target mode {mc.target!r} needs a per-list composition")
 
     def scalar_phat(self, mc: MetricConfig) -> float:
-        """Binomial target: protected-group probability for count-based metrics."""
-        p = self.groups.require_protected()
-        if mc.target == "catalog":
-            return self.catalog().scalar(p)
-        if mc.target == "equal":
-            return 0.5
-        if mc.target == "custom":
-            return self.target_vector(mc).scalar(p)
-        raise FairRankError(f"target mode {mc.target!r} has no scalar form")
+        """Binomial target: the protected entry of ``target_vector`` (1/g for ``equal``)."""
+        return self.target_vector(mc).scalar(self.groups.require_protected())
 
 
 def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
@@ -260,10 +253,6 @@ def _ratio_rows(
     return rows
 
 
-class _MissingInput(FairRankError):
-    """An optional input needed by this metric was not supplied."""
-
-
 def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[MetricResult]:
     cfg = ctx.config
     model = WeightModel(mc.weight_model, mc.gamma)
@@ -323,9 +312,11 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
                          Direction.HIGHER_IS_BETTER),
         ]
 
+    if mc.name in ("iaa", "pair") and not ctx.view.scored:
+        notes.append(f"{mc.label}: skipped (system score file not provided)")
+        return []
+
     if mc.name == "iaa":
-        if not ctx.view.scored:
-            raise _MissingInput("system score file not provided")
         exposures = ctx.exposures(model, binarized=False)
         utils, has = predicted_utility_of(ctx.view, ctx.labels["ext"])
         both = exposures.labeled & has
@@ -338,8 +329,6 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
                              n_req - int(np.count_nonzero(both)), Direction.ZERO_IS_FAIR)]
 
     if mc.name == "pair":
-        if not ctx.view.scored:
-            raise _MissingInput("system score file not provided")
         sample = sample_pairs(ctx.view, ctx.labels["base"], ctx.groups, mc.n_negatives,
                               cfg.seed, cfg.threshold)
         if sample.n_fallback:
@@ -371,8 +360,6 @@ def evaluate_system(system: str, view: CompiledSystem, shared: SharedInputs) -> 
     for mc in config.metrics:
         try:
             out.results.extend(_eval_metric(ctx, mc, out.notes))
-        except _MissingInput as exc:
-            out.notes.append(f"{mc.label}: skipped ({exc})")
         except (Degenerate, AllDegenerate) as exc:
             reason = getattr(exc, "reason", None) or str(exc)
             out.notes.append(f"{mc.label}: degenerate ({reason})")
@@ -381,12 +368,12 @@ def evaluate_system(system: str, view: CompiledSystem, shared: SharedInputs) -> 
     return out
 
 
-def compile_run(run: RunFile, seq: RankingSequence, qrels: RelevanceTable,
-                alignment: AlignmentMatrix, groups: GroupSpace, config: EvalConfig,
+def compile_run(seq: RankingSequence, qrels: RelevanceTable, alignment: AlignmentMatrix,
+                groups: GroupSpace, config: EvalConfig,
                 scores: Mapping[str, Mapping[str, float]] | None = None,
                 ) -> tuple[CompiledSystem, SharedInputs]:
     """One system given as objects, compiled through a corpus of its own: its view, with
-    ``seq``'s rankings as rows and ``run``'s documents its own, and the shared inputs."""
-    view = compile_sequence(seq, qrels, run.rankings.values(), scores)
+    ``seq``'s distinct rankings as rows, and the shared inputs."""
+    view = compile_sequence(seq, qrels, scores)
     return view, SharedInputs(view.corpus, qrels, alignment, groups, config)
 

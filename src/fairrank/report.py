@@ -163,6 +163,14 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[object]]) -> Path:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_tables(
     results: Iterable[MetricResult],
     matrix: CorrelationMatrix | None,
@@ -177,40 +185,25 @@ def emit_tables(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
     rows = sorted(results, key=lambda r: (r.system, r.metric))
     if not rows:
         raise FairRankError("no metric results to write")
-    metrics_path = out_dir / "metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for r in rows:
-            writer.writerow([r.system, r.metric, _fmt(r.value), r.n_requests,
-                             r.n_degenerate, r.direction.value])
-    written.append(metrics_path)
+    written = [_write_csv(out_dir / "metrics.csv", METRICS_COLUMNS,
+                          ([r.system, r.metric, _fmt(r.value), r.n_requests, r.n_degenerate,
+                            r.direction.value] for r in rows))]
 
     if matrix is not None:
-        corr_path = out_dir / "correlations.csv"
-        with open(corr_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", *matrix.metrics])
-            for i, name in enumerate(matrix.metrics):
-                cells = ["" if math.isnan(matrix.taus[i, j]) else _fmt(matrix.taus[i, j])
-                         for j in range(len(matrix.metrics))]
-                writer.writerow([name, *cells])
-        written.append(corr_path)
+        names = matrix.metrics
+        cells = [["" if math.isnan(matrix.taus[i, j]) else _fmt(matrix.taus[i, j])
+                  for j in range(len(names))] for i in range(len(names))]
+        written.append(_write_csv(out_dir / "correlations.csv", ["metric", *names],
+                                  ([a, *row] for a, row in zip(names, cells))))
         if long_format:
-            long_path = out_dir / "correlations_long.csv"
-            with open(long_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["metric_a", "metric_b", "tau"])
-                for i, a in enumerate(matrix.metrics):
-                    for j, b in enumerate(matrix.metrics):
-                        t = matrix.taus[i, j]
-                        writer.writerow([a, b, "" if math.isnan(t) else _fmt(t)])
-            written.append(long_path)
+            written.append(_write_csv(out_dir / "correlations_long.csv",
+                                      ["metric_a", "metric_b", "tau"],
+                                      ([a, b, cell] for a, row in zip(names, cells)
+                                       for b, cell in zip(names, row))))
     return written
 
 

@@ -61,7 +61,6 @@ from fairrank.ingest import parse_alignment, parse_run, parse_sequence
 from fairrank.report import correlation_matrix, read_metrics_table
 from fairrank.synth import SynthSpec, generate
 
-from conftest import request_exposures
 from oracles import (
     oracle_fair,
     oracle_group_exposure,
@@ -413,8 +412,7 @@ def test_c04_ranges_and_fair_endpoints():
         if mask.size:
             assert 0.0 <= fair_score(mask, 0.5).value <= 1.0
         try:
-            ee = expected_exposure(seq, rel, al, GS, GEO,
-                                   request_exposures(seq, rel, al, GS, GEO))
+            ee = expected_exposure(seq, rel, al, GS, GEO)
             assert ee.eel >= 0.0
         except Exception:
             pass
@@ -445,8 +443,7 @@ def test_c04_ranges_and_fair_endpoints():
     rel_i = RelevanceTable({"q": {"a": 1.0, "b": 1.0, "c": 0.0}})
     seq_i = RankingSequence((("q", Ranking("q", ("a", "b", "c"))),
                              ("q", Ranking("q", ("b", "a", "c")))))
-    ee_i = expected_exposure(seq_i, rel_i, al_i, GS, GEO,
-                             request_exposures(seq_i, rel_i, al_i, GS, GEO), pool="judged")
+    ee_i = expected_exposure(seq_i, rel_i, al_i, GS, GEO, pool="judged")
     assert abs(ee_i.eel) < 1e-6
     tgt_i = target_exposure("q", ["a", "b", "c"], rel_i, al_i, GEO, GS)
     assert abs(ee_i.eer - 2 * float(tgt_i @ tgt_i)) < 1e-6  # EER at its ideal value

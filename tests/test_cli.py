@@ -92,7 +92,10 @@ class TestEvaluate:
         assert rc == 0
         metrics = {r.metric for r in read_metrics_table(out / "metrics.csv")}
         assert "IAA" not in metrics and "IntraAcc" not in metrics
-        assert any("skipped" in r.message for r in caplog.records)
+        messages = [r.getMessage() for r in caplog.records]
+        for system in ("sys00", "sys01"):
+            for label in ("IAA", "PAIR"):
+                assert f"{system}: {label}: skipped (system score file not provided)" in messages
 
     def test_non_finite_metric_row_dropped_and_logged(self, tmp_path, caplog, monkeypatch):
         monkeypatch.setattr("fairrank.pipeline.eed", lambda eps: float("inf"))
@@ -154,6 +157,21 @@ class TestEvaluate:
         assert rc == 2
         assert any("custom target has 3 entries for 2 groups" in r.getMessage()
                    for r in caplog.records)
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("target, reason", [
+        ("[0.3333333, 0.6666666]", "target distribution must sum to 1"),
+        ("[1.5, -0.5]", "target entries must lie in [0, 1]"),
+    ])
+    def test_custom_target_that_is_no_distribution_fails_at_load(self, tmp_path, caplog,
+                                                                 target, reason):
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"metrics:\n  - {{name: fair, target: custom, custom_target: {target}}}\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert rc == 2
+        assert f"metrics[0].custom_target: ParameterOutOfDomain: {reason}" in caplog.text
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):

@@ -33,7 +33,7 @@ from fairrank import (
     fair_score,
 )
 from fairrank.exposure import WEIGHT_KINDS, resolve_stop
-from fairrank.ingest import EvalConfig, RunFile
+from fairrank.ingest import EvalConfig
 from fairrank.metrics_single import awrf_scores
 from fairrank.opportunity import discounted_utility_of, exposure_loss_of
 from fairrank.pipeline import _Context, compile_run
@@ -94,9 +94,8 @@ def corpora(draw):
 def _context(g, rows, seq, grades, policy):
     al = AlignmentMatrix(rows, n_groups=g)
     groups = GroupSpace(tuple(f"g{i}" for i in range(g)), protected_index=0)
-    run = RunFile({q: r for q, r in seq.draws})
     scores = {"q0": {d: 1.0 for d in EXTRA}}
-    return _Context("s", *compile_run(run, seq, RelevanceTable(grades), al, groups,
+    return _Context("s", *compile_run(seq, RelevanceTable(grades), al, groups,
                                       EvalConfig(unknown_policy=policy), scores))
 
 

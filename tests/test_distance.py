@@ -52,6 +52,8 @@ def test_input_validation():
         delta_nd(np.array([0.9, 0.9]), share_pair(0.5))
     with pytest.raises(FairRankError):
         delta_kl(np.array([0.5, 0.5]), np.array([1 / 3, 1 / 3, 1 / 3]))
+    with pytest.raises(FairRankError, match="must sum to 1"):
+        delta("nd", share_pair(0.5), np.array([0.3333333, 0.6666666]), 0)
 
 
 @st.composite

@@ -342,6 +342,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="custom_target"):
             load_config(doc)
 
+    @pytest.mark.parametrize("target", ["[0.3333333, 0.6666666]", "[1.5, -0.5]"])
+    def test_custom_target_must_be_a_distribution(self, target):
+        doc = io.StringIO(f"metrics: [{{name: awrf, target: custom, custom_target: {target}}}]\n")
+        with pytest.raises(ConfigError, match=r"^metrics\[0\]\.custom_target: "):
+            load_config(doc)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="typo"):
             load_config(io.StringIO("typo: 1\n"))

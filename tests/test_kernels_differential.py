@@ -33,7 +33,7 @@ from fairrank import (
 )
 from fairrank.compiled import POOLS
 from fairrank.exposure import WEIGHT_KINDS, ideal_exposures, resolve_stop
-from fairrank.ingest import EvalConfig, RunFile
+from fairrank.ingest import EvalConfig
 from fairrank.metrics_single import awrf_scores, fair_scores, prefd_scores
 from fairrank.opportunity import (
     discounted_utility_of,
@@ -110,8 +110,7 @@ def systems(draw):
     target = TargetDistribution(raw / raw.sum())
     al = AlignmentMatrix(rows, n_groups=g)
     groups = GroupSpace(tuple(f"g{i}" for i in range(g)), protected_index=0)
-    run = RunFile({q: r for q, r in seq.draws})
-    ctx = _Context("s", *compile_run(run, seq, RelevanceTable(grades), al, groups,
+    ctx = _Context("s", *compile_run(seq, RelevanceTable(grades), al, groups,
                                      EvalConfig(unknown_policy=policy), scores or None))
     return ctx, rows, grades, model, step, target
 

@@ -39,7 +39,7 @@ from fairrank import (
 )
 from fairrank.cli import main
 from fairrank.exposure import WEIGHT_KINDS
-from fairrank.ingest import EvalConfig, RunFile, _make_metric
+from fairrank.ingest import EvalConfig, _make_metric
 from fairrank.pipeline import compile_run, evaluate_system
 from fairrank.synth import SynthSpec, generate
 
@@ -108,8 +108,7 @@ def _evaluate(g, rows, draws, grades, scores, battery=BATTERY, target=None, orde
     metrics = tuple(_make_metric(m, f"metrics[{i}]") for i, m in enumerate(battery))
     config = EvalConfig(metrics=metrics)
     seq = RankingSequence(draws)
-    run = RunFile({q: r for q, r in draws})
-    ev = evaluate_system("s", *compile_run(run, seq, RelevanceTable(grades), al, groups, config,
+    ev = evaluate_system("s", *compile_run(seq, RelevanceTable(grades), al, groups, config,
                                            scores))
     return seq, {r.metric: (r.value, r.n_requests, r.n_degenerate) for r in ev.results}
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrank import Degenerate, DegenerateDenominator, GroupSpace, demographic_parity, eed
+from fairrank import (Degenerate, DegenerateDenominator, GroupSpace, demographic_parity, eed,
+                      eur, rur)
 
 
 GS = GroupSpace(("A", "B"), protected_index=0)
@@ -42,6 +43,15 @@ class TestDemographicParity:
         dp = demographic_parity(np.array([a, b]), GS)
         swapped = demographic_parity(np.array([b, a]), GS)
         assert swapped == pytest.approx(1.0 / dp, rel=1e-9)
+
+
+@pytest.mark.parametrize("ratio, reason", [
+    (eur, "unprotected group received zero exposure"),
+    (rur, "unprotected group realized zero discounted utility"),
+])
+def test_utility_ratio_zero_denominator_reason(ratio, reason):
+    with pytest.raises(DegenerateDenominator, match=f"^{reason}$"):
+        ratio(np.array([0.2, 0.0]), np.array([0.4, 0.4]), GS)
 
 
 class TestEed:

@@ -10,6 +10,8 @@ from fairrank import (
     FairRankError,
     GroupSpace,
     Ranking,
+    RankingSequence,
+    RelevanceTable,
     TargetDistribution,
     UndefinedNormalizer,
     WeightModel,
@@ -18,6 +20,8 @@ from fairrank import (
     pref_fairness,
     pref_normalizer,
 )
+from fairrank.ingest import EvalConfig, _make_metric
+from fairrank.pipeline import compile_run, evaluate_system
 
 from oracles import (
     oracle_fair,
@@ -246,6 +250,21 @@ class TestFairScore:
     def test_p_hat_domain(self):
         with pytest.raises(Exception):
             fair_score(np.array([True]), 1.0)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_equal_target_is_the_equal_distribution(self, g):
+        # FAIR reads the protected entry of the target prefD and AWRF read: 1/g for equal
+        groups = GroupSpace(tuple(f"g{j}" for j in range(g)), protected_index=0)
+        docs = tuple(f"d{i}" for i in range(12))
+        al = AlignmentMatrix({d: np.eye(g)[(i * i) % g] for i, d in enumerate(docs)}, n_groups=g)
+        seq = RankingSequence((("q", Ranking("q", docs)),))
+        rel = RelevanceTable({"q": {"d0": 1.0}})
+
+        def fair(**target):
+            config = EvalConfig(metrics=(_make_metric({"name": "fair", **target}, "metrics[0]"),))
+            return evaluate_system("s", *compile_run(seq, rel, al, groups, config)).results[0].value
+
+        assert fair(target="equal") == fair(target="custom", custom_target=[1 / g] * g)
 
 
 class TestAwrf:
