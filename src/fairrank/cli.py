@@ -82,6 +82,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     qrels = parse_qrels(args.qrels)
     alignment, groups = parse_alignment(args.alignment)
     groups = _resolve_groups(groups, config)
+    config.check_targets(groups)
 
     run_paths = [Path(p) for p in args.run]
     score_paths = [Path(p) for p in args.scores] if args.scores else []

@@ -34,13 +34,6 @@ def _check_distribution(vec: np.ndarray, name: str) -> np.ndarray:
     return vec
 
 
-def share_pair(protected_share: float) -> np.ndarray:
-    """Lift a protected proportion to a binomial distribution vector."""
-    if not 0 <= protected_share <= 1:
-        raise FairRankError(f"share must lie in [0, 1], got {protected_share}")
-    return np.array([protected_share, 1.0 - protected_share])
-
-
 def delta_nd(observed: np.ndarray, target: np.ndarray, protected_index: int = 0) -> float:
     """Signed difference of protected shares: observed - target."""
     return delta("nd", observed, target, protected_index)

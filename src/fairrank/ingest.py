@@ -56,6 +56,7 @@ from .core import (
     UNKNOWN_POLICIES,
     AlignmentMatrix,
     ConfigError,
+    Direction,
     FairRankError,
     GroupSpace,
     ParseError,
@@ -651,28 +652,67 @@ def _write_csv(fh: TextIO, cells: Iterable[str], rows: Iterable[Sequence[str]]) 
 
 # --- evaluation configuration -------------------------------------------
 
-METRIC_NAMES = ("prefd", "awrf", "fair", "dp", "eed", "eur", "rur", "iaa", "eel", "pair")
 TARGET_MODES = ("catalog", "equal", "custom", "composition")
 
-# Table-driven per-metric weighting defaults: parity-in-sequence ratios use
-# the logarithmic model, expected-exposure metrics use rbp, the rest geometric.
-_DEFAULT_WEIGHTS = {"dp": "logarithmic", "eur": "logarithmic", "rur": "logarithmic",
-                    "eed": "rbp", "eel": "rbp"}
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """One metric family: its default label, the config keys it reads with their defaults,
+    its rows (a name template and a ``Direction`` each) and whether it needs score files.
+    A template's ``{}`` is the label; under the default label a leading ``{}_`` is dropped."""
+
+    label: str
+    keys: Mapping[str, object]
+    rows: tuple[tuple[str, Direction], ...]
+    needs_scores: bool = False
+
+    def row_names(self, label: str) -> tuple[str, ...]:
+        return tuple(template[3:] if label == self.label and template.startswith("{}_")
+                     else template.replace("{}", label) for template, _ in self.rows)
+
+
+# Parity-in-sequence ratios weight positions logarithmically, expected-exposure
+# metrics by rbp, the rest geometrically.
+_GEOMETRIC, _LOGARITHMIC, _RBP = ({"weight_model": model, "gamma": 0.5}
+                                  for model in ("geometric", "logarithmic", "rbp"))
+_TARGET = {"target": "catalog", "custom_target": None}
+_ZERO = (("{}", Direction.ZERO_IS_FAIR),)
+_RATIO = (("{}", Direction.ONE_IS_FAIR), ("log{}", Direction.ZERO_IS_FAIR))
+
+# Every metric family, in the default battery's order.
+FAMILIES = {
+    "prefd": MetricSpec("prefD", {"dist": "nd", **_TARGET, "target": "composition", "step": 10},
+                        _ZERO),
+    "awrf": MetricSpec("AWRF", {**_GEOMETRIC, "dist": "nd", **_TARGET, "signed": False}, _ZERO),
+    "fair": MetricSpec("FAIR", _TARGET, (("{}", Direction.ONE_IS_FAIR),)),
+    "dp": MetricSpec("DP", _LOGARITHMIC, _RATIO),
+    "eed": MetricSpec("EED", _RBP, _ZERO),
+    "eur": MetricSpec("EUR", {**_LOGARITHMIC, "pool": "judged"}, _RATIO),
+    "rur": MetricSpec("RUR", {**_LOGARITHMIC, "pool": "judged"}, _RATIO),
+    "eel": MetricSpec("EEL", {**_RBP, "pool": "union"},
+                      (*_ZERO, ("{}_EER", Direction.HIGHER_IS_BETTER))),
+    "iaa": MetricSpec("IAA", _GEOMETRIC, _ZERO, needs_scores=True),
+    "pair": MetricSpec("PAIR", {"n_negatives": 10000}, (("{}_IntraAcc", Direction.ZERO_IS_FAIR),
+                                                        ("{}_InterAcc", Direction.ZERO_IS_FAIR)),
+                       needs_scores=True),
+}
 
 
 @dataclass(frozen=True)
 class MetricConfig:
+    """One metric entry.  A key its family does not read is None."""
+
     name: str
     label: str
-    weight_model: str
-    gamma: float
-    dist: str
-    target: str
-    custom_target: tuple[float, ...] | None
-    step: int
-    n_negatives: int
-    pool: str
-    signed: bool
+    weight_model: str | None = None
+    gamma: float | None = None
+    dist: str | None = None
+    target: str | None = None
+    custom_target: tuple[float, ...] | None = None
+    step: int | None = None
+    n_negatives: int | None = None
+    pool: str | None = None
+    signed: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -685,30 +725,19 @@ class EvalConfig:
     metrics: tuple[MetricConfig, ...] = ()
     explicit_metrics: bool = False
 
+    def check_targets(self, groups: GroupSpace) -> None:
+        """Refuse a custom target whose width is not the number of groups."""
+        for i, mc in enumerate(self.metrics):
+            if mc.target == "custom" and len(mc.custom_target) != groups.g:
+                raise ConfigError(f"custom target has {len(mc.custom_target)} entries for "
+                                  f"{groups.g} groups", f"metrics[{i}].custom_target")
+
 
 def default_metrics() -> tuple[MetricConfig, ...]:
-    """The full default metric battery (one entry per metric family)."""
-    mk = _make_metric
-    return (
-        mk({"name": "prefd"}, "metrics[0]"),
-        mk({"name": "awrf"}, "metrics[1]"),
-        mk({"name": "awrf", "label": "AWRF_equal", "target": "equal"}, "metrics[2]"),
-        mk({"name": "fair"}, "metrics[3]"),
-        mk({"name": "dp"}, "metrics[4]"),
-        mk({"name": "eed"}, "metrics[5]"),
-        mk({"name": "eur"}, "metrics[6]"),
-        mk({"name": "rur"}, "metrics[7]"),
-        mk({"name": "eel"}, "metrics[8]"),
-        mk({"name": "iaa"}, "metrics[9]"),
-        mk({"name": "pair"}, "metrics[10]"),
-    )
-
-
-_DEFAULT_LABELS = {"prefd": "prefD", "awrf": "AWRF", "fair": "FAIR", "dp": "DP",
-                   "eed": "EED", "eur": "EUR", "rur": "RUR", "iaa": "IAA",
-                   "eel": "EEL", "pair": "PAIR"}
-
-_DEFAULT_TARGETS = {"prefd": "composition"}
+    """The default metric battery: one entry per family, and AWRF on the equal target."""
+    entries = [{"name": name} for name in FAMILIES]
+    entries.insert(2, {"name": "awrf", "label": "AWRF_equal", "target": "equal"})
+    return tuple(_make_metric(entry, f"metrics[{i}]") for i, entry in enumerate(entries))
 
 
 def _domain(cond: bool, path: str, message: str):
@@ -731,48 +760,60 @@ def _as(kind: type, value, path: str):
         raise ConfigError(f"expected {kind.__name__}, got {value!r}", path) from None
 
 
+def _distribution(value, path: str) -> tuple[float, ...] | None:
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"expected a list of numbers, got {value!r}", path)
+    value = tuple(_as(float, v, f"{path}[{i}]") for i, v in enumerate(value))
+    try:
+        TargetDistribution(value)
+    except FairRankError as exc:
+        raise ConfigError(f"ParameterOutOfDomain: {exc}", path) from None
+    return value
+
+
+# Each metric key: how its value is read at its key path, the values it may take
+# (None: any) and the refusal of any other.
+_TEXT, _MODE = (lambda value, path: str(value)), (lambda value, path: str(value).lower())
+_FLOAT, _INT, _BOOL = (functools.partial(_as, kind) for kind in (float, int, bool))
+_KEY_RULES: dict[str, tuple[Callable, Callable | None, str]] = {
+    "label": (_TEXT, None, ""),
+    "weight_model": (_TEXT, WEIGHT_KINDS.__contains__, "unknown weight model {!r}"),
+    "gamma": (_FLOAT, lambda v: 0 < v <= 1, "gamma {} outside (0, 1]"),
+    "dist": (_MODE, DISTANCE_KINDS.__contains__, "unknown distance {!r}"),
+    "target": (_MODE, TARGET_MODES.__contains__, "unknown target mode {!r}"),
+    "custom_target": (_distribution, None, ""),
+    "step": (_INT, lambda v: v >= 2, "step {} must be >= 2"),
+    "n_negatives": (_INT, lambda v: v >= 1, "n_negatives {} must be >= 1"),
+    "pool": (_TEXT, POOLS.__contains__, "unknown pool {!r}"),
+    "signed": (_BOOL, None, ""),
+}
+
+
 def _make_metric(entry: Mapping, path: str) -> MetricConfig:
     if not isinstance(entry, Mapping) or "name" not in entry:
         raise ConfigError("metric entries need a 'name'", path)
     name = str(entry["name"]).lower()
-    if name not in METRIC_NAMES:
+    if name not in FAMILIES:
         raise ConfigError(f"UnknownMetric: {name!r}", f"{path}.name")
+    spec = FAMILIES[name]
+    keys = {"label": spec.label, **spec.keys}
     for key in entry:
-        if key not in MetricConfig.__dataclass_fields__:  # a metric's keys are its fields
-            raise ConfigError(f"unknown parameter {key!r}", f"{path}.{key}")
-    weight_model = str(entry.get("weight_model", _DEFAULT_WEIGHTS.get(name, "geometric")))
-    gamma = _as(float, entry.get("gamma", 0.5), f"{path}.gamma")
-    dist = str(entry.get("dist", "nd")).lower()
-    target = str(entry.get("target", _DEFAULT_TARGETS.get(name, "catalog"))).lower()
-    step = _as(int, entry.get("step", 10), f"{path}.step")
-    n_negatives = _as(int, entry.get("n_negatives", 10000), f"{path}.n_negatives")
-    pool = str(entry.get("pool", "union" if name == "eel" else "judged"))
-    _domain(weight_model in WEIGHT_KINDS, f"{path}.weight_model",
-            f"unknown weight model {weight_model!r}")
-    _domain(0 < gamma <= 1, f"{path}.gamma", f"gamma {gamma} outside (0, 1]")
-    _domain(dist in DISTANCE_KINDS, f"{path}.dist", f"unknown distance {dist!r}")
-    _domain(target in TARGET_MODES, f"{path}.target", f"unknown target mode {target!r}")
+        if key != "name" and key not in keys:
+            raise ConfigError(f"{name} does not read {key!r}" if key in _KEY_RULES
+                              else f"unknown parameter {key!r}", f"{path}.{key}")
+    values = {}
+    for key, default in keys.items():
+        read, domain, message = _KEY_RULES[key]
+        values[key] = value = read(entry.get(key, default), f"{path}.{key}")
+        _domain(domain is None or domain(value), f"{path}.{key}", message.format(value))
+    target = values.get("target")
     _domain(name == "prefd" or target != "composition",
             f"{path}.target", "composition target only applies to prefd")
-    _domain(step >= 2, f"{path}.step", f"step {step} must be >= 2")
-    _domain(n_negatives >= 1, f"{path}.n_negatives", f"n_negatives {n_negatives} must be >= 1")
-    _domain(pool in POOLS, f"{path}.pool", f"unknown pool {pool!r}")
-    custom = entry.get("custom_target")
-    if custom is not None:
-        if not isinstance(custom, (list, tuple)):
-            raise ConfigError(f"expected a list of numbers, got {custom!r}",
-                              f"{path}.custom_target")
-        custom = tuple(_as(float, v, f"{path}.custom_target[{i}]") for i, v in enumerate(custom))
-        try:
-            TargetDistribution(custom)
-        except FairRankError as exc:
-            raise ConfigError(f"ParameterOutOfDomain: {exc}", f"{path}.custom_target") from None
-    _domain(target != "custom" or custom is not None,
+    _domain(target != "custom" or values["custom_target"] is not None,
             f"{path}.custom_target", "custom target mode needs custom_target")
-    label = str(entry.get("label", _DEFAULT_LABELS[name]))
-    signed = _as(bool, entry.get("signed", False), f"{path}.signed")
-    return MetricConfig(name, label, weight_model, gamma, dist, target, custom,
-                        step, n_negatives, pool, signed)
+    return MetricConfig(name, **values)
 
 
 def load_config(source: str | Path | TextIO | None) -> EvalConfig:
@@ -813,6 +854,13 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
         if not isinstance(raw_metrics, list) or not raw_metrics:
             raise ConfigError("metrics must be a non-empty list", "metrics")
         metrics = tuple(_make_metric(m, f"metrics[{i}]") for i, m in enumerate(raw_metrics))
+        writer: dict[str, int] = {}  # the entry that writes each row
+        for i, mc in enumerate(metrics):
+            for row in FAMILIES[mc.name].row_names(mc.label):
+                j = writer.setdefault(row, i)
+                if j != i:
+                    raise ConfigError(f"row {row!r} is also written by metrics[{j}]",
+                                      f"metrics[{i}]")
         explicit = True
     return EvalConfig(
         protected=str(doc["protected"]) if "protected" in doc and doc["protected"] is not None else None,

@@ -17,19 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Mapping
 
 import numpy as np
 
-from .compiled import CompiledSystem, Corpus, by_key, compile_sequence
+from .compiled import CompiledSystem, Corpus, by_key
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
     Degenerate,
-    Direction,
-    FairRankError,
     GroupSpace,
-    RankingSequence,
     RelevanceTable,
     TargetDistribution,
     apply_unknown_policy,
@@ -49,7 +45,7 @@ from .exposure import (
     resolve_stop,
     weighted_mean,
 )
-from .ingest import EvalConfig, MetricConfig
+from .ingest import FAMILIES, EvalConfig, MetricConfig
 from .metrics_multi import demographic_parity, eed
 from .metrics_single import (
     ListScores,
@@ -99,6 +95,7 @@ class SharedInputs:
         self.alignment = alignment
         self.groups = groups
         self.config = config
+        config.check_targets(groups)
         # "group" extends the space for the multinomial-capable sequence metrics
         # (EED/EEL/IAA) with a row for every unlabeled document of the corpus;
         # rows no system ranks, judges or scores are never read.  "error" rejects
@@ -180,17 +177,7 @@ class _Context:
             return self.catalog()
         if mc.target == "equal":
             return TargetDistribution.equal(self.groups.g)
-        if mc.target == "custom":
-            vec = np.asarray(mc.custom_target, dtype=float)
-            if vec.size != self.groups.g:
-                raise FairRankError(
-                    f"custom target has {vec.size} entries for {self.groups.g} groups")
-            return TargetDistribution(vec)
-        raise FairRankError(f"target mode {mc.target!r} needs a per-list composition")
-
-    def scalar_phat(self, mc: MetricConfig) -> float:
-        """Binomial target: the protected entry of ``target_vector`` (1/g for ``equal``)."""
-        return self.target_vector(mc).scalar(self.groups.require_protected())
+        return TargetDistribution(mc.custom_target)  # only prefD reads composition, per list
 
 
 def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
@@ -234,87 +221,61 @@ def _sequence_exposure(ctx: _Context, exposures: RequestExposure) -> tuple[np.nd
     return eps, n_requests, n_requests - n_labeled
 
 
-def _ratio_rows(
-    ctx: _Context,
-    mc: MetricConfig,
-    ratio: float,
-    n_requests: int,
-    n_degenerate: int,
-    notes: list[str],
-) -> list[MetricResult]:
-    """Emit a ratio row (1 is fair) plus its log2 row (0 is fair)."""
-    rows = [MetricResult(mc.label, ctx.system, ratio, n_requests, n_degenerate,
-                         Direction.ONE_IS_FAIR)]
-    if ratio > 0:
-        rows.append(MetricResult(f"log{mc.label}", ctx.system, math.log2(ratio),
-                                 n_requests, n_degenerate, Direction.ZERO_IS_FAIR))
-    else:
+def _ratio_rows(mc: MetricConfig, ratio: float, counts: list[int], notes: list[str]) -> list:
+    """A ratio row and its log2 row, which a zero ratio leaves out."""
+    if ratio <= 0:
         notes.append(f"{mc.label}: ratio is zero; log row omitted")
-    return rows
+    return [(ratio, *counts), (math.log2(ratio), *counts) if ratio > 0 else None]
 
 
-def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[MetricResult]:
+def _family_rows(ctx: _Context, mc: MetricConfig,
+                 notes: list[str]) -> ListScores | list[tuple[float, int, int] | None]:
+    """(value, n_requests, n_degenerate) of each row ``mc``'s family declares, or None for
+    a row it leaves out; a single-ranking family's scores of each distinct ranking."""
     cfg = ctx.config
-    model = WeightModel(mc.weight_model, mc.gamma)
+    model = mc.weight_model and WeightModel(mc.weight_model, mc.gamma)
 
     base = ctx.labels["base"]
     if mc.name == "prefd":
         target = None if mc.target == "composition" else ctx.target_vector(mc)
-        scores = prefd_scores(base.rows, base.dense, ctx.groups, target, mc.dist, mc.step,
-                              cfg.threshold)
-        return [_per_draw(ctx, scores, mc, notes)]
+        return prefd_scores(base.rows, base.dense, ctx.groups, target, mc.dist, mc.step,
+                            cfg.threshold)
 
     if mc.name == "awrf":
         target = ctx.target_vector(mc)
         eps, count = ctx.ranking_exposures(model, "base")
-        scores = awrf_scores(eps, count, ctx.groups, target, mc.dist, mc.signed)
-        return [_per_draw(ctx, scores, mc, notes)]
+        return awrf_scores(eps, count, ctx.groups, target, mc.dist, mc.signed)
 
     if mc.name == "fair":
-        p_hat = ctx.scalar_phat(mc)
+        p_hat = ctx.target_vector(mc).scalar(ctx.groups.require_protected())  # 1/g for equal
         if not 0 < p_hat < 1:
             raise Degenerate(f"target protected probability {p_hat:.6g} outside (0, 1)")
-        scores = fair_scores(base.rows, base.dense, ctx.groups.require_protected(), p_hat,
-                             cfg.threshold)
-        return [_per_draw(ctx, scores, mc, notes)]
+        return fair_scores(base.rows, base.dense, ctx.groups.require_protected(), p_hat,
+                           cfg.threshold)
 
     if mc.name == "dp":
-        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
-        ratio = demographic_parity(eps, ctx.bin_groups)
-        return _ratio_rows(ctx, mc, ratio, n_req, n_deg, notes)
+        eps, *counts = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
+        return _ratio_rows(mc, demographic_parity(eps, ctx.bin_groups), counts, notes)
 
     if mc.name == "eed":
-        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.exposures(model, binarized=False))
-        return [MetricResult(mc.label, ctx.system, eed(eps), n_req, n_deg,
-                             Direction.ZERO_IS_FAIR)]
+        eps, *counts = _sequence_exposure(ctx, ctx.exposures(model, binarized=False))
+        return [(eed(eps), *counts)]
 
     if mc.name == "eur":
-        eps, n_req, n_deg = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
-        ratio = eur(eps, ctx.utility(mc.pool), ctx.bin_groups)
-        return _ratio_rows(ctx, mc, ratio, n_req, n_deg, notes)
+        eps, *counts = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
+        return _ratio_rows(mc, eur(eps, ctx.utility(mc.pool), ctx.bin_groups), counts, notes)
 
     if mc.name == "rur":
         gamma_disc = discounted_utility_of(ctx.view, ctx.labels["bin"], ctx.bin_groups,
                                            ctx.weights(model))
         ratio = rur(gamma_disc, ctx.utility(mc.pool), ctx.bin_groups)
-        n_req = len(ctx.view.requests)
-        return _ratio_rows(ctx, mc, ratio, n_req, 0, notes)
+        return _ratio_rows(mc, ratio, [len(ctx.view.requests), 0], notes)
 
     if mc.name == "eel":
         res = exposure_loss_of(ctx.view, ctx.labels["ext"], ctx.ext_groups, model,
                                resolve_stop(model, ctx.qrels),
                                ctx.exposures(model, binarized=False).eps, mc.pool)
-        eer_label = "EER" if mc.label == "EEL" else f"{mc.label}_EER"
-        return [
-            MetricResult(mc.label, ctx.system, res.eel, res.n_requests, res.n_skipped,
-                         Direction.ZERO_IS_FAIR),
-            MetricResult(eer_label, ctx.system, res.eer, res.n_requests, res.n_skipped,
-                         Direction.HIGHER_IS_BETTER),
-        ]
-
-    if mc.name in ("iaa", "pair") and not ctx.view.scored:
-        notes.append(f"{mc.label}: skipped (system score file not provided)")
-        return []
+        return [(res.eel, res.n_requests, res.n_skipped), (res.eer, res.n_requests, res.n_skipped)]
 
     if mc.name == "iaa":
         exposures = ctx.exposures(model, binarized=False)
@@ -325,8 +286,7 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
         w = ctx.view.weight[both]
         value = iaa(weighted_mean(exposures.eps[both], w), weighted_mean(utils[both], w))
         n_req = len(ctx.view.requests)
-        return [MetricResult(mc.label, ctx.system, value, n_req,
-                             n_req - int(np.count_nonzero(both)), Direction.ZERO_IS_FAIR)]
+        return [(value, n_req, n_req - int(np.count_nonzero(both)))]
 
     if mc.name == "pair":
         sample = sample_pairs(ctx.view, ctx.labels["base"], ctx.groups, mc.n_negatives,
@@ -337,14 +297,22 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
         table = accuracy_table(sample.pairs)
         intra, inter = intra_inter(table)
         n_req = len(ctx.view.scored)
-        return [
-            MetricResult("IntraAcc", ctx.system, intra, n_req, sample.n_skipped,
-                         Direction.ZERO_IS_FAIR),
-            MetricResult("InterAcc", ctx.system, inter, n_req, sample.n_skipped,
-                         Direction.ZERO_IS_FAIR),
-        ]
+        return [(intra, n_req, sample.n_skipped), (inter, n_req, sample.n_skipped)]
 
-    raise FairRankError(f"unhandled metric {mc.name!r}")
+
+def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[MetricResult]:
+    """``mc``'s rows, named and directed as its family's ``MetricSpec`` declares."""
+    spec = FAMILIES[mc.name]
+    if spec.needs_scores and not ctx.view.scored:
+        notes.append(f"{mc.label}: skipped (system score file not provided)")
+        return []
+    rows = _family_rows(ctx, mc, notes)
+    if isinstance(rows, ListScores):
+        result = _per_draw(ctx, rows, mc, notes)
+        rows = [(result.value, result.n_requests, result.n_degenerate)]
+    named = zip(spec.row_names(mc.label), spec.rows, rows, strict=True)
+    return [MetricResult(name, ctx.system, *row, direction)
+            for name, (_, direction), row in named if row is not None]
 
 
 def evaluate_system(system: str, view: CompiledSystem, shared: SharedInputs) -> SystemEvaluation:
@@ -366,14 +334,3 @@ def evaluate_system(system: str, view: CompiledSystem, shared: SharedInputs) -> 
             if config.explicit_metrics:
                 out.failures.append(mc.label)
     return out
-
-
-def compile_run(seq: RankingSequence, qrels: RelevanceTable, alignment: AlignmentMatrix,
-                groups: GroupSpace, config: EvalConfig,
-                scores: Mapping[str, Mapping[str, float]] | None = None,
-                ) -> tuple[CompiledSystem, SharedInputs]:
-    """One system given as objects, compiled through a corpus of its own: its view, with
-    ``seq``'s distinct rankings as rows, and the shared inputs."""
-    view = compile_sequence(seq, qrels, scores)
-    return view, SharedInputs(view.corpus, qrels, alignment, groups, config)
-

@@ -4,11 +4,14 @@ import pytest
 from fairrank import (
     AlignmentMatrix,
     Degenerate,
+    FairRankError,
     GroupSpace,
     Ranking,
     RelevanceTable,
     request_exposure,
 )
+from fairrank.compiled import compile_sequence
+from fairrank.pipeline import SharedInputs
 
 
 @pytest.fixture
@@ -54,3 +57,17 @@ def request_exposures(seq, relevance, alignment, groups, model):
         except Degenerate:
             pass
     return out
+
+
+def compile_run(seq, qrels, alignment, groups, config, scores=None):
+    """One system given as objects, compiled through a corpus of its own: its view, with
+    ``seq``'s distinct rankings as rows, and the shared inputs."""
+    view = compile_sequence(seq, qrels, scores)
+    return view, SharedInputs(view.corpus, qrels, alignment, groups, config)
+
+
+def share_pair(protected_share: float) -> np.ndarray:
+    """Lift a protected proportion to a binomial distribution vector."""
+    if not 0 <= protected_share <= 1:
+        raise FairRankError(f"share must lie in [0, 1], got {protected_share}")
+    return np.array([protected_share, 1.0 - protected_share])

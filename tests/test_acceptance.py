@@ -55,12 +55,12 @@ from fairrank import (
     target_exposure,
 )
 from fairrank.cli import main
-from fairrank.distance import share_pair
 from fairrank.exposure import weight_vector
 from fairrank.ingest import parse_alignment, parse_run, parse_sequence
 from fairrank.report import correlation_matrix, read_metrics_table
 from fairrank.synth import SynthSpec, generate
 
+from conftest import share_pair
 from oracles import (
     oracle_fair,
     oracle_group_exposure,

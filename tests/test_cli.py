@@ -174,6 +174,49 @@ class TestEvaluate:
         assert f"metrics[0].custom_target: ParameterOutOfDomain: {reason}" in caplog.text
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_custom_target_width_is_checked_before_any_run_is_parsed(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        bad = tmp_path / "bad_run.txt"
+        bad.write_text("q0000 Q0 d000001 x 3.5 tag\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("metrics: [{name: fair, target: custom, custom_target: [0.3, 0.2, 0.5]}]\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad],
+                                     extra=["--config", str(cfg)]))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "metrics[0].custom_target: custom target has 3 entries for 2 groups"]
+
+    @pytest.mark.parametrize("metrics, row", [
+        ("[{name: awrf}, {name: awrf}]", "AWRF"),
+        ("[{name: pair}, {name: pair}]", "IntraAcc"),
+        ("[{name: dp, label: X}, {name: awrf, label: logX}]", "logX"),
+        ("[{name: eel, label: EER}, {name: eel}]", "EER"),
+    ])
+    def test_a_repeated_row_fails_before_any_run_is_parsed(self, tmp_path, caplog, metrics, row):
+        paths, _ = _synth(tmp_path)
+        bad = tmp_path / "bad_run.txt"
+        bad.write_text("q0000 Q0 d000001 x 3.5 tag\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"metrics: {metrics}\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[bad], scores=True,
+                                     extra=["--config", str(cfg)]))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"metrics[1]: row {row!r} is also written by metrics[0]"]
+
+    def test_a_labelled_pair_writes_rows_of_its_own(self, tmp_path):
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("metrics: [{name: pair}, {name: pair, label: P3, n_negatives: 3}]\n")
+        out = tmp_path / "out"
+        assert main(_evaluate_args(paths, out, scores=True, extra=["--config", str(cfg)])) == 0
+        rows = [(r.system, r.metric) for r in read_metrics_table(out / "metrics.csv")]
+        assert sorted(rows) == [(system, metric) for system in ("sys00", "sys01") for metric in
+                                ("InterAcc", "IntraAcc", "P3_InterAcc", "P3_IntraAcc")]
+        assert main(["compare", "--results", str(out)]) == 0
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"

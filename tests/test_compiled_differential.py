@@ -36,8 +36,9 @@ from fairrank.exposure import WEIGHT_KINDS, resolve_stop
 from fairrank.ingest import EvalConfig
 from fairrank.metrics_single import awrf_scores
 from fairrank.opportunity import discounted_utility_of, exposure_loss_of
-from fairrank.pipeline import _Context, compile_run
+from fairrank.pipeline import _Context
 
+from conftest import compile_run
 from oracles import (
     oracle_binarize_rows,
     oracle_fair,

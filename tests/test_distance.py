@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairrank import DegenerateDenominator, FairRankError, delta, delta_kl, delta_nd, delta_rd
-from fairrank.distance import share_pair
 
+from conftest import share_pair
 from oracles import oracle_kl_bits
 
 

@@ -327,7 +327,7 @@ class TestLoadConfig:
 
     def test_error_paths_name_the_key(self):
         for step in (0, 1):  # step 1 would divide the first prefix by log2(1) = 0
-            doc = io.StringIO(f"metrics:\n  - name: awrf\n    step: {step}\n")
+            doc = io.StringIO(f"metrics:\n  - name: prefd\n    step: {step}\n")
             with pytest.raises(ConfigError, match=r"metrics\[0\].step"):
                 load_config(doc)
 
@@ -364,7 +364,7 @@ class TestLoadConfig:
         ("metrics: [{name: awrf, gamma: x}]\n", "metrics[0].gamma"),
         ("metrics: [{name: awrf, target: custom, custom_target: 5}]\n", "metrics[0].custom_target"),
         ("metrics: [{name: awrf, custom_target: [0.5, x]}]\n", "metrics[0].custom_target[1]"),
-        ("metrics: [{name: awrf, step: 2.5}]\n", "metrics[0].step"),
+        ("metrics: [{name: prefd, step: 2.5}]\n", "metrics[0].step"),
         ("metrics: [{name: pair, n_negatives: 10.5}]\n", "metrics[0].n_negatives"),
         ("metrics: [{name: awrf, signed: 'false'}]\n", "metrics[0].signed"),
         ("metrics: [{name: awrf, signed: 0}]\n", "metrics[0].signed"),
@@ -376,13 +376,35 @@ class TestLoadConfig:
 
     def test_whole_and_string_numbers_still_read(self):
         cfg = load_config(io.StringIO(
-            "threshold: '0.25'\nseed: 7.0\nmetrics: [{name: awrf, gamma: 1e-1, step: '4', "
-            "signed: true, target: custom, custom_target: [0.5, '0.5']}]\n"))
+            "threshold: '0.25'\nseed: 7.0\nmetrics: [{name: awrf, gamma: 1e-1, "
+            "signed: true, target: custom, custom_target: [0.5, '0.5']}, "
+            "{name: prefd, step: '4'}]\n"))
         assert (cfg.threshold, cfg.seed) == (0.25, 7)
-        metric = cfg.metrics[0]
-        assert (metric.gamma, metric.step, metric.signed) == (0.1, 4, True)
+        metric, prefd = cfg.metrics
+        assert (metric.gamma, prefd.step, metric.signed) == (0.1, 4, True)
         assert metric.custom_target == (0.5, 0.5)
-        assert type(cfg.seed) is int and type(metric.step) is int
+        assert type(cfg.seed) is int and type(prefd.step) is int
+
+
+    @pytest.mark.parametrize("metrics, row", [
+        ("[{name: awrf}, {name: awrf}]", "AWRF"),
+        ("[{name: pair}, {name: pair}]", "IntraAcc"),
+        ("[{name: dp, label: X}, {name: awrf, label: logX}]", "logX"),
+        ("[{name: eel, label: EER}, {name: eel}]", "EER"),
+    ])
+    def test_a_row_two_entries_write_is_refused(self, metrics, row):
+        with pytest.raises(ConfigError) as info:
+            load_config(io.StringIO(f"metrics: {metrics}\n"))
+        assert str(info.value) == f"metrics[1]: row {row!r} is also written by metrics[0]"
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("fair", "gamma", "0.9"), ("dp", "dist", "kl"), ("eed", "signed", "true")])
+    def test_a_key_the_family_does_not_read_is_refused(self, name, key, value):
+        with pytest.raises(ConfigError) as info:
+            load_config(io.StringIO(f"metrics: [{{name: {name}, {key}: {value}}}]\n"))
+        assert str(info.value) == f"metrics[0].{key}: {name} does not read {key!r}"
+        cfg = load_config(io.StringIO(f"metrics: [{{name: {name}}}]\n"))
+        assert getattr(cfg.metrics[0], key) is None
 
 
 @pytest.mark.parametrize("parse, text, line", [

@@ -41,8 +41,9 @@ from fairrank.opportunity import (
     predicted_utility_of,
     utility_of,
 )
-from fairrank.pipeline import _Context, _per_draw, compile_run
+from fairrank.pipeline import _Context, _per_draw
 
+from conftest import compile_run
 from oracles import (
     draws_mean,
     ideal_list_exposure,

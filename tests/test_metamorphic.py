@@ -40,10 +40,10 @@ from fairrank import (
 from fairrank.cli import main
 from fairrank.exposure import WEIGHT_KINDS
 from fairrank.ingest import EvalConfig, _make_metric
-from fairrank.pipeline import compile_run, evaluate_system
+from fairrank.pipeline import evaluate_system
 from fairrank.synth import SynthSpec, generate
 
-from conftest import request_exposures
+from conftest import compile_run, request_exposures
 
 DOCS = tuple(f"d{i}" for i in range(10))
 

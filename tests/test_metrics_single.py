@@ -21,8 +21,9 @@ from fairrank import (
     pref_normalizer,
 )
 from fairrank.ingest import EvalConfig, _make_metric
-from fairrank.pipeline import compile_run, evaluate_system
+from fairrank.pipeline import evaluate_system
 
+from conftest import compile_run
 from oracles import (
     oracle_fair,
     oracle_prefd_normalizer_exhaustive,

@@ -52,3 +52,11 @@ def test_evaluate_matches_the_benchmark_reference(tmp_path, name, corpus_seed):
     assert main(argv) == 0
     reference = PERFBENCH / "references" / f"{name}-seed{corpus_seed}.csv"
     assert check_metrics(out / "metrics.csv", paths["systems"], workload.metrics, reference) == []
+
+
+def test_default_battery_writes_the_rows_the_benchmark_expects():
+    from fairrank.ingest import FAMILIES, default_metrics
+
+    workloads = _load("workloads")
+    rows = [name for mc in default_metrics() for name in FAMILIES[mc.name].row_names(mc.label)]
+    assert rows == [*workloads.BASE_METRICS, *workloads.SCORE_METRICS]

@@ -1,0 +1,64 @@
+"""The metric registry against the kernels.
+
+Every row ``evaluate_system`` emits for the metamorphic battery is one its
+entry's ``MetricSpec`` declares, with the declared direction and in declared
+order, and a declared row that is absent has a note under its entry's label.
+The single-ranking kernels, whose direction ``_per_draw`` aggregates with,
+score in the direction their family declares.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+
+from fairrank import (
+    AlignmentMatrix,
+    GroupSpace,
+    Ranking,
+    RankingSequence,
+    RelevanceTable,
+    TargetDistribution,
+    WeightModel,
+)
+from fairrank.ingest import FAMILIES, EvalConfig, _make_metric
+from fairrank.metrics_single import awrf_scores, fair_scores, prefd_scores
+from fairrank.pipeline import _Context, evaluate_system
+
+from conftest import compile_run
+from test_metamorphic import BATTERY, corpora
+
+
+@given(corpora())
+@settings(max_examples=100, deadline=None)
+def test_every_row_is_one_its_family_declares(corpus):
+    g, rows, draws, grades, scores = corpus
+    al = AlignmentMatrix(rows, n_groups=g)
+    groups = GroupSpace(tuple(f"g{j}" for j in range(g)), protected_index=0)
+    metrics = tuple(_make_metric(m, f"metrics[{i}]") for i, m in enumerate(BATTERY))
+    ev = evaluate_system("s", *compile_run(RankingSequence(draws), RelevanceTable(grades), al,
+                                           groups, EvalConfig(metrics=metrics), scores))
+    declared = [(name, direction, mc.label) for mc in metrics
+                for name, (_, direction) in zip(FAMILIES[mc.name].row_names(mc.label),
+                                                FAMILIES[mc.name].rows)]
+    emitted = [(r.metric, r.direction) for r in ev.results]
+    remaining = iter(declared)  # each emitted row consumes the declared rows up to its own
+    assert all(any(row == (name, direction) for name, direction, _ in remaining)
+               for row in emitted), emitted
+    for name, _, label in declared:
+        if name not in {metric for metric, _ in emitted}:
+            assert any(note.startswith(f"{label}: ") for note in ev.notes), name
+
+
+def test_single_ranking_kernels_score_in_the_declared_direction():
+    docs = tuple(f"d{i}" for i in range(6))
+    groups = GroupSpace(("a", "b"), protected_index=0)
+    al = AlignmentMatrix({d: np.eye(2)[i % 2] for i, d in enumerate(docs)}, n_groups=2)
+    seq = RankingSequence((("q", Ranking("q", docs)),))
+    ctx = _Context("s", *compile_run(seq, RelevanceTable({"q": {"d0": 1.0}}), al, groups,
+                                     EvalConfig()))
+    base, target = ctx.labels["base"], TargetDistribution.equal(2)
+    eps, count = ctx.ranking_exposures(WeightModel("geometric", 0.5), "base")
+    scores = {"prefd": prefd_scores(base.rows, base.dense, groups, target, "nd", 2, 0.5),
+              "awrf": awrf_scores(eps, count, groups, target, "nd", False),
+              "fair": fair_scores(base.rows, base.dense, 0, 0.5, 0.5)}
+    for name, got in scores.items():
+        assert [got.direction] == [direction for _, direction in FAMILIES[name].rows], name
