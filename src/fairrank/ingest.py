@@ -721,7 +721,6 @@ class EvalConfig:
     unknown: str | None = None
     unknown_policy: str = "exclude"
     threshold: float = 0.5
-    seed: int = 42
     metrics: tuple[MetricConfig, ...] = ()
     explicit_metrics: bool = False
 
@@ -813,6 +812,8 @@ def _make_metric(entry: Mapping, path: str) -> MetricConfig:
             f"{path}.target", "composition target only applies to prefd")
     _domain(target != "custom" or values["custom_target"] is not None,
             f"{path}.custom_target", "custom target mode needs custom_target")
+    _domain(target == "custom" or values.get("custom_target") is None,
+            f"{path}.custom_target", "custom_target needs target: custom")
     return MetricConfig(name, **values)
 
 
@@ -838,7 +839,7 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
             raise
     if not isinstance(doc, Mapping):
         raise ConfigError("config document must be a mapping")
-    known = {"protected", "unknown", "unknown_policy", "threshold", "seed", "metrics"}
+    known = {"protected", "unknown", "unknown_policy", "threshold", "metrics"}
     for key in doc:
         if key not in known:
             raise ConfigError(f"unknown parameter {key!r}", str(key))
@@ -867,7 +868,6 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
         unknown=str(doc["unknown"]) if "unknown" in doc and doc["unknown"] is not None else None,
         unknown_policy=policy,
         threshold=threshold,
-        seed=_as(int, doc.get("seed", EvalConfig.seed), "seed"),
         metrics=metrics,
         explicit_metrics=explicit,
     )

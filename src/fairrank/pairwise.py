@@ -7,7 +7,8 @@ binarized convention: 0 = protected, 1 = unprotected.
 
 Pairs are counted, never materialized: per (group_hi, group_lo) cell the
 sample keeps twice the hits (a correctly ordered pair adds 2, a tie 1) and
-the number of pairs, so every accuracy is an exact ratio of integers.
+the number of pairs that Beutel et al.'s uniform negative sampling gives in
+expectation (see ``sample_pairs``), so every accuracy is the ratio it estimates.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
 
 @dataclass(frozen=True, eq=False)
 class PairCounts:
-    """Per (group_hi, group_lo) cell: twice the hits and the number of pairs (2x2 int64)."""
+    """Per (group_hi, group_lo) cell: twice the expected hits and pairs (2x2 float64)."""
 
     twice_hits: np.ndarray
     totals: np.ndarray
@@ -40,7 +41,7 @@ class PairCounts:
         self.totals.flags.writeable = False
 
     def __len__(self) -> int:
-        return int(self.totals.sum())
+        return round(float(self.totals.sum()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairCounts):
@@ -57,9 +58,9 @@ class PairSample:
 
 
 def _count(twice_hits: np.ndarray, totals: np.ndarray, keys: np.ndarray, groups: np.ndarray,
-           span: int, hi, lo) -> None:
+           span: int, hi, lo, weight=1.0) -> None:
     """Add every (hi, lo) pair of documents of one request to the tables, for all requests
-    at once.
+    at once; a pair counts its ``hi`` document's ``weight`` (a scalar, or one per ``hi``).
 
     A document's key is its request's index times ``span`` plus its score's
     rank among all scores, so keys order a request's scores and tie where the
@@ -74,10 +75,8 @@ def _count(twice_hits: np.ndarray, totals: np.ndarray, keys: np.ndarray, groups:
         twice = (np.searchsorted(below, hi_keys, "left") + np.searchsorted(below, hi_keys, "right")
                  - 2 * first)
         n_below = np.searchsorted(below, start + span) - first
-        for hi_group in (0, 1):
-            mine = hi_groups == hi_group
-            twice_hits[hi_group, lo_group] += twice[mine].sum()
-            totals[hi_group, lo_group] += n_below[mine].sum()
+        twice_hits[:, lo_group] += np.bincount(hi_groups, twice * weight, minlength=2)
+        totals[:, lo_group] += np.bincount(hi_groups, n_below * weight, minlength=2)
 
 
 def sample_pairs(
@@ -86,32 +85,28 @@ def sample_pairs(
     alignment: AlignmentMatrix,
     groups: GroupSpace,
     n_negatives: int = 10000,
-    seed: int = 42,
     threshold: float = 0.5,
 ) -> PairSample:
-    """Count relevant-vs-negative pairs with seeded negative sampling.
+    """Count relevant-vs-negative pairs, as expected under uniform negative sampling.
 
-    Per request (in sorted order), the scored labeled documents in sorted id
-    order split into positives (grade > 0) and negatives (unjudged or judged
-    non-relevant).  Each positive is paired with every negative when the
-    pool holds at most ``n_negatives`` of them, and otherwise with
-    ``n_negatives`` distinct negatives drawn uniformly by one
-    ``rng.choice`` per positive, in positive order.  A pool smaller than
-    ``n_negatives`` is counted in ``n_fallback``.  Pairs of relevant
-    documents with differing grades are always counted exhaustively.
-    Identical seeds yield identical samples.
+    Per request, the scored labeled documents split into positives (grade >
+    0) and negatives (unjudged or judged non-relevant).  Each positive is
+    paired with every negative; when the request holds ``N_q > n_negatives``
+    negatives, each such pair counts ``n_negatives / N_q``, the chance that a
+    uniform sample of ``n_negatives`` of them holds it.  Nothing is drawn.  In
+    a pool of at most ``n_negatives`` each pair counts 1, and a pool smaller
+    than ``n_negatives`` is counted in ``n_fallback``.  Pairs of relevant
+    documents with differing grades always count 1.
     """
     view = compile_sequence(RankingSequence(()), relevance, scores=scores)
-    return sample_pairs_of(view, view.labels(alignment), groups, n_negatives, seed, threshold)
+    return sample_pairs_of(view, view.labels(alignment), groups, n_negatives, threshold)
 
 
 def sample_pairs_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, n_negatives: int,
-                    seed: int, threshold: float) -> PairSample:
+                    threshold: float) -> PairSample:
     """``sample_pairs`` of a compiled system's scored documents, on one alignment variant.
 
-    The exhaustive pairs of every request are counted in one pass; only the
-    requests whose negative pool exceeds ``n_negatives`` draw, one request
-    after another.
+    One pass counts positives against negatives, and one per grade against lower grades.
     """
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
@@ -124,24 +119,16 @@ def sample_pairs_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, n_
     pos = y > 0
     n_pos = np.bincount(request[pos], minlength=len(view.scored))
     n_neg = np.bincount(request[~pos], minlength=len(view.scored))
-    sampled = (n_pos > 0) & (n_neg > n_negatives)
-    twice_hits = np.zeros((2, 2), dtype=np.int64)
-    totals = np.zeros((2, 2), dtype=np.int64)
+    twice_hits, totals = np.zeros((2, 2)), np.zeros((2, 2))
 
     ranks = sorted_distinct(s)
     span = ranks.size + 1
     keys = request.astype(np.int64) * span + np.searchsorted(ranks, s)
-    _count(twice_hits, totals, keys, g, span, pos & ~sampled[request], ~pos)
+    # min(1, n_negatives / N_q): exactly 1.0 unless the pool is oversized
+    share = n_negatives / np.maximum(n_neg, n_negatives)
+    _count(twice_hits, totals, keys, g, span, pos, ~pos, share[request[pos]])
     for grade in sorted_distinct(y[pos])[1:]:
         _count(twice_hits, totals, keys, g, span, pos & (y == grade), pos & (y < grade))
-    # made only for an oversized pool: otherwise numpy.random is never imported
-    rng = np.random.default_rng(seed) if sampled.any() else None
-    at = np.searchsorted(request, np.arange(len(view.scored) + 1))
-    for q in np.flatnonzero(sampled).tolist():
-        negatives = np.flatnonzero(~pos[at[q]:at[q + 1]]) + at[q]
-        for i in (np.flatnonzero(pos[at[q]:at[q + 1]]) + at[q]).tolist():
-            chosen = rng.choice(negatives.size, size=n_negatives, replace=False)
-            _count(twice_hits, totals, keys, g, span, [i], negatives[chosen])
     n_fallback = int(np.count_nonzero((n_pos > 0) & (n_neg < n_negatives)))
     return PairSample(PairCounts(twice_hits, totals), n_fallback,
                       int(np.count_nonzero(n_pos == 0)))
@@ -152,10 +139,10 @@ def pairwise_accuracy(counts: PairCounts, group_hi: int, group_lo: int) -> float
 
     Ties between the two scores count half.
     """
-    total = int(counts.totals[group_hi, group_lo])
+    total = float(counts.totals[group_hi, group_lo])
     if total == 0:
         raise NoPairs(f"no pairs with groups ({group_hi}, {group_lo})")
-    return int(counts.twice_hits[group_hi, group_lo]) / 2 / total
+    return float(counts.twice_hits[group_hi, group_lo]) / 2 / total
 
 
 def accuracy_table(pairs: PairCounts) -> dict[tuple[int, int], float]:

@@ -290,7 +290,7 @@ def _family_rows(ctx: _Context, mc: MetricConfig,
 
     if mc.name == "pair":
         sample = sample_pairs(ctx.view, ctx.labels["base"], ctx.groups, mc.n_negatives,
-                              cfg.seed, cfg.threshold)
+                              cfg.threshold)
         if sample.n_fallback:
             notes.append(f"{mc.label}: {sample.n_fallback} requests used the "
                          "whole negative pool (smaller than n_negatives)")

@@ -126,8 +126,10 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """Pairwise tau-c over the per-metric system orderings.
 
-    Each pair uses the intersection of the two metrics' system sets; cells
-    with fewer than two common systems, or a constant value list, are NaN.
+    Rows in ``exclude`` are left out, and so is a one-is-fair row ``X`` (a labelled
+    ratio) next to a zero-is-fair ``logX``.  Each pair uses the intersection of the
+    two metrics' system sets; cells with fewer than two common systems, or a
+    constant value list, are NaN.
     """
     by_metric: dict[str, dict[str, float]] = {}
     directions: dict[str, Direction] = {}
@@ -136,6 +138,10 @@ def correlation_matrix(
             continue
         by_metric.setdefault(r.metric, {})[r.system] = r.value
         directions[r.metric] = r.direction
+    for metric, direction in directions.items():
+        if (direction is Direction.ONE_IS_FAIR
+                and directions.get(f"log{metric}") is Direction.ZERO_IS_FAIR):
+            del by_metric[metric]
     if len(by_metric) < 2:
         raise FairRankError("need at least 2 metrics to correlate")
     names = [m for m in CANONICAL_ORDER if m in by_metric]

@@ -194,10 +194,13 @@ class ScoredPair:
 
 def oracle_sample_pairs(relevance, scores, alignment, groups, n_negatives=10000, seed=42,
                         threshold=0.5):
-    """Every sampled pair as a ``ScoredPair``: ``sample_pairs`` as a plain list builder.
+    """Every sampled pair as a ``ScoredPair``: the seeded negative sampler of Beutel et al.
+    as a plain list builder.
 
-    Returns ``(pairs, n_fallback, n_skipped)``.  Same document order, pool
-    rule and ``rng.choice`` call sequence as ``sample_pairs``.
+    Returns ``(pairs, n_fallback, n_skipped)``.  A positive meets every negative
+    of a pool of at most ``n_negatives``, and otherwise ``n_negatives`` of them
+    drawn by one ``rng.choice`` per positive.  ``sample_pairs`` counts what this
+    sampler gives in expectation (see ``oracle_expected_pairs``).
     """
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
@@ -247,6 +250,42 @@ def oracle_sample_pairs(relevance, scores, alignment, groups, n_negatives=10000,
                 (d1, g1), (d2, g2) = (d2, g2), (d1, g1)
             pairs.append(ScoredPair(q, d1, d2, sc[d1], sc[d2], g1, g2))
     return tuple(pairs), n_fallback, n_skipped
+
+
+def oracle_expected_pairs(relevance, scores, alignment, groups, n_negatives=10000,
+                          threshold=0.5):
+    """``sample_pairs`` as a pair-by-pair sum: ``(twice_hits, totals, n_fallback, n_skipped)``,
+    the tables as 2x2 nested lists indexed ``[group_hi][group_lo]``.
+
+    Positives and negatives are split as in ``oracle_sample_pairs``.  A positive's
+    pair with one of its request's ``N`` negatives counts ``min(1, n_negatives / N)``,
+    the chance that the sampler draws that negative; a pair of relevant documents
+    with differing grades counts 1.
+    """
+    if n_negatives < 1:
+        raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
+    p = groups.require_protected()
+    twice_hits, totals = [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]
+    n_fallback = n_skipped = 0
+    for q in sorted(scores):
+        sc, judged = scores[q], relevance.judged(q)
+        labeled = [(d, 0 if alignment.row(d)[p] >= threshold else 1)
+                   for d in sorted(sc) if alignment.row(d) is not None]
+        positives = [(d, g) for d, g in labeled if judged.get(d, 0.0) > 0]
+        negatives = [(d, g) for d, g in labeled if judged.get(d, 0.0) <= 0]
+        if not positives:
+            n_skipped += 1
+            continue
+        n_fallback += len(negatives) < n_negatives
+        share = min(1.0, n_negatives / len(negatives)) if negatives else 1.0
+        weighted = [(hi, lo, share) for hi in positives for lo in negatives]
+        weighted += [(hi, lo, 1.0) for hi, lo in permutations(positives, 2)
+                     if judged[hi[0]] > judged[lo[0]]]
+        for (d_hi, g_hi), (d_lo, g_lo), weight in weighted:
+            totals[g_hi][g_lo] += weight
+            if sc[d_hi] >= sc[d_lo]:
+                twice_hits[g_hi][g_lo] += weight * (2 if sc[d_hi] > sc[d_lo] else 1)
+    return twice_hits, totals, n_fallback, n_skipped
 
 
 def oracle_pairwise_accuracy_pairs(pairs, group_hi, group_lo):
@@ -335,6 +374,10 @@ def oracle_correlation_matrix(results, magnitude=True, exclude=CORRELATION_EXCLU
             continue
         by_metric.setdefault(r.metric, {})[r.system] = r.value
         directions[r.metric] = r.direction
+    # a one-is-fair row X enters through its zero-is-fair log form logX only
+    by_metric = {m: v for m, v in by_metric.items()
+                 if (directions[m], directions.get("log" + m))
+                 != (Direction.ONE_IS_FAIR, Direction.ZERO_IS_FAIR)}
     if len(by_metric) < 2:
         raise FairRankError("need at least 2 metrics to correlate")
     names = [m for m in CANONICAL_ORDER if m in by_metric]

@@ -217,10 +217,23 @@ class TestEvaluate:
                                 ("InterAcc", "IntraAcc", "P3_InterAcc", "P3_IntraAcc")]
         assert main(["compare", "--results", str(out)]) == 0
 
+    def test_a_labelled_ratio_row_enters_the_matrix_as_its_log_form(self, tmp_path):
+        paths, _ = _synth(tmp_path, n_systems=3)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("metrics: [{name: dp}, {name: dp, label: DP_rbp, weight_model: rbp}, "
+                       "{name: awrf}]\n")
+        out = tmp_path / "out"
+        assert main(_evaluate_args(paths, out, extra=["--config", str(cfg)])) == 0
+        assert {r.metric for r in read_metrics_table(out / "metrics.csv")} == {
+            "DP", "logDP", "DP_rbp", "logDP_rbp", "AWRF"}
+        assert main(["compare", "--results", str(out)]) == 0
+        with open(out / "correlations.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["metric", "AWRF", "logDP", "logDP_rbp"]
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"
-        for text in ("nonsense: true\n", "signed_correlation: true\n"):
+        for text in ("nonsense: true\n", "signed_correlation: true\n", "seed: 42\n"):
             cfg.write_text(text)
             rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
             assert rc == 2, text
@@ -459,15 +472,22 @@ def test_script_entry_freezes_the_array_stack_for_evaluate_only(tmp_path):
 
 
 def test_evaluate_loads_no_yaml_numpy_ma_or_numpy_random(tmp_path):
-    # no config file and no pool larger than n_negatives: none of these is needed,
-    # and only the synth command needs fairrank.synth
+    # no config file: none of these is needed, and only the synth command needs
+    # fairrank.synth; a config needs yaml, and pair counts draw nothing even when
+    # every negative pool is larger than n_negatives
     paths, _ = _synth(tmp_path)
-    argv = _evaluate_args(paths, tmp_path / "out", scores=True)
-    code = ("import sys; from fairrank.cli import main; rc = main(%r); "
-            "print(rc, sorted(m for m in ('yaml', 'numpy.ma', 'numpy.random', 'fairrank.synth') "
-            "if m in sys.modules))" % argv)
+    config = tmp_path / "pair.yaml"
+    config.write_text("metrics: [{name: pair, n_negatives: 1}]\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0 []"
+    for name, extra, loaded in (("out", (), "[]"), ("pair", ("--config", str(config)), "['yaml']")):
+        argv = _evaluate_args(paths, tmp_path / name, scores=True, extra=extra)
+        code = ("import sys; from fairrank.cli import main; rc = main(%r); "
+                "print(rc, sorted(m for m in ('yaml', 'numpy.ma', 'numpy.random', 'fairrank.synth') "
+                "if m in sys.modules))" % argv)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == f"0 {loaded}", name
     assert {"IAA", "IntraAcc", "EEL"} <= {r.metric for r in read_metrics_table(tmp_path / "out" / "metrics.csv")}
+    assert {r.metric for r in read_metrics_table(tmp_path / "pair" / "metrics.csv")} == {
+        "IntraAcc", "InterAcc"}

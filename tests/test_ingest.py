@@ -302,7 +302,7 @@ class TestLoadConfig:
     def test_empty_gives_defaults(self):
         cfg = load_config(None)
         assert cfg.threshold == 0.5
-        assert cfg.seed == 42
+        assert not hasattr(cfg, "seed")  # no metric draws at random
         assert not cfg.explicit_metrics
         names = [m.label for m in cfg.metrics]
         assert {"prefD", "AWRF", "AWRF_equal", "FAIR", "DP", "EED",
@@ -359,8 +359,6 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("text, path", [
         ("threshold: abc\n", "threshold"),
-        ("seed: x\n", "seed"),
-        ("seed: 4.5\n", "seed"),
         ("metrics: [{name: awrf, gamma: x}]\n", "metrics[0].gamma"),
         ("metrics: [{name: awrf, target: custom, custom_target: 5}]\n", "metrics[0].custom_target"),
         ("metrics: [{name: awrf, custom_target: [0.5, x]}]\n", "metrics[0].custom_target[1]"),
@@ -374,16 +372,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"^" + re.escape(path) + ": expected "):
             load_config(io.StringIO(text))
 
+    @pytest.mark.parametrize("text", ["seed: x\n", "seed: 4.5\n", "seed: 42\n"])
+    def test_seed_is_refused(self, text):
+        # pair counts are expectations, so nothing reads a seed
+        with pytest.raises(ConfigError) as info:
+            load_config(io.StringIO(text))
+        assert str(info.value) == "seed: unknown parameter 'seed'"
+
+    def test_custom_target_needs_target_custom(self):
+        with pytest.raises(ConfigError) as info:
+            load_config(io.StringIO("metrics: [{name: awrf, custom_target: [0.3, 0.7]}]\n"))
+        assert str(info.value) == ("metrics[0].custom_target: ParameterOutOfDomain: "
+                                   "custom_target needs target: custom")
+
     def test_whole_and_string_numbers_still_read(self):
         cfg = load_config(io.StringIO(
-            "threshold: '0.25'\nseed: 7.0\nmetrics: [{name: awrf, gamma: 1e-1, "
+            "threshold: '0.25'\nmetrics: [{name: awrf, gamma: 1e-1, "
             "signed: true, target: custom, custom_target: [0.5, '0.5']}, "
-            "{name: prefd, step: '4'}]\n"))
-        assert (cfg.threshold, cfg.seed) == (0.25, 7)
-        metric, prefd = cfg.metrics
-        assert (metric.gamma, prefd.step, metric.signed) == (0.1, 4, True)
+            "{name: prefd, step: '4'}, {name: pair, n_negatives: 7.0}]\n"))
+        assert cfg.threshold == 0.25
+        metric, prefd, pair = cfg.metrics
+        assert (metric.gamma, prefd.step, metric.signed, pair.n_negatives) == (0.1, 4, True, 7)
         assert metric.custom_target == (0.5, 0.5)
-        assert type(cfg.seed) is int and type(prefd.step) is int
+        assert type(prefd.step) is int and type(pair.n_negatives) is int
 
 
     @pytest.mark.parametrize("metrics, row", [
@@ -457,7 +468,7 @@ NOT_UTF8 = {  # each format: a good line, a line broken by CRLF and lone CR, the
     "sequence": (b"seq_no,qid\r\n1,q1\r2,q\xe91\n",
                  lambda path: parse_sequence(path, parse_run(io.StringIO("q1 Q0 d1 1 2.0 r\n")))),
     "scores": (b"qid,docid,score\r\nq1,d1,0.5\rq1,d\xe92,0.7\n", parse_scores),
-    "config": (b"seed: 7\r\nthreshold: 0.5\rprotected: F\xe9\n", load_config),
+    "config": (b"unknown: unk\r\nthreshold: 0.5\rprotected: F\xe9\n", load_config),
 }
 
 
@@ -478,7 +489,7 @@ def test_a_config_with_bad_yaml_fails_at_its_line(tmp_path):
     with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: expected ','"):
         load_config(path)
     with pytest.raises(ParseError, match="^line 2: mapping values are not allowed here$"):
-        load_config(io.StringIO("seed: 1\nthreshold: a: b\n"))
+        load_config(io.StringIO("protected: F\nthreshold: a: b\n"))
 
 
 @pytest.mark.parametrize("max_draws", [1, 8])

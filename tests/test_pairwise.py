@@ -78,17 +78,20 @@ class TestSamplePairs:
         assert len(out.pairs) == 2
         assert out.n_fallback == 1
 
-    def test_determinism_same_seed(self):
+    def test_an_oversized_pool_counts_its_share_of_every_pair(self):
         rng = np.random.default_rng(23)
         docs = [f"d{i}" for i in range(40)]
         rel = RelevanceTable({"q": {d: 1.0 for d in docs[:5]}})
         sc = {"q": {d: float(rng.random()) for d in docs}}
         al = AlignmentMatrix({d: [1, 0] if i % 3 == 0 else [0, 1] for i, d in enumerate(docs)})
-        a = sample_pairs(rel, sc, al, GS, n_negatives=10, seed=99)
-        b = sample_pairs(rel, sc, al, GS, n_negatives=10, seed=99)
-        assert a == b
-        c = sample_pairs(rel, sc, al, GS, n_negatives=10, seed=100)
-        assert c != a
+        every = sample_pairs(rel, sc, al, GS, n_negatives=35)  # N_q = 35: no pool is oversized
+        share = sample_pairs(rel, sc, al, GS, n_negatives=10)
+        assert every.pairs.totals.sum() == 5 * 35 and len(share.pairs) == 5 * 10
+        np.testing.assert_allclose(share.pairs.totals, every.pairs.totals * 10 / 35, rtol=1e-12)
+        np.testing.assert_allclose(share.pairs.twice_hits, every.pairs.twice_hits * 10 / 35,
+                                   rtol=1e-12)
+        assert (share.n_fallback, share.n_skipped) == (0, 0)
+        assert accuracy_table(share.pairs) == pytest.approx(accuracy_table(every.pairs), abs=1e-12)
 
     def test_relevant_relevant_pairs_by_grade(self):
         rel = RelevanceTable({"q": {"hi": 2.0, "lo": 1.0}})

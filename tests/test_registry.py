@@ -4,8 +4,11 @@ Every row ``evaluate_system`` emits for the metamorphic battery is one its
 entry's ``MetricSpec`` declares, with the declared direction and in declared
 order, and a declared row that is absent has a note under its entry's label.
 The single-ranking kernels, whose direction ``_per_draw`` aggregates with,
-score in the direction their family declares.
+score in the direction their family declares.  The README's per-family table
+states each family's keys, defaults and rows as the registry declares them.
 """
+
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -62,3 +65,18 @@ def test_single_ranking_kernels_score_in_the_declared_direction():
               "fair": fair_scores(base.rows, base.dense, 0, 0.5, 0.5)}
     for name, got in scores.items():
         assert [got.direction] == [direction for _, direction in FAMILIES[name].rows], name
+
+
+def _readme_row(name, spec):
+    keys = ", ".join(f"`{key}`" if default is None else f"`{key}` ({str(default).lower()})"
+                     for key, default in spec.keys.items())
+    rows = ", ".join(f"`{row}`" for row in spec.row_names("<label>"))
+    return (f"| `{name}` | `{spec.label}` | {keys} | {rows}"
+            f"{', with `--scores`' if spec.needs_scores else ''} |")
+
+
+def test_the_readme_table_states_the_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    header = "| `name` | default `label` | other keys it reads (default) | rows it writes |\n"
+    table = readme[readme.index(header):].split("\n\n", 1)[0].splitlines()[2:]
+    assert table == [_readme_row(name, spec) for name, spec in FAMILIES.items()]

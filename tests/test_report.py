@@ -150,6 +150,19 @@ class TestCorrelationMatrix:
         assert "DP" not in m.metrics
         assert "logDP" in m.metrics
 
+    def test_a_labelled_ratio_row_enters_only_as_its_log_form(self):
+        # DP_rbp's largest value is its least fair one: read as larger-is-fairer,
+        # it would rank s3 fairest
+        results = []
+        for i, s in enumerate(("s1", "s2", "s3")):
+            results.append(_result("DP_rbp", s, 1.0 + 100 * i, Direction.ONE_IS_FAIR))
+            results.append(_result("logDP_rbp", s, float(i), Direction.ZERO_IS_FAIR))
+            results.append(_result("FAIR", s, 1.0 - 0.1 * i, Direction.ONE_IS_FAIR))
+            results.append(_result("logFAIR", s, 0.1 * i, Direction.ONE_IS_FAIR))
+        m = correlation_matrix(results)
+        assert m.metrics == ("FAIR", "logDP_rbp", "logFAIR")
+        assert m.tau("FAIR", "logDP_rbp") == pytest.approx(1.0)
+
 
 class TestEmitTables(object):
     def test_files_and_round_trip(self, tmp_path):

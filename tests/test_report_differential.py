@@ -73,7 +73,8 @@ def test_kendall_tau_c_matches_the_numpy_body_bit_for_bit(data, n, dx, dy, magni
         assert got == want
 
 
-METRICS = ("prefD", "AWRF", "DP", "logDP", "EED", "IAA", "EER", "IntraAcc", "zz_custom")
+METRICS = ("prefD", "AWRF", "DP", "logDP", "EED", "IAA", "EER", "IntraAcc", "zz_custom",
+           "DP_rbp", "logDP_rbp")
 SYSTEMS = tuple(f"s{i}" for i in range(6))
 
 
