@@ -93,11 +93,20 @@ class AlignmentMatrix:
             dense = np.empty(0)  # ragged or non-numeric rows
         if n_groups is None and dense.ndim == 2:
             n_groups = dense.shape[1]
-        if (dense.ndim != 2 or dense.shape[1] != n_groups
-                or not np.all(np.isfinite(dense)) or np.any(dense < 0)
-                or np.any(np.abs(dense.sum(axis=1) - 1.0) > DISTRIBUTION_ATOL)):
+        if not _distribution_rows(dense, n_groups):
             _raise_first_bad_row(rows, n_groups)
         self._adopt(list(rows), dense)
+
+    @classmethod
+    def of(cls, docs: list[str], dense: np.ndarray) -> "AlignmentMatrix":
+        """Row i of the (n, g) matrix ``dense`` for document ``docs[i]``, the documents
+        distinct, checked as the constructor checks its rows."""
+        dense = np.asarray(dense, dtype=float)
+        if dense.ndim != 2 or len(dense) != len(docs) or len(set(docs)) != len(docs):
+            raise FairRankError("an alignment needs one row per distinct document")
+        if not _distribution_rows(dense, dense.shape[1]):
+            _raise_first_bad_row(dict(zip(docs, dense)), dense.shape[1])
+        return cls._stacked(docs, dense)
 
     @classmethod
     def _stacked(cls, docs: list[str], dense: np.ndarray) -> "AlignmentMatrix":
@@ -145,6 +154,13 @@ class AlignmentMatrix:
         if not self._doc_index:
             raise Degenerate("alignment matrix is empty")
         return np.mean(self._dense, axis=0)
+
+
+def _distribution_rows(dense: np.ndarray, n_groups: int | None) -> bool:
+    """Whether ``dense`` is (n, n_groups), finite and non-negative, each row summing to one."""
+    return (dense.ndim == 2 and dense.shape[1] == n_groups
+            and bool(np.all(np.isfinite(dense))) and not np.any(dense < 0)
+            and not np.any(np.abs(dense.sum(axis=1) - 1.0) > DISTRIBUTION_ATOL))
 
 
 def _raise_first_bad_row(rows: Mapping[str, Sequence[float]], n_groups: int | None) -> None:
@@ -224,29 +240,22 @@ class RelevanceTable:
     """Graded ground-truth relevance y(d|q), keyed by request then document.
 
     The grades are one read-only ``Scores``, ``columns``: requests in the
-    order given, each with its documents in the order given.  ``judged``
-    builds a new dict of a request's grades on each call.
+    order given, each with its documents in the order given.  ``grade`` reads
+    a request's grades by document, indexed on the first read of that request;
+    ``judged`` returns a new dict of them on each call.  Given ``Scores``, the
+    table checks and keeps them, and makes their arrays read-only.
     """
 
     def __init__(self, entries: Mapping[str, Mapping[str, float]] | None = None):
-        entries = entries or {}
-        rows = list(entries.values())
-        try:  # a finite sum and a non-negative minimum clear the grades at once
-            grades = list(map(float, chain.from_iterable(row.values() for row in rows)))
-            valid = math.isfinite(sum(grades)) and min(grades, default=0) >= 0
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:  # find the first bad grade, or accept finite grades whose sum overflowed
-            grades = []
-            for req, row in entries.items():
-                for doc, grade in row.items():
-                    grade = float(grade)
-                    if not np.isfinite(grade) or grade < 0:
-                        raise FairRankError(f"grade for ({req!r}, {doc!r}) must be finite and >= 0")
-                    grades.append(grade)
-        docs, codes = first_codes(list(chain.from_iterable(rows)))
-        self._adopt(Scores(list(entries), docs, codes, _bounds(map(len, rows), len(rows)),
-                           np.array(grades, dtype=float)))
+        columns = Scores.of(entries or {})
+        grades = columns.score
+        bad = np.flatnonzero(~(np.isfinite(grades) & (grades >= 0)))
+        if bad.size:
+            i = int(bad[0])
+            request = columns.requests[int(np.searchsorted(columns.at, i, side="right")) - 1]
+            raise FairRankError(f"grade for ({request!r}, {columns.docs[columns.codes[i]]!r}) "
+                                "must be finite and >= 0")
+        self._adopt(columns)
 
     @classmethod
     def _trusted(cls, columns: Scores) -> "RelevanceTable":
@@ -260,13 +269,23 @@ class RelevanceTable:
             array.flags.writeable = False
         self.columns = columns
         self._max_grade = max(columns.score.tolist(), default=0.0)
+        self._by_doc: dict[str, dict[str, float]] = {}  # each request's grades, once read
+
+    def _grades(self, request: str) -> dict[str, float]:
+        """The request's grades by document (empty for an unjudged request), not to be changed."""
+        grades = self._by_doc.get(request)
+        if grades is None:
+            if request not in self.columns.index:
+                return {}
+            grades = self._by_doc[request] = self.columns[request]
+        return grades
 
     def grade(self, request: str, doc: str, default: float = 0.0) -> float:
-        return self.judged(request).get(doc, default)
+        return self._grades(request).get(doc, default)
 
     def judged(self, request: str) -> dict[str, float]:
         """The request's judged documents and their grades, as a new dict."""
-        return self.columns.get(request, {})
+        return dict(self._grades(request))
 
     def requests(self) -> Iterable[str]:
         return self.columns.keys()

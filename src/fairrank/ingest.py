@@ -32,9 +32,13 @@ run may not repeat a rank or a document within a request; a repeated alignment,
 qrels or score key keeps its first position and takes its last value, with a
 warning at each repeat before the first bad line.
 
-Each writer formats its file in one pass over sorted or file-order columns,
-streaming the lines rather than holding the whole text.  CSV lines are joined
-directly unless a cell needs quoting, which ``csv.writer`` then does.
+Each writer formats each value once, with ``format_numbers`` (``repr``; a
+grade or membership weight once per distinct value), and joins the text
+columns into lines, which it streams to the file one request or one chunk of
+lines at a time rather than holding the whole text.  ``write_run_rows`` and
+``write_score_rows`` take columns already formatted, so a caller that holds a
+score matrix (``synth``) formats each score once for both files.  CSV lines are
+joined directly unless a cell needs quoting, which ``csv.writer`` then does.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, count, groupby, repeat
+from itertools import chain, compress, count, groupby, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
@@ -442,8 +446,14 @@ def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
 
 
 def write_run(fh: TextIO, run: RunFile) -> None:
-    fh.writelines(f"{qid} Q0 {docid} {rank} {score!r} {tag}\n" for qid, docid, rank, score, tag
-                  in zip(run.qids, run.docids, run.ranks, map(float, run.scores), run.tags))
+    write_run_rows(fh, run.qids, run.docids, map(str, run.ranks), format_numbers(run.scores),
+                   run.tags)
+
+
+def write_run_rows(fh: TextIO, qids: Iterable[str], docids: Iterable[str], ranks: Iterable[str],
+                   scores: Iterable[str], tags: Iterable[str]) -> None:
+    """Write the run lines of text columns, the scores formatted by ``format_numbers``."""
+    _write_rows(fh, " ", zip(qids, repeat("Q0"), docids, ranks, scores, tags))
 
 
 @_names_path
@@ -467,8 +477,7 @@ def write_qrels(fh: TextIO, table: RelevanceTable) -> None:
                        + ranks(columns.docs)[columns.codes])  # by request, then document
     qids = np.repeat(np.array(columns.requests, dtype=object), sizes)[order]
     docids = np.array(columns.docs, dtype=object)[columns.codes[order]]
-    fh.writelines(f"{qid} 0 {docid} {grade}\n"
-                  for qid, docid, grade in zip(qids, docids, _reprs(columns.score[order])))
+    _write_rows(fh, " ", zip(qids, repeat("0"), docids, _reprs(columns.score[order])))
 
 
 @_names_path
@@ -523,9 +532,8 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
 def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) -> None:
     header = ("docid", *groups.names)
     docs = sorted(alignment.docs())
-    rows = _reprs(alignment.dense()[alignment.indices(docs)])
-    _write_csv(fh, chain(header, docs),
-               chain([header], ((doc, *row) for doc, row in zip(docs, rows))))
+    weights = _reprs(alignment.dense()[alignment.indices(docs)].T)
+    _write_csv(fh, chain(header, docs), chain([header], zip(docs, *weights)))
 
 
 class Draws(NamedTuple):
@@ -611,28 +619,41 @@ def parse_scores(source: TextIO | Iterable[str] | str | Path) -> Scores:
 
 
 def write_scores(fh: TextIO, scores: Mapping[str, Mapping[str, float]]) -> None:
-    header = ("qid", "docid", "score")
-    qids: list[str] = []
-    docids: list[str] = []
-    values: list[float] = []
+    write_scores_header(fh)
     for qid in sorted(scores):
         row = scores[qid]
-        qids += repeat(qid, len(row))
-        docids += sorted(row)
-        values += map(row.__getitem__, docids[len(docids) - len(row):])
-    _write_csv(fh, chain(header, qids, docids),
-               chain([header], zip(qids, docids, map(repr, map(float, values)))))
+        docids = sorted(row)
+        write_score_rows(fh, qid, docids, format_numbers([row[d] for d in docids]))
+
+
+def write_scores_header(fh: TextIO) -> None:
+    header = ("qid", "docid", "score")
+    _write_csv(fh, header, [header])
+
+
+def write_score_rows(fh: TextIO, qid: str, docids: Sequence[str], scores: Iterable[str]) -> None:
+    """Write the score lines of one request's documents, the scores formatted by
+    ``format_numbers``."""
+    _write_csv(fh, chain((qid,), docids), zip(repeat(qid), docids, scores))
+
+
+def format_numbers(values: Sequence[float] | np.ndarray) -> list[str]:
+    """The text of each value as a float, ``repr`` (-0.0 stays -0.0), flattened in order.
+
+    Every number a writer writes is formatted here.
+    """
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 def _reprs(values: Sequence[float] | np.ndarray) -> list:
-    """``repr`` of each value as a float, in nested lists of the values' shape.
+    """``format_numbers`` of each value, in nested lists of the values' shape.
 
     Grades and membership weights take few distinct values, so each distinct
     value (by its bits: -0.0 is not 0.0) is formatted once.
     """
     values = np.ascontiguousarray(values, dtype=float)
     distinct, at = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    text = np.array(format_numbers(distinct.view(float)), dtype=object)
     return text[at.reshape(values.shape)].tolist()
 
 
@@ -647,7 +668,17 @@ def _write_csv(fh: TextIO, cells: Iterable[str], rows: Iterable[Sequence[str]]) 
     if '"' in text or "," in text or "\r" in text or "\n" in text:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     else:
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        _write_rows(fh, ",", rows)
+
+
+_CHUNK_LINES = 1024  # per write call: few calls, and never a whole file's text at once
+
+
+def _write_rows(fh: TextIO, sep: str, rows: Iterable[Sequence[str]]) -> None:
+    """Write each row's cells joined by ``sep``, one line per row, in chunks of lines."""
+    lines = map(sep.join, rows)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        fh.write("\n".join(chunk) + "\n")
 
 
 # --- evaluation configuration -------------------------------------------
@@ -862,6 +893,11 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
                 if j != i:
                     raise ConfigError(f"row {row!r} is also written by metrics[{j}]",
                                       f"metrics[{i}]")
+        for row, i in writer.items():  # logX is the log form of X, so only X's entry writes it
+            j = writer.get(row[3:], i) if row.startswith("log") else i
+            if j != i:
+                raise ConfigError(f"row {row!r} reads as the log form of row {row[3:]!r}, "
+                                  f"which metrics[{j}] writes", f"metrics[{i}].label")
         explicit = True
     return EvalConfig(
         protected=str(doc["protected"]) if "protected" in doc and doc["protected"] is not None else None,

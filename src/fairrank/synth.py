@@ -12,26 +12,32 @@ Identical parameters (including the seed) produce byte-identical files.  The
 order in which values are drawn from the seeded stream is part of that output
 contract: the benchmark's reference tables are computed from these corpora,
 so a change to the draw order rewrites them and belongs in a benchmark change.
-Values are drawn as whole arrays where the stream allows it, and each file is
-formatted in one pass by its ``ingest`` writer.
+Values are drawn as whole arrays where the stream allows it.  Each value is
+formatted once, by ``ingest``, which spells out every line format: a system's
+scores are formatted one request at a time, and that text gives both the
+request's run lines and its score lines.  Every file is streamed to disk one
+request (or one chunk of lines) at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .core import AlignmentMatrix, FairRankError, GroupSpace, RelevanceTable
+from .compiled import sorted_distinct
+from .core import AlignmentMatrix, FairRankError, GroupSpace, RelevanceTable, Scores
 from .ingest import (
-    RunFile,
+    format_numbers,
     write_alignment,
     write_draws,
     write_qrels,
-    write_run,
-    write_scores,
+    write_run_rows,
+    write_score_rows,
+    write_scores_header,
 )
 
 # Per-system ranking quality alternates between these two levels so that
@@ -92,8 +98,10 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
     Every value is drawn from one PCG64 stream seeded with ``spec.seed``, in a
     fixed order: the unlabeled mask, the group shuffle, the soft rows, then
     per request its pool and its grades, then per system its score noise.
-    Each file is written before the next one is built, and the writers stream
-    their lines, so the calling process never holds the text of a whole file.
+    Each value is formatted once and each file is streamed per request, so the
+    calling process never holds the text of a whole file.  The alignment and
+    the qrels reach their writers as the arrays they were drawn as, checked by
+    ``AlignmentMatrix`` and ``RelevanceTable``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -126,8 +134,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
         if soft:
             i, own, other = np.array(soft).T
             dense[i, own], dense[i, other] = 0.7, 0.3
-    alignment = AlignmentMatrix(dict(zip(map(doc_ids.__getitem__, labeled.tolist()), dense)),
-                                n_groups=spec.n_groups)
+    alignment = AlignmentMatrix.of(list(map(doc_ids.__getitem__, labeled.tolist())), dense)
     align_path = out / "alignment.csv"
     with open(align_path, "w", encoding="utf-8") as fh:
         write_alignment(fh, alignment, groups)
@@ -169,10 +176,14 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
         rng.bit_generator.state = state
         rng.random(used)
         grades.append(judged)
+    pools, grades = np.array(pools), np.array(grades)
+    judged_docs = sorted_distinct(pools)
     qrels_path = out / "qrels.txt"
     with open(qrels_path, "w", encoding="utf-8") as fh:
-        write_qrels(fh, RelevanceTable({q: dict(zip(ids, judged))
-                                        for q, ids, judged in zip(requests, pool_ids, grades)}))
+        write_qrels(fh, RelevanceTable(Scores(
+            requests, list(map(doc_ids.__getitem__, judged_docs.tolist())),
+            np.searchsorted(judged_docs, pools.ravel()), np.arange(0, pools.size + 1, pool_size),
+            grades.ravel())))
 
     # Draw sequence shared by all systems: request i appears 1 + (i mod max_draws) times.
     seq_path = out / "sequence.csv"
@@ -182,19 +193,14 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
 
     # Systems: placement bias spread over [-skew, +skew], alternating quality.
     # Scores are one array expression, in the per-document expression's
-    # operand order; ties rank in document-id order.
+    # operand order.
     if spec.n_systems == 1:
         biases = np.array([spec.exposure_skew])
     else:
         biases = np.linspace(-spec.exposure_skew, spec.exposure_skew, spec.n_systems)
-    pools = np.array(pools)
-    y_norm = np.array(grades) / 2.0
+    y_norm = grades / 2.0
     prot = protected_mass[pools]
-    flat_ids = list(chain.from_iterable(pool_ids))
-    offsets = np.arange(0, pools.size, pool_size)[:, None]
     depth = min(spec.depth, pool_size)
-    qids = tuple(q for q in requests for _ in range(depth))
-    ranks = tuple(range(1, depth + 1)) * spec.n_requests
     run_paths: list[Path] = []
     score_paths: list[Path] = []
     systems: list[str] = []
@@ -204,19 +210,11 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
         quality = QUALITY_LEVELS[k % len(QUALITY_LEVELS)]
         noise = rng.random(pools.shape)
         vals = quality * y_norm + (1.0 - quality) * noise + float(biases[k]) * prot
-        ranked = np.argsort(-vals, axis=1, kind="stable")[:, :depth]
-        docids = tuple(map(flat_ids.__getitem__, (ranked + offsets).ravel().tolist()))
-        values = tuple(np.take_along_axis(vals, ranked, 1).ravel().tolist())
-        run = RunFile({}, qids, docids, ranks, values, (system,) * len(qids))
-        run_path = out / f"run_{system}.txt"
-        with open(run_path, "w", encoding="utf-8") as fh:
-            write_run(fh, run)
-        run_paths.append(run_path)
-        score_path = out / f"scores_{system}.csv"
-        with open(score_path, "w", encoding="utf-8") as fh:
-            write_scores(fh, {q: dict(zip(ids, row))
-                              for q, ids, row in zip(requests, pool_ids, vals.tolist())})
-        score_paths.append(score_path)
+        run_paths.append(out / f"run_{system}.txt")
+        score_paths.append(out / f"scores_{system}.csv")
+        with (open(run_paths[-1], "w", encoding="utf-8") as run_fh,
+              open(score_paths[-1], "w", encoding="utf-8") as score_fh):
+            _write_system(run_fh, score_fh, system, requests, pool_ids, vals, depth)
 
     return {
         "runs": run_paths,
@@ -226,3 +224,30 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict[str, object]:
         "sequence": seq_path,
         "systems": systems,
     }
+
+
+def _write_system(run_fh: TextIO, score_fh: TextIO, system: str, requests: list[str],
+                  pool_ids: list[list[str]], vals: np.ndarray, depth: int) -> None:
+    """Write a system's run and score files from its score matrix, one request at a time.
+
+    Row i of ``vals`` scores the documents ``pool_ids[i]`` (in id order) of
+    ``requests[i]``.  The run ranks each request's ``depth`` best documents,
+    ties in id order; the score file holds every score, requests in id order.
+    Each request's scores are formatted once, for its run lines and its score
+    lines.  Past q9999 id order is not generation order, so a request's score
+    lines wait until the requests before it in id order are written.
+    """
+    ranked = np.argsort(-vals, axis=1, kind="stable")[:, :depth]
+    rank_cells = list(map(str, range(1, depth + 1)))
+    score_order = iter(sorted(range(len(requests)), key=requests.__getitem__))
+    turn = next(score_order, None)
+    waiting: dict[int, list[str]] = {}
+    write_scores_header(score_fh)
+    for i, (q, ids) in enumerate(zip(requests, pool_ids)):
+        text, top = format_numbers(vals[i]), ranked[i].tolist()
+        write_run_rows(run_fh, repeat(q), map(ids.__getitem__, top), rank_cells,
+                       map(text.__getitem__, top), repeat(system))
+        waiting[i] = text
+        while turn in waiting:
+            write_score_rows(score_fh, requests[turn], pool_ids[turn], waiting.pop(turn))
+            turn = next(score_order, None)

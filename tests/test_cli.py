@@ -206,6 +206,17 @@ class TestEvaluate:
         assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
             f"metrics[1]: row {row!r} is also written by metrics[0]"]
 
+    def test_a_log_row_of_another_entrys_row_exits_2_at_its_label(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("metrics: [{name: fair, label: P}, {name: awrf, label: logP}]\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert rc == 2 and not (tmp_path / "out" / "metrics.csv").exists()
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "metrics[1].label: row 'logP' reads as the log form of row 'P', which metrics[0] "
+            "writes"]
+
     def test_a_labelled_pair_writes_rows_of_its_own(self, tmp_path):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"

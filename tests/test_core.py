@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairrank import (
     AlignmentMatrix,
@@ -15,6 +17,7 @@ from fairrank import (
     protected_mask,
 )
 from fairrank.compiled import Corpus, compile_sequence
+from fairrank.core import Scores
 
 
 def test_ranking_rejects_duplicates():
@@ -44,6 +47,21 @@ def test_alignment_row_validation():
     assert "missing" not in al
 
 
+def test_alignment_from_arrays_is_checked_like_rows():
+    docs, dense = ["d1", "d2"], np.array([[1.0, 0.0], [0.3, 0.7]])
+    al = AlignmentMatrix.of(docs, dense)
+    want = AlignmentMatrix(dict(zip(docs, dense.tolist())))
+    assert list(al.docs()) == list(want.docs()) and (al.dense() == want.dense()).all()
+    for rows, message in [([[1.0, 0.0], [0.5, 0.6]], "'d2' does not sum to 1"),
+                          ([[1.5, -0.5], [0.3, 0.7]], "'d1' must be finite and non-negative"),
+                          ([[np.nan, 1.0], [0.3, 0.7]], "'d1' must be finite")]:
+        with pytest.raises(FairRankError, match=message):
+            AlignmentMatrix.of(docs, np.array(rows))
+    for docs, rows in [(["d1", "d1"], dense), (["d1"], dense), (docs, np.ones(2))]:
+        with pytest.raises(FairRankError, match="one row per distinct document"):
+            AlignmentMatrix.of(docs, rows)
+
+
 def test_relevance_table_basics():
     rel = RelevanceTable({"q": {"a": 2.0, "b": 0.0}})
     assert rel.grade("q", "a") == 2.0
@@ -67,6 +85,37 @@ def test_relevance_table_request_without_judgments():
     corpus = Corpus([], rel)
     assert corpus.judged == ["q", "r"] and corpus.judged_at.tolist() == [0, 0, 1]
     assert corpus.keys.tolist() == [1] and corpus.grades.tolist() == [2.0]  # request 1, doc 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(("q1", "q2", "q3")),
+                       st.dictionaries(st.sampled_from("abcde"),
+                                       st.floats(0, 3, allow_nan=False)), max_size=3))
+def test_relevance_table_grade_reads_the_columns(entries):
+    rel = RelevanceTable(entries)
+    columns = rel.columns
+    for k, request in enumerate(columns.requests):
+        for i in range(columns.at[k], columns.at[k + 1]):
+            doc = columns.docs[columns.codes[i]]
+            assert rel.grade(request, doc) == columns.score[i] == entries[request][doc]
+        assert rel.grade(request, "unjudged") == 0.0
+        assert rel.grade(request, "unjudged", -1.0) == -1.0
+        assert rel.judged(request) == entries[request]
+    assert rel.grade("q9", "a", 7.0) == 7.0 and rel.judged("q9") == {}
+
+
+def test_relevance_table_checks_column_grades():
+    def columns(grades):
+        return Scores(["q", "r"], ["a", "b"], np.array([0, 1, 1]), np.array([0, 2, 3]),
+                      np.array(grades))
+
+    rel = RelevanceTable(columns([2.0, 0.0, 1.0]))
+    assert rel.judged("q") == {"a": 2.0, "b": 0.0} and rel.grade("r", "b") == 1.0
+    assert rel.max_grade() == 2.0 and len(rel) == 3
+    with pytest.raises(FairRankError, match=r"grade for \('r', 'b'\) must be finite and >= 0"):
+        RelevanceTable(columns([2.0, 0.0, -1.0]))
+    with pytest.raises(FairRankError, match=r"grade for \('q', 'b'\) must be finite"):
+        RelevanceTable(columns([2.0, np.inf, np.nan]))
 
 
 def test_relevance_table_request_missing():

@@ -408,6 +408,33 @@ class TestLoadConfig:
             load_config(io.StringIO(f"metrics: {metrics}\n"))
         assert str(info.value) == f"metrics[1]: row {row!r} is also written by metrics[0]"
 
+    @pytest.mark.parametrize("metrics, at, row, by", [
+        ("[{name: fair, label: P}, {name: awrf, label: logP}]", 1, "logP", 0),
+        ("[{name: awrf, label: logP}, {name: fair, label: P}]", 0, "logP", 1),
+        ("[{name: fair, label: P}, {name: dp, label: logP}]", 1, "logP", 0),
+        ("[{name: eed, label: logEEL}, {name: eel}]", 0, "logEEL", 1),
+    ])
+    def test_a_log_row_of_another_entrys_row_is_refused(self, metrics, at, row, by):
+        with pytest.raises(ConfigError) as info:
+            load_config(io.StringIO(f"metrics: {metrics}\n"))
+        assert str(info.value) == (f"metrics[{at}].label: row {row!r} reads as the log form of "
+                                   f"row {row[3:]!r}, which metrics[{by}] writes")
+
+    @pytest.mark.parametrize("metrics", [
+        "[{name: dp, label: X}]",
+        "[{name: eur, label: Y}]",
+        "[{name: dp, label: X}, {name: eur, label: Y}, {name: fair, label: logZ}]",
+        "[{name: dp, label: logX}, {name: fair}]",
+    ])
+    def test_a_ratio_entrys_own_log_row_loads(self, metrics):
+        assert load_config(io.StringIO(f"metrics: {metrics}\n")).explicit_metrics
+
+    def test_the_default_battery_written_out_loads(self):
+        default = load_config(None).metrics
+        battery = ", ".join(f"{{name: {mc.name}, label: {mc.label}}}" for mc in default)
+        cfg = load_config(io.StringIO(f"metrics: [{battery}]\n"))
+        assert [mc.label for mc in cfg.metrics] == [mc.label for mc in default]
+
     @pytest.mark.parametrize("name, key, value", [
         ("fair", "gamma", "0.9"), ("dp", "dist", "kl"), ("eed", "signed", "true")])
     def test_a_key_the_family_does_not_read_is_refused(self, name, key, value):
