@@ -14,6 +14,7 @@ import argparse
 import gc
 import importlib
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -247,10 +248,15 @@ def script() -> None:
 
     There, evaluate's array stack lives until exit: it loads with the cyclic
     collector off and is then frozen, so that no collection scans those tens of
-    thousands of objects again.  ``main`` itself leaves the collector alone for
-    callers that run it in their own process.
+    thousands of objects again.  It also loads with one BLAS/OpenMP thread unless
+    ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS`` says
+    otherwise: every product it asks BLAS for is far too small to be split, so
+    a thread pool would only sit idle beside the main thread.  ``main`` itself
+    leaves the collector and the environment alone for callers that run it in
+    their own process.
     """
     if next((arg for arg in sys.argv[1:] if not arg.startswith("-")), None) == "evaluate":
+        os.environ.setdefault("OMP_NUM_THREADS", "1")  # read once, when numpy loads
         gc.disable()
         _bind_evaluate_names()
         gc.freeze()

@@ -1,6 +1,6 @@
 """Parsers, writers, and evaluation configuration.
 
-File formats (UTF-8, LF or CRLF):
+File formats (UTF-8, LF or CRLF; one leading byte-order mark is ignored):
 
 * run:       ``qid Q0 docid rank score tag`` whitespace-separated; ``#``
              lines are comments.  Each request's documents are ordered by
@@ -168,7 +168,8 @@ def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list
 
 def _read_text(path: str | Path) -> str:
     """The text of a UTF-8 file with universal newlines (``\\r\\n`` and a lone ``\\r`` read as
-    ``\\n``); a byte that is not UTF-8 is a ParseError at its line."""
+    ``\\n``) and without one leading byte-order mark; a byte that is not UTF-8 is a
+    ParseError at its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -178,6 +179,7 @@ def _read_text(path: str | Path) -> str:
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})",
                          line) from None
+    text = text.removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 

@@ -278,6 +278,25 @@ class TestEvaluate:
         assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
             f"{bad}: line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)"]
 
+    @pytest.mark.parametrize("name", ["run", "qrels", "scores", "alignment", "sequence", "config"])
+    def test_a_leading_byte_order_mark_changes_no_output(self, tmp_path, caplog, name):
+        paths, _ = _synth(tmp_path)
+        config = tmp_path / "config.yaml"
+        config.write_text("unknown_policy: exclude\n")
+        files = {"run": paths["runs"][0], "qrels": paths["qrels"], "scores": paths["scores"][0],
+                 "alignment": paths["alignment"], "sequence": paths["sequence"], "config": config}
+        outputs = []
+        for out in ("plain", "marked"):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="fairrank"):
+                rc = main(_evaluate_args(paths, tmp_path / out, scores=True,
+                                         extra=["--config", str(config)]))
+            outputs.append((rc, [r.getMessage() for r in caplog.records],
+                            (tmp_path / out / "metrics.csv").read_bytes()))
+            files[name].write_bytes(b"\xef\xbb\xbf" + files[name].read_bytes())
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
     def test_shared_inputs_are_built_once_per_evaluate(self, tmp_path, monkeypatch):
         # three runs: the qrels, alignment and sequence files are each read once, and
         # the judgments are numbered once, for all systems
@@ -480,6 +499,56 @@ def test_script_entry_freezes_the_array_stack_for_evaluate_only(tmp_path):
     argv = _evaluate_args(paths, tmp_path / "again")
     assert _run_python(code % argv) == "0 True True"
     assert _run_python(code % ["compare", "--results", str(tmp_path / "out")]) == "0 True False"
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child(args, threads):
+    """Run ``args`` in a Python child whose only BLAS thread setting is ``threads``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(threads, PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True)
+
+
+def test_script_entry_runs_evaluate_with_one_blas_thread_unless_set(tmp_path):
+    # evaluate's numpy loads with OMP_NUM_THREADS=1 unless a BLAS thread count is set, so no
+    # idle pool runs beside the main thread; compare loads no numpy and sets nothing
+    paths, _ = _synth(tmp_path)
+    assert main(_evaluate_args(paths, tmp_path / "out")) == 0
+    code = ("import os, sys; from fairrank import cli; sys.argv = ['fairrank', *%r]\n"
+            "try:\n    cli.script()\nexcept SystemExit as exc:\n"
+            "    status = '/proc/self/status'\n"
+            "    threads = [line.split()[1] for line in open(status) if line.startswith('Threads:')]"
+            " if os.path.exists(status) else ['-']\n"
+            "    print(exc.code, *(os.environ.get(k, '-') for k in %r), *threads)")
+    evaluate, compare = (code % (argv, BLAS_THREADS) for argv in (
+        _evaluate_args(paths, tmp_path / "again"), ["compare", "--results", str(tmp_path / "out")]))
+    alone = "1" if os.path.exists("/proc/self/status") else "-"
+    assert _child(["-c", evaluate], {}).stdout.split() == ["0", "1", "-", "-", alone]
+    assert _child(["-c", evaluate], {"OMP_NUM_THREADS": "2"}).stdout.split()[:4] == [
+        "0", "2", "-", "-"]
+    assert _child(["-c", evaluate], {"OPENBLAS_NUM_THREADS": "2"}).stdout.split()[:4] == [
+        "0", "1", "2", "-"]
+    assert _child(["-c", compare], {}).stdout.split()[:4] == ["0", "-", "-", "-"]
+
+
+def test_no_metric_depends_on_the_blas_thread_count(tmp_path):
+    # the matmuls and dots of IAA, EEL, EUR and EED, and a cascade AWRF with rbp EED and EEL
+    paths, _ = _synth(tmp_path, n_systems=3, n_requests=20, soft_fraction=0.2)
+    config = tmp_path / "cascade.yaml"
+    config.write_text("metrics:\n  - {name: awrf, weight_model: cascade}\n"
+                      "  - {name: eed, weight_model: rbp}\n  - {name: eel, weight_model: rbp}\n")
+    for name, extra in (("battery", ()), ("cascade", ("--config", str(config)))):
+        tables = []
+        for threads in ({"OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
+            out = tmp_path / name / next(iter(threads))
+            _child(["-m", "fairrank.cli", *_evaluate_args(paths, out, scores=True, extra=extra)],
+                   threads)
+            tables.append((out / "metrics.csv").read_bytes())
+        assert tables[0] == tables[1], name
 
 
 def test_evaluate_loads_no_yaml_numpy_ma_or_numpy_random(tmp_path):

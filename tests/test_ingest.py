@@ -510,6 +510,16 @@ def test_a_byte_that_is_not_utf8_fails_at_its_line(tmp_path, name):
     assert caught.value.line == 3
 
 
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_a_leading_byte_order_mark_moves_no_line_number(tmp_path, name):
+    data, parse = NOT_UTF8[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    with pytest.raises(ParseError) as caught:
+        parse(path)
+    assert str(caught.value) == f"{path}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
 def test_a_config_with_bad_yaml_fails_at_its_line(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("metrics:\n  - {name: awrf\n")

@@ -5,7 +5,9 @@ entry's ``MetricSpec`` declares, with the declared direction and in declared
 order, and a declared row that is absent has a note under its entry's label.
 The single-ranking kernels, whose direction ``_per_draw`` aggregates with,
 score in the direction their family declares.  The README's per-family table
-states each family's keys, defaults and rows as the registry declares them.
+states each family's keys, defaults and rows as the registry declares them, and
+``report``'s own row lists (``report`` cannot read the registry and stay
+numpy-free) name exactly the default battery's rows.
 """
 
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 
 from fairrank import (
     AlignmentMatrix,
+    Direction,
     GroupSpace,
     Ranking,
     RankingSequence,
@@ -22,9 +25,10 @@ from fairrank import (
     TargetDistribution,
     WeightModel,
 )
-from fairrank.ingest import FAMILIES, EvalConfig, _make_metric
+from fairrank.ingest import FAMILIES, EvalConfig, _make_metric, default_metrics
 from fairrank.metrics_single import awrf_scores, fair_scores, prefd_scores
 from fairrank.pipeline import _Context, evaluate_system
+from fairrank.report import CANONICAL_ORDER, CORRELATION_EXCLUDE
 
 from conftest import compile_run
 from test_metamorphic import BATTERY, corpora
@@ -80,3 +84,13 @@ def test_the_readme_table_states_the_registry():
     header = "| `name` | default `label` | other keys it reads (default) | rows it writes |\n"
     table = readme[readme.index(header):].split("\n\n", 1)[0].splitlines()[2:]
     assert table == [_readme_row(name, spec) for name, spec in FAMILIES.items()]
+
+
+def test_report_row_lists_name_the_default_battery_rows():
+    # the battery with score files, so every family writes its rows
+    rows = {name: direction for mc in default_metrics()
+            for name, (_, direction) in zip(FAMILIES[mc.name].row_names(mc.label),
+                                            FAMILIES[mc.name].rows)}
+    assert sorted(CANONICAL_ORDER) == sorted(rows)
+    assert CORRELATION_EXCLUDE == {name for name, direction in rows.items()
+                                   if direction is Direction.ONE_IS_FAIR and f"log{name}" in rows}
