@@ -60,7 +60,6 @@ from .core import (
     UNKNOWN_POLICIES,
     AlignmentMatrix,
     ConfigError,
-    Direction,
     FairRankError,
     GroupSpace,
     ParseError,
@@ -74,6 +73,7 @@ from .core import (
 )
 from .distance import DISTANCE_KINDS
 from .exposure import WEIGHT_KINDS
+from .registry import BATTERY, FAMILIES, TARGET_MODES
 
 log = logging.getLogger("fairrank")
 
@@ -145,7 +145,7 @@ class RunFile:
 
 
 def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list[str]]:
-    """The text of ``source`` and its lines.
+    """The text of ``source`` and its lines, without one leading byte-order mark.
 
     A file is read whole with universal newlines, and its lines are its text
     split at line feeds, without them.  Other sources give the lines iterating
@@ -159,6 +159,7 @@ def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list
             lines.pop()
         return text, lines
     lines = list(source)
+    lines[:1] = (line.removeprefix("\ufeff") for line in lines[:1])
     text = "".join(lines)
     if (text.count("\n") != len(lines) - (not text.endswith("\n"))
             or not all(map(str.endswith, lines[:-1], repeat("\n")))):
@@ -683,52 +684,7 @@ def _write_rows(fh: TextIO, sep: str, rows: Iterable[Sequence[str]]) -> None:
         fh.write("\n".join(chunk) + "\n")
 
 
-# --- evaluation configuration -------------------------------------------
-
-TARGET_MODES = ("catalog", "equal", "custom", "composition")
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """One metric family: its default label, the config keys it reads with their defaults,
-    its rows (a name template and a ``Direction`` each) and whether it needs score files.
-    A template's ``{}`` is the label; under the default label a leading ``{}_`` is dropped."""
-
-    label: str
-    keys: Mapping[str, object]
-    rows: tuple[tuple[str, Direction], ...]
-    needs_scores: bool = False
-
-    def row_names(self, label: str) -> tuple[str, ...]:
-        return tuple(template[3:] if label == self.label and template.startswith("{}_")
-                     else template.replace("{}", label) for template, _ in self.rows)
-
-
-# Parity-in-sequence ratios weight positions logarithmically, expected-exposure
-# metrics by rbp, the rest geometrically.
-_GEOMETRIC, _LOGARITHMIC, _RBP = ({"weight_model": model, "gamma": 0.5}
-                                  for model in ("geometric", "logarithmic", "rbp"))
-_TARGET = {"target": "catalog", "custom_target": None}
-_ZERO = (("{}", Direction.ZERO_IS_FAIR),)
-_RATIO = (("{}", Direction.ONE_IS_FAIR), ("log{}", Direction.ZERO_IS_FAIR))
-
-# Every metric family, in the default battery's order.
-FAMILIES = {
-    "prefd": MetricSpec("prefD", {"dist": "nd", **_TARGET, "target": "composition", "step": 10},
-                        _ZERO),
-    "awrf": MetricSpec("AWRF", {**_GEOMETRIC, "dist": "nd", **_TARGET, "signed": False}, _ZERO),
-    "fair": MetricSpec("FAIR", _TARGET, (("{}", Direction.ONE_IS_FAIR),)),
-    "dp": MetricSpec("DP", _LOGARITHMIC, _RATIO),
-    "eed": MetricSpec("EED", _RBP, _ZERO),
-    "eur": MetricSpec("EUR", {**_LOGARITHMIC, "pool": "judged"}, _RATIO),
-    "rur": MetricSpec("RUR", {**_LOGARITHMIC, "pool": "judged"}, _RATIO),
-    "eel": MetricSpec("EEL", {**_RBP, "pool": "union"},
-                      (*_ZERO, ("{}_EER", Direction.HIGHER_IS_BETTER))),
-    "iaa": MetricSpec("IAA", _GEOMETRIC, _ZERO, needs_scores=True),
-    "pair": MetricSpec("PAIR", {"n_negatives": 10000}, (("{}_IntraAcc", Direction.ZERO_IS_FAIR),
-                                                        ("{}_InterAcc", Direction.ZERO_IS_FAIR)),
-                       needs_scores=True),
-}
+# --- evaluation configuration: entries read against registry.FAMILIES ---
 
 
 @dataclass(frozen=True)
@@ -766,10 +722,8 @@ class EvalConfig:
 
 
 def default_metrics() -> tuple[MetricConfig, ...]:
-    """The default metric battery: one entry per family, and AWRF on the equal target."""
-    entries = [{"name": name} for name in FAMILIES]
-    entries.insert(2, {"name": "awrf", "label": "AWRF_equal", "target": "equal"})
-    return tuple(_make_metric(entry, f"metrics[{i}]") for i, entry in enumerate(entries))
+    """The default metric battery, the registry's ``BATTERY``."""
+    return tuple(_make_metric(entry, f"metrics[{i}]") for i, entry in enumerate(BATTERY))
 
 
 def _domain(cond: bool, path: str, message: str):

@@ -5,18 +5,17 @@ corpus, the relevance table, the group alignment and its variants, built
 once per evaluate), this evaluates every configured metric and returns table
 rows plus human-readable notes about skipped or degenerate computations.
 Single-ranking metrics are computed per draw, averaged per request, then
-averaged over requests; sequence metrics aggregate exposure with the
-empirical request-arrival distribution first.  Each metric family is one
-array pass over the system's compiled view: its kernel scores every
-distinct ranking (or request) at once, grouped by labeled length or draw
-count, and nothing here loops over rankings or requests.
+averaged over requests without weights, so a request's draw count does not
+move them; sequence metrics weight requests by the empirical request-arrival
+distribution.  Each metric family is one array pass over the system's view:
+its kernel scores every distinct ranking (or request) at once, grouped by
+labeled length or draw count, and nothing here loops over rankings or requests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .exposure import (
     resolve_stop,
     weighted_mean,
 )
-from .ingest import FAMILIES, EvalConfig, MetricConfig
+from .ingest import EvalConfig, MetricConfig
 from .metrics_multi import demographic_parity, eed
 from .metrics_single import (
     ListScores,
@@ -69,7 +68,8 @@ from .opportunity import (
     utility_of,
 )
 from .pairwise import accuracy_table, intra_inter, sample_pairs_of
-from .report import MetricResult, aggregate
+from .registry import FAMILIES
+from .report import MetricResult
 
 # perfbench/tracer.py times pair sampling, and counts its pairs, as this
 # module's sample_pairs, so the kernel is called under that name here.
@@ -181,19 +181,19 @@ class _Context:
 
 
 def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
-              notes: list[str]) -> MetricResult:
-    """Aggregate a single-ranking metric, given per distinct ranking, over every draw.
+              notes: list[str]) -> tuple[float, int, int]:
+    """(value, n_requests, n_degenerate) of a single-ranking metric over every draw.
 
     A ranking's outcome counts for every draw of it.  A draw without a
     score (NaN with a degenerate reason) is excluded; draws scored by
     convention (short lists, undefined normalizer) keep their value but are
     noted.  A request's value is the mean over its other draws, in draw
     order, with the requests grouped by that count; a request is degenerate
-    when all its draws are, and is flagged with its first draw's reason.
+    when all its draws are.  The value is the unweighted mean of the others.
     """
     view = ctx.view
-    values, reasons = scores.values[view.draw_of], scores.reasons[view.draw_of]
-    flagged = reasons.astype(bool)
+    values = scores.values[view.draw_of]
+    flagged = scores.reasons[view.draw_of].astype(bool)
     excluded = flagged & np.isnan(values)
     conventions = int(np.count_nonzero(flagged & ~excluded))
     # each request's scored draws first, in draw order
@@ -204,11 +204,11 @@ def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
         if k:
             means[idx] = values[order[view.draw_at[idx, None] + np.arange(k)]].mean(axis=1)
     scored = counts > 0
-    per_request = dict(zip(compress(view.requests, scored), means[scored].tolist()))
-    flags = dict(zip(compress(view.requests, ~scored), reasons[view.draw_at[:-1][~scored]]))
     if conventions:
         notes.append(f"{mc.label}: {conventions} draws scored by edge-case convention")
-    return aggregate(per_request, flags, mc.label, ctx.system, scores.direction)
+    if not scored.any():
+        raise AllDegenerate(f"every request degenerate for {mc.label}")
+    return float(np.mean(means[scored])), len(view.requests), int(np.count_nonzero(~scored))
 
 
 def _sequence_exposure(ctx: _Context, exposures: RequestExposure) -> tuple[np.ndarray, int, int]:
@@ -229,29 +229,29 @@ def _ratio_rows(mc: MetricConfig, ratio: float, counts: list[int], notes: list[s
 
 
 def _family_rows(ctx: _Context, mc: MetricConfig,
-                 notes: list[str]) -> ListScores | list[tuple[float, int, int] | None]:
+                 notes: list[str]) -> list[tuple[float, int, int] | None]:
     """(value, n_requests, n_degenerate) of each row ``mc``'s family declares, or None for
-    a row it leaves out; a single-ranking family's scores of each distinct ranking."""
+    a row it leaves out."""
     cfg = ctx.config
     model = mc.weight_model and WeightModel(mc.weight_model, mc.gamma)
 
     base = ctx.labels["base"]
     if mc.name == "prefd":
         target = None if mc.target == "composition" else ctx.target_vector(mc)
-        return prefd_scores(base.rows, base.dense, ctx.groups, target, mc.dist, mc.step,
-                            cfg.threshold)
+        return [_per_draw(ctx, prefd_scores(base.rows, base.dense, ctx.groups, target,
+                                            mc.dist, mc.step, cfg.threshold), mc, notes)]
 
     if mc.name == "awrf":
-        target = ctx.target_vector(mc)
         eps, count = ctx.ranking_exposures(model, "base")
-        return awrf_scores(eps, count, ctx.groups, target, mc.dist, mc.signed)
+        scores = awrf_scores(eps, count, ctx.groups, ctx.target_vector(mc), mc.dist, mc.signed)
+        return [_per_draw(ctx, scores, mc, notes)]
 
     if mc.name == "fair":
         p_hat = ctx.target_vector(mc).scalar(ctx.groups.require_protected())  # 1/g for equal
         if not 0 < p_hat < 1:
             raise Degenerate(f"target protected probability {p_hat:.6g} outside (0, 1)")
-        return fair_scores(base.rows, base.dense, ctx.groups.require_protected(), p_hat,
-                           cfg.threshold)
+        return [_per_draw(ctx, fair_scores(base.rows, base.dense, ctx.groups.require_protected(),
+                                           p_hat, cfg.threshold), mc, notes)]
 
     if mc.name == "dp":
         eps, *counts = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
@@ -291,9 +291,6 @@ def _family_rows(ctx: _Context, mc: MetricConfig,
     if mc.name == "pair":
         sample = sample_pairs(ctx.view, ctx.labels["base"], ctx.groups, mc.n_negatives,
                               cfg.threshold)
-        if sample.n_fallback:
-            notes.append(f"{mc.label}: {sample.n_fallback} requests used the "
-                         "whole negative pool (smaller than n_negatives)")
         table = accuracy_table(sample.pairs)
         intra, inter = intra_inter(table)
         n_req = len(ctx.view.scored)
@@ -306,11 +303,7 @@ def _eval_metric(ctx: _Context, mc: MetricConfig, notes: list[str]) -> list[Metr
     if spec.needs_scores and not ctx.view.scored:
         notes.append(f"{mc.label}: skipped (system score file not provided)")
         return []
-    rows = _family_rows(ctx, mc, notes)
-    if isinstance(rows, ListScores):
-        result = _per_draw(ctx, rows, mc, notes)
-        rows = [(result.value, result.n_requests, result.n_degenerate)]
-    named = zip(spec.row_names(mc.label), spec.rows, rows, strict=True)
+    named = zip(spec.row_names(mc.label), spec.rows, _family_rows(ctx, mc, notes), strict=True)
     return [MetricResult(name, ctx.system, *row, direction)
             for name, (_, direction), row in named if row is not None]
 

@@ -3,10 +3,11 @@
 Every emitted metric row carries a direction (which end of its range is
 fair).  Correlations between metrics use Kendall's tau-c (Stuart's variant)
 over system orderings, after orienting each metric so that larger means
-fairer; by default, signed zero-is-fair metrics enter as magnitudes.
+fairer; by default, signed zero-is-fair metrics enter as magnitudes.  The
+``registry`` names the matrix's row order and the raw ratio rows it leaves out.
 
-The correlation side is plain Python, so ``compare`` runs without numpy;
-only ``aggregate``, on the evaluate path, imports it.
+The correlation side is plain Python, so ``compare`` runs without numpy; only
+``aggregate``, a library function that ``evaluate`` does not call, imports it.
 """
 
 from __future__ import annotations
@@ -18,18 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import AllDegenerate, Degenerate, Direction, FairRankError
-
-# Canonical row order for tables and correlation matrices.
-CANONICAL_ORDER = (
-    "prefD", "AWRF", "AWRF_equal", "FAIR",
-    "DP", "logDP", "EED",
-    "EUR", "logEUR", "RUR", "logRUR", "IAA", "EEL", "EER",
-    "IntraAcc", "InterAcc",
-)
-
-# Raw ratio rows duplicate their log forms and are not monotone in fairness,
-# so only the log forms participate in correlations.
-CORRELATION_EXCLUDE = frozenset({"DP", "EUR", "RUR"})
+from .registry import BATTERY_ROWS, RATIO_ROWS
 
 METRICS_COLUMNS = ("system", "metric", "value", "n_requests", "n_degenerate", "direction")
 
@@ -119,32 +109,26 @@ def kendall_tau_c(
     return 2.0 * m * (concordant - discordant) / (n * n * (m - 1))
 
 
-def correlation_matrix(
-    results: Iterable[MetricResult],
-    magnitude: bool = True,
-    exclude: frozenset[str] = CORRELATION_EXCLUDE,
-) -> CorrelationMatrix:
+def correlation_matrix(results: Iterable[MetricResult],
+                       magnitude: bool = True) -> CorrelationMatrix:
     """Pairwise tau-c over the per-metric system orderings.
 
-    Rows in ``exclude`` are left out, and so is a one-is-fair row ``X`` (a labelled
-    ratio) next to a zero-is-fair ``logX``.  Each pair uses the intersection of the
-    two metrics' system sets; cells with fewer than two common systems, or a
-    constant value list, are NaN.
+    A raw ratio row is left out: one of the registry's ``RATIO_ROWS``, or a one-is-fair
+    row ``X`` (a labelled ratio) next to a zero-is-fair ``logX``.  Each pair uses the
+    intersection of the two metrics' system sets; cells with fewer than two common
+    systems, or a constant value list, are NaN.
     """
     by_metric: dict[str, dict[str, float]] = {}
     directions: dict[str, Direction] = {}
     for r in results:
-        if r.metric in exclude:
-            continue
         by_metric.setdefault(r.metric, {})[r.system] = r.value
         directions[r.metric] = r.direction
-    for metric, direction in directions.items():
-        if (direction is Direction.ONE_IS_FAIR
-                and directions.get(f"log{metric}") is Direction.ZERO_IS_FAIR):
-            del by_metric[metric]
+    ratio_and_log = (Direction.ONE_IS_FAIR, Direction.ZERO_IS_FAIR)  # of rows X and logX
+    by_metric = {m: v for m, v in by_metric.items() if m not in RATIO_ROWS
+                 and (directions[m], directions.get(f"log{m}")) != ratio_and_log}
     if len(by_metric) < 2:
         raise FairRankError("need at least 2 metrics to correlate")
-    names = [m for m in CANONICAL_ORDER if m in by_metric]
+    names = [m for m in BATTERY_ROWS if m in by_metric]
     names += sorted(set(by_metric) - set(names))
     k = len(names)
     taus = {(i, j): 1.0 if i == j else math.nan for i in range(k) for j in range(k)}

@@ -66,6 +66,13 @@ def compile_run(seq, qrels, alignment, groups, config, scores=None):
     return view, SharedInputs(view.corpus, qrels, alignment, groups, config)
 
 
+def as_row(outcome):
+    """A per-draw oracle's outcome as ``pipeline._per_draw`` gives it: a result's
+    ``(value, n_requests, n_degenerate)`` row; a raised error's ``(type, message)`` as is."""
+    return outcome if isinstance(outcome, tuple) else (
+        outcome.value, outcome.n_requests, outcome.n_degenerate)
+
+
 def share_pair(protected_share: float) -> np.ndarray:
     """Lift a protected proportion to a binomial distribution vector."""
     if not 0 <= protected_share <= 1:

@@ -15,7 +15,9 @@ import numpy as np
 from scipy.stats import kendalltau
 
 from fairrank import Degenerate, Direction, FairRankError, NoPairs
-from fairrank.report import CANONICAL_ORDER, CORRELATION_EXCLUDE, aggregate
+from fairrank.registry import BATTERY_ROWS as CANONICAL_ORDER
+from fairrank.registry import RATIO_ROWS as CORRELATION_EXCLUDE
+from fairrank.report import aggregate
 
 
 def oracle_weights(kind, gamma, positions, grades=None, stop=None):

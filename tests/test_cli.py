@@ -84,6 +84,15 @@ class TestEvaluate:
                 "DP", "logDP", "IAA", "IntraAcc", "InterAcc"} <= metrics
         assert {r.system for r in rows} == {"sys00", "sys01"}
 
+    def test_pair_on_pools_smaller_than_n_negatives_logs_no_note(self, tmp_path, caplog):
+        # every request's negative pool is far below the default n_negatives: counted whole
+        paths, _ = _synth(tmp_path)
+        out = tmp_path / "out"
+        with caplog.at_level("DEBUG", logger="fairrank"):
+            assert main(_evaluate_args(paths, out, scores=True)) == 0
+        assert {"IntraAcc", "InterAcc"} <= {r.metric for r in read_metrics_table(out / "metrics.csv")}
+        assert not [r.getMessage() for r in caplog.records if "PAIR" in r.getMessage()]
+
     def test_scores_missing_skips_pair_and_iaa(self, tmp_path, caplog):
         paths, _ = _synth(tmp_path)
         out = tmp_path / "out"

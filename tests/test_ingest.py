@@ -540,3 +540,39 @@ def test_write_sequence_gives_the_synth_sequence_bytes(tmp_path, max_draws):
     buf = io.StringIO(newline="")
     write_sequence(buf, seq)
     assert buf.getvalue().encode("utf-8") == paths["sequence"].read_bytes()
+
+
+
+_RUN = "q0 Q0 d1 1 2.0 r\n"
+MARKED = {  # each format: its text, a bad second line, and the parse as comparable values
+    "run": (_RUN + "q0 Q0 d2 2 1.0 r\n", "x", parse_run,
+            lambda run: (run.records, run.rankings)),
+    "qrels": ("q0 0 d1 1\nq1 0 d2 2\n", "q0 0 d3", parse_qrels,
+              lambda table: {q: table.judged(q) for q in table.requests()}),
+    "alignment": ("docid,F,M\nd1,1,0\nd2,0,1\n", "d3,1", parse_alignment,
+                  lambda parsed: ({d: parsed[0].row(d).tolist() for d in parsed[0].docs()},
+                                  parsed[1])),
+    "sequence": ("seq_no,qid\n1,q0\n", "x,q0",
+                 lambda source: parse_sequence(source, parse_run(io.StringIO(_RUN))),
+                 lambda seq: seq.draws),
+    "scores": ("q0,d1,0.5\nq0,d2,0.7\n", "q0,d3", parse_scores, dict),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKED))
+def test_a_leading_byte_order_mark_reads_alike_from_every_source(tmp_path, name):
+    text, bad, parse, value = MARKED[name]
+    path, marked = tmp_path / f"{name}.txt", tmp_path / f"marked_{name}.txt"
+    path.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    want = value(parse(path))
+    assert value(parse(marked)) == want
+    with open(marked, encoding="utf-8") as fh:
+        assert value(parse(fh)) == want
+    lines = text.splitlines()
+    assert value(parse(("\ufeff" + text).splitlines(keepends=True))) == want
+    assert value(parse(["\ufeff" + lines[0], *lines[1:]])) == want  # lines without line ends
+    for source in (io.StringIO(f"\ufeff{lines[0]}\n{bad}\n"), ["\ufeff" + lines[0], bad]):
+        with pytest.raises(ParseError) as caught:
+            parse(source)
+        assert caught.value.line == 2

@@ -43,7 +43,7 @@ from fairrank.opportunity import (
 )
 from fairrank.pipeline import _Context, _per_draw
 
-from conftest import compile_run
+from conftest import as_row, compile_run
 from oracles import (
     draws_mean,
     ideal_list_exposure,
@@ -216,7 +216,8 @@ def test_single_list_kernels_match_the_per_list_bodies(system, signed):
                 res = _per_draw(ctx, got, SimpleNamespace(label=label), notes)
             except FairRankError as exc:
                 res = (type(exc), str(exc))
-            assert (res, notes) == per_draw_of_rankings(ctx.view, outcomes, label, "s")
+            want, want_notes = per_draw_of_rankings(ctx.view, outcomes, label, "s")
+            assert (res, notes) == (as_row(want), want_notes)
 
 
 @given(systems())

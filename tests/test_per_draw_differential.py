@@ -6,9 +6,9 @@ index in the compiled view) and counts it for every draw of it.  Random
 sequences here mix requests whose draws share objects with draws holding
 equal-but-distinct copies, over hard, soft and unlabeled documents, so that
 prefD (nd, rd, kl), AWRF and FAIR hit short lists, empty lists, rd lists
-that raise ``Degenerate`` and lists scored by convention.  The result and
-notes must equal ``oracle_per_draw``, which calls the metric for every
-draw, exactly.
+that raise ``Degenerate`` and lists scored by convention.  The row and
+notes must equal those of ``oracle_per_draw``, which calls the metric for
+every draw, exactly.
 """
 
 from types import SimpleNamespace
@@ -34,6 +34,7 @@ from fairrank import (
 from fairrank.compiled import compile_sequence
 from fairrank.pipeline import _per_draw
 
+from conftest import as_row
 from oracles import list_scores, oracle_per_draw, outcome, view_rankings
 
 DOCS = tuple(f"d{i}" for i in range(8))
@@ -93,7 +94,7 @@ def test_per_draw_matches_draw_by_draw_oracle(corpus, data):
     except FairRankError as exc:
         got = (type(exc), str(exc))
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
-    assert got == want
+    assert got == as_row(want)
     assert notes == want_notes
 
 
@@ -114,5 +115,5 @@ def test_per_draw_reuses_a_raising_ranking_for_each_draw():
     got = _per_draw(SimpleNamespace(view=view, system="s"), scores, SimpleNamespace(label="M"),
                     notes)
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
-    assert got == want and notes == want_notes
-    assert got.n_requests == 2 and got.n_degenerate == 1
+    assert got == as_row(want) and notes == want_notes
+    assert got[1:] == (2, 1)  # two requests, one degenerate

@@ -55,7 +55,8 @@ def test_evaluate_matches_the_benchmark_reference(tmp_path, name, corpus_seed):
 
 
 def test_default_battery_writes_the_rows_the_benchmark_expects():
-    from fairrank.ingest import FAMILIES, default_metrics
+    from fairrank.ingest import default_metrics
+    from fairrank.registry import FAMILIES
 
     workloads = _load("workloads")
     rows = [name for mc in default_metrics() for name in FAMILIES[mc.name].row_names(mc.label)]

@@ -3,11 +3,11 @@
 Every row ``evaluate_system`` emits for the metamorphic battery is one its
 entry's ``MetricSpec`` declares, with the declared direction and in declared
 order, and a declared row that is absent has a note under its entry's label.
-The single-ranking kernels, whose direction ``_per_draw`` aggregates with,
-score in the direction their family declares.  The README's per-family table
-states each family's keys, defaults and rows as the registry declares them, and
-``report``'s own row lists (``report`` cannot read the registry and stay
-numpy-free) name exactly the default battery's rows.
+The single-ranking kernels score in the direction their family declares.  The
+README's per-family table states each family's keys, defaults and rows as the
+registry declares them.  The registry's row lists, which ``report`` orders and
+filters the correlation matrix by, name exactly the rows the default battery
+loaded through ``ingest`` writes, in its order.
 """
 
 from pathlib import Path
@@ -25,10 +25,11 @@ from fairrank import (
     TargetDistribution,
     WeightModel,
 )
-from fairrank.ingest import FAMILIES, EvalConfig, _make_metric, default_metrics
+from fairrank.ingest import EvalConfig, _make_metric, default_metrics
 from fairrank.metrics_single import awrf_scores, fair_scores, prefd_scores
 from fairrank.pipeline import _Context, evaluate_system
-from fairrank.report import CANONICAL_ORDER, CORRELATION_EXCLUDE
+from fairrank.registry import BATTERY_ROWS, FAMILIES, RATIO_ROWS
+from fairrank.report import MetricResult, correlation_matrix
 
 from conftest import compile_run
 from test_metamorphic import BATTERY, corpora
@@ -91,6 +92,11 @@ def test_report_row_lists_name_the_default_battery_rows():
     rows = {name: direction for mc in default_metrics()
             for name, (_, direction) in zip(FAMILIES[mc.name].row_names(mc.label),
                                             FAMILIES[mc.name].rows)}
-    assert sorted(CANONICAL_ORDER) == sorted(rows)
-    assert CORRELATION_EXCLUDE == {name for name, direction in rows.items()
-                                   if direction is Direction.ONE_IS_FAIR and f"log{name}" in rows}
+    assert BATTERY_ROWS == tuple(rows)
+    assert RATIO_ROWS == {name for name, direction in rows.items()
+                          if direction is Direction.ONE_IS_FAIR and f"log{name}" in rows}
+    # the matrix over every battery row, given in reverse, keeps the battery's order
+    results = [MetricResult(name, system, value, 1, 0, direction)
+               for name, direction in reversed(rows.items())
+               for system, value in (("a", 0.1), ("b", 0.2), ("c", 0.4))]
+    assert correlation_matrix(results).metrics == tuple(n for n in rows if n not in RATIO_ROWS)

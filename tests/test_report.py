@@ -150,6 +150,15 @@ class TestCorrelationMatrix:
         assert "DP" not in m.metrics
         assert "logDP" in m.metrics
 
+    def test_a_ratio_row_without_any_log_row_stays_out(self):
+        # DP rows and no logDP row at all, as a zero ratio on every system leaves them
+        results = []
+        for i, s in enumerate(("s1", "s2", "s3")):
+            results.append(_result("DP", s, 1.0 + i, Direction.ONE_IS_FAIR))
+            results.append(_result("EED", s, 0.5 + 0.1 * i, Direction.ZERO_IS_FAIR))
+            results.append(_result("prefD", s, 0.3 - 0.1 * i, Direction.ZERO_IS_FAIR))
+        assert correlation_matrix(results).metrics == ("prefD", "EED")
+
     def test_a_labelled_ratio_row_enters_only_as_its_log_form(self):
         # DP_rbp's largest value is its least fair one: read as larger-is-fairer,
         # it would rank s3 fairest
