@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, FairRankError, ParseError
-from .report import correlation_matrix, emit_tables, read_metrics_table
+from .report import correlation_matrix, emit_correlations, emit_tables, read_metrics_table
 
 # Module of each name only evaluate uses.  They stay attributes of this
 # module, so a caller may read or replace them before ``main`` runs.
@@ -140,8 +140,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         log.error("need at least 2 systems to compare, found %d", len(systems))
         return EXIT_TOO_FEW_SYSTEMS
     matrix = correlation_matrix(results, magnitude=not args.signed)
-    out_dir = Path(args.out) if args.out else Path(args.results)
-    emit_tables(results, matrix, out_dir, long_format=args.long)
+    emit_correlations(matrix, args.out or args.results, long_format=args.long)
     log.info("wrote correlation matrix over %d metrics", len(matrix.metrics))
     return EXIT_OK
 

@@ -8,7 +8,6 @@ once constructed they are safe to share read-only across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain, count, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -18,47 +17,41 @@ from .errors import (  # noqa: F401  re-exported for callers of fairrank.core
     AllDegenerate, ConfigError, Degenerate, DegenerateDenominator, DegenerateUtility, Direction,
     EmptyGroup, FairRankError, NoPairs, ParseError, UndefinedNormalizer, UnknownRequest,
 )
+from .record import Record
 
 # Absolute tolerance for "this vector is a probability distribution" checks.
 DISTRIBUTION_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(Record):
     """An ordered list of distinct document ids for one request, at ranks 1..N."""
 
-    request: str
-    docs: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "docs", tuple(self.docs))
-        if len(set(self.docs)) != len(self.docs):
-            raise FairRankError(f"duplicate document in ranking for request {self.request!r}")
+    def __init__(self, request: str, docs: tuple[str, ...]):
+        docs = tuple(docs)
+        if len(set(docs)) != len(docs):
+            raise FairRankError(f"duplicate document in ranking for request {request!r}")
+        self._set(request, docs)
 
     def __len__(self) -> int:
         return len(self.docs)
 
 
-@dataclass(frozen=True)
-class GroupSpace:
+class GroupSpace(Record):
     """Ordered group labels, with optional protected and unknown designations."""
 
-    names: tuple[str, ...]
-    protected_index: int | None = None
-    unknown_index: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.names:
+    def __init__(self, names: tuple[str, ...], protected_index: int | None = None,
+                 unknown_index: int | None = None):
+        names = tuple(names)
+        if not names:
             raise FairRankError("group space needs at least one group")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise FairRankError("group labels must be unique")
-        for attr in ("protected_index", "unknown_index"):
-            idx = getattr(self, attr)
-            if idx is not None and not 0 <= idx < len(self.names):
+        for attr, idx in (("protected_index", protected_index), ("unknown_index", unknown_index)):
+            if idx is not None and not 0 <= idx < len(names):
                 raise FairRankError(f"{attr} {idx} out of range")
-        if self.protected_index is not None and self.protected_index == self.unknown_index:
+        if protected_index is not None and protected_index == unknown_index:
             raise FairRankError("protected group cannot be the unknown group")
+        self._set(names, protected_index, unknown_index)
 
     @property
     def g(self) -> int:
@@ -297,14 +290,11 @@ class RelevanceTable:
         return self.columns.score.size
 
 
-@dataclass(frozen=True)
-class TargetDistribution:
+class TargetDistribution(Record):
     """Target group distribution p-hat the observed exposure is compared to."""
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.probs, dtype=float)
+    def __init__(self, probs: np.ndarray):
+        vec = np.asarray(probs, dtype=float)
         if vec.ndim != 1 or vec.size == 0:
             raise FairRankError("target distribution must be a non-empty vector")
         if np.any(vec < 0) or np.any(vec > 1) or not np.all(np.isfinite(vec)):
@@ -313,7 +303,7 @@ class TargetDistribution:
             raise FairRankError("target distribution must sum to 1")
         vec = vec.copy()
         vec.flags.writeable = False
-        object.__setattr__(self, "probs", vec)
+        self._set(vec)
 
     @classmethod
     def equal(cls, g: int) -> "TargetDistribution":
@@ -324,8 +314,7 @@ class TargetDistribution:
         return float(self.probs[protected_index])
 
 
-@dataclass(frozen=True)
-class RankingSequence:
+class RankingSequence(Record):
     """Ordered draws of (request, ranking) pairs: an empirical policy.
 
     ``request_weights`` optionally fixes the request arrival distribution;
@@ -334,15 +323,12 @@ class RankingSequence:
     and ``slots`` each draw's index into them.
     """
 
-    draws: tuple[tuple[str, Ranking], ...]
-    request_weights: Mapping[str, float] | None = None
-
-    def __post_init__(self):
-        draws = tuple((str(q), r) for q, r in self.draws)
+    def __init__(self, draws: tuple[tuple[str, Ranking], ...],
+                 request_weights: Mapping[str, float] | None = None):
+        draws = tuple((str(q), r) for q, r in draws)
         for q, ranking in draws:
             if ranking.request != q:
                 raise FairRankError(f"draw key {q!r} does not match ranking request {ranking.request!r}")
-        object.__setattr__(self, "draws", draws)
         slot: dict[int, int] = {}
         candidates: list[Ranking] = []
         by_request: dict[str, list[int]] = {}
@@ -350,16 +336,15 @@ class RankingSequence:
             if slot.setdefault(id(ranking), len(candidates)) == len(candidates):
                 candidates.append(ranking)
             by_request.setdefault(q, []).append(slot[id(ranking)])
-        object.__setattr__(self, "candidates", tuple(candidates))
-        object.__setattr__(self, "slots", tuple(slot[id(r)] for _, r in draws))
-        object.__setattr__(self, "_by_request", by_request)
-        if self.request_weights is not None:
-            for q, w in self.request_weights.items():
+        if request_weights is not None:
+            for q, w in request_weights.items():
                 if not (math.isfinite(w) and w >= 0):
                     raise FairRankError(f"request weight for {q!r} must be finite and non-negative")
-            total = sum(self.request_weights.values())
+            total = sum(request_weights.values())
             if abs(total - 1.0) > DISTRIBUTION_ATOL:
                 raise FairRankError("request weights must sum to 1")
+        self._set(draws, request_weights, candidates=tuple(candidates),
+                  slots=tuple(slot[id(r)] for _, r in draws), _by_request=by_request)
 
     def __len__(self) -> int:
         return len(self.draws)

@@ -14,7 +14,6 @@ metrics) is built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -32,12 +31,12 @@ from .core import (
     RelevanceTable,
     UnknownRequest,
 )
+from .record import Record
 
 WEIGHT_KINDS = ("geometric", "logarithmic", "rbp", "cascade")
 
 
-@dataclass(frozen=True)
-class WeightModel:
+class WeightModel(Record):
     """A browsing model mapping rank positions to attention weights.
 
     ``gamma`` is the stopping probability (geometric) or patience
@@ -46,15 +45,13 @@ class WeightModel:
     ``min(1, y / y_max)`` is derived from the relevance table in use.
     """
 
-    kind: str
-    gamma: float = 0.5
-    stop: Callable[[float], float] | None = None
-
-    def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise FairRankError(f"unknown weight model {self.kind!r}")
-        if not 0 < self.gamma <= 1:
-            raise FairRankError(f"gamma must lie in (0, 1], got {self.gamma}")
+    def __init__(self, kind: str, gamma: float = 0.5,
+                 stop: Callable[[float], float] | None = None):
+        if kind not in WEIGHT_KINDS:
+            raise FairRankError(f"unknown weight model {kind!r}")
+        if not 0 < gamma <= 1:
+            raise FairRankError(f"gamma must lie in (0, 1], got {gamma}")
+        self._set(kind, gamma, stop)
 
 
 def weight_vector(

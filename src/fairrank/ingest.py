@@ -48,7 +48,6 @@ import functools
 import io
 import logging
 import math
-from dataclasses import dataclass
 from itertools import chain, compress, count, groupby, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
@@ -73,6 +72,7 @@ from .core import (
 )
 from .distance import DISTANCE_KINDS
 from .exposure import WEIGHT_KINDS
+from .record import Record
 from .registry import BATTERY, FAMILIES, TARGET_MODES
 
 log = logging.getLogger("fairrank")
@@ -687,31 +687,23 @@ def _write_rows(fh: TextIO, sep: str, rows: Iterable[Sequence[str]]) -> None:
 # --- evaluation configuration: entries read against registry.FAMILIES ---
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(Record):
     """One metric entry.  A key its family does not read is None."""
 
-    name: str
-    label: str
-    weight_model: str | None = None
-    gamma: float | None = None
-    dist: str | None = None
-    target: str | None = None
-    custom_target: tuple[float, ...] | None = None
-    step: int | None = None
-    n_negatives: int | None = None
-    pool: str | None = None
-    signed: bool | None = None
+    def __init__(self, name: str, label: str, weight_model: str | None = None,
+                 gamma: float | None = None, dist: str | None = None, target: str | None = None,
+                 custom_target: tuple[float, ...] | None = None, step: int | None = None,
+                 n_negatives: int | None = None, pool: str | None = None,
+                 signed: bool | None = None):
+        self._set(name, label, weight_model, gamma, dist, target, custom_target, step,
+                  n_negatives, pool, signed)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    protected: str | None = None
-    unknown: str | None = None
-    unknown_policy: str = "exclude"
-    threshold: float = 0.5
-    metrics: tuple[MetricConfig, ...] = ()
-    explicit_metrics: bool = False
+class EvalConfig(Record):
+    def __init__(self, protected: str | None = None, unknown: str | None = None,
+                 unknown_policy: str = "exclude", threshold: float = 0.5,
+                 metrics: tuple[MetricConfig, ...] = (), explicit_metrics: bool = False):
+        self._set(protected, unknown, unknown_policy, threshold, metrics, explicit_metrics)
 
     def check_targets(self, groups: GroupSpace) -> None:
         """Refuse a custom target whose width is not the number of groups."""

@@ -18,7 +18,6 @@ Three families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,10 +43,10 @@ from .distance import (
     deltas_of,
 )
 from .exposure import WeightModel, _check_width, exposures_of, position_weights
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SingleListResult:
+class SingleListResult(Record):
     """A single-ranking metric value with its fairness direction.
 
     ``degenerate`` names the edge case when the input admits no meaningful
@@ -55,9 +54,8 @@ class SingleListResult:
     short-list and undefined-normalizer cases score 0, maximally fair).
     """
 
-    value: float
-    direction: Direction
-    degenerate: str | None = None
+    def __init__(self, value: float, direction: Direction, degenerate: str | None = None):
+        self._set(value, direction, degenerate)
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,6 @@ relevance should receive a comparable share of the exposure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,15 +49,13 @@ from .exposure import (
     target_exposure,
 )
 from .metrics_multi import binomial_split
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ExpectedExposureResult:
-    eel: float
-    eer: float
-    eed_raw: float
-    n_requests: int
-    n_skipped: int
+class ExpectedExposureResult(Record):
+    def __init__(self, eel: float, eer: float, eed_raw: float, n_requests: int,
+                 n_skipped: int):
+        self._set(eel, eer, eed_raw, n_requests, n_skipped)
 
 
 def group_utility(

@@ -13,7 +13,6 @@ expectation (see ``sample_pairs``), so every accuracy is the ratio it estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -27,18 +26,16 @@ from .core import (
     RankingSequence,
     RelevanceTable,
 )
+from .record import Record
 
 
-@dataclass(frozen=True, eq=False)
-class PairCounts:
+class PairCounts(Record):
     """Per (group_hi, group_lo) cell: twice the expected hits and pairs (2x2 float64)."""
 
-    twice_hits: np.ndarray
-    totals: np.ndarray
-
-    def __post_init__(self):
-        self.twice_hits.flags.writeable = False
-        self.totals.flags.writeable = False
+    def __init__(self, twice_hits: np.ndarray, totals: np.ndarray):
+        twice_hits.flags.writeable = False
+        totals.flags.writeable = False
+        self._set(twice_hits, totals)
 
     def __len__(self) -> int:
         return round(float(self.totals.sum()))
@@ -50,11 +47,12 @@ class PairCounts:
                 and np.array_equal(self.totals, other.totals))
 
 
-@dataclass(frozen=True)
-class PairSample:
-    pairs: PairCounts
-    n_fallback: int  # requests whose negative pool was smaller than n_negatives
-    n_skipped: int   # requests with no scorable relevant document
+class PairSample(Record):
+    """The pair counts, the number of requests whose negative pool was smaller than
+    n_negatives and the number with no scorable relevant document."""
+
+    def __init__(self, pairs: PairCounts, n_fallback: int, n_skipped: int):
+        self._set(pairs, n_fallback, n_skipped)
 
 
 def _count(twice_hits: np.ndarray, totals: np.ndarray, keys: np.ndarray, groups: np.ndarray,

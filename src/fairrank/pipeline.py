@@ -15,7 +15,6 @@ labeled length or draw count, and nothing here loops over rankings or requests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +67,7 @@ from .opportunity import (
     utility_of,
 )
 from .pairwise import accuracy_table, intra_inter, sample_pairs_of
+from .record import Record
 from .registry import FAMILIES
 from .report import MetricResult
 
@@ -76,12 +76,17 @@ from .report import MetricResult
 sample_pairs = sample_pairs_of
 
 
-@dataclass
-class SystemEvaluation:
-    system: str
-    results: list[MetricResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)  # explicitly-requested metrics that degenerated
+class SystemEvaluation(Record):
+    """One system's rows, notes and the explicitly requested metrics that degenerated.
+    It is filled in as the metrics run, so unlike other records it is mutable and
+    unhashable; each list left out starts empty."""
+
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, system: str, results: list[MetricResult] | None = None,
+                 notes: list[str] | None = None, failures: list[str] | None = None):
+        self._set(system, [] if results is None else results, [] if notes is None else notes,
+                  [] if failures is None else failures)
 
 
 class SharedInputs:

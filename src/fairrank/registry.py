@@ -1,27 +1,25 @@
 """The metric registry: each family's keys, defaults, rows and directions, and the default
-battery.  It imports only ``errors``, so ``report`` and ``compare`` read the rows that
-``ingest`` and ``pipeline`` evaluate without loading numpy."""
+battery.  It imports only ``errors`` and ``record``, so ``report`` and ``compare`` read the
+rows that ``ingest`` and ``pipeline`` evaluate without loading numpy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import Direction
+from .record import Record
 
 TARGET_MODES = ("catalog", "equal", "custom", "composition")
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(Record):
     """One metric family: its default label, the config keys it reads with their defaults,
     its rows (a name template and a ``Direction`` each) and whether it needs score files.
     A template's ``{}`` is the label; under the default label a leading ``{}_`` is dropped."""
 
-    label: str
-    keys: Mapping[str, object]
-    rows: tuple[tuple[str, Direction], ...]
-    needs_scores: bool = False
+    def __init__(self, label: str, keys: Mapping[str, object],
+                 rows: tuple[tuple[str, Direction], ...], needs_scores: bool = False):
+        self._set(label, keys, rows, needs_scores)
 
     def row_names(self, label: str) -> tuple[str, ...]:
         return tuple(template[3:] if label == self.label and template.startswith("{}_")

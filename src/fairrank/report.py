@@ -14,36 +14,34 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import AllDegenerate, Degenerate, Direction, FairRankError
+from .record import Record
 from .registry import BATTERY_ROWS, RATIO_ROWS
 
 METRICS_COLUMNS = ("system", "metric", "value", "n_requests", "n_degenerate", "direction")
 
 
-@dataclass(frozen=True)
-class MetricResult:
-    metric: str
-    system: str
-    value: float
-    n_requests: int
-    n_degenerate: int
-    direction: Direction
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise Degenerate(f"{self.metric} value {self.value!r} is not finite")
-        if self.n_degenerate > self.n_requests:
+class MetricResult(Record):
+    def __init__(self, metric: str, system: str, value: float, n_requests: int,
+                 n_degenerate: int, direction: Direction):
+        if not math.isfinite(value):
+            raise Degenerate(f"{metric} value {value!r} is not finite")
+        if n_degenerate < 0:
+            raise FairRankError("degenerate count is negative")
+        if n_degenerate > n_requests:
             raise FairRankError("degenerate count exceeds request count")
+        self._set(metric, system, value, n_requests, n_degenerate, direction)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    metrics: tuple[str, ...]
-    taus: dict[tuple[int, int], float]  # taus[i, j] for every cell; NaN marks missing ones
+class CorrelationMatrix(Record):
+    """``taus[i, j]`` for every cell of the ``metrics`` x ``metrics`` matrix; NaN marks
+    missing ones."""
+
+    def __init__(self, metrics: tuple[str, ...], taus: dict[tuple[int, int], float]):
+        self._set(metrics, taus)
 
     def tau(self, a: str, b: str) -> float:
         return self.taus[self.metrics.index(a), self.metrics.index(b)]
@@ -169,31 +167,38 @@ def emit_tables(
 ) -> list[Path]:
     """Write the per-system metric table and (optionally) the tau-c matrix.
 
-    ``metrics.csv`` rows are sorted by (system, metric); missing matrix cells
-    are left empty.  ``long_format`` additionally writes the matrix as
-    (metric_a, metric_b, tau) rows.
+    ``metrics.csv`` rows are sorted by (system, metric); the matrix is written
+    as ``emit_correlations`` writes it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     rows = sorted(results, key=lambda r: (r.system, r.metric))
     if not rows:
         raise FairRankError("no metric results to write")
     written = [_write_csv(out_dir / "metrics.csv", METRICS_COLUMNS,
                           ([r.system, r.metric, _fmt(r.value), r.n_requests, r.n_degenerate,
                             r.direction.value] for r in rows))]
-
     if matrix is not None:
-        names = matrix.metrics
-        cells = [["" if math.isnan(matrix.taus[i, j]) else _fmt(matrix.taus[i, j])
-                  for j in range(len(names))] for i in range(len(names))]
-        written.append(_write_csv(out_dir / "correlations.csv", ["metric", *names],
-                                  ([a, *row] for a, row in zip(names, cells))))
-        if long_format:
-            written.append(_write_csv(out_dir / "correlations_long.csv",
-                                      ["metric_a", "metric_b", "tau"],
-                                      ([a, b, cell] for a, row in zip(names, cells)
-                                       for b, cell in zip(names, row))))
+        written += emit_correlations(matrix, out_dir, long_format)
+    return written
+
+
+def emit_correlations(matrix: CorrelationMatrix, out_dir: str | Path,
+                      long_format: bool = False) -> list[Path]:
+    """Write the tau-c matrix as ``correlations.csv``, missing cells left empty;
+    ``long_format`` also writes it as (metric_a, metric_b, tau) rows."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = matrix.metrics
+    cells = [["" if math.isnan(matrix.taus[i, j]) else _fmt(matrix.taus[i, j])
+              for j in range(len(names))] for i in range(len(names))]
+    written = [_write_csv(out_dir / "correlations.csv", ["metric", *names],
+                          ([a, *row] for a, row in zip(names, cells)))]
+    if long_format:
+        written.append(_write_csv(out_dir / "correlations_long.csv",
+                                  ["metric_a", "metric_b", "tau"],
+                                  ([a, b, cell] for a, row in zip(names, cells)
+                                   for b, cell in zip(names, row))))
     return written
 
 

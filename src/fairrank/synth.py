@@ -21,7 +21,6 @@ request (or one chunk of lines) at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import TextIO
@@ -39,6 +38,7 @@ from .ingest import (
     write_score_rows,
     write_scores_header,
 )
+from .record import Record
 
 # Per-system ranking quality alternates between these two levels so that
 # relevance-following and group placement vary independently across systems.
@@ -47,37 +47,29 @@ BASE_RELEVANCE_RATE = 0.3
 HIGH_GRADE_RATE = 0.25
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    n_docs: int
-    n_requests: int
-    n_groups: int = 2
-    n_systems: int = 1
-    depth: int = 20
-    pool_size: int | None = None
-    seed: int = 42
-    protected_fraction: float = 0.5
-    unlabeled_fraction: float = 0.0
-    soft_fraction: float = 0.0
-    exposure_skew: float = 0.0
-    relevance_skew: float = 0.0
-    max_draws: int = 1
-    empty_protected: bool = False
-    zero_relevance_group: bool = False
-
-    def __post_init__(self):
-        if self.n_docs < 2 or self.n_requests < 1 or self.n_systems < 1:
+class SynthSpec(Record):
+    def __init__(self, n_docs: int, n_requests: int, n_groups: int = 2, n_systems: int = 1,
+                 depth: int = 20, pool_size: int | None = None, seed: int = 42,
+                 protected_fraction: float = 0.5, unlabeled_fraction: float = 0.0,
+                 soft_fraction: float = 0.0, exposure_skew: float = 0.0,
+                 relevance_skew: float = 0.0, max_draws: int = 1, empty_protected: bool = False,
+                 zero_relevance_group: bool = False):
+        if n_docs < 2 or n_requests < 1 or n_systems < 1:
             raise FairRankError("need at least 2 docs, 1 request, and 1 system")
-        if self.n_groups < 2:
+        if n_groups < 2:
             raise FairRankError("need at least 2 groups")
-        if self.depth < 1 or self.max_draws < 1:
+        if depth < 1 or max_draws < 1:
             raise FairRankError("depth and max_draws must be >= 1")
-        for name in ("protected_fraction", "unlabeled_fraction", "soft_fraction"):
-            v = getattr(self, name)
+        for name, v in (("protected_fraction", protected_fraction),
+                        ("unlabeled_fraction", unlabeled_fraction),
+                        ("soft_fraction", soft_fraction)):
             if not 0 <= v <= 1:
                 raise FairRankError(f"{name} must lie in [0, 1], got {v}")
-        if not -1 <= self.exposure_skew <= 1 or not -1 <= self.relevance_skew <= 1:
+        if not -1 <= exposure_skew <= 1 or not -1 <= relevance_skew <= 1:
             raise FairRankError("skews must lie in [-1, 1]")
+        self._set(n_docs, n_requests, n_groups, n_systems, depth, pool_size, seed,
+                  protected_fraction, unlabeled_fraction, soft_fraction, exposure_skew,
+                  relevance_skew, max_draws, empty_protected, zero_relevance_group)
 
 
 def _doc_id(i: int) -> str:

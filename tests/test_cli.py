@@ -425,6 +425,32 @@ class TestCompare:
     def test_missing_results_exits_2(self, tmp_path):
         assert main(["compare", "--results", str(tmp_path)]) == 2
 
+    def test_negative_counts_exit_2_with_the_line(self, tmp_path, caplog):
+        table = tmp_path / "metrics.csv"
+        table.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
+                         "A,X,0.5,-4,-7,ZeroIsFair\nB,X,0.25,10,0,ZeroIsFair\n"
+                         "A,Y,0.5,10,0,ZeroIsFair\nB,Y,0.75,10,0,ZeroIsFair\n")
+        assert main(["compare", "--results", str(tmp_path)]) == 2
+        assert "metrics.csv:2: bad metrics row (degenerate count is negative)" in caplog.text
+        assert not (tmp_path / "correlations.csv").exists()
+
+    def test_writes_only_the_correlation_tables(self, tmp_path):
+        table = tmp_path / "results" / "metrics.csv"
+        table.parent.mkdir()
+        # not in emit_tables' (system, metric) order, which compare must not impose
+        table.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
+                         "A,X,0.5,10,0,ZeroIsFair\nB,X,0.25,10,0,ZeroIsFair\n"
+                         "A,Y,0.5,10,1,ZeroIsFair\nB,Y,0.75,10,0,ZeroIsFair\n")
+        before, stamp = table.read_bytes(), table.stat().st_mtime_ns
+        assert main(["compare", "--results", str(table.parent), "--long"]) == 0
+        assert main(["compare", "--results", str(table.parent), "--long",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert table.read_bytes() == before and table.stat().st_mtime_ns == stamp
+        assert sorted(p.name for p in table.parent.iterdir()) == [
+            "correlations.csv", "correlations_long.csv", "metrics.csv"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "correlations.csv", "correlations_long.csv"]
+
     def test_repeated_metrics_row_exits_2_and_writes_nothing(self, tmp_path, caplog):
         paths, _ = _synth(tmp_path, n_systems=2)
         out = tmp_path / "out"
@@ -472,6 +498,32 @@ def test_package_and_cli_import_load_no_numpy_yaml_ingest_or_pipeline():
     code = ("import sys, fairrank, fairrank.cli; print(sorted(m for m in ('numpy', 'yaml', "
             "'fairrank.ingest', 'fairrank.pipeline') if m in sys.modules))")
     assert _run_python(code) == "[]"
+
+
+def test_compare_loads_neither_dataclasses_nor_inspect(tmp_path):
+    table = tmp_path / "metrics.csv"
+    table.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
+                     "A,X,0.5,10,0,ZeroIsFair\nB,X,0.25,10,0,ZeroIsFair\n"
+                     "A,Y,0.5,10,0,ZeroIsFair\nB,Y,0.75,10,0,ZeroIsFair\n")
+    code = ("import sys; from fairrank.cli import main; code = main(%r); "
+            "print(code, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    assert _run_python(code % ["compare", "--results", str(tmp_path)]) == "0 []"
+
+
+def test_evaluate_script_does_not_load_dataclasses(tmp_path):
+    paths, _ = _synth(tmp_path)
+    code = ("import sys; from fairrank import cli; sys.argv = ['fairrank', *%r]\n"
+            "try:\n    cli.script()\nexcept SystemExit as exc:\n"
+            "    print(exc.code, 'dataclasses' in sys.modules)")
+    assert _run_python(code % _evaluate_args(paths, tmp_path / "out", scores=True)) == "0 False"
+
+
+def test_no_fairrank_module_imports_dataclasses():
+    code = ("import importlib, pkgutil, sys, fairrank\n"
+            "for info in pkgutil.iter_modules(fairrank.__path__):\n"
+            "    importlib.import_module('fairrank.' + info.name)\n"
+            "print('dataclasses' in sys.modules)")
+    assert _run_python(code) == "False"
 
 
 def test_compare_runs_without_numpy_and_writes_the_same_tables(tmp_path):

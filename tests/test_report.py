@@ -205,6 +205,16 @@ class TestEmitTables(object):
             with pytest.raises(FairRankError, match=r"metrics\.csv:3: bad metrics row"):
                 read_metrics_table(path)
 
+    def test_read_rejects_negative_counts_with_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        for counts in ("-4,-7", "3,-1"):
+            path.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
+                            "B,X,0.25,10,0,ZeroIsFair\n"
+                            f"A,X,0.5,{counts},ZeroIsFair\n")
+            with pytest.raises(FairRankError, match=r"metrics\.csv:3: bad metrics row "
+                                                    r"\(degenerate count is negative\)"):
+                read_metrics_table(path)
+
     def test_read_rejects_a_repeated_row_with_its_line(self, tmp_path):
         path = tmp_path / "metrics.csv"
         path.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
