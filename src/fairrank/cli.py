@@ -125,8 +125,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not results:
         log.error("no metric produced a value")
         return EXIT_DEGENERATE
-    paths = emit_tables(results, None, args.out)
-    log.info("wrote %s", ", ".join(str(p) for p in paths))
+    log.info("wrote %s", emit_tables(results, args.out))
     return EXIT_DEGENERATE if failed else EXIT_OK
 
 

@@ -82,16 +82,6 @@ def as_grid(values: np.ndarray, at: np.ndarray, fill: float) -> np.ndarray:
     return grid
 
 
-def labeled_grid(rows: np.ndarray, at: np.ndarray,
-                 *alongside: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``as_grid`` of the segments of ``rows`` and of ``alongside`` with only the labeled
-    entries (``rows >= 0``), in order; then each segment's labeled count."""
-    keep = rows >= 0
-    at = np.append(0, np.cumsum(keep))[at]
-    return (as_grid(rows[keep], at, -1), *(as_grid(a[keep], at, 0.0) for a in alongside),
-            np.diff(at))
-
-
 def ranks(names: Sequence[str]) -> np.ndarray:
     """Each of the distinct ``names``' place in sorted order."""
     rank = np.empty(len(names), dtype=np.int64)

@@ -5,15 +5,15 @@ one).  ``nd`` and ``rd`` are binomial (they reduce the distribution to the
 protected group's share); ``kl`` is multinomial.  The binomial deltas are
 signed: positive means the protected group is over-represented.  Callers
 needing an unfairness magnitude take the absolute value.  ``deltas_of``
-compares every row of a matrix at once, and the one-vector functions are
-calls to it.
+compares every row of an array at once, against one target or a target per
+row; the one-vector functions are calls to it, and so are AWRF's exposure
+shares and prefD's prefix shares.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .compiled import by_key
 from .core import DISTRIBUTION_ATOL, DegenerateDenominator, FairRankError
 
 DISTANCE_KINDS = ("nd", "rd", "kl")
@@ -60,7 +60,6 @@ def delta(
     protected_index: int | None = None,
 ) -> float:
     """Dispatch on the distance kind (nd | rd | kl)."""
-    _check_kind(kind, protected_index)
     values, reasons = deltas_of(kind, _check_distribution(observed, "observed")[None],
                                 _check_distribution(target, "target"), protected_index)
     if reasons[0] is not None:
@@ -75,18 +74,18 @@ ALL_PROTECTED_TARGET = "target places all mass on the protected group"
 
 def deltas_of(kind: str, observed: np.ndarray, target: np.ndarray,
               protected_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``delta`` of each row of ``observed`` (n, g), both known to be distributions: the
-    values, and per row None or why its rd delta is undefined (the value is then NaN)."""
+    """``delta`` of each row (last axis) of ``observed`` against ``target``, one row for
+    all or one per observed row (broadcast), all known to be distributions: the values,
+    and per row None or why its rd delta is undefined (the value is then NaN)."""
     _check_kind(kind, protected_index)
-    reasons = np.full(len(observed), None, dtype=object)
+    reasons = np.full(observed.shape[:-1], None, dtype=object)
     if kind == "kl":
         return _kl(observed, target), reasons
-    o_plus, t_plus = observed[:, protected_index], np.float64(target[protected_index])
+    o_plus, t_plus = observed[..., protected_index], target[..., protected_index]
     if kind == "nd":
         return o_plus - t_plus, reasons
     o_minus = 1.0 - o_plus
-    if t_plus >= 1:
-        reasons[:] = ALL_PROTECTED_TARGET
+    reasons[np.broadcast_to(t_plus >= 1, reasons.shape)] = ALL_PROTECTED_TARGET
     reasons[o_minus <= 0] = ZERO_UNPROTECTED_SHARE
     with np.errstate(divide="ignore", invalid="ignore"):
         values = o_plus / o_minus - t_plus / (1.0 - t_plus)
@@ -95,23 +94,16 @@ def deltas_of(kind: str, observed: np.ndarray, target: np.ndarray,
 
 
 def _kl(o: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """KL bits of each row of ``o`` from ``t``, over the row's positive entries.
-
-    The rows are grouped by which entries are positive, so each row sums the
-    same terms in the same order as it would alone.
-    """
-    if o.shape[1] != t.size:
+    """KL bits of each row of ``o`` from ``t`` (one row, or one per row of ``o``), the target
+    floored at ``KL_TARGET_FLOOR`` and renormalized; 0 * log(0 / t) is 0."""
+    if o.shape[-1] != t.shape[-1]:
         raise FairRankError("observed and target have different group counts")
     t = np.maximum(t, KL_TARGET_FLOOR)
-    t = t / t.sum()
-    positive = o > 0
-    out = np.zeros(len(o))
-    for _, idx in by_key(np.unique(positive, axis=0, return_inverse=True)[1]):
-        cols = np.flatnonzero(positive[idx[0]])
-        kept = o[np.ix_(idx, cols)]
-        out[idx] = (kept * np.log2(kept / t[cols])).sum(axis=1)
+    t = t / t.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(o > 0, o * np.log2(o / t), 0.0)
     # Gibbs' inequality guarantees >= 0; clamp float-rounding residue.
-    return np.maximum(out, 0.0)
+    return np.maximum(terms.sum(axis=-1), 0.0)
 
 
 def _check_kind(kind: str, protected_index: int | None) -> None:

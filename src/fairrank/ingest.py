@@ -727,13 +727,17 @@ def _as(kind: type, value, path: str):
     """``value`` as a ``kind`` (bool, int or float), or a ConfigError at ``path``.
 
     Only a YAML boolean is a bool, and no boolean is a number.  A number may
-    be written as a string (YAML reads ``1e-3`` as one); an int must be whole.
+    be written as a string (YAML reads ``1e-3`` as one); an int must be finite
+    and whole, in any form (``1000``, ``1000.0``, ``1e3``).
     """
     try:
+        number = value
+        if kind is int and isinstance(value, str) and any(c in value for c in ".eE"):
+            number = float(value)
         if isinstance(value, bool) != (kind is bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
+                kind is int and isinstance(number, float) and not number.is_integer()):
             raise ValueError
-        return kind(value)
+        return kind(number)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected {kind.__name__}, got {value!r}", path) from None
 

@@ -40,17 +40,13 @@ def demographic_parity(system_eps: np.ndarray, groups: GroupSpace) -> float:
     return plus / minus
 
 
-def eed(system_eps: np.ndarray, normalize: bool = True) -> float:
-    """Squared L2 norm of the exposure vector.
-
-    In the default parity mode the vector is first normalized to a
-    distribution, so the minimum 1/g is attained exactly at equal exposure.
-    Raw mode keeps the magnitudes for expected-exposure decomposition work.
-    """
+def eed(system_eps: np.ndarray) -> float:
+    """Squared L2 norm of the exposure vector normalized to a distribution, so the
+    minimum 1/g is attained exactly at equal exposure.  The raw vector's squared norm
+    is ``opportunity.ee_decompose``'s EED_raw."""
     eps = np.asarray(system_eps, dtype=float)
-    if normalize:
-        total = float(eps.sum())
-        if total <= 0:
-            raise Degenerate("no exposure mass")
-        eps = eps / total
+    total = float(eps.sum())
+    if total <= 0:
+        raise Degenerate("no exposure mass")
+    eps = eps / total
     return float(eps @ eps)

@@ -37,13 +37,13 @@ from .core import (
 )
 from .distance import (
     ALL_PROTECTED_TARGET,
-    DISTANCE_KINDS,
-    KL_TARGET_FLOOR,
     ZERO_UNPROTECTED_SHARE,
+    _check_kind,
     deltas_of,
 )
 from .exposure import WeightModel, _check_width, exposures_of, position_weights
 from .record import Record
+from .registry import FAMILIES
 
 
 class SingleListResult(Record):
@@ -85,19 +85,23 @@ class ListScores(NamedTuple):
 
     values: np.ndarray   # (R,) float
     reasons: np.ndarray  # (R,) object: None or the reason
-    direction: Direction
 
     @classmethod
-    def empty(cls, n: int, direction: Direction) -> "ListScores":
-        return cls(np.full(n, math.nan), np.full(n, None, dtype=object), direction)
+    def empty(cls, n: int) -> "ListScores":
+        return cls(np.full(n, math.nan), np.full(n, None, dtype=object))
 
-    def only(self) -> SingleListResult:
-        """The outcome of a batch of one, as a per-list call gives it: a result, or the
-        ``Degenerate`` it raises."""
+    def only(self, family: str) -> SingleListResult:
+        """The outcome of a batch of one, as the per-list call of ``family`` gives it: a
+        result in the family's declared direction, or the ``Degenerate`` it raises."""
         value, reason = float(self.values[0]), self.reasons[0]
         if reason in _RAISED:
             raise _RAISED[reason](reason)
-        return SingleListResult(value, self.direction, reason)
+        return SingleListResult(value, _direction(family), reason)
+
+
+def _direction(family: str) -> Direction:
+    """The direction the registry declares for a one-row family."""
+    return FAMILIES[family].rows[0][1]
 
 
 def prefix_schedule(n: int, step: int) -> list[int]:
@@ -111,7 +115,8 @@ def prefix_schedule(n: int, step: int) -> list[int]:
 
 
 def _prefix_raw(cols: np.ndarray, target: np.ndarray, dist: str, step: int) -> np.ndarray:
-    """Sum over the prefix schedule of |delta(prefix shares, target)| / log2(k).
+    """Sum over the prefix schedule of |delta(prefix shares, target)| / log2(k), each delta
+    from ``distance.deltas_of``.
 
     ``cols`` holds group membership in rank order, shape (..., n, g), one
     (n, g) list per leading index: for nd and rd the protected column alone
@@ -122,22 +127,9 @@ def _prefix_raw(cols: np.ndarray, target: np.ndarray, dist: str, step: int) -> n
     """
     ks = np.array(prefix_schedule(cols.shape[-2], step))
     shares = np.cumsum(cols, axis=-2)[..., ks - 1, :] / ks[:, None]
-    target = np.asarray(target, dtype=float)[..., None, :]  # the same for every prefix
-    if dist == "kl":
-        # as delta_kl: floored, renormalized target; 0 * log(0 / t) is 0
-        t = np.maximum(target, KL_TARGET_FLOOR)
-        t = t / t.sum(axis=-1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(shares > 0, shares * np.log2(shares / t), 0.0)
-        deltas = np.maximum(terms.sum(axis=-1), 0.0)
-    elif dist == "nd":
-        deltas = shares[..., 0] - target[..., 0]
-    else:  # rd
-        t = target[..., 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            deltas = shares[..., 0] / (1.0 - shares[..., 0]) - t / (1.0 - t)
-        undefined = np.any(shares[..., 0] >= 1, axis=-1) | np.any(t >= 1, axis=-1)
-        deltas = np.where(undefined[..., None], math.nan, deltas)
+    # the same target for every prefix
+    deltas, _ = deltas_of(dist, shares, np.asarray(target, dtype=float)[..., None, :],
+                          None if dist == "kl" else 0)
     # Each list's terms are summed as one contiguous row, as a lone list sums
     # them: the prefix gather leaves the schedule axis strided, and numpy adds
     # a strided axis in another order than a contiguous one.
@@ -197,7 +189,8 @@ def pref_fairness(
     fewer than ``step`` labeled documents is maximally fair by convention.
     """
     rows = alignment.indices(ranking.docs)[None]
-    return prefd_scores(rows, alignment.dense(), groups, target, dist, step, threshold).only()
+    return prefd_scores(rows, alignment.dense(), groups, target, dist, step,
+                        threshold).only("prefd")
 
 
 def prefd_scores(rows: np.ndarray, dense: np.ndarray, groups: GroupSpace,
@@ -210,10 +203,9 @@ def prefd_scores(rows: np.ndarray, dense: np.ndarray, groups: GroupSpace,
     composition, also by the groups present), and each group is scored as one
     stacked array of its lists and their extreme arrangements.
     """
-    if dist not in DISTANCE_KINDS:
-        raise FairRankError(f"unknown distance function {dist!r}")
+    _check_kind(dist, 0)  # the protected column is column 0 of the prefix shares
     rows, count = left_justified(rows)
-    out = ListScores.empty(len(rows), Direction.ZERO_IS_FAIR)
+    out = ListScores.empty(len(rows))
     # A list shorter than step is fair by convention.  So, for kl against its
     # own composition, is a list of exactly step: its only prefix is the whole
     # list, which matches its own composition in every arrangement (computed,
@@ -255,8 +247,7 @@ def prefd_scores(rows: np.ndarray, dense: np.ndarray, groups: GroupSpace,
 def _score_prefd(out: ListScores, idx: np.ndarray, cols: np.ndarray, target: np.ndarray,
                  dist: str, step: int) -> None:
     """Score the lists ``cols`` (m, n, g) into ``out`` at ``idx``; ``target`` is (g,) or (m, g)."""
-    raws = _prefix_raw(_arrangements(cols), target[..., None, :] if target.ndim > 1 else target,
-                       dist, step)
+    raws = _prefix_raw(_arrangements(cols), target[..., None, :], dist, step)
     raw, z = raws[:, 0], _worst(raws[:, 1:])
     undefined = z <= 0
     # The sorted lists bound every arrangement for nd only; rd and kl are
@@ -331,11 +322,11 @@ def fair_score(
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.size == 0:
-        return SingleListResult(math.nan, Direction.ONE_IS_FAIR, degenerate="no_labeled_docs")
+        return SingleListResult(math.nan, _direction("fair"), degenerate="no_labeled_docs")
     if not 0 < p_hat < 1:
         raise FairRankError(f"p_hat must lie in (0, 1), got {p_hat}")
     return SingleListResult(float(_fair_values(mask[None], p_hat, paper_verbatim)[0]),
-                            Direction.ONE_IS_FAIR)
+                            _direction("fair"))
 
 
 def fair_scores(rows: np.ndarray, dense: np.ndarray, protected: int, p_hat: float,
@@ -348,7 +339,7 @@ def fair_scores(rows: np.ndarray, dense: np.ndarray, protected: int, p_hat: floa
     labeled count.
     """
     rows, count = left_justified(rows)
-    out = ListScores.empty(len(rows), Direction.ONE_IS_FAIR)
+    out = ListScores.empty(len(rows))
     out.reasons[count == 0] = "no_labeled_docs"
     for n, idx in by_key(count):
         if n:
@@ -377,13 +368,13 @@ def awrf(
     _check_width(alignment, groups)
     weights = position_weights(model, ranking, relevance)
     eps, count = exposures_of(weights, alignment.indices(ranking.docs)[None], alignment.dense())
-    return awrf_scores(eps, count, groups, target, dist, signed).only()
+    return awrf_scores(eps, count, groups, target, dist, signed).only("awrf")
 
 
 def awrf_scores(eps: np.ndarray, count: np.ndarray, groups: GroupSpace,
                 target: TargetDistribution, dist: str, signed: bool) -> ListScores:
     """``awrf`` of every list, given its raw (R, g) group exposure and labeled count."""
-    out = ListScores.empty(len(eps), Direction.ZERO_IS_FAIR)
+    out = ListScores.empty(len(eps))
     total = eps.sum(axis=1)
     out.reasons[total <= 0] = "labeled documents received zero exposure mass"
     out.reasons[count == 0] = "no labeled documents in ranking"

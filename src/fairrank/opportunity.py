@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .compiled import (CompiledSystem, Labels, by_key, compile_sequence, labeled_grid,
-                       running_total)
+from .compiled import (CompiledSystem, Labels, as_grid, by_key, compile_sequence,
+                       left_justified, running_total)
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -84,7 +84,8 @@ def utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, pool: s
     arrival-weighted sums run over the requests in arrival order.
     """
     docs, grades, at = view.pools(pool)
-    rows, grades, count = labeled_grid(labels.row_of[docs], at, grades)
+    rows, grades, count = left_justified(as_grid(labels.row_of[docs], at, -1),
+                                         as_grid(grades, at, 0.0))
     means = np.zeros((len(rows), groups.g))
     members = np.zeros((len(rows), groups.g), dtype=np.intp)
     for n, idx in by_key(count):
@@ -244,8 +245,9 @@ def predicted_utility_of(view: CompiledSystem, labels: Labels) -> tuple[np.ndarr
     or without a labeled scored document, has none.  The scored requests are
     grouped by their number of labeled scored documents.
     """
-    rows, scores, count = labeled_grid(labels.row_of[view.scored_ids], view.scored_at,
-                                       view.scored_values)
+    at = view.scored_at
+    rows, scores, count = left_justified(as_grid(labels.row_of[view.scored_ids], at, -1),
+                                         as_grid(view.scored_values, at, 0.0))
     util = np.zeros((len(rows) + 1, labels.dense.shape[1]))  # the last row: no scores
     for n, idx in by_key(count):
         if n:

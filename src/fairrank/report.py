@@ -152,6 +152,7 @@ def _fmt(v: float) -> str:
 
 
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[object]]) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -159,28 +160,15 @@ def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[object
     return path
 
 
-def emit_tables(
-    results: Iterable[MetricResult],
-    matrix: CorrelationMatrix | None,
-    out_dir: str | Path,
-    long_format: bool = False,
-) -> list[Path]:
-    """Write the per-system metric table and (optionally) the tau-c matrix.
-
-    ``metrics.csv`` rows are sorted by (system, metric); the matrix is written
-    as ``emit_correlations`` writes it.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def emit_tables(results: Iterable[MetricResult], out_dir: str | Path) -> Path:
+    """Write the per-system metric table, ``metrics.csv``, its rows sorted by (system,
+    metric); ``compare`` writes the tau-c matrix through ``emit_correlations``."""
     rows = sorted(results, key=lambda r: (r.system, r.metric))
     if not rows:
         raise FairRankError("no metric results to write")
-    written = [_write_csv(out_dir / "metrics.csv", METRICS_COLUMNS,
-                          ([r.system, r.metric, _fmt(r.value), r.n_requests, r.n_degenerate,
-                            r.direction.value] for r in rows))]
-    if matrix is not None:
-        written += emit_correlations(matrix, out_dir, long_format)
-    return written
+    return _write_csv(Path(out_dir) / "metrics.csv", METRICS_COLUMNS,
+                      ([r.system, r.metric, _fmt(r.value), r.n_requests, r.n_degenerate,
+                        r.direction.value] for r in rows))
 
 
 def emit_correlations(matrix: CorrelationMatrix, out_dir: str | Path,
@@ -188,7 +176,6 @@ def emit_correlations(matrix: CorrelationMatrix, out_dir: str | Path,
     """Write the tau-c matrix as ``correlations.csv``, missing cells left empty;
     ``long_format`` also writes it as (metric_a, metric_b, tau) rows."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = matrix.metrics
     cells = [["" if math.isnan(matrix.taus[i, j]) else _fmt(matrix.taus[i, j])
               for j in range(len(names))] for i in range(len(names))]
@@ -203,14 +190,15 @@ def emit_correlations(matrix: CorrelationMatrix, out_dir: str | Path,
 
 
 def read_metrics_table(path: str | Path) -> list[MetricResult]:
-    """Read back a metrics.csv written by ``emit_tables``.
+    """Read back a metrics.csv written by ``emit_tables``, ignoring one leading
+    byte-order mark as every input does.
 
     Each (system, metric) pair may appear once; a repeat is an error, since
     the correlation would silently keep only the last value.
     """
     out: list[MetricResult] = []
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         for column in METRICS_COLUMNS:
             if column not in (reader.fieldnames or ()):

@@ -702,7 +702,7 @@ def oracle_parse_sequence(lines, run):
 # view with the library, which other tests check on their own.
 
 
-def list_scores(results, direction=None):
+def list_scores(results):
     """``ListScores`` of per-list results, a raised ``Degenerate`` counting as its reason."""
     from fairrank.metrics_single import ListScores
 
@@ -713,8 +713,7 @@ def list_scores(results, direction=None):
             reasons[i] = res.reason
         else:
             values[i], reasons[i] = res.value, res.degenerate
-            direction = res.direction
-    return ListScores(values, reasons, direction or Direction.ZERO_IS_FAIR)
+    return ListScores(values, reasons)
 
 
 def outcome(fn, *args):

@@ -434,6 +434,20 @@ class TestCompare:
         assert "metrics.csv:2: bad metrics row (degenerate count is negative)" in caplog.text
         assert not (tmp_path / "correlations.csv").exists()
 
+    def test_a_byte_order_mark_changes_no_output(self, tmp_path):
+        text = ("system,metric,value,n_requests,n_degenerate,direction\n"
+                "A,X,0.5,10,0,ZeroIsFair\nB,X,0.25,10,0,ZeroIsFair\n"
+                "A,Y,0.5,10,1,ZeroIsFair\nB,Y,0.75,10,0,ZeroIsFair\n")
+        written = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            results = tmp_path / name
+            results.mkdir()
+            (results / "metrics.csv").write_text(mark + text, encoding="utf-8")
+            assert main(["compare", "--results", str(results), "--long"]) == 0
+            written.append([(results / f).read_bytes()
+                            for f in ("correlations.csv", "correlations_long.csv")])
+        assert written[0] == written[1]
+
     def test_writes_only_the_correlation_tables(self, tmp_path):
         table = tmp_path / "results" / "metrics.csv"
         table.parent.mkdir()

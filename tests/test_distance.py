@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairrank import DegenerateDenominator, FairRankError, delta, delta_kl, delta_nd, delta_rd
+from fairrank.distance import deltas_of
 
 from conftest import share_pair
 from oracles import oracle_kl_bits
@@ -94,3 +95,31 @@ def test_rd_nd_sign_agreement(share, p):
     nd = delta_nd(share_pair(share), share_pair(p))
     rd = delta_rd(share_pair(share), share_pair(p))
     assert math.copysign(1, nd) == math.copysign(1, rd) or nd == 0 or rd == 0
+
+
+@st.composite
+def target_rows(draw):
+    """(kind, observed (n, g), target (n, g)): rows with empty shares, rd rows whose
+    protected share is 1 and targets whose protected entry is 1."""
+    kind = draw(st.sampled_from(("nd", "rd", "kl")))
+    g, n = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    entry = st.sampled_from((0.0, 0.0, 0.1, 0.25, 1.0, 3.0))
+
+    def row():
+        raw = np.array(draw(st.lists(entry, min_size=g, max_size=g)))
+        if draw(st.booleans()) or raw.sum() <= 0:
+            raw = np.eye(g)[0] if draw(st.booleans()) else raw + np.eye(g)[-1]
+        return raw / raw.sum()
+
+    return kind, np.array([row() for _ in range(n)]), np.array([row() for _ in range(n)])
+
+
+@given(target_rows())
+@settings(max_examples=300, deadline=None)
+def test_a_target_per_row_is_each_row_against_its_own(case):
+    kind, observed, target = case
+    p = None if kind == "kl" else 0
+    values, reasons = deltas_of(kind, observed, target, p)
+    alone = [deltas_of(kind, o[None], t, p) for o, t in zip(observed, target)]
+    assert values.tobytes() == np.concatenate([v for v, _ in alone]).tobytes()
+    assert reasons.tolist() == [r[0] for _, r in alone]

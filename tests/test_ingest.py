@@ -364,6 +364,12 @@ class TestLoadConfig:
         ("metrics: [{name: awrf, custom_target: [0.5, x]}]\n", "metrics[0].custom_target[1]"),
         ("metrics: [{name: prefd, step: 2.5}]\n", "metrics[0].step"),
         ("metrics: [{name: pair, n_negatives: 10.5}]\n", "metrics[0].n_negatives"),
+        ("metrics: [{name: pair, n_negatives: 2.5e0}]\n", "metrics[0].n_negatives"),
+        ("metrics: [{name: pair, n_negatives: '25e-1'}]\n", "metrics[0].n_negatives"),
+        ("metrics: [{name: pair, n_negatives: 1e400}]\n", "metrics[0].n_negatives"),
+        ("metrics: [{name: pair, n_negatives: -1e400}]\n", "metrics[0].n_negatives"),
+        ("metrics: [{name: pair, n_negatives: nan}]\n", "metrics[0].n_negatives"),
+        ("metrics: [{name: prefd, step: 1e}]\n", "metrics[0].step"),
         ("metrics: [{name: awrf, signed: 'false'}]\n", "metrics[0].signed"),
         ("metrics: [{name: awrf, signed: 0}]\n", "metrics[0].signed"),
         ("metrics: [{name: awrf, gamma: true}]\n", "metrics[0].gamma"),
@@ -395,6 +401,15 @@ class TestLoadConfig:
         assert (metric.gamma, prefd.step, metric.signed, pair.n_negatives) == (0.1, 4, True, 7)
         assert metric.custom_target == (0.5, 0.5)
         assert type(prefd.step) is int and type(pair.n_negatives) is int
+
+    def test_a_whole_number_in_exponent_form_reads_as_an_int(self):
+        # YAML reads 1e3 as a string and 1.0e+3 as a float
+        cfg = load_config(io.StringIO(
+            "metrics: [{name: pair, n_negatives: 1e3}, {name: prefd, step: 1E1}, "
+            "{name: pair, label: P2, n_negatives: 1.0e+3}]\n"))
+        pair, prefd, pair2 = cfg.metrics
+        assert (pair.n_negatives, prefd.step, pair2.n_negatives) == (1000, 10, 1000)
+        assert type(pair.n_negatives) is int and type(prefd.step) is int
 
 
     @pytest.mark.parametrize("metrics, row", [

@@ -117,10 +117,9 @@ def systems(draw):
 
 
 def _assert_same_scores(got, outcomes):
-    want = list_scores(outcomes, got.direction)
+    want = list_scores(outcomes)
     assert np.array_equal(got.values, want.values, equal_nan=True)
     assert got.reasons.tolist() == want.reasons.tolist()
-    assert got.direction == want.direction
 
 
 def _draws(view, i):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrank import (Degenerate, DegenerateDenominator, GroupSpace, demographic_parity, eed,
-                      eur, rur)
+from fairrank import (Degenerate, DegenerateDenominator, GroupSpace, demographic_parity,
+                      ee_decompose, eed, eur, rur)
 
 
 GS = GroupSpace(("A", "B"), protected_index=0)
@@ -66,7 +66,8 @@ class TestEed:
     def test_normalization_default(self):
         # parity mode rescales, so magnitudes cancel
         assert eed(np.array([2.0, 2.0])) == pytest.approx(0.5)
-        assert eed(np.array([2.0, 2.0]), normalize=False) == pytest.approx(8.0)
+        # the raw squared norm is ee_decompose's EED_raw
+        assert ee_decompose(np.array([2.0, 2.0]), np.zeros(2))[2] == pytest.approx(8.0)
 
     def test_zero_mass_degenerate(self):
         with pytest.raises(Degenerate):

@@ -4,10 +4,11 @@
 seed, and its own checks compare every benchmark run against them.  Those
 self-tests sit outside ``testpaths``, so this test loads the workload
 definitions and the checks from ``perfbench/`` (editing neither), generates
-the ``stochastic`` corpus (seed 7: cascade AWRF, the ``group`` unknown
-policy, KL prefD over soft rows) and the ``c10-scores`` corpus (seed 1:
-depth-100 lists with score files), evaluates each in-process and requires
-every row to match its reference within a relative 1e-9.
+the ``stochastic`` corpus (cascade AWRF, the ``group`` unknown policy, KL
+prefD over soft rows) and the ``c10-scores`` corpus (depth-100 lists with
+score files) at both corpus seeds the benchmark alternates between,
+evaluates each in-process and requires every row to match its reference
+within a relative 1e-9.
 """
 
 import importlib.util
@@ -30,7 +31,8 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("name, corpus_seed", [("stochastic", 7), ("c10-scores", 1)])
+@pytest.mark.parametrize("name, corpus_seed", [("stochastic", 7), ("stochastic", 8),
+                                               ("c10-scores", 1), ("c10-scores", 2)])
 def test_evaluate_matches_the_benchmark_reference(tmp_path, name, corpus_seed):
     workload = _load("workloads").WORKLOADS[name]
     check_metrics = _load("checks").check_metrics

@@ -3,7 +3,7 @@
 Every row ``evaluate_system`` emits for the metamorphic battery is one its
 entry's ``MetricSpec`` declares, with the declared direction and in declared
 order, and a declared row that is absent has a note under its entry's label.
-The single-ranking kernels score in the direction their family declares.  The
+The single-ranking wrappers score in the direction their family declares.  The
 README's per-family table states each family's keys, defaults and rows as the
 registry declares them.  The registry's row lists, which ``report`` orders and
 filters the correlation matrix by, name exactly the rows the default battery
@@ -26,8 +26,8 @@ from fairrank import (
     WeightModel,
 )
 from fairrank.ingest import EvalConfig, _make_metric, default_metrics
-from fairrank.metrics_single import awrf_scores, fair_scores, prefd_scores
-from fairrank.pipeline import _Context, evaluate_system
+from fairrank.metrics_single import awrf, fair_score, pref_fairness
+from fairrank.pipeline import evaluate_system
 from fairrank.registry import BATTERY_ROWS, FAMILIES, RATIO_ROWS
 from fairrank.report import MetricResult, correlation_matrix
 
@@ -60,15 +60,12 @@ def test_single_ranking_kernels_score_in_the_declared_direction():
     docs = tuple(f"d{i}" for i in range(6))
     groups = GroupSpace(("a", "b"), protected_index=0)
     al = AlignmentMatrix({d: np.eye(2)[i % 2] for i, d in enumerate(docs)}, n_groups=2)
-    seq = RankingSequence((("q", Ranking("q", docs)),))
-    ctx = _Context("s", *compile_run(seq, RelevanceTable({"q": {"d0": 1.0}}), al, groups,
-                                     EvalConfig()))
-    base, target = ctx.labels["base"], TargetDistribution.equal(2)
-    eps, count = ctx.ranking_exposures(WeightModel("geometric", 0.5), "base")
-    scores = {"prefd": prefd_scores(base.rows, base.dense, groups, target, "nd", 2, 0.5),
-              "awrf": awrf_scores(eps, count, groups, target, "nd", False),
-              "fair": fair_scores(base.rows, base.dense, 0, 0.5, 0.5)}
-    for name, got in scores.items():
+    ranking, target = Ranking("q", docs), TargetDistribution.equal(2)
+    results = [("prefd", pref_fairness(ranking, al, groups, target, "nd", 2)),
+               ("awrf", awrf(ranking, al, groups, WeightModel("geometric", 0.5), target)),
+               ("fair", fair_score(np.arange(6) % 2 == 0, 0.5)),
+               ("fair", fair_score(np.zeros(0, dtype=bool), 0.5))]  # no labeled documents
+    for name, got in results:
         assert [got.direction] == [direction for _, direction in FAMILIES[name].rows], name
 
 

@@ -14,7 +14,7 @@ from fairrank import (
     emit_tables,
     kendall_tau_c,
 )
-from fairrank.report import read_metrics_table
+from fairrank.report import emit_correlations, read_metrics_table
 
 from oracles import oracle_tau_c, oracle_tau_c_pairs
 
@@ -182,9 +182,9 @@ class TestEmitTables(object):
             _result("EED", "s2", 0.55),
         ]
         m = correlation_matrix(results)
-        paths = emit_tables(results, m, tmp_path, long_format=True)
-        assert [p.name for p in paths] == ["metrics.csv", "correlations.csv",
-                                           "correlations_long.csv"]
+        assert emit_tables(results, tmp_path) == tmp_path / "metrics.csv"
+        paths = emit_correlations(m, tmp_path, long_format=True)
+        assert [p.name for p in paths] == ["correlations.csv", "correlations_long.csv"]
         text = (tmp_path / "metrics.csv").read_text()
         lines = text.strip().splitlines()
         assert lines[0] == "system,metric,value,n_requests,n_degenerate,direction"
@@ -230,13 +230,23 @@ class TestEmitTables(object):
         path = tmp_path / "metrics.csv"
         header = "system,metric,value,n_requests,n_degenerate,direction\n"
         row = "s1,AWRF,0.5,10,0,ZeroIsFair\n"
-        # a byte-order mark glues itself to the first column's name
-        for text, column in (("\ufeff" + header + row, "system"),
-                             (header.replace(",n_degenerate", "") + row, "n_degenerate"),
+        for text, column in ((header.replace(",n_degenerate", "") + row, "n_degenerate"),
                              ("", "system")):
             path.write_text(text, encoding="utf-8")
             with pytest.raises(FairRankError, match=rf"metrics\.csv:1: missing column '{column}'"):
                 read_metrics_table(path)
+
+    def test_read_ignores_one_byte_order_mark(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        text = ("system,metric,value,n_requests,n_degenerate,direction\n"
+                "s1,AWRF,0.5,10,0,ZeroIsFair\n")
+        path.write_text(text, encoding="utf-8")
+        plain = read_metrics_table(path)
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert read_metrics_table(path) == plain == [_result("AWRF", "s1", 0.5)]
+        path.write_text("\ufeff\ufeff" + text, encoding="utf-8")  # only one
+        with pytest.raises(FairRankError, match=r"metrics\.csv:1: missing column 'system'"):
+            read_metrics_table(path)
 
     def test_read_rejects_a_short_row_with_its_line(self, tmp_path):
         path = tmp_path / "metrics.csv"
@@ -247,17 +257,17 @@ class TestEmitTables(object):
             read_metrics_table(path)
 
     def test_single_row(self, tmp_path):
-        emit_tables([_result("AWRF", "s", 0.1)], None, tmp_path)
+        emit_tables([_result("AWRF", "s", 0.1)], tmp_path)
         assert len((tmp_path / "metrics.csv").read_text().strip().splitlines()) == 2
 
     def test_unwritable_path_errors(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("file, not dir")
         with pytest.raises(OSError):
-            emit_tables([_result("A", "s", 0.1)], None, target)
+            emit_tables([_result("A", "s", 0.1)], target)
 
     def test_byte_identical_reruns(self, tmp_path):
         results = [_result("AWRF", "s1", 1 / 3), _result("AWRF", "s2", 2 / 7)]
-        emit_tables(results, None, tmp_path / "a")
-        emit_tables(results, None, tmp_path / "b")
+        emit_tables(results, tmp_path / "a")
+        emit_tables(results, tmp_path / "b")
         assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
