@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fairrank",
         description="Group fairness metrics for ranked retrieval and recommendation outputs.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("evaluate", help="compute configured metrics for one or more runs")
@@ -222,16 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except (ParseError, ConfigError) as exc:
-        log.error("%s", exc)
-        return EXIT_PARSE
     except FairRankError as exc:
         log.error("%s", exc)
         return EXIT_PARSE

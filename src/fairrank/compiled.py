@@ -36,8 +36,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (AlignmentMatrix, FairRankError, Ranking, RankingSequence, RelevanceTable,
-                   Scores, _bounds, first_codes)
+from .core import (AlignmentMatrix, AllDegenerate, FairRankError, Ranking, RankingSequence,
+                   RelevanceTable, Scores, _bounds, first_codes)
 
 POOLS = ("judged", "retrieved", "union")
 
@@ -92,6 +92,26 @@ def ranks(names: Sequence[str]) -> np.ndarray:
 def running_total(values: np.ndarray) -> np.ndarray:
     """The sum over the first axis, adding one entry after another as a loop of ``+=`` does."""
     return np.cumsum(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
+
+
+def reduce_requests(rule: str, columns: np.ndarray, kept: np.ndarray, weight: np.ndarray,
+                    arrival: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of per-request ``columns`` (requests sorted, on the first axis) over the
+    requests ``kept``, and their weight mass, under a ``MetricSpec.request_weighting`` rule.
+    ``kept`` flags each request, or each entry of ``columns``.  ``uniform`` weighs each kept
+    request one and adds them in sorted order with ``np.sum``, as ``np.mean`` does.
+    ``arrival`` weighs request q ``weight[q]`` and adds them in ``arrival`` order with
+    ``running_total``.  A dropped entry is left out or zeroed, so a NaN there reaches no
+    sum."""
+    if rule == "uniform":
+        if kept.ndim == 1:
+            return np.sum(columns[kept], axis=0), np.count_nonzero(kept)
+        return np.sum(np.where(kept, columns, 0.0), axis=0), np.count_nonzero(kept, axis=0)
+    # a request's weight and flag broadcast over its entries
+    w = weight[arrival].reshape((-1,) + (1,) * (columns.ndim - 1))
+    kept = kept[arrival].reshape(kept.shape + (1,) * (columns.ndim - kept.ndim))
+    return (running_total(np.where(kept, w * columns[arrival], 0.0)),
+            running_total(np.where(kept, w, 0.0)))
 
 
 class RankingTable(NamedTuple):
@@ -261,6 +281,20 @@ class CompiledSystem:
         at = np.searchsorted(union, np.arange(n_requests + 1) * n)
         return (union - np.repeat(np.arange(n_requests) * n, np.diff(at)),
                 lookup(keys, grades, union), at)
+
+    def reduce(self, rule: str, columns: np.ndarray,
+               kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``reduce_requests`` with this system's request weights and arrival order."""
+        return reduce_requests(rule, columns, kept, self.weight, self.arrival_at)
+
+    def mean(self, rule: str, columns: np.ndarray, kept: np.ndarray,
+             reason: str) -> tuple[np.ndarray, int, int]:
+        """The mean of per-request ``columns`` over the requests ``kept`` under ``rule``, with
+        the request and degenerate counts; ``AllDegenerate(reason)`` when none counts."""
+        sums, mass = self.reduce(rule, columns, kept)
+        if not mass > 0:
+            raise AllDegenerate(reason)
+        return sums / mass, kept.size, int(np.count_nonzero(~kept))
 
     def scored_docs(self, request: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """A scored request's documents, ascending, with their scores and grades (0 when

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .compiled import (CompiledSystem, as_grid, by_key, compile_sequence, left_justified,
-                       sorted_distinct)
+                       reduce_requests, sorted_distinct)
 from .core import (
     AlignmentMatrix,
     Degenerate,
@@ -252,23 +252,18 @@ def system_exposure(
     """Request-arrival-weighted mean of per-request exposure vectors.
 
     ``rho`` defaults to uniform; when given, it is renormalized over the
-    requests actually present.
+    requests actually present, which are added in sorted order.
     """
     if not per_request:
         raise FairRankError("no per-request exposure vectors to aggregate")
     keys = sorted(per_request)
-    stacked = np.stack([per_request[q] for q in keys])
-    if rho is None:
-        return np.mean(stacked, axis=0)
-    return weighted_mean(stacked, np.array([float(rho.get(q, 0.0)) for q in keys]))
-
-
-def weighted_mean(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Mean of the (Q, g) ``rows``, weighted by the (Q,) ``weights`` renormalized to sum one."""
-    total = float(weights.sum())
-    if total <= 0:
+    rule, weights = (("uniform", None) if rho is None else
+                     ("arrival", np.array([float(rho.get(q, 0.0)) for q in keys])))
+    sums, mass = reduce_requests(rule, np.stack([per_request[q] for q in keys]),
+                                 np.ones(len(keys), dtype=bool), weights, np.arange(len(keys)))
+    if not mass > 0:
         raise FairRankError("request weights assign no mass to the given requests")
-    return np.average(rows, axis=0, weights=weights / total)
+    return sums / mass
 
 
 def target_exposure(

@@ -160,11 +160,14 @@ def pref_normalizer(
     dist: str = "nd",
     step: int = 10,
 ) -> float:
-    """Worst-case raw prefix score of a list with ``n_protected`` of ``n`` protected."""
+    """Worst-case raw prefix score of a list with ``n_protected`` of ``n`` protected: its
+    protected column against ``p_hat``, and for kl its other column against ``1 - p_hat``."""
     if not 0 <= n_protected <= n:
         raise FairRankError("n_protected must lie in [0, n]")
-    cols = (np.arange(n) < n_protected)[:, None]
-    z = float(_worst(_prefix_raw(_arrangements(cols)[1:], np.array([p_hat]), dist, step)))
+    protected = np.arange(n) < n_protected
+    cols, target = ((np.stack((protected, ~protected), axis=1), np.array([p_hat, 1.0 - p_hat]))
+                    if dist == "kl" else (protected[:, None], np.array([p_hat])))
+    z = float(_worst(_prefix_raw(_arrangements(cols)[1:], target, dist, step)))
     if z == -math.inf:
         raise Degenerate(NO_SCORABLE_EXTREME)
     if z <= 0:

@@ -21,10 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .compiled import (CompiledSystem, Labels, as_grid, by_key, compile_sequence,
-                       left_justified, running_total)
+                       left_justified)
 from .core import (
     AlignmentMatrix,
-    AllDegenerate,
     Degenerate,
     DegenerateDenominator,
     DegenerateUtility,
@@ -50,6 +49,7 @@ from .exposure import (
 )
 from .metrics_multi import binomial_split
 from .record import Record
+from .registry import FAMILIES
 
 
 class ExpectedExposureResult(Record):
@@ -71,23 +71,23 @@ def group_utility(
     Per request, the pool is the judged candidate set by default; unjudged
     documents (possible under the retrieved/union pools) count as grade zero.
     Requests where a group has no pooled members are skipped for that group,
-    with the arrival weights renormalized over the rest.
+    with the request weights (EUR's rule) renormalized over the rest.
     """
+    _check_width(alignment, groups)
     view = compile_sequence(seq, relevance)
-    return utility_of(view, view.labels(alignment), groups, pool)
+    return mean_utility(*view.reduce(FAMILIES["eur"].request_weighting,
+                                     *utility_of(view, view.labels(alignment), pool)), groups)
 
 
-def utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, pool: str) -> np.ndarray:
-    """``group_utility`` of a compiled system, on one alignment variant.
-
-    The requests are grouped by their number of labeled candidates, and the
-    arrival-weighted sums run over the requests in arrival order.
-    """
+def utility_of(view: CompiledSystem, labels: Labels, pool: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each request's (sorted) mean relevance per group, on one alignment variant, and
+    whether the group has pooled members there.  The requests are grouped by their number
+    of labeled candidates."""
     docs, grades, at = view.pools(pool)
     rows, grades, count = left_justified(as_grid(labels.row_of[docs], at, -1),
                                          as_grid(grades, at, 0.0))
-    means = np.zeros((len(rows), groups.g))
-    members = np.zeros((len(rows), groups.g), dtype=np.intp)
+    means = np.zeros((len(rows), labels.dense.shape[1]))
+    members = np.zeros(means.shape, dtype=np.intp)
     for n, idx in by_key(count):
         if n:
             member = labels.dense[rows[idx, :n]] > 0.5
@@ -95,16 +95,15 @@ def utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, pool: s
             graded = np.matmul(grades[idx, None, :n], member.astype(float))[:, 0]
             with np.errstate(invalid="ignore"):
                 means[idx] = graded / members[idx]
-    has = members[view.arrival_at] > 0
-    w = view.weight[view.arrival_at, None]
-    sums = running_total(np.where(has, w * means[view.arrival_at], 0.0))
-    mass = running_total(np.where(has, w, 0.0))
-    out = np.empty(groups.g)
-    for g in range(groups.g):
-        if mass[g] <= 0:
-            raise EmptyGroup(f"group {groups.names[g]!r} has no members in any candidate pool")
-        out[g] = sums[g] / mass[g]
-    return out
+    return means, members > 0
+
+
+def mean_utility(sums: np.ndarray, mass: np.ndarray, groups: GroupSpace) -> np.ndarray:
+    """Each group's mean relevance from ``utility_of``'s reduced sums and weight mass."""
+    empty = np.flatnonzero(mass <= 0)
+    if empty.size:
+        raise EmptyGroup(f"group {groups.names[empty[0]]!r} has no members in any candidate pool")
+    return sums / mass
 
 
 def discounted_group_utility(
@@ -115,17 +114,19 @@ def discounted_group_utility(
     model: WeightModel,
 ) -> np.ndarray:
     """Expected position-weight x relevance mass per group under the policy."""
+    _check_width(alignment, groups)
     view = compile_sequence(seq, relevance)
-    return discounted_utility_of(view, view.labels(alignment), groups,
-                                 compiled_weights(view, model, relevance))
+    sums, _ = view.reduce(FAMILIES["rur"].request_weighting, *discounted_utility_of(
+        view, view.labels(alignment), compiled_weights(view, model, relevance)))
+    return sums
 
 
-def discounted_utility_of(view: CompiledSystem, labels: Labels, groups: GroupSpace,
-                          weights: np.ndarray) -> np.ndarray:
-    """``discounted_group_utility`` of a compiled system, given its position weights."""
+def discounted_utility_of(view: CompiledSystem, labels: Labels,
+                          weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each request's (sorted) position-weight x relevance mass per group, given the
+    position weights, averaged over its draws; every request counts."""
     masses, _ = exposures_of(weights * view.grades, labels.rows, labels.dense)
-    per_request = request_means(masses, view)[view.arrival_at]
-    return running_total(view.weight[view.arrival_at, None] * per_request)
+    return request_means(masses, view), np.ones(len(view.requests), dtype=bool)
 
 
 def eur(system_eps: np.ndarray, upsilon: np.ndarray, groups: GroupSpace) -> float:
@@ -198,41 +199,37 @@ def expected_exposure(
     document.  The target comes from the relevance-sorted ideal policy over
     the candidate pool (judged plus retrieved documents by default).
     Requests with no relevant document, or with no labeled candidate, are
-    skipped and counted.  Both vectors are arrival-weighted means over the
-    surviving requests; the loss and its decomposition are computed on those
-    means.
+    skipped and counted.  Both vectors are means over the surviving requests,
+    weighted by EEL's rule; the loss and its decomposition are computed on
+    those means.
     """
     _check_width(alignment, groups)
     view = compile_sequence(seq, relevance)
     labels = view.labels(alignment)
     exposures = request_exposures(*exposures_of(compiled_weights(view, model, relevance),
                                                 labels.rows, labels.dense), view)
-    return exposure_loss_of(view, labels, groups, model, resolve_stop(model, relevance),
-                            exposures.eps, pool)
+    return exposure_loss(view, FAMILIES["eel"].request_weighting, *exposure_loss_of(
+        view, labels, model, resolve_stop(model, relevance), exposures.eps, pool))
 
 
-def exposure_loss_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, model: WeightModel,
+def exposure_loss_of(view: CompiledSystem, labels: Labels, model: WeightModel,
                      stop: Callable[[float], float] | None, exposures: np.ndarray,
-                     pool: str) -> ExpectedExposureResult:
-    """``expected_exposure`` of a compiled system, on one alignment variant.
-
-    ``exposures`` holds each request's raw exposure (sorted requests, zero
-    for a degenerate one); the sums run over the requests in arrival order.
-    """
+                     pool: str) -> tuple[np.ndarray, np.ndarray]:
+    """``expected_exposure``'s columns on one alignment variant: each request's (sorted) raw
+    exposure ``exposures`` and its ideal policy's, stacked (Q, 2, g), and whether it counts:
+    its pool has a relevant document and a labeled one."""
     docs, grades, at = view.pools(pool)
     targets, count = ideal_exposures(grades, labels.row_of[docs], at, labels.dense, model, stop)
-    # a request counts when its pool has a relevant document and a labeled one
     relevant = np.bincount(np.repeat(np.arange(len(at) - 1), np.diff(at))[grades > 0],
                            minlength=len(at) - 1) > 0
-    kept = (relevant & (count > 0))[view.arrival_at]
-    w = np.where(kept, view.weight[view.arrival_at], 0.0)
-    weight_total = float(running_total(w))
-    if weight_total <= 0:
-        raise AllDegenerate("no request has a scorable ideal policy")
-    eel, eer, eed_raw = ee_decompose(
-        running_total(w[:, None] * exposures[view.arrival_at]) / weight_total,
-        running_total(w[:, None] * targets[view.arrival_at]) / weight_total)
-    return ExpectedExposureResult(eel, eer, eed_raw, kept.size, int(np.count_nonzero(~kept)))
+    return np.stack((exposures, targets), axis=1), relevant & (count > 0)
+
+
+def exposure_loss(view: CompiledSystem, rule: str, columns: np.ndarray,
+                  kept: np.ndarray) -> ExpectedExposureResult:
+    """``expected_exposure`` from ``exposure_loss_of``'s columns, weighted by ``rule``."""
+    means, *counts = view.mean(rule, columns, kept, "no request has a scorable ideal policy")
+    return ExpectedExposureResult(*ee_decompose(*means), *counts)
 
 
 def predicted_utility_of(view: CompiledSystem, labels: Labels) -> tuple[np.ndarray, np.ndarray]:

@@ -4,12 +4,13 @@ Given one system's compiled view and the inputs every system shares (the
 corpus, the relevance table, the group alignment and its variants, built
 once per evaluate), this evaluates every configured metric and returns table
 rows plus human-readable notes about skipped or degenerate computations.
-Single-ranking metrics are computed per draw, averaged per request, then
-averaged over requests without weights, so a request's draw count does not
-move them; sequence metrics weight requests by the empirical request-arrival
-distribution.  Each metric family is one array pass over the system's view:
-its kernel scores every distinct ranking (or request) at once, grouped by
-labeled length or draw count, and nothing here loops over rankings or requests.
+Each metric family is one array pass over the system's view: its kernel
+scores every distinct ranking (or request) at once, grouped by labeled length
+or draw count, into one column per request, its draws averaged, and a mask of
+the requests that count.  ``compiled.reduce_requests`` combines the requests
+as the family's ``MetricSpec.request_weighting`` declares (PAIR pools its pair
+counts instead), and a finalizer per family turns the sums into its rows.
+Nothing here loops over rankings or requests.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .exposure import (
     request_exposure,
     request_exposures,
     resolve_stop,
-    weighted_mean,
 )
 from .ingest import EvalConfig, MetricConfig
 from .metrics_multi import demographic_parity, eed
@@ -59,9 +59,11 @@ from .opportunity import (
     discounted_utility_of,
     eur,
     expected_exposure,
+    exposure_loss,
     exposure_loss_of,
     group_utility,
     iaa,
+    mean_utility,
     predicted_utility_of,
     rur,
     utility_of,
@@ -144,7 +146,7 @@ class _Context:
         self._weights: dict[WeightModel, np.ndarray] = {}
         self._ranking_eps: dict[tuple[str, WeightModel], tuple[np.ndarray, ...]] = {}
         self._exposures: dict[tuple[bool, WeightModel], RequestExposure] = {}
-        self._utilities: dict[str, np.ndarray] = {}
+        self._utilities: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def weights(self, model: WeightModel) -> np.ndarray:
         if model not in self._weights:
@@ -171,11 +173,12 @@ class _Context:
             self._exposures[key] = request_exposures(per_ranking, count, self.view)
         return self._exposures[key]
 
-    def utility(self, pool: str) -> np.ndarray:
-        """Binarized per-group mean relevance, computed once per pool (EUR, RUR)."""
+    def utility(self, pool: str, rule: str) -> np.ndarray:
+        """Binarized per-group mean relevance, its requests weighted by ``rule``; each
+        request's means are computed once per pool (EUR, RUR)."""
         if pool not in self._utilities:
-            self._utilities[pool] = utility_of(self.view, self.labels["bin"], self.bin_groups, pool)
-        return self._utilities[pool]
+            self._utilities[pool] = utility_of(self.view, self.labels["bin"], pool)
+        return mean_utility(*self.view.reduce(rule, *self._utilities[pool]), self.bin_groups)
 
     def target_vector(self, mc: MetricConfig) -> TargetDistribution:
         if mc.target == "catalog":
@@ -194,7 +197,7 @@ def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
     convention (short lists, undefined normalizer) keep their value but are
     noted.  A request's value is the mean over its other draws, in draw
     order, with the requests grouped by that count; a request is degenerate
-    when all its draws are.  The value is the unweighted mean of the others.
+    when all its draws are.  The others are combined as ``mc``'s family declares.
     """
     view = ctx.view
     values = scores.values[view.draw_of]
@@ -203,27 +206,16 @@ def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
     conventions = int(np.count_nonzero(flagged & ~excluded))
     # each request's scored draws first, in draw order
     order = np.lexsort((excluded, view.draw_request))
-    counts = np.bincount(view.draw_request[~excluded], minlength=len(view.requests))
+    n_scored = np.bincount(view.draw_request[~excluded], minlength=len(view.requests))
     means = np.zeros(len(view.requests))
-    for k, idx in by_key(counts):
+    for k, idx in by_key(n_scored):
         if k:
             means[idx] = values[order[view.draw_at[idx, None] + np.arange(k)]].mean(axis=1)
-    scored = counts > 0
     if conventions:
         notes.append(f"{mc.label}: {conventions} draws scored by edge-case convention")
-    if not scored.any():
-        raise AllDegenerate(f"every request degenerate for {mc.label}")
-    return float(np.mean(means[scored])), len(view.requests), int(np.count_nonzero(~scored))
-
-
-def _sequence_exposure(ctx: _Context, exposures: RequestExposure) -> tuple[np.ndarray, int, int]:
-    """System expected exposure (raw), with request and degenerate counts."""
-    n_labeled = int(np.count_nonzero(exposures.labeled))
-    if not n_labeled:
-        raise AllDegenerate("no request has any labeled exposure")
-    eps = weighted_mean(exposures.eps[exposures.labeled], ctx.view.weight[exposures.labeled])
-    n_requests = len(exposures.labeled)
-    return eps, n_requests, n_requests - n_labeled
+    value, *counts = view.mean(FAMILIES[mc.name].request_weighting, means, n_scored > 0,
+                               f"every request degenerate for {mc.label}")
+    return float(value), *counts
 
 
 def _ratio_rows(mc: MetricConfig, ratio: float, counts: list[int], notes: list[str]) -> list:
@@ -237,7 +229,7 @@ def _family_rows(ctx: _Context, mc: MetricConfig,
                  notes: list[str]) -> list[tuple[float, int, int] | None]:
     """(value, n_requests, n_degenerate) of each row ``mc``'s family declares, or None for
     a row it leaves out."""
-    cfg = ctx.config
+    cfg, rule = ctx.config, FAMILIES[mc.name].request_weighting
     model = mc.weight_model and WeightModel(mc.weight_model, mc.gamma)
 
     base = ctx.labels["base"]
@@ -258,40 +250,35 @@ def _family_rows(ctx: _Context, mc: MetricConfig,
         return [_per_draw(ctx, fair_scores(base.rows, base.dense, ctx.groups.require_protected(),
                                            p_hat, cfg.threshold), mc, notes)]
 
-    if mc.name == "dp":
-        eps, *counts = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
-        return _ratio_rows(mc, demographic_parity(eps, ctx.bin_groups), counts, notes)
-
-    if mc.name == "eed":
-        eps, *counts = _sequence_exposure(ctx, ctx.exposures(model, binarized=False))
-        return [(eed(eps), *counts)]
-
-    if mc.name == "eur":
-        eps, *counts = _sequence_exposure(ctx, ctx.exposures(model, binarized=True))
-        return _ratio_rows(mc, eur(eps, ctx.utility(mc.pool), ctx.bin_groups), counts, notes)
+    if mc.name in ("dp", "eed", "eur"):
+        exposures = ctx.exposures(model, binarized=mc.name != "eed")
+        eps, *counts = ctx.view.mean(rule, exposures.eps, exposures.labeled,
+                                     "no request has any labeled exposure")
+        if mc.name == "eed":
+            return [(eed(eps), *counts)]
+        ratio = (demographic_parity(eps, ctx.bin_groups) if mc.name == "dp" else
+                 eur(eps, ctx.utility(mc.pool, rule), ctx.bin_groups))
+        return _ratio_rows(mc, ratio, counts, notes)
 
     if mc.name == "rur":
-        gamma_disc = discounted_utility_of(ctx.view, ctx.labels["bin"], ctx.bin_groups,
-                                           ctx.weights(model))
-        ratio = rur(gamma_disc, ctx.utility(mc.pool), ctx.bin_groups)
+        gamma_disc, _ = ctx.view.reduce(rule, *discounted_utility_of(
+            ctx.view, ctx.labels["bin"], ctx.weights(model)))
+        ratio = rur(gamma_disc, ctx.utility(mc.pool, rule), ctx.bin_groups)
         return _ratio_rows(mc, ratio, [len(ctx.view.requests), 0], notes)
 
     if mc.name == "eel":
-        res = exposure_loss_of(ctx.view, ctx.labels["ext"], ctx.ext_groups, model,
-                               resolve_stop(model, ctx.qrels),
-                               ctx.exposures(model, binarized=False).eps, mc.pool)
+        res = exposure_loss(ctx.view, rule, *exposure_loss_of(
+            ctx.view, ctx.labels["ext"], model, resolve_stop(model, ctx.qrels),
+            ctx.exposures(model, binarized=False).eps, mc.pool))
         return [(res.eel, res.n_requests, res.n_skipped), (res.eer, res.n_requests, res.n_skipped)]
 
     if mc.name == "iaa":
         exposures = ctx.exposures(model, binarized=False)
         utils, has = predicted_utility_of(ctx.view, ctx.labels["ext"])
-        both = exposures.labeled & has
-        if not both.any():
-            raise AllDegenerate("no request has both exposure and predicted utility")
-        w = ctx.view.weight[both]
-        value = iaa(weighted_mean(exposures.eps[both], w), weighted_mean(utils[both], w))
-        n_req = len(ctx.view.requests)
-        return [(value, n_req, n_req - int(np.count_nonzero(both)))]
+        (eps, util), *counts = ctx.view.mean(rule, np.stack((exposures.eps, utils), axis=1),
+                                             exposures.labeled & has,
+                                             "no request has both exposure and predicted utility")
+        return [(iaa(eps, util), *counts)]
 
     if mc.name == "pair":
         sample = sample_pairs(ctx.view, ctx.labels["base"], ctx.groups, mc.n_negatives,

@@ -14,12 +14,15 @@ TARGET_MODES = ("catalog", "equal", "custom", "composition")
 
 class MetricSpec(Record):
     """One metric family: its default label, the config keys it reads with their defaults,
-    its rows (a name template and a ``Direction`` each) and whether it needs score files.
-    A template's ``{}`` is the label; under the default label a leading ``{}_`` is dropped."""
+    its rows (a name template and a ``Direction`` each), how ``compiled.reduce_requests``
+    weighs its requests (not a config key: ``uniform`` alike, so a draw count moves nothing,
+    or ``arrival`` by rho, their share of the draws) and whether it needs score files.  A
+    template's ``{}`` is the label; under the default label a leading ``{}_`` is dropped."""
 
     def __init__(self, label: str, keys: Mapping[str, object],
-                 rows: tuple[tuple[str, Direction], ...], needs_scores: bool = False):
-        self._set(label, keys, rows, needs_scores)
+                 rows: tuple[tuple[str, Direction], ...], request_weighting: str,
+                 needs_scores: bool = False):
+        self._set(label, keys, rows, request_weighting, needs_scores)
 
     def row_names(self, label: str) -> tuple[str, ...]:
         return tuple(template[3:] if label == self.label and template.startswith("{}_")
@@ -37,19 +40,21 @@ _RATIO = (("{}", Direction.ONE_IS_FAIR), ("log{}", Direction.ZERO_IS_FAIR))
 # Every metric family, in the default battery's order.
 FAMILIES = {
     "prefd": MetricSpec("prefD", {"dist": "nd", **_TARGET, "target": "composition", "step": 10},
-                        _ZERO),
-    "awrf": MetricSpec("AWRF", {**_GEOMETRIC, "dist": "nd", **_TARGET, "signed": False}, _ZERO),
-    "fair": MetricSpec("FAIR", _TARGET, (("{}", Direction.ONE_IS_FAIR),)),
-    "dp": MetricSpec("DP", _LOGARITHMIC, _RATIO),
-    "eed": MetricSpec("EED", _RBP, _ZERO),
-    "eur": MetricSpec("EUR", {**_LOGARITHMIC, "pool": "judged"}, _RATIO),
-    "rur": MetricSpec("RUR", {**_LOGARITHMIC, "pool": "judged"}, _RATIO),
+                        _ZERO, "uniform"),
+    "awrf": MetricSpec("AWRF", {**_GEOMETRIC, "dist": "nd", **_TARGET, "signed": False}, _ZERO,
+                       "uniform"),
+    "fair": MetricSpec("FAIR", _TARGET, (("{}", Direction.ONE_IS_FAIR),), "uniform"),
+    "dp": MetricSpec("DP", _LOGARITHMIC, _RATIO, "arrival"),
+    "eed": MetricSpec("EED", _RBP, _ZERO, "arrival"),
+    "eur": MetricSpec("EUR", {**_LOGARITHMIC, "pool": "judged"}, _RATIO, "arrival"),
+    "rur": MetricSpec("RUR", {**_LOGARITHMIC, "pool": "judged"}, _RATIO, "arrival"),
     "eel": MetricSpec("EEL", {**_RBP, "pool": "union"},
-                      (*_ZERO, ("{}_EER", Direction.HIGHER_IS_BETTER))),
-    "iaa": MetricSpec("IAA", _GEOMETRIC, _ZERO, needs_scores=True),
+                      (*_ZERO, ("{}_EER", Direction.HIGHER_IS_BETTER)), "arrival"),
+    "iaa": MetricSpec("IAA", _GEOMETRIC, _ZERO, "arrival", needs_scores=True),
+    # PAIR pools its pair counts over the scored requests, each once, whatever it draws.
     "pair": MetricSpec("PAIR", {"n_negatives": 10000}, (("{}_IntraAcc", Direction.ZERO_IS_FAIR),
                                                         ("{}_InterAcc", Direction.ZERO_IS_FAIR)),
-                       needs_scores=True),
+                       "uniform", needs_scores=True),
 }
 
 # The default battery's metric entries: each family once, and AWRF on the equal target.

@@ -649,8 +649,11 @@ def test_c10_scale_check(tmp_path):
     _report("C10", f"25 systems x 500 requests x depth-100 evaluated in {elapsed:.1f}s")
 
 
-def test_c10_scores_scale_check(tmp_path):
-    spec = SynthSpec(n_docs=5000, n_requests=500, n_systems=3, depth=100,
+def _c10_with_scores(tmp_path, n_systems):
+    """Evaluate the C10 shape with ``n_systems`` systems and one score file each, with the
+    default battery; check that every system has its score-file rows and return the
+    evaluate's wall time."""
+    spec = SynthSpec(n_docs=5000, n_requests=500, n_systems=n_systems, depth=100,
                      pool_size=150, seed=1, exposure_skew=0.6,
                      unlabeled_fraction=0.05)
     paths = generate(spec, tmp_path / "corpus")
@@ -664,10 +667,23 @@ def test_c10_scores_scale_check(tmp_path):
     start = time.time()
     assert main(argv) == 0
     elapsed = time.time() - start
-    assert elapsed < 15.0, f"scale evaluation with scores took {elapsed:.1f}s"
     rows = {(r.system, r.metric) for r in read_metrics_table(tmp_path / "out" / "metrics.csv")}
+    assert len(paths["systems"]) == n_systems
     for system in paths["systems"]:
         for metric in ("IAA", "IntraAcc", "InterAcc"):
             assert (system, metric) in rows, (system, metric)
+    return elapsed
+
+
+def test_c10_scores_scale_check(tmp_path):
+    elapsed = _c10_with_scores(tmp_path, 3)
+    assert elapsed < 15.0, f"scale evaluation with scores took {elapsed:.1f}s"
     _report("C10-scores", f"3 systems x 500 requests x depth-100 with score files "
                           f"evaluated in {elapsed:.1f}s")
+
+
+def test_c10_full_shape_with_scores_scale_check(tmp_path):
+    elapsed = _c10_with_scores(tmp_path, 25)
+    assert elapsed < 60.0, f"scale evaluation with scores took {elapsed:.1f}s"
+    _report("C10-scores-full", f"25 systems x 500 requests x depth-100 with score files "
+                               f"evaluated in {elapsed:.1f}s")

@@ -258,6 +258,18 @@ class TestEvaluate:
             rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
             assert rc == 2, text
 
+    def test_a_familys_request_weighting_is_no_config_key(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("metrics:\n  - {name: prefd, request_weighting: arrival}\n")
+        assert main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)])) == 2
+        assert "request_weighting" in caplog.text
+
+    def test_there_is_no_verbose_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-v", "compare", "--results", str(tmp_path)])
+        assert exc.value.code == 2 and "-v" in capsys.readouterr().err
+
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, caplog):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"

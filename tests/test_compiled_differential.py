@@ -35,7 +35,7 @@ from fairrank import (
 from fairrank.exposure import WEIGHT_KINDS, resolve_stop
 from fairrank.ingest import EvalConfig
 from fairrank.metrics_single import awrf_scores
-from fairrank.opportunity import discounted_utility_of, exposure_loss_of
+from fairrank.opportunity import discounted_utility_of, exposure_loss, exposure_loss_of
 from fairrank.pipeline import _Context
 
 from conftest import compile_run
@@ -223,14 +223,15 @@ def test_compiled_context_matches_oracles(corpus):
         want = oracle_group_utility(seq.requests(), rho, pools, grades, variants["bin"], 2)
     except EmptyGroup:
         with pytest.raises(EmptyGroup):
-            ctx.utility(pool)
+            ctx.utility(pool, "arrival")
     else:
-        assert _close(ctx.utility(pool), want)
+        assert _close(ctx.utility(pool, "arrival"), want)
     gamma_disc = sum(rho[q] * sum(_oracle_draw_exposure(r, variants["bin"], grades[q], 2, model,
                                                         y_max, utility=True)
                                   for r in seq.draws_for(q)) / len(seq.draws_for(q))
                      for q in seq.requests())
-    got = discounted_utility_of(view, ctx.labels["bin"], ctx.bin_groups, ctx.weights(model))
+    got, _ = view.reduce("arrival", *discounted_utility_of(view, ctx.labels["bin"],
+                                                            ctx.weights(model)))
     assert _close(got, gamma_disc)
 
     # expected exposure loss over the pool, with the ideal policy as target
@@ -248,13 +249,13 @@ def test_compiled_context_matches_oracles(corpus):
         eps_acc = eps_acc + rho[q] * exposures[view.request_index[q]]
         tgt_acc = tgt_acc + rho[q] * tgt
         weight += rho[q]
-    args = (view, ctx.labels["ext"], ctx.ext_groups, model, resolve_stop(model, rel),
-            exposures, pool)
+    args = (view, "arrival", *exposure_loss_of(view, ctx.labels["ext"], model,
+                                               resolve_stop(model, rel), exposures, pool))
     if weight == 0:
         with pytest.raises(AllDegenerate):
-            exposure_loss_of(*args)
+            exposure_loss(*args)
         return
-    res = exposure_loss_of(*args)
+    res = exposure_loss(*args)
     eps, tgt = eps_acc / weight, tgt_acc / weight
     assert (res.n_requests, res.n_skipped) == (len(seq.requests()), skipped)
     assert res.eel == pytest.approx(float((eps - tgt) @ (eps - tgt)), rel=1e-9, abs=1e-12)

@@ -37,9 +37,9 @@ from fairrank.ingest import EvalConfig
 from fairrank.metrics_single import awrf_scores, fair_scores, prefd_scores
 from fairrank.opportunity import (
     discounted_utility_of,
+    exposure_loss,
     exposure_loss_of,
     predicted_utility_of,
-    utility_of,
 )
 from fairrank.pipeline import _Context, _per_draw
 
@@ -212,7 +212,7 @@ def test_single_list_kernels_match_the_per_list_bodies(system, signed):
             label = f"AWRF_{dist}"
             notes = []
             try:
-                res = _per_draw(ctx, got, SimpleNamespace(label=label), notes)
+                res = _per_draw(ctx, got, SimpleNamespace(name="awrf", label=label), notes)
             except FairRankError as exc:
                 res = (type(exc), str(exc))
             want, want_notes = per_draw_of_rankings(ctx.view, outcomes, label, "s")
@@ -233,7 +233,7 @@ def test_request_kernels_match_the_per_request_bodies(system):
         if not isinstance(eps, Degenerate):
             exposures[q] = eps
     for pool in POOLS:
-        got = outcome(utility_of, view, binary, ctx.bin_groups, pool)
+        got = outcome(ctx.utility, pool, "arrival")
         want = outcome(request_group_utility, view, binary, 2, pool)
         assert type(got) is type(want)
         if not isinstance(want, Degenerate):
@@ -255,8 +255,8 @@ def test_request_kernels_match_the_per_request_bodies(system):
                 assert count[i] > 0 and np.array_equal(targets[i], want)
 
         try:
-            res = exposure_loss_of(view, ext, ctx.ext_groups, model, stop,
-                                   ctx.exposures(model, binarized=False).eps, pool)
+            res = exposure_loss(view, "arrival", *exposure_loss_of(
+                view, ext, model, stop, ctx.exposures(model, binarized=False).eps, pool))
             got = (res.eel, res.eer, res.eed_raw, res.n_requests, res.n_skipped)
         except FairRankError as exc:
             got = type(exc)
@@ -267,7 +267,7 @@ def test_request_kernels_match_the_per_request_bodies(system):
             want = type(exc)
         assert got == want
 
-    got = discounted_utility_of(view, binary, ctx.bin_groups, ctx.weights(model))
+    got, _ = view.reduce("arrival", *discounted_utility_of(view, binary, ctx.weights(model)))
     assert np.array_equal(got, request_discounted_utility(view, binary, 2, ctx.weights(model)))
 
     utils, has = predicted_utility_of(view, ext)

@@ -26,8 +26,10 @@ from fairrank.pipeline import evaluate_system
 from conftest import compile_run
 from oracles import (
     oracle_fair,
+    oracle_prefd_kl_raw,
     oracle_prefd_normalizer_exhaustive,
     oracle_prefd_raw,
+    oracle_prefd_sorted_normalizer,
 )
 
 
@@ -180,6 +182,14 @@ class TestPrefNormalizer:
                     pref_normalizer(n, k, p_hat)
             else:
                 assert pref_normalizer(n, k, p_hat) == pytest.approx(want, abs=1e-12)
+
+    def test_kl_scores_both_columns_against_the_two_group_target(self):
+        # one column alone is always at zero KL from (p_hat,), so kl needs both
+        for n, k, p_hat, step in ((20, 5, 0.25, 10), (12, 4, 0.5, 3), (15, 9, 0.3, 4)):
+            rows = [[1.0, 0.0] if i < k else [0.0, 1.0] for i in range(n)]
+            want = oracle_prefd_sorted_normalizer(
+                rows, lambda arr: oracle_prefd_kl_raw(arr, [p_hat, 1.0 - p_hat], step))
+            assert pref_normalizer(n, k, p_hat, "kl", step) == pytest.approx(want, abs=1e-12)
 
     def test_extremes_bound_random_arrangements(self):
         rng = np.random.default_rng(5)

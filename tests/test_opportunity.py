@@ -10,6 +10,7 @@ from fairrank import (
     DegenerateDenominator,
     DegenerateUtility,
     EmptyGroup,
+    FairRankError,
     GroupSpace,
     Ranking,
     RankingSequence,
@@ -53,6 +54,15 @@ class TestGroupUtility:
         seq = _seq([Ranking("q", ("b1", "b2"))])
         with pytest.raises(EmptyGroup):
             group_utility(seq, rel, al, GS)
+
+    def test_an_alignment_of_another_width_fails(self):
+        al = AlignmentMatrix({"a": [1, 0], "b": [0, 1]})
+        rel = RelevanceTable({"q": {"a": 1.0, "b": 1.0}})
+        seq = _seq([Ranking("q", ("a", "b"))])
+        three = GroupSpace(("A", "B", "C"), protected_index=0)
+        for fn, args in ((group_utility, ()), (discounted_group_utility, (GEO,))):
+            with pytest.raises(FairRankError, match="alignment width"):
+                fn(seq, rel, al, three, *args)
 
     def test_retrieved_pool_counts_unjudged_as_zero(self):
         al = AlignmentMatrix({"a": [1, 0], "b": [0, 1], "c": [1, 0]})

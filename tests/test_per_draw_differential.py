@@ -90,7 +90,7 @@ def test_per_draw_matches_draw_by_draw_oracle(corpus, data):
     scores = list_scores([outcome(fn, r) for r in view_rankings(view)])
     try:
         got = _per_draw(SimpleNamespace(view=view, system="s"), scores,
-                        SimpleNamespace(label="M"), notes)
+                        SimpleNamespace(name="prefd", label="M"), notes)
     except FairRankError as exc:
         got = (type(exc), str(exc))
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
@@ -112,8 +112,8 @@ def test_per_draw_reuses_a_raising_ranking_for_each_draw():
     view = compile_sequence(seq)
     assert len(view_rankings(view)) == 3  # three distinct rankings, four draws
     scores = list_scores([outcome(fn, r) for r in view_rankings(view)])
-    got = _per_draw(SimpleNamespace(view=view, system="s"), scores, SimpleNamespace(label="M"),
-                    notes)
+    got = _per_draw(SimpleNamespace(view=view, system="s"), scores,
+                    SimpleNamespace(name="prefd", label="M"), notes)
     want, want_notes = oracle_per_draw(seq, fn, "M", "s")
     assert got == as_row(want) and notes == want_notes
     assert got[1:] == (2, 1)  # two requests, one degenerate

@@ -57,12 +57,15 @@ class Case:
 
 
 CASES = [
-    Case(MetricSpec, ("X", {"gamma": 0.5}, (("{}", ZERO),)),
-         {"label": "X", "keys": {"gamma": 0.5}, "rows": (("{}", ZERO),)},
-         {"label": "X", "keys": {"gamma": 0.5}, "rows": (("{}", ZERO),), "needs_scores": False},
-         lambda: MetricSpec("X", {"gamma": 0.5}, (("{}", ZERO),), True),
+    Case(MetricSpec, ("X", {"gamma": 0.5}, (("{}", ZERO),), "arrival"),
+         {"label": "X", "keys": {"gamma": 0.5}, "rows": (("{}", ZERO),),
+          "request_weighting": "arrival"},
+         {"label": "X", "keys": {"gamma": 0.5}, "rows": (("{}", ZERO),),
+          "request_weighting": "arrival", "needs_scores": False},
+         lambda: MetricSpec("X", {"gamma": 0.5}, (("{}", ZERO),), "uniform"),
          "MetricSpec(label='X', keys={'gamma': 0.5}, rows=(('{}', "
-         "<Direction.ZERO_IS_FAIR: 'ZeroIsFair'>),), needs_scores=False)",
+         "<Direction.ZERO_IS_FAIR: 'ZeroIsFair'>),), request_weighting='arrival', "
+         "needs_scores=False)",
          hashable=False),
     Case(MetricResult, ("AWRF", "s1", 0.25, 10, 2, ZERO),
          {"metric": "AWRF", "system": "s1", "value": 0.25, "n_requests": 10,

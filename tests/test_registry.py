@@ -74,12 +74,13 @@ def _readme_row(name, spec):
                      for key, default in spec.keys.items())
     rows = ", ".join(f"`{row}`" for row in spec.row_names("<label>"))
     return (f"| `{name}` | `{spec.label}` | {keys} | {rows}"
-            f"{', with `--scores`' if spec.needs_scores else ''} |")
+            f"{', with `--scores`' if spec.needs_scores else ''} | {spec.request_weighting} |")
 
 
 def test_the_readme_table_states_the_registry():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    header = "| `name` | default `label` | other keys it reads (default) | rows it writes |\n"
+    header = ("| `name` | default `label` | other keys it reads (default) | rows it writes "
+              "| requests weighted |\n")
     table = readme[readme.index(header):].split("\n\n", 1)[0].splitlines()[2:]
     assert table == [_readme_row(name, spec) for name, spec in FAMILIES.items()]
 
