@@ -14,19 +14,17 @@ _MODULE_NAMES = {
                "DegenerateUtility", "Direction", "EmptyGroup", "FairRankError", "NoPairs",
                "ParseError", "UndefinedNormalizer", "UnknownRequest"),
     "core": ("AlignmentMatrix", "GroupSpace", "Ranking", "RankingSequence", "RelevanceTable",
-             "TargetDistribution", "apply_unknown_policy", "binarize", "protected_mask"),
-    "distance": ("delta", "delta_kl", "delta_nd", "delta_rd"),
-    "exposure": ("WeightModel", "group_exposure", "position_weights", "request_exposure",
-                 "system_exposure", "target_exposure"),
+             "TargetDistribution", "apply_unknown_policy", "binarize"),
+    "exposure": ("WeightModel", "position_weights", "request_exposure", "target_exposure"),
     "metrics_multi": ("demographic_parity", "eed"),
     "metrics_single": ("SingleListResult", "awrf", "fair_score", "pref_fairness",
                        "pref_normalizer"),
     "opportunity": ("ExpectedExposureResult", "discounted_group_utility", "ee_decompose", "eur",
                     "expected_exposure", "group_utility", "iaa", "rur"),
     "pairwise": ("PairCounts", "PairSample", "accuracy_table", "intra_inter",
-                 "pairwise_accuracy", "sample_pairs"),
-    "report": ("CorrelationMatrix", "MetricResult", "aggregate", "correlation_matrix",
-               "emit_tables", "kendall_tau_c"),
+                 "pairwise_accuracy"),
+    "report": ("CorrelationMatrix", "MetricResult", "correlation_matrix", "emit_tables",
+               "kendall_tau_c"),
 }
 _MODULE_OF = {name: module for module, names in _MODULE_NAMES.items() for name in names}
 
@@ -34,7 +32,8 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _MODULE_NAMES or name == "compiled":  # submodules once imported eagerly
+    # submodules the package once imported eagerly
+    if name in _MODULE_NAMES or name in ("compiled", "distance"):
         return importlib.import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:

@@ -57,8 +57,10 @@ def _bind_evaluate_names() -> None:
 
 def _resolve_groups(groups: GroupSpace, config: EvalConfig) -> GroupSpace:
     """Attach protected/unknown indices from config labels (default: first group)."""
-    protected = config.protected if config.protected is not None else groups.names[0]
-    p = groups.index_of(protected)
+    for key, label in (("protected", config.protected), ("unknown", config.unknown)):
+        if label is not None and label not in groups.names:
+            raise ConfigError(f"unknown group label {label!r}", key)
+    p = groups.index_of(config.protected if config.protected is not None else groups.names[0])
     u = groups.index_of(config.unknown) if config.unknown is not None else None
     if u == p:
         raise ConfigError("protected and unknown labels coincide", "unknown")

@@ -383,25 +383,6 @@ def single_draw_order(requests: Sequence[str]) -> list[int]:
     return sorted(range(len(requests)), key=requests.__getitem__)
 
 
-def protected_mask(
-    ranking: Ranking,
-    alignment: AlignmentMatrix,
-    groups: GroupSpace,
-    threshold: float = 0.5,
-) -> np.ndarray:
-    """Boolean protected-membership per labeled document, in rank order.
-
-    A document is protected iff its protected alignment mass is >= threshold.
-    Unlabeled documents are excluded (they belong to neither class), so the
-    mask may be shorter than the ranking.
-    """
-    p = groups.require_protected()
-    if not 0 < threshold <= 1:
-        raise FairRankError(f"threshold must lie in (0, 1], got {threshold}")
-    rows = alignment.indices(ranking.docs)
-    return alignment.dense()[rows[rows >= 0], p] >= threshold
-
-
 def binarize(
     alignment: AlignmentMatrix,
     groups: GroupSpace,
@@ -413,8 +394,9 @@ def binarize(
     itself is named ``rest``.
 
     Metrics built on binomial group counts or ratios need definitive
-    membership; this applies the same >= threshold rule as ``protected_mask``.
-    Unlabeled documents stay unlabeled.
+    membership; a document is protected iff its protected mass is >= threshold,
+    the rule prefD, FAIR and pair counting apply to soft rows.  Unlabeled
+    documents stay unlabeled.
     """
     p = groups.require_protected()
     if not 0 < threshold <= 1:

@@ -6,65 +6,20 @@ protected group's share); ``kl`` is multinomial.  The binomial deltas are
 signed: positive means the protected group is over-represented.  Callers
 needing an unfairness magnitude take the absolute value.  ``deltas_of``
 compares every row of an array at once, against one target or a target per
-row; the one-vector functions are calls to it, and so are AWRF's exposure
-shares and prefD's prefix shares.
+row; AWRF's exposure shares and prefD's prefix shares are both compared by it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DISTRIBUTION_ATOL, DegenerateDenominator, FairRankError
+from .core import FairRankError
 
 DISTANCE_KINDS = ("nd", "rd", "kl")
 
 # Zero-target smoothing floor for KL; keeps the divergence finite when the
 # observed distribution puts mass on a zero-target group.
 KL_TARGET_FLOOR = 1e-10
-
-
-def _check_distribution(vec: np.ndarray, name: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise FairRankError(f"{name} must be a non-empty 1-D distribution")
-    if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-        raise FairRankError(f"{name} entries must be finite and non-negative")
-    if abs(float(vec.sum()) - 1.0) > DISTRIBUTION_ATOL:
-        raise FairRankError(f"{name} must sum to 1 (got {vec.sum():.9g})")
-    return vec
-
-
-def delta_nd(observed: np.ndarray, target: np.ndarray, protected_index: int = 0) -> float:
-    """Signed difference of protected shares: observed - target."""
-    return delta("nd", observed, target, protected_index)
-
-
-def delta_rd(observed: np.ndarray, target: np.ndarray, protected_index: int = 0) -> float:
-    """Signed difference of protected/unprotected odds ratios."""
-    return delta("rd", observed, target, protected_index)
-
-
-def delta_kl(observed: np.ndarray, target: np.ndarray) -> float:
-    """KL divergence (bits) of observed from target, with a floored target.
-
-    Target entries are floored at 1e-10 and renormalized, so the result is
-    always finite; 0 * log(0/t) terms contribute nothing.
-    """
-    return delta("kl", observed, target)
-
-
-def delta(
-    kind: str,
-    observed: np.ndarray,
-    target: np.ndarray,
-    protected_index: int | None = None,
-) -> float:
-    """Dispatch on the distance kind (nd | rd | kl)."""
-    values, reasons = deltas_of(kind, _check_distribution(observed, "observed")[None],
-                                _check_distribution(target, "target"), protected_index)
-    if reasons[0] is not None:
-        raise DegenerateDenominator(reasons[0])
-    return float(values[0])
 
 
 # why a rd delta is undefined
@@ -74,9 +29,14 @@ ALL_PROTECTED_TARGET = "target places all mass on the protected group"
 
 def deltas_of(kind: str, observed: np.ndarray, target: np.ndarray,
               protected_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``delta`` of each row (last axis) of ``observed`` against ``target``, one row for
+    """The distance of each row (last axis) of ``observed`` from ``target``, one row for
     all or one per observed row (broadcast), all known to be distributions: the values,
-    and per row None or why its rd delta is undefined (the value is then NaN)."""
+    and per row None or why its rd delta is undefined (the value is then NaN).
+
+    ``nd`` is the signed difference of the protected shares (observed - target),
+    ``rd`` that of the protected/unprotected odds ratios, and ``kl`` the KL
+    divergence in bits of observed from the floored target (see ``_kl``).
+    """
     _check_kind(kind, protected_index)
     reasons = np.full(observed.shape[:-1], None, dtype=object)
     if kind == "kl":

@@ -15,12 +15,12 @@ metrics) is built from it.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .compiled import (CompiledSystem, as_grid, by_key, compile_sequence, left_justified,
-                       reduce_requests, sorted_distinct)
+                       sorted_distinct)
 from .core import (
     AlignmentMatrix,
     Degenerate,
@@ -182,37 +182,6 @@ def request_exposures(per_ranking: np.ndarray, count: np.ndarray,
     return RequestExposure(request_means(per_ranking, view), labeled)
 
 
-def group_exposure(
-    ranking: Ranking,
-    alignment: AlignmentMatrix,
-    weights: np.ndarray,
-    groups: GroupSpace,
-    normalize: bool = False,
-) -> np.ndarray:
-    """Accumulate position weight into groups: eps[g] = sum_i a_{d_i}[g] * w_i.
-
-    Unlabeled documents keep their positions (they influenced the weights)
-    but contribute no mass.  ``normalize`` rescales eps to sum to one, the
-    form required by distance-based comparisons.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != len(ranking):
-        raise FairRankError("weights are not aligned to the ranking")
-    _check_width(alignment, groups)
-    eps, count = exposures_of(weights, alignment.indices(ranking.docs)[None], alignment.dense())
-    if not count[0]:
-        raise Degenerate("no labeled documents in ranking")
-    return normalized(eps[0]) if normalize else eps[0]
-
-
-def normalized(eps: np.ndarray) -> np.ndarray:
-    """Exposure rescaled to sum to one."""
-    total = float(eps.sum())
-    if total <= 0:
-        raise Degenerate("labeled documents received zero exposure mass")
-    return eps / total
-
-
 def _check_width(alignment: AlignmentMatrix, groups: GroupSpace) -> None:
     if alignment.n_groups != groups.g:
         raise FairRankError("alignment width does not match the group space")
@@ -243,27 +212,6 @@ def request_exposure(
     if not exposures.labeled[i]:
         raise Degenerate("no labeled documents in any draw")
     return exposures.eps[i]
-
-
-def system_exposure(
-    per_request: Mapping[str, np.ndarray],
-    rho: Mapping[str, float] | None = None,
-) -> np.ndarray:
-    """Request-arrival-weighted mean of per-request exposure vectors.
-
-    ``rho`` defaults to uniform; when given, it is renormalized over the
-    requests actually present, which are added in sorted order.
-    """
-    if not per_request:
-        raise FairRankError("no per-request exposure vectors to aggregate")
-    keys = sorted(per_request)
-    rule, weights = (("uniform", None) if rho is None else
-                     ("arrival", np.array([float(rho.get(q, 0.0)) for q in keys])))
-    sums, mass = reduce_requests(rule, np.stack([per_request[q] for q in keys]),
-                                 np.ones(len(keys), dtype=bool), weights, np.arange(len(keys)))
-    if not mass > 0:
-        raise FairRankError("request weights assign no mass to the given requests")
-    return sums / mass
 
 
 def target_exposure(

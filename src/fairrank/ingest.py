@@ -498,7 +498,13 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
     header = (rows[0].split(",") if isinstance(rows[0], str) else rows[0]) if rows else []
     if len(header) < 2:
         raise ParseError("alignment header must be docid,<group1>,...", 1)
-    g = len(header) - 1
+    names = tuple(name.strip() for name in header[1:])
+    if "" in names:
+        raise ParseError("alignment header has an empty group label", 1)
+    again = _repeats(list(names))
+    if again:
+        raise ParseError(f"alignment header repeats group label {names[again[0]]!r}", 1)
+    g = len(names)
     table = _tabulate(rows[1:], g + 1, ",", f"expected {g + 1} columns, got {{}}",
                       first_line=2, error=error)
     n = table.n  # the columns' length
@@ -528,8 +534,7 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
     if repeated:  # a repeated document keeps its first position and takes its last row
         last = dict(zip(kept_docs, range(len(kept_docs))))
         kept_docs, vals = list(last), vals[list(last.values())]
-    return (AlignmentMatrix._stacked(kept_docs, vals),
-            GroupSpace(tuple(name.strip() for name in header[1:])))
+    return AlignmentMatrix._stacked(kept_docs, vals), GroupSpace(names)
 
 
 def write_alignment(fh: TextIO, alignment: AlignmentMatrix, groups: GroupSpace) -> None:
@@ -591,10 +596,6 @@ def parse_sequence(source: TextIO | Iterable[str] | str | Path, run: RunFile) ->
     requests, rankings = run.table.requests, run.rankings
     return RankingSequence(tuple((q, rankings[q]) for q in map(
         requests.__getitem__, read_draws(source).resolve(requests).tolist())))
-
-
-def write_sequence(fh: TextIO, seq: RankingSequence) -> None:
-    write_draws(fh, [qid for qid, _ in seq.draws])
 
 
 def write_draws(fh: TextIO, qids: Sequence[str]) -> None:

@@ -1,7 +1,7 @@
 """Statistical parity over ranking sequences: exposure ratio and disparity.
 
-Both operate on a system-level expected exposure vector (see
-``exposure.system_exposure``).  The demographic-parity ratio compares
+Both operate on a system-level expected exposure vector: the requests'
+exposures combined by ``compiled.reduce_requests``.  The demographic-parity ratio compares
 protected to unprotected exposure (1 is fair); expected exposure disparity
 is the squared L2 norm of the exposure distribution (minimized, at 1/g, when
 all groups are equally exposed).

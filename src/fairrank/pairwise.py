@@ -8,7 +8,7 @@ binarized convention: 0 = protected, 1 = unprotected.
 Pairs are counted, never materialized: per (group_hi, group_lo) cell the
 sample keeps twice the hits (a correctly ordered pair adds 2, a tie 1) and
 the number of pairs that Beutel et al.'s uniform negative sampling gives in
-expectation (see ``sample_pairs``), so every accuracy is the ratio it estimates.
+expectation (see ``sample_pairs_of``), so every accuracy is the ratio it estimates.
 """
 
 from __future__ import annotations
@@ -17,15 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .compiled import CompiledSystem, Labels, compile_sequence, sorted_distinct
-from .core import (
-    AlignmentMatrix,
-    FairRankError,
-    GroupSpace,
-    NoPairs,
-    RankingSequence,
-    RelevanceTable,
-)
+from .compiled import CompiledSystem, Labels, sorted_distinct
+from .core import FairRankError, GroupSpace, NoPairs
 from .record import Record
 
 
@@ -77,15 +70,10 @@ def _count(twice_hits: np.ndarray, totals: np.ndarray, keys: np.ndarray, groups:
         totals[:, lo_group] += np.bincount(hi_groups, n_below * weight, minlength=2)
 
 
-def sample_pairs(
-    relevance: RelevanceTable,
-    scores: Mapping[str, Mapping[str, float]],
-    alignment: AlignmentMatrix,
-    groups: GroupSpace,
-    n_negatives: int = 10000,
-    threshold: float = 0.5,
-) -> PairSample:
-    """Count relevant-vs-negative pairs, as expected under uniform negative sampling.
+def sample_pairs_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, n_negatives: int,
+                    threshold: float) -> PairSample:
+    """Count the relevant-vs-negative pairs of a compiled system's scored documents, on one
+    alignment variant, as expected under uniform negative sampling.
 
     Per request, the scored labeled documents split into positives (grade >
     0) and negatives (unjudged or judged non-relevant).  Each positive is
@@ -94,17 +82,8 @@ def sample_pairs(
     uniform sample of ``n_negatives`` of them holds it.  Nothing is drawn.  In
     a pool of at most ``n_negatives`` each pair counts 1, and a pool smaller
     than ``n_negatives`` is counted in ``n_fallback``.  Pairs of relevant
-    documents with differing grades always count 1.
-    """
-    view = compile_sequence(RankingSequence(()), relevance, scores=scores)
-    return sample_pairs_of(view, view.labels(alignment), groups, n_negatives, threshold)
-
-
-def sample_pairs_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, n_negatives: int,
-                    threshold: float) -> PairSample:
-    """``sample_pairs`` of a compiled system's scored documents, on one alignment variant.
-
-    One pass counts positives against negatives, and one per grade against lower grades.
+    documents with differing grades always count 1.  One pass counts positives
+    against negatives, and one per grade against lower grades.
     """
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")

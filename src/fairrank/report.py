@@ -1,4 +1,4 @@
-"""System-level aggregation, metric directionality, and rank correlation.
+"""Metric rows, metric directionality, and rank correlation.
 
 Every emitted metric row carries a direction (which end of its range is
 fair).  Correlations between metrics use Kendall's tau-c (Stuart's variant)
@@ -6,8 +6,7 @@ over system orderings, after orienting each metric so that larger means
 fairer; by default, signed zero-is-fair metrics enter as magnitudes.  The
 ``registry`` names the matrix's row order and the raw ratio rows it leaves out.
 
-The correlation side is plain Python, so ``compare`` runs without numpy; only
-``aggregate``, a library function that ``evaluate`` does not call, imports it.
+The module is plain Python, so ``compare`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .errors import AllDegenerate, Degenerate, Direction, FairRankError
+from .errors import Degenerate, Direction, FairRankError
 from .record import Record
 from .registry import BATTERY_ROWS, RATIO_ROWS
 
@@ -45,24 +44,6 @@ class CorrelationMatrix(Record):
 
     def tau(self, a: str, b: str) -> float:
         return self.taus[self.metrics.index(a), self.metrics.index(b)]
-
-
-def aggregate(
-    per_request: Mapping[str, float],
-    degenerate_flags: Mapping[str, str],
-    metric: str,
-    system: str,
-    direction: Direction,
-) -> MetricResult:
-    """Mean over non-degenerate requests, with degenerate counts retained."""
-    import numpy as np  # evaluate path only; compare never loads numpy
-
-    values = [v for q, v in per_request.items() if q not in degenerate_flags]
-    n_requests = len(per_request) + sum(1 for q in degenerate_flags if q not in per_request)
-    if not values:
-        raise AllDegenerate(f"every request degenerate for {metric}")
-    return MetricResult(metric, system, float(np.mean(values)), n_requests,
-                        len(degenerate_flags), direction)
 
 
 def orient(values: Iterable[float], direction: Direction | None,

@@ -7,10 +7,15 @@ from fairrank import (
     FairRankError,
     GroupSpace,
     Ranking,
+    RankingSequence,
     RelevanceTable,
     request_exposure,
 )
-from fairrank.compiled import compile_sequence
+from fairrank.compiled import compile_sequence, reduce_requests
+from fairrank.distance import deltas_of
+from fairrank.exposure import exposures_of
+from fairrank.metrics_single import fair_scores
+from fairrank.pairwise import sample_pairs_of
 from fairrank.pipeline import SharedInputs
 
 
@@ -57,6 +62,47 @@ def request_exposures(seq, relevance, alignment, groups, model):
         except Degenerate:
             pass
     return out
+
+
+def exposure_of(ranking, alignment, weights):
+    """One ranking's raw group exposure and labeled count, by the batch kernel
+    ``exposures_of`` on a batch of one; an all-unlabeled ranking gives zeros and 0."""
+    eps, count = exposures_of(np.asarray(weights, dtype=float),
+                              alignment.indices(ranking.docs)[None], alignment.dense())
+    return eps[0], int(count[0])
+
+
+def mean_exposure(per_request, rho=None):
+    """Per-request exposure vectors combined by ``reduce_requests``, in sorted request
+    order: their mean, or their mean weighted by ``rho``."""
+    keys = sorted(per_request)
+    weight = None if rho is None else np.array([rho.get(q, 0.0) for q in keys])
+    sums, mass = reduce_requests("uniform" if rho is None else "arrival",
+                                 np.stack([per_request[q] for q in keys]),
+                                 np.ones(len(keys), dtype=bool), weight, np.arange(len(keys)))
+    return sums / mass
+
+
+def distance_of(kind, observed, target, protected_index=None):
+    """One distribution's distance from ``target`` by ``deltas_of``: the value and None,
+    or NaN and why the rd delta is undefined."""
+    values, reasons = deltas_of(kind, np.asarray(observed, dtype=float)[None],
+                                np.asarray(target, dtype=float), protected_index)
+    return float(values[0]), reasons[0]
+
+
+def pair_sample(relevance, scores, alignment, groups, n_negatives=10000, threshold=0.5):
+    """``sample_pairs_of`` over score tables given as ``{request: {document: score}}``,
+    compiled through a corpus of their own."""
+    view = compile_sequence(RankingSequence(()), relevance, scores=scores)
+    return sample_pairs_of(view, view.labels(alignment), groups, n_negatives, threshold)
+
+
+def fair_of(ranking, alignment, p_hat):
+    """One ranking's FAIR outcome, a document protected at a group-0 mass >= 0.5, by the
+    batch kernel ``fair_scores`` on a batch of one."""
+    return fair_scores(alignment.indices(ranking.docs)[None], alignment.dense(), 0, p_hat,
+                       0.5).only("fair")
 
 
 def compile_run(seq, qrels, alignment, groups, config, scores=None):

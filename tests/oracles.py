@@ -14,10 +14,19 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.stats import kendalltau
 
-from fairrank import Degenerate, Direction, FairRankError, NoPairs
+from fairrank import AllDegenerate, Degenerate, Direction, FairRankError, MetricResult, NoPairs
 from fairrank.registry import BATTERY_ROWS as CANONICAL_ORDER
 from fairrank.registry import RATIO_ROWS as CORRELATION_EXCLUDE
-from fairrank.report import aggregate
+
+
+def aggregate(per_request, degenerate_flags, metric, system, direction):
+    """Mean over non-degenerate requests, with degenerate counts retained."""
+    values = [v for q, v in per_request.items() if q not in degenerate_flags]
+    n_requests = len(per_request) + sum(1 for q in degenerate_flags if q not in per_request)
+    if not values:
+        raise AllDegenerate(f"every request degenerate for {metric}")
+    return MetricResult(metric, system, float(np.mean(values)), n_requests,
+                        len(degenerate_flags), direction)
 
 
 def oracle_weights(kind, gamma, positions, grades=None, stop=None):

@@ -15,7 +15,6 @@ import pytest
 
 from fairrank import (
     AlignmentMatrix,
-    Degenerate,
     DegenerateDenominator,
     DegenerateUtility,
     EmptyGroup,
@@ -28,9 +27,6 @@ from fairrank import (
     WeightModel,
     accuracy_table,
     awrf,
-    delta_kl,
-    delta_nd,
-    delta_rd,
     demographic_parity,
     discounted_group_utility,
     ee_decompose,
@@ -38,7 +34,6 @@ from fairrank import (
     eur,
     expected_exposure,
     fair_score,
-    group_exposure,
     group_utility,
     iaa,
     intra_inter,
@@ -47,20 +42,18 @@ from fairrank import (
     position_weights,
     pref_fairness,
     pref_normalizer,
-    protected_mask,
     rur,
-    sample_pairs,
-    system_exposure,
     request_exposure,
     target_exposure,
 )
 from fairrank.cli import main
+from fairrank.distance import ZERO_UNPROTECTED_SHARE
 from fairrank.exposure import weight_vector
 from fairrank.ingest import parse_alignment, parse_run, parse_sequence
 from fairrank.report import correlation_matrix, read_metrics_table
 from fairrank.synth import SynthSpec, generate
 
-from conftest import share_pair
+from conftest import distance_of, exposure_of, fair_of, mean_exposure, pair_sample, share_pair
 from oracles import (
     oracle_fair,
     oracle_group_exposure,
@@ -108,15 +101,16 @@ def test_c01_hand_value_suite():
     w = position_weights(GEO, r)
     raw_oracle = oracle_group_exposure(["a", "b"], {"a": [1, 0], "b": [0, 1]},
                                        oracle_weights("geometric", 0.5, [1, 2]), 2)
-    check("group-exposure-raw", group_exposure(r, al, w, GS).tolist(), raw_oracle.tolist())
+    eps = exposure_of(r, al, w)[0]
+    check("group-exposure-raw", eps.tolist(), raw_oracle.tolist())
     assert raw_oracle == pytest.approx([0.5, 0.25])
-    check("group-exposure-norm", group_exposure(r, al, w, GS, normalize=True).tolist(),
+    check("group-exposure-norm", (eps / eps.sum()).tolist(),
           (raw_oracle / raw_oracle.sum()).tolist())
 
     # weighted system exposure
     per = {"q1": np.array([1.0, 0.0]), "q2": np.array([0.0, 1.0])}
     check("system-exposure-weighted",
-          system_exposure(per, {"q1": 0.25, "q2": 0.75}).tolist(),
+          mean_exposure(per, {"q1": 0.25, "q2": 0.75}).tolist(),
           [0.25 * 1.0, 0.75 * 1.0])
 
     # target exposure over the two ideal orderings of grades [1,1,0]
@@ -132,12 +126,12 @@ def test_c01_hand_value_suite():
     assert tgt_oracle == pytest.approx([0.75, 0.125])
 
     # distances
-    check("delta-nd-under", delta_nd(share_pair(0.3), share_pair(0.5)), 0.3 - 0.5)
-    check("delta-nd-over", delta_nd(share_pair(1.0), share_pair(0.5)), 1.0 - 0.5)
-    check("delta-rd", delta_rd(share_pair(0.2), share_pair(0.5)), 0.25 - 1.0)
-    check("delta-kl-max", delta_kl(np.array([1.0, 0.0]), np.array([0.5, 0.5])),
+    check("delta-nd-under", distance_of("nd", share_pair(0.3), share_pair(0.5), 0)[0], 0.3 - 0.5)
+    check("delta-nd-over", distance_of("nd", share_pair(1.0), share_pair(0.5), 0)[0], 1.0 - 0.5)
+    check("delta-rd", distance_of("rd", share_pair(0.2), share_pair(0.5), 0)[0], 0.25 - 1.0)
+    check("delta-kl-max", distance_of("kl", [1.0, 0.0], [0.5, 0.5])[0],
           oracle_kl_bits([1.0, 0.0], [0.5, 0.5]))
-    check("delta-kl-hand", delta_kl(np.array([0.75, 0.25]), np.array([0.5, 0.5])),
+    check("delta-kl-hand", distance_of("kl", [0.75, 0.25], [0.5, 0.5])[0],
           oracle_kl_bits([0.75, 0.25], [0.5, 0.5]))
 
     # prefix fairness: protected block first, composition target
@@ -228,7 +222,7 @@ def test_c01_hand_value_suite():
                   "q3": {"e": 0.5, "f": 0.5}}
     tie_rel = RelevanceTable({"q1": {"a": 1.0}, "q2": {"c": 1.0}, "q3": {"e": 1.0}})
     tie_al = AlignmentMatrix({d: [1, 0] if d in "ace" else [0, 1] for d in "abcdef"})
-    pairs = sample_pairs(tie_rel, tie_scores, tie_al, GS).pairs
+    pairs = pair_sample(tie_rel, tie_scores, tie_al, GS).pairs
     check("pairwise-tie-rule", pairwise_accuracy(pairs, 0, 1), (1 + 1 + 0.5) / 3)
     check("intra-inter-hand",
           intra_inter({(1, 1): 0.9, (0, 0): 0.7, (1, 0): 0.8, (0, 1): 0.8}), (0.2, 0.0))
@@ -236,7 +230,7 @@ def test_c01_hand_value_suite():
     sc6 = {"q": {"p1": 0.9, "n1": 0.5, "n2": 0.7}}
     al6 = AlignmentMatrix({"p1": [1, 0], "n1": [0, 1], "n2": [0, 1]})
     check("sample-pairs-count",
-          len(sample_pairs(rel6, sc6, al6, GS, n_negatives=10).pairs), 2)
+          len(pair_sample(rel6, sc6, al6, GS, n_negatives=10).pairs), 2)
 
     # tau-c
     check("tau-one-swap", kendall_tau_c([1, 2, 3, 4], [1, 3, 2, 4]),
@@ -283,7 +277,7 @@ def test_c01_synth_unbiased_dp_near_parity(tmp_path):
     bal, bgs = binarize(al, gs)
     model = WeightModel("logarithmic")
     per = {q: request_exposure(seq, q, bal, bgs, model) for q in seq.requests()}
-    dp_impl = demographic_parity(system_exposure(per, seq.rho()), bgs)
+    dp_impl = demographic_parity(mean_exposure(per, seq.rho()), bgs)
     assert dp_impl == pytest.approx(dp_oracle, abs=TOL)
     assert abs(math.log2(dp_impl)) < 0.5, f"DP={dp_impl} too far from parity"
     _report("C1", f"unbiased synthetic system has DP={dp_impl:.3f} (~1), "
@@ -408,16 +402,16 @@ def test_c04_ranges_and_fair_endpoints():
         res = pref_fairness(ranking, al, GS)
         if math.isfinite(res.value):
             assert 0.0 <= res.value <= 1.0
-        mask = protected_mask(ranking, al, GS)
-        if mask.size:
-            assert 0.0 <= fair_score(mask, 0.5).value <= 1.0
+        res = fair_of(ranking, al, 0.5)
+        if res.ok:
+            assert 0.0 <= res.value <= 1.0
         try:
             ee = expected_exposure(seq, rel, al, GS, GEO)
             assert ee.eel >= 0.0
         except Exception:
             pass
         per = {"q": request_exposure(seq, "q", al, GS, GEO, rel)}
-        eps = system_exposure(per)
+        eps = mean_exposure(per)
         assert eed(eps) >= 0.0
         util = np.array([sum(v for d, v in scores["q"].items()
                              if d in al and al.row(d)[g] > 0.5) for g in range(2)])
@@ -457,7 +451,7 @@ def test_c04_ranges_and_fair_endpoints():
     sc_s = {"q": {"p_hi": 0.9, "u_hi": 0.9, "p_lo": 0.4, "u_lo": 0.4,
                   "p_n": 0.1, "u_n": 0.1}}
     al_s = AlignmentMatrix({d: [1, 0] if d.startswith("p") else [0, 1] for d in sc_s["q"]})
-    sample = sample_pairs(rel_s, sc_s, al_s, GS, n_negatives=100)
+    sample = pair_sample(rel_s, sc_s, al_s, GS, n_negatives=100)
     intra, inter_ = intra_inter(accuracy_table(sample.pairs))
     assert abs(intra) < 1e-6 and abs(inter_) < 1e-6
 
@@ -467,8 +461,8 @@ def test_c04_ranges_and_fair_endpoints():
 
 def test_c05_edge_case_ledger():
     # empty unprotected side: ratio distance blows up, never a finite value
-    with pytest.raises(DegenerateDenominator):
-        delta_rd(share_pair(1.0), share_pair(0.5))
+    value, reason = distance_of("rd", share_pair(1.0), share_pair(0.5), 0)
+    assert reason == ZERO_UNPROTECTED_SHARE and math.isnan(value)
 
     al_all_prot = AlignmentMatrix({f"d{i}": [1, 0] for i in range(12)})
     r_all_prot = Ranking("q", tuple(f"d{i}" for i in range(12)))
@@ -503,8 +497,8 @@ def test_c05_edge_case_ledger():
     assert res.degenerate == "no_labeled_docs" and math.isnan(res.value)
     res = awrf(r_unl, al_none, GS, GEO, TargetDistribution(np.array([0.5, 0.5])))
     assert res.degenerate is not None and math.isnan(res.value)
-    with pytest.raises(Degenerate):
-        group_exposure(r_unl, al_none, np.ones(3), GS)
+    eps, count = exposure_of(r_unl, al_none, np.ones(3))
+    assert count == 0 and not eps.any()
 
     # short list
     r_short = Ranking("q", tuple(f"d{i}" for i in range(8)))
@@ -526,7 +520,7 @@ def test_c06_pairwise_oracle_and_antisymmetry():
         labels = {d: int(rng.integers(0, 2)) for d in docs}
         rel = RelevanceTable({"q": judged})
         al = AlignmentMatrix({d: [1, 0] if g == 0 else [0, 1] for d, g in labels.items()})
-        sample = sample_pairs(rel, {"q": scores}, al, GS, n_negatives=10**6)
+        sample = pair_sample(rel, {"q": scores}, al, GS, n_negatives=10**6)
         cells = {}
         for g1 in (0, 1):
             for g2 in (0, 1):

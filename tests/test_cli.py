@@ -5,8 +5,12 @@ import sys
 
 import pytest
 
+from fairrank import GroupSpace
 from fairrank.cli import main
-from fairrank.ingest import parse_alignment, parse_qrels, parse_run
+from fairrank.compiled import CompiledSystem, Corpus
+from fairrank.ingest import (load_config, parse_alignment, parse_qrels, parse_run, parse_scores,
+                             read_draws)
+from fairrank.pipeline import SharedInputs, evaluate_system
 from fairrank.report import read_metrics_table
 from fairrank.synth import SynthSpec, generate
 
@@ -416,6 +420,32 @@ class TestEvaluate:
                     f"{runs[0].stem!r}") in caplog.text
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("header, message", [
+        ("docid,prot,prot", "alignment header repeats group label 'prot'"),
+        ("docid,prot, prot", "alignment header repeats group label 'prot'"),
+        ("docid,prot,", "alignment header has an empty group label"),
+    ])
+    def test_a_bad_alignment_header_exits_2_at_line_1(self, tmp_path, caplog, header, message):
+        paths, _ = _synth(tmp_path)
+        rows = paths["alignment"].read_text().split("\n", 1)[1]
+        # a bad second line too: the header is checked before any data row is read
+        paths["alignment"].write_text(f"{header}\nd000001,x,y\n{rows}")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            assert main(_evaluate_args(paths, tmp_path / "out")) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"{paths['alignment']}: line 1: {message}"]
+
+    @pytest.mark.parametrize("key", ["protected", "unknown"])
+    def test_a_group_label_the_alignment_lacks_exits_2_at_its_key(self, tmp_path, caplog, key):
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{key}: zz\n")
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"{key}: unknown group label 'zz'"]
+
 
 class TestCompare:
     def test_matrix_shape(self, tmp_path):
@@ -503,6 +533,32 @@ class TestEndToEndDeterminism:
             outs.append(out)
         for fname in ("metrics.csv", "correlations.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_inputs_in_memory_give_the_rows_evaluate_writes(tmp_path):
+    """``Corpus``, ``SharedInputs``, ``CompiledSystem`` and ``evaluate_system`` on parsed
+    inputs give the rows that ``evaluate`` writes for the same files (the benchmark's
+    ``smoke`` corpus at seed 42, with a score file per system)."""
+    paths = generate(SynthSpec(n_docs=600, n_requests=40, n_systems=10, depth=20, seed=42,
+                               exposure_skew=0.6, relevance_skew=0.4, unlabeled_fraction=0.05),
+                     tmp_path / "corpus")
+    assert main(_evaluate_args(paths, tmp_path / "out", scores=True)) == 0
+
+    qrels = parse_qrels(paths["qrels"])
+    alignment, groups = parse_alignment(paths["alignment"])
+    runs = [parse_run(p) for p in paths["runs"]]
+    scores = [parse_scores(p) for p in paths["scores"]]
+    draws = read_draws(paths["sequence"])
+    corpus = Corpus([*(run.table.docs for run in runs), *(s.docs for s in scores)], qrels)
+    shared = SharedInputs(corpus, qrels, alignment, GroupSpace(groups.names, protected_index=0),
+                          load_config(None))
+    rows = []
+    for run, score in zip(runs, scores):
+        view = CompiledSystem(corpus, run.table, draws.resolve(run.table.requests), score)
+        rows += evaluate_system(run.tag, view, shared).results
+    rows.sort(key=lambda r: (r.system, r.metric))
+    assert list(map(repr, rows)) == list(map(repr, read_metrics_table(tmp_path / "out" /
+                                                                      "metrics.csv")))
 
 
 def test_cli_import_loads_no_scipy():

@@ -14,7 +14,6 @@ from fairrank import (
     TargetDistribution,
     apply_unknown_policy,
     binarize,
-    protected_mask,
 )
 from fairrank.compiled import Corpus, compile_sequence
 from fairrank.core import Scores
@@ -131,29 +130,6 @@ def test_target_distribution_validation():
         TargetDistribution(np.array([0.5, 0.6]))
     t = TargetDistribution.equal(4)
     assert t.scalar(0) == 0.25
-
-
-def test_protected_mask_thresholding(two_groups):
-    al = AlignmentMatrix({"a": [1, 0], "b": [0, 1], "c": [0.5, 0.5], "d": [0.4, 0.6]})
-    r = Ranking("q", ("a", "b", "c", "d"))
-    mask = protected_mask(r, al, two_groups, threshold=0.5)
-    assert mask.tolist() == [True, False, True, False]
-
-
-def test_protected_mask_skips_unlabeled_and_partitions(two_groups, hard_alignment):
-    r = Ranking("q", ("d0", "nolabel", "d9"))
-    mask = protected_mask(r, hard_alignment, two_groups)
-    assert mask.tolist() == [True, False]
-    # every labeled doc lands in exactly one class at any threshold
-    for thr in (0.1, 0.5, 0.9, 1.0):
-        m = protected_mask(r, hard_alignment, two_groups, thr)
-        assert m.size == 2
-
-
-def test_protected_mask_requires_protected_index(hard_alignment):
-    gs = GroupSpace(("A", "B"))
-    with pytest.raises(FairRankError, match="protected"):
-        protected_mask(Ranking("q", ("d0",)), hard_alignment, gs)
 
 
 def test_binarize(two_groups):

@@ -5,56 +5,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrank import DegenerateDenominator, FairRankError, delta, delta_kl, delta_nd, delta_rd
-from fairrank.distance import deltas_of
+from fairrank import FairRankError
+from fairrank.distance import ALL_PROTECTED_TARGET, ZERO_UNPROTECTED_SHARE, deltas_of
 
-from conftest import share_pair
+from conftest import distance_of, share_pair
 from oracles import oracle_kl_bits
 
 
+def nd(share, p):
+    return distance_of("nd", share_pair(share), share_pair(p), 0)[0]
+
+
+def kl(observed, target):
+    return distance_of("kl", observed, target)[0]
+
+
 def test_nd_examples():
-    assert delta_nd(share_pair(0.3), share_pair(0.5)) == pytest.approx(-0.2)
-    assert delta_nd(share_pair(0.5), share_pair(0.5)) == 0.0
-    assert delta_nd(share_pair(1.0), share_pair(0.5)) == pytest.approx(0.5)
+    assert nd(0.3, 0.5) == pytest.approx(-0.2)
+    assert nd(0.5, 0.5) == 0.0
+    assert nd(1.0, 0.5) == pytest.approx(0.5)
 
 
 def test_rd_examples():
-    assert delta_rd(share_pair(0.5), share_pair(0.5)) == 0.0
-    assert delta_rd(share_pair(0.2), share_pair(0.5)) == pytest.approx(-0.75)
-    with pytest.raises(DegenerateDenominator):
-        delta_rd(share_pair(1.0), share_pair(0.5))
-    with pytest.raises(DegenerateDenominator):
-        delta_rd(share_pair(0.5), share_pair(1.0))
+    assert distance_of("rd", share_pair(0.5), share_pair(0.5), 0) == (0.0, None)
+    assert distance_of("rd", share_pair(0.2), share_pair(0.5), 0)[0] == pytest.approx(-0.75)
+    value, reason = distance_of("rd", share_pair(1.0), share_pair(0.5), 0)
+    assert reason == ZERO_UNPROTECTED_SHARE and math.isnan(value)
+    value, reason = distance_of("rd", share_pair(0.5), share_pair(1.0), 0)
+    assert reason == ALL_PROTECTED_TARGET and math.isnan(value)
 
 
 def test_kl_examples():
-    assert delta_kl(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
-    assert delta_kl(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(1.0)
+    assert kl([0.5, 0.5], [0.5, 0.5]) == 0.0
+    assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
     want = oracle_kl_bits([0.75, 0.25], [0.5, 0.5])
-    assert delta_kl(np.array([0.75, 0.25]), np.array([0.5, 0.5])) == pytest.approx(want)
+    assert kl([0.75, 0.25], [0.5, 0.5]) == pytest.approx(want)
     assert want == pytest.approx(0.18872187554086717)
 
 
 def test_kl_zero_target_smoothed_finite():
-    v = delta_kl(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    v = kl([0.5, 0.5], [1.0, 0.0])
     assert math.isfinite(v) and v > 0
 
 
 def test_delta_dispatch():
-    assert delta("nd", share_pair(0.3), share_pair(0.5), 0) == pytest.approx(-0.2)
+    assert nd(0.3, 0.5) == pytest.approx(-0.2)
     with pytest.raises(FairRankError):
-        delta("manhattan", share_pair(0.3), share_pair(0.5), 0)
+        distance_of("manhattan", share_pair(0.3), share_pair(0.5), 0)
     with pytest.raises(FairRankError):
-        delta("nd", share_pair(0.3), share_pair(0.5))  # needs protected index
+        distance_of("nd", share_pair(0.3), share_pair(0.5))  # needs protected index
 
 
 def test_input_validation():
-    with pytest.raises(FairRankError):
-        delta_nd(np.array([0.9, 0.9]), share_pair(0.5))
-    with pytest.raises(FairRankError):
-        delta_kl(np.array([0.5, 0.5]), np.array([1 / 3, 1 / 3, 1 / 3]))
-    with pytest.raises(FairRankError, match="must sum to 1"):
-        delta("nd", share_pair(0.5), np.array([0.3333333, 0.6666666]), 0)
+    with pytest.raises(FairRankError, match="different group counts"):
+        kl([0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
 
 
 @st.composite
@@ -72,7 +76,7 @@ def test_kl_nonnegative_and_zero_iff_equal(o, t):
         o = o[: min(o.size, t.size)]
         t = t[: o.size]
         o, t = o / o.sum(), t / t.sum()
-    v = delta_kl(o, t)
+    v = kl(o, t)
     assert v >= 0.0
     if np.allclose(o, t, atol=1e-12):
         assert v < 1e-9
@@ -83,8 +87,7 @@ def test_kl_nonnegative_and_zero_iff_equal(o, t):
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0.01, 0.99))
 @settings(max_examples=200, deadline=None)
 def test_nd_range_and_lipschitz(s1, s2, p):
-    d1 = delta_nd(share_pair(s1), share_pair(p))
-    d2 = delta_nd(share_pair(s2), share_pair(p))
+    d1, d2 = nd(s1, p), nd(s2, p)
     assert -1.0 <= d1 <= 1.0
     assert abs(abs(d1) - abs(d2)) <= abs(s1 - s2) + 1e-12
 
@@ -92,9 +95,9 @@ def test_nd_range_and_lipschitz(s1, s2, p):
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 @settings(max_examples=200, deadline=None)
 def test_rd_nd_sign_agreement(share, p):
-    nd = delta_nd(share_pair(share), share_pair(p))
-    rd = delta_rd(share_pair(share), share_pair(p))
-    assert math.copysign(1, nd) == math.copysign(1, rd) or nd == 0 or rd == 0
+    d_nd = nd(share, p)
+    d_rd = distance_of("rd", share_pair(share), share_pair(p), 0)[0]
+    assert math.copysign(1, d_nd) == math.copysign(1, d_rd) or d_nd == 0 or d_rd == 0
 
 
 @st.composite

@@ -6,20 +6,18 @@ from fairrank import (
     AlignmentMatrix,
     Degenerate,
     FairRankError,
-    GroupSpace,
     Ranking,
     RankingSequence,
     RelevanceTable,
     UnknownRequest,
     WeightModel,
-    group_exposure,
     position_weights,
     request_exposure,
-    system_exposure,
     target_exposure,
 )
 from fairrank.exposure import default_stop, weight_vector
 
+from conftest import exposure_of, mean_exposure
 from oracles import oracle_target_exposure, oracle_weights
 
 
@@ -76,38 +74,36 @@ def test_geometric_partial_sum():
     assert abs(w.sum() - (1 - (1 - gamma) ** n)) < 1e-12
 
 
-def test_group_exposure_hand_example(two_groups):
+def test_group_exposure_hand_example():
     al = AlignmentMatrix({"a": [1, 0], "b": [0, 1]})
     r = Ranking("q", ("a", "b"))
     w = position_weights(WeightModel("geometric", 0.5), r)
-    assert np.allclose(group_exposure(r, al, w, two_groups), [0.5, 0.25])
-    assert np.allclose(group_exposure(r, al, w, two_groups, normalize=True), [2 / 3, 1 / 3])
+    eps = exposure_of(r, al, w)[0]
+    assert np.allclose(eps, [0.5, 0.25])
+    assert np.allclose(eps / eps.sum(), [2 / 3, 1 / 3])
 
 
 def test_group_exposure_single_group_and_soft():
-    gs1 = GroupSpace(("only",))
     al1 = AlignmentMatrix({"a": [1.0], "b": [1.0]})
     r = Ranking("q", ("a", "b"))
-    w = np.array([0.9, 0.1])
-    assert np.allclose(group_exposure(r, al1, w, gs1, normalize=True), [1.0])
+    eps = exposure_of(r, al1, np.array([0.9, 0.1]))[0]
+    assert np.allclose(eps / eps.sum(), [1.0])
 
-    gs2 = GroupSpace(("A", "B"))
     al2 = AlignmentMatrix({"a": [0.5, 0.5]})
     single = Ranking("q", ("a",))
-    assert np.allclose(group_exposure(single, al2, np.array([0.8]), gs2), [0.4, 0.4])
+    assert np.allclose(exposure_of(single, al2, np.array([0.8]))[0], [0.4, 0.4])
 
 
-def test_group_exposure_linear_in_weights(two_groups, hard_alignment):
+def test_group_exposure_linear_in_weights(hard_alignment):
     r = Ranking("q", ("d0", "d5", "d1"))
     w = np.array([0.5, 0.3, 0.2])
-    eps = group_exposure(r, hard_alignment, w, two_groups)
-    assert np.allclose(group_exposure(r, hard_alignment, 2 * w, two_groups), 2 * eps)
+    eps = exposure_of(r, hard_alignment, w)[0]
+    assert np.allclose(exposure_of(r, hard_alignment, 2 * w)[0], 2 * eps)
 
 
-def test_group_exposure_all_unlabeled_degenerate(two_groups, hard_alignment):
-    r = Ranking("q", ("x", "y"))
-    with pytest.raises(Degenerate):
-        group_exposure(r, hard_alignment, np.array([1.0, 1.0]), two_groups)
+def test_group_exposure_all_unlabeled_degenerate(hard_alignment):
+    eps, count = exposure_of(Ranking("q", ("x", "y")), hard_alignment, np.array([1.0, 1.0]))
+    assert count == 0 and not eps.any()
 
 
 def test_request_exposure_mean_of_draws(two_groups):
@@ -138,11 +134,9 @@ def test_request_exposure_unlabeled_draw_counts_zero(two_groups):
 
 def test_system_exposure_weighting():
     per = {"q1": np.array([1.0, 0.0]), "q2": np.array([0.0, 1.0])}
-    assert np.allclose(system_exposure(per), [0.5, 0.5])
-    assert np.allclose(system_exposure(per, {"q1": 1.0, "q2": 0.0}), [1.0, 0.0])
-    assert np.allclose(system_exposure(per, {"q1": 0.25, "q2": 0.75}), [0.25, 0.75])
-    with pytest.raises(FairRankError):
-        system_exposure({})
+    assert np.allclose(mean_exposure(per), [0.5, 0.5])
+    assert np.allclose(mean_exposure(per, {"q1": 1.0, "q2": 0.0}), [1.0, 0.0])
+    assert np.allclose(mean_exposure(per, {"q1": 0.25, "q2": 0.75}), [0.25, 0.75])
 
 
 def test_target_exposure_hand_example(two_groups):

@@ -21,7 +21,6 @@ from fairrank.ingest import (
     write_qrels,
     write_run,
     write_scores,
-    write_sequence,
 )
 
 from oracles import oracle_parse_alignment
@@ -245,7 +244,7 @@ class TestParseSequence:
         run = parse_run(io.StringIO("q1 Q0 a 1 1.0 r\nq2 Q0 b 1 1.0 r\n"))
         seq = parse_sequence(io.StringIO("seq_no,qid\n1,q2\n2,q1\n3,q2\n"), run)
         buf = io.StringIO()
-        write_sequence(buf, seq)
+        write_draws(buf, [q for q, _ in seq.draws])
         again = parse_sequence(io.StringIO(buf.getvalue()), run)
         assert [q for q, _ in again.draws] == [q for q, _ in seq.draws]
 
@@ -542,20 +541,6 @@ def test_a_config_with_bad_yaml_fails_at_its_line(tmp_path):
         load_config(path)
     with pytest.raises(ParseError, match="^line 2: mapping values are not allowed here$"):
         load_config(io.StringIO("protected: F\nthreshold: a: b\n"))
-
-
-@pytest.mark.parametrize("max_draws", [1, 8])
-def test_write_sequence_gives_the_synth_sequence_bytes(tmp_path, max_draws):
-    from fairrank.synth import SynthSpec, generate
-
-    paths = generate(SynthSpec(n_docs=60, n_requests=9, depth=5, seed=3, max_draws=max_draws),
-                     tmp_path)
-    seq = parse_sequence(paths["sequence"], parse_run(paths["runs"][0]))
-    assert max_draws == 1 or len(seq) > len(seq.requests())
-    buf = io.StringIO(newline="")
-    write_sequence(buf, seq)
-    assert buf.getvalue().encode("utf-8") == paths["sequence"].read_bytes()
-
 
 
 _RUN = "q0 Q0 d1 1 2.0 r\n"

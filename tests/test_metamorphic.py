@@ -35,7 +35,6 @@ from fairrank import (
     RelevanceTable,
     WeightModel,
     binarize,
-    system_exposure,
 )
 from fairrank.cli import main
 from fairrank.exposure import WEIGHT_KINDS
@@ -43,7 +42,7 @@ from fairrank.ingest import EvalConfig, _make_metric
 from fairrank.pipeline import evaluate_system
 from fairrank.synth import SynthSpec, generate
 
-from conftest import compile_run, request_exposures
+from conftest import compile_run, mean_exposure, request_exposures
 
 DOCS = tuple(f"d{i}" for i in range(10))
 
@@ -238,7 +237,7 @@ def _one_hot(g, j):
 
 def _system_exposure(seq, al, groups, model, grades):
     eps = request_exposures(seq, RelevanceTable(grades), al, groups, model)
-    return system_exposure(eps, seq.rho()) if eps else None
+    return mean_exposure(eps, seq.rho()) if eps else None
 
 
 @given(corpora(), st.data())

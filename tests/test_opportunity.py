@@ -25,6 +25,7 @@ from fairrank import (
     rur,
 )
 
+from conftest import exposure_of
 
 GS = GroupSpace(("A", "B"), protected_index=0)
 GEO = WeightModel("geometric", 0.5)
@@ -130,7 +131,7 @@ class TestRatios:
         # parity needs mirrored grade multisets (equal means alone are not
         # enough: group-summed exposure vs per-member mean utility diverge
         # when group sizes or tier shapes differ)
-        from fairrank import group_exposure, position_weights
+        from fairrank import position_weights
 
         cases = [
             {"a": ([1, 0], 1.0), "b": ([0, 1], 1.0), "c": ([1, 0], 0.0), "d": ([0, 1], 0.0)},
@@ -152,7 +153,7 @@ class TestRatios:
             assert ups[0] == pytest.approx(ups[1], abs=1e-12)
             eps = np.zeros(2)
             for r in draws:
-                eps += group_exposure(r, al, position_weights(GEO, r), GS)
+                eps += exposure_of(r, al, position_weights(GEO, r))[0]
             eps /= len(draws)
             assert eur(eps, ups, GS) == pytest.approx(1.0, abs=1e-12)
             gamma = discounted_group_utility(seq, rel, al, GS, GEO)
@@ -161,7 +162,7 @@ class TestRatios:
     def test_ideal_policy_equal_means_alone_insufficient(self):
         # counterexample kept on purpose: equal group means, asymmetric tiers
         # and sizes, ideal policy -- EUR sits away from 1
-        from fairrank import group_exposure, position_weights
+        from fairrank import position_weights
 
         rows = {"a": [1, 0], "b": [0, 1], "c": [1, 0], "d": [0, 1], "e": [1, 0]}
         grades = {"a": 2.0, "b": 2.0, "c": 1.0, "d": 1.0, "e": 1.5}
@@ -177,7 +178,7 @@ class TestRatios:
         assert ups[0] == pytest.approx(ups[1], abs=1e-12)
         eps = np.zeros(2)
         for r in draws:
-            eps += group_exposure(r, al, position_weights(GEO, r), GS)
+            eps += exposure_of(r, al, position_weights(GEO, r))[0]
         eps /= len(draws)
         assert eur(eps, ups, GS) == pytest.approx(1.2962962962962963)
 

@@ -9,16 +9,16 @@ from fairrank import (
     accuracy_table,
     intra_inter,
     pairwise_accuracy,
-    sample_pairs,
 )
 
+from conftest import pair_sample
 from oracles import oracle_pairwise_accuracy
 
 GS = GroupSpace(("A", "B"), protected_index=0)
 
 
 def _one_pair_per_request(pairs):
-    """``sample_pairs`` over one request per (score_hi, score_lo, g_hi, g_lo) tuple."""
+    """Pair counting over one request per (score_hi, score_lo, g_hi, g_lo) tuple."""
     grades, scores, rows = {}, {}, {}
     for i, (s_hi, s_lo, g_hi, g_lo) in enumerate(pairs):
         q, hi, lo = f"q{i}", f"hi{i}", f"lo{i}"
@@ -26,7 +26,7 @@ def _one_pair_per_request(pairs):
         scores[q] = {hi: s_hi, lo: s_lo}
         rows[hi] = [1, 0] if g_hi == 0 else [0, 1]
         rows[lo] = [1, 0] if g_lo == 0 else [0, 1]
-    return sample_pairs(RelevanceTable(grades), scores, AlignmentMatrix(rows), GS).pairs
+    return pair_sample(RelevanceTable(grades), scores, AlignmentMatrix(rows), GS).pairs
 
 
 class TestPairwiseAccuracy:
@@ -74,7 +74,7 @@ class TestSamplePairs:
         rel = RelevanceTable({"q": {"p1": 1.0, "n1": 0.0, "n2": 0.0}})
         sc = {"q": {"p1": 0.9, "n1": 0.5, "n2": 0.7}}
         al = AlignmentMatrix({"p1": [1, 0], "n1": [0, 1], "n2": [0, 1]})
-        out = sample_pairs(rel, sc, al, GS, n_negatives=3)
+        out = pair_sample(rel, sc, al, GS, n_negatives=3)
         assert len(out.pairs) == 2
         assert out.n_fallback == 1
 
@@ -84,8 +84,8 @@ class TestSamplePairs:
         rel = RelevanceTable({"q": {d: 1.0 for d in docs[:5]}})
         sc = {"q": {d: float(rng.random()) for d in docs}}
         al = AlignmentMatrix({d: [1, 0] if i % 3 == 0 else [0, 1] for i, d in enumerate(docs)})
-        every = sample_pairs(rel, sc, al, GS, n_negatives=35)  # N_q = 35: no pool is oversized
-        share = sample_pairs(rel, sc, al, GS, n_negatives=10)
+        every = pair_sample(rel, sc, al, GS, n_negatives=35)  # N_q = 35: no pool is oversized
+        share = pair_sample(rel, sc, al, GS, n_negatives=10)
         assert every.pairs.totals.sum() == 5 * 35 and len(share.pairs) == 5 * 10
         np.testing.assert_allclose(share.pairs.totals, every.pairs.totals * 10 / 35, rtol=1e-12)
         np.testing.assert_allclose(share.pairs.twice_hits, every.pairs.twice_hits * 10 / 35,
@@ -97,7 +97,7 @@ class TestSamplePairs:
         rel = RelevanceTable({"q": {"hi": 2.0, "lo": 1.0}})
         sc = {"q": {"hi": 0.4, "lo": 0.6}}
         al = AlignmentMatrix({"hi": [1, 0], "lo": [0, 1]})
-        out = sample_pairs(rel, sc, al, GS, n_negatives=5)
+        out = pair_sample(rel, sc, al, GS, n_negatives=5)
         assert len(out.pairs) == 1
         assert out.pairs.totals[0, 1] == 1
         assert pairwise_accuracy(out.pairs, 0, 1) == 0.0
@@ -106,14 +106,14 @@ class TestSamplePairs:
         rel = RelevanceTable({"q1": {"a": 1.0}, "q2": {"b": 0.0}})
         sc = {"q1": {"a": 0.9, "x": 0.1}, "q2": {"b": 0.2, "y": 0.3}}
         al = AlignmentMatrix({"a": [1, 0], "x": [0, 1], "b": [0, 1], "y": [0, 1]})
-        out = sample_pairs(rel, sc, al, GS, n_negatives=5)
+        out = pair_sample(rel, sc, al, GS, n_negatives=5)
         assert out.n_skipped == 1
 
     def test_unlabeled_docs_excluded(self):
         rel = RelevanceTable({"q": {"a": 1.0}})
         sc = {"q": {"a": 0.9, "nolabel": 0.1}}
         al = AlignmentMatrix({"a": [1, 0]})
-        out = sample_pairs(rel, sc, al, GS, n_negatives=5)
+        out = pair_sample(rel, sc, al, GS, n_negatives=5)
         assert len(out.pairs) == 0
 
     def test_exhaustive_matches_bruteforce(self):
@@ -127,7 +127,7 @@ class TestSamplePairs:
             rel = RelevanceTable({"q": judged})
             sc = {"q": scores}
             al = AlignmentMatrix({d: [1, 0] if g == 0 else [0, 1] for d, g in labels.items()})
-            out = sample_pairs(rel, sc, al, GS, n_negatives=10000)
+            out = pair_sample(rel, sc, al, GS, n_negatives=10000)
             for g1 in (0, 1):
                 for g2 in (0, 1):
                     want = oracle_pairwise_accuracy(judged, scores, labels.get, g1, g2)
@@ -145,9 +145,9 @@ class TestSamplePairs:
         labels = {d: int(rng.integers(0, 2)) for d in docs}
         rel = RelevanceTable({"q": judged})
         al = AlignmentMatrix({d: [1, 0] if g == 0 else [0, 1] for d, g in labels.items()})
-        base = sample_pairs(rel, {"q": scores}, al, GS, n_negatives=10000)
+        base = pair_sample(rel, {"q": scores}, al, GS, n_negatives=10000)
         warped = {d: float(np.exp(3 * s) + 7) for d, s in scores.items()}
-        other = sample_pairs(rel, {"q": warped}, al, GS, n_negatives=10000)
+        other = pair_sample(rel, {"q": warped}, al, GS, n_negatives=10000)
         t1, t2 = accuracy_table(base.pairs), accuracy_table(other.pairs)
         for key in t1:
             assert t1[key] == pytest.approx(t2[key])

@@ -1,4 +1,4 @@
-"""Differential tests: pair counting (``sample_pairs``) against the pair-by-pair oracles.
+"""Differential tests: pair counting (``sample_pairs_of``) against the pair-by-pair oracles.
 
 Random corpora hold one to three requests of up to 24 scored documents with
 tied scores, grades 0 to 3 (or no judgment at all), hard rows, soft rows
@@ -25,9 +25,9 @@ from fairrank import (
     NoPairs,
     RelevanceTable,
     pairwise_accuracy,
-    sample_pairs,
 )
 
+from conftest import pair_sample
 from oracles import oracle_expected_pairs, oracle_pairwise_accuracy_pairs, oracle_sample_pairs
 
 GRADES = (None, 0.0, 1.0, 2.0, 3.0)  # None: scored but absent from qrels
@@ -91,7 +91,7 @@ def _largest_pool(rel, scores, al):
 @settings(max_examples=400, deadline=None)
 def test_sample_pairs_matches_oracle(case):
     rel, scores, al, gs, n_negatives, threshold = case
-    got = sample_pairs(rel, scores, al, gs, n_negatives, threshold)
+    got = pair_sample(rel, scores, al, gs, n_negatives, threshold)
     twice_hits, totals, n_fallback, n_skipped = oracle_expected_pairs(
         rel, scores, al, gs, n_negatives, threshold)
     assert (got.n_fallback, got.n_skipped) == (n_fallback, n_skipped)
@@ -156,7 +156,7 @@ def test_the_sampler_averaged_over_seeds_converges_to_the_counts(case):
     sc = {"q": dict(zip(docs, scores))}
     al = AlignmentMatrix({d: [1 - g, g] for d, g in zip(docs, groups)})
     gs = GroupSpace(("A", "B"), protected_index=0)
-    got = sample_pairs(rel, sc, al, gs, n_negatives)
+    got = pair_sample(rel, sc, al, gs, n_negatives)
     drawn = [_cells(oracle_sample_pairs(rel, sc, al, gs, n_negatives, seed)[0])
              for seed in range(K)]
     mean_hits, mean_totals = (sum(tables) / K for tables in zip(*drawn))

@@ -27,14 +27,12 @@ from fairrank import (
     TargetDistribution,
     WeightModel,
     awrf,
-    fair_score,
     pref_fairness,
-    protected_mask,
 )
 from fairrank.compiled import compile_sequence
 from fairrank.pipeline import _per_draw
 
-from conftest import as_row
+from conftest import as_row, fair_of
 from oracles import list_scores, oracle_per_draw, outcome, view_rankings
 
 DOCS = tuple(f"d{i}" for i in range(8))
@@ -77,7 +75,7 @@ def _metric(draw_choice, alignment, relevance):
         dist = draw_choice(st.sampled_from(("nd", "kl")))
         return lambda r: awrf(r, alignment, GROUPS, model, equal, dist, relevance)
     p_hat = draw_choice(st.sampled_from((0.3, 0.5)))
-    return lambda r: fair_score(protected_mask(r, alignment, GROUPS), p_hat)
+    return lambda r: fair_of(r, alignment, p_hat)
 
 
 @given(corpora(), st.data())

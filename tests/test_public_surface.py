@@ -1,7 +1,8 @@
 """``import fairrank`` resolves its public names on first access.
 
 The names, and the objects they resolve to, must stay what they were when
-the package imported every module eagerly.
+the package imported every module eagerly, less the per-object wrappers that
+no command, README example or benchmark hook reached (``REMOVED_NAMES``).
 """
 
 import importlib
@@ -19,19 +20,28 @@ PUBLIC_NAMES = [
     "ExpectedExposureResult", "FairRankError", "GroupSpace", "MetricResult", "NoPairs",
     "PairCounts", "PairSample", "ParseError", "Ranking", "RankingSequence", "RelevanceTable",
     "SingleListResult", "TargetDistribution", "UndefinedNormalizer", "UnknownRequest",
-    "WeightModel", "accuracy_table", "aggregate", "apply_unknown_policy", "awrf", "binarize",
-    "correlation_matrix", "delta", "delta_kl", "delta_nd", "delta_rd", "demographic_parity",
-    "discounted_group_utility", "ee_decompose", "eed", "emit_tables", "eur",
-    "expected_exposure", "fair_score", "group_exposure", "group_utility", "iaa",
+    "WeightModel", "accuracy_table", "apply_unknown_policy", "awrf", "binarize",
+    "correlation_matrix", "demographic_parity", "discounted_group_utility", "ee_decompose",
+    "eed", "emit_tables", "eur", "expected_exposure", "fair_score", "group_utility", "iaa",
     "intra_inter", "kendall_tau_c", "pairwise_accuracy", "position_weights", "pref_fairness",
-    "pref_normalizer", "protected_mask", "request_exposure", "rur", "sample_pairs",
-    "system_exposure", "target_exposure",
+    "pref_normalizer", "request_exposure", "rur", "target_exposure",
+]
+REMOVED_NAMES = [
+    "aggregate", "delta", "delta_kl", "delta_nd", "delta_rd", "group_exposure",
+    "protected_mask", "sample_pairs", "system_exposure",
 ]
 
 
-def test_all_lists_the_same_58_names():
-    assert len(PUBLIC_NAMES) == 58
+def test_all_lists_the_same_49_names():
+    assert len(PUBLIC_NAMES) == 49
     assert fairrank.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_a_removed_name_raises_attribute_error(name):
+    assert name not in dir(fairrank)
+    with pytest.raises(AttributeError, match=name):
+        getattr(fairrank, name)
 
 
 def test_each_name_is_the_object_its_defining_module_holds():
@@ -60,9 +70,10 @@ def test_submodules_the_package_used_to_import_stay_attributes():
     # a fresh interpreter, since any earlier import binds the submodule here
     code = ("import sys, fairrank; print(fairrank.report.read_metrics_table.__module__, "
             "fairrank.core.Ranking is fairrank.Ranking, fairrank.compiled.__name__, "
-            "'numpy' in sys.modules)")
+            "fairrank.distance.__name__, 'numpy' in sys.modules)")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["fairrank.report", "True", "fairrank.compiled", "True"]
+    assert out.stdout.split() == ["fairrank.report", "True", "fairrank.compiled",
+                                  "fairrank.distance", "True"]

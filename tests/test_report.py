@@ -9,14 +9,13 @@ from fairrank import (
     Direction,
     FairRankError,
     MetricResult,
-    aggregate,
     correlation_matrix,
     emit_tables,
     kendall_tau_c,
 )
 from fairrank.report import emit_correlations, read_metrics_table
 
-from oracles import oracle_tau_c, oracle_tau_c_pairs
+from oracles import aggregate, oracle_tau_c, oracle_tau_c_pairs
 
 
 def _result(metric, system, value, direction=Direction.ZERO_IS_FAIR):
@@ -24,6 +23,8 @@ def _result(metric, system, value, direction=Direction.ZERO_IS_FAIR):
 
 
 class TestAggregate:
+    """The reference row of ``pipeline._per_draw`` that ``oracles.oracle_per_draw`` builds."""
+
     def test_mean(self):
         res = aggregate({"q1": 0.2, "q2": 0.4}, {}, "AWRF", "s", Direction.ZERO_IS_FAIR)
         assert res.value == pytest.approx(0.3)
