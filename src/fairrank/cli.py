@@ -84,6 +84,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     qrels = parse_qrels(args.qrels)
     alignment, groups = parse_alignment(args.alignment)
+    if groups.g < 2:  # every metric compares groups, so each would read a constant
+        raise ParseError(f"{args.alignment}: line 1: alignment header names one group; "
+                         "evaluate needs at least 2")
     groups = _resolve_groups(groups, config)
     config.check_targets(groups)
 

@@ -16,21 +16,25 @@ File formats (UTF-8, LF or CRLF; one leading byte-order mark is ignored):
 A sequence or scores file may open with a header row (first cell ``seq_no``
 or ``qid``, any case), recognized on the first non-blank row only.
 
-Each format has one parser: a row source and one ordered cascade of column
-checks.  The row source is one split of the whole text, which gives every
-field column by column; a CSV file with quotes, a NUL or a lone carriage
-return, or a source whose lines do not join into one text, is read through
-``csv.reader`` instead.  The checks run in the order one line's checks would:
-field count, ``int``/``float`` conversion, finite, sign and row sum, then
-repeated ranks and documents.  Each runs on the rows before the earliest
-failure found so far, so the first bad line wins, and line numbers are looked
-up only for a failure or a warning.  Every parser either produces a value or
-fails with a 1-based line number, after the file's path when given a path; a
-file that ``csv.reader`` refuses partway (a field longer than
-``csv.field_size_limit()``) fails at the line the reader stopped on.  A
-run may not repeat a rank or a document within a request; a repeated alignment,
-qrels or score key keeps its first position and takes its last value, with a
-warning at each repeat before the first bad line.
+Each format has one parser: the one tokenizer, ``_tabulate``, and one ordered
+cascade of column checks.  The tokenizer reads the text once and splits all of
+it once, a NUL field marking each line feed, which gives every field column by
+column.  It reads line by line only where that split cannot stand in for it: a
+line of another width, a blank or ``#`` line, or a NUL; for CSV, also a quote,
+a lone carriage return, or a field (not a line) longer than
+``csv.field_size_limit()``; or a source whose lines do not join into one text.
+Then each line is split at whitespace, or ``csv.reader`` reads the CSV
+records.  The checks run in the order one line's checks would: field count,
+``int``/``float`` conversion, finite, sign and row sum, then repeated ranks
+and documents.  Each runs on the rows before the earliest failure found so
+far, so the first bad line wins, and line numbers are looked up only for a
+failure or a warning.  Every parser either produces a value or fails with a
+1-based line number, after the file's path when given a path; a CSV record
+that ``csv.reader`` refuses (a field over the limit) fails at the line the
+reader stopped on, as a ``ParseError`` for a file and the ``csv.Error`` for
+another source.  A run may not repeat a rank or a document within a request;
+a repeated alignment, qrels or score key keeps its first position and takes
+its last value, with a warning at each repeat before the first bad line.
 
 Each writer formats each value once, with ``format_numbers`` (``repr``; a
 grade or membership weight once per distinct value), and joins the text
@@ -144,27 +148,22 @@ class RunFile:
                 and self.records == other.records)
 
 
-def _read(source: TextIO | Iterable[str] | str | Path) -> tuple[str | None, list[str]]:
-    """The text of ``source`` and its lines, without one leading byte-order mark.
+def _read(source: TextIO | Iterable[str] | str | Path) -> str | list[str]:
+    """The text of ``source`` without one leading byte-order mark, or its lines when they do
+    not join into one text.
 
-    A file is read whole with universal newlines, and its lines are its text
-    split at line feeds, without them.  Other sources give the lines iterating
-    over them gives, and their text when it splits at line feeds into them
-    (every line but the last ends in its only line feed), else None.
+    A file is read whole with universal newlines.  Another source's lines join
+    into its text when every line but the last ends in its only line feed.
     """
     if isinstance(source, (str, Path)):
-        text = _read_text(source)
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        return text, lines
+        return _read_text(source)
     lines = list(source)
     lines[:1] = (line.removeprefix("\ufeff") for line in lines[:1])
     text = "".join(lines)
     if (text.count("\n") != len(lines) - (not text.endswith("\n"))
             or not all(map(str.endswith, lines[:-1], repeat("\n")))):
-        return None, lines
-    return text, lines
+        return lines
+    return text
 
 
 def _read_text(path: str | Path) -> str:
@@ -205,67 +204,6 @@ def _names_path(parse: Callable[..., T]) -> Callable[..., T]:
     return parse_file
 
 
-def _columns(rows: list[str], width: int, sep: str | None = None) -> list[list[str]] | None:
-    """The ``width`` columns of ``rows``, each as one list; None when a row has another width
-    or holds a NUL.
-
-    Fields are split at whitespace (``sep`` None) or at ``sep``.  The rows are
-    joined with a NUL field after each, so one split of the whole text gives
-    every field and the NULs show where each row ended.
-    """
-    if not rows:
-        return [[] for _ in range(width)]
-    glue = " " if sep is None else sep
-    text, stride = f"{glue}\0{glue}".join(rows) + f"{glue}\0", width + 1
-    if text.count("\0") != len(rows):
-        return None  # a NUL of the rows' own
-    fields = text.split(sep)
-    if len(fields) != len(rows) * stride or fields[width::stride].count("\0") != len(rows):
-        return None  # a row of another width
-    return [fields[i::stride] for i in range(width)]
-
-
-def _csv_rows(text: str) -> list[str] | None:
-    """One CSV record per line of ``text``, without its line break, when splitting at
-    commas reads them as ``csv.reader`` does; otherwise None.
-
-    That holds when the text has no quote, no NUL, no carriage return but
-    before a line feed, and no line longer than a CSV field may be.
-    """
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\0" in text or "\r" in text:
-        return None
-    rows = text.split("\n")
-    if not rows[-1]:
-        rows.pop()
-    if len(text) > csv.field_size_limit() and max(map(len, rows)) > csv.field_size_limit():
-        return None
-    return rows
-
-
-def _csv_source(source: TextIO | Iterable[str] | str | Path) -> tuple[list, Exception | None]:
-    """The rows of a CSV input, and the error that stopped ``csv.reader`` partway.
-
-    The rows are the lines of the text, to be split at commas, when that reads
-    them as ``csv.reader`` does; otherwise the records ``csv.reader`` gives.
-    For a file, the error is a ``ParseError`` at the line the reader stopped
-    on; for other sources, the ``csv.Error`` itself.
-    """
-    text, lines = _read(source)
-    rows = None if text is None else _csv_rows(text)
-    if rows is not None:
-        return rows, None
-    records: list[list[str]] = []
-    reader = csv.reader(lines if text is None else io.StringIO(text))
-    try:
-        records.extend(reader)
-    except csv.Error as exc:
-        if isinstance(source, (str, Path)):
-            return records, ParseError(str(exc), reader.line_num)
-        return records, exc
-    return records, None
-
-
 def _stripped(cells: list[str]) -> list[str]:
     """``cells`` without surrounding whitespace (the list itself when no cell has any)."""
     joined = "".join(cells)
@@ -278,11 +216,14 @@ class _Table:
     Each check looks at the first ``n`` rows only, those before the earliest
     failure found so far.  So ``error`` ends up the first bad line's, and of
     the checks that fail on that line, the one that ran first.  Data row i is
-    line ``lines[i]`` of the file.
+    line ``lines[i]`` of the file; ``header`` holds line 1's cells when that
+    line is a header that sets the width.
     """
 
-    def __init__(self, columns: list[list[str]], lines: Sequence[int], error: Exception | None):
+    def __init__(self, columns: list[list[str]], lines: Sequence[int], error: Exception | None,
+                 header: list[str] | None = None):
         self.columns, self.lines, self.n, self.error = columns, lines, len(lines), error
+        self.header = header
 
     def head(self, values: list[T]) -> list[T]:
         """The entries of ``values`` for the first ``n`` rows (``values`` when it has no more)."""
@@ -329,37 +270,92 @@ class _Table:
             raise self.error
 
 
-def _tabulate(rows: list, width: int, sep: str | None, shape: str, *, header: str | None = None,
-              comments: bool = False, first_line: int = 1,
-              error: Exception | None = None) -> _Table:
-    """The data rows of ``rows``: lines to split at ``sep`` (whitespace when None), or
-    ``csv.reader`` records.
+def _tabulate(source: TextIO | Iterable[str] | str | Path, width: int | None, sep: str | None,
+              shape: str, *, header: str | None = None, comments: bool = False) -> _Table:
+    """The data rows of ``source``, their fields split at ``sep`` (whitespace when None).
 
     Blank rows are skipped, and with ``comments`` so are rows whose first field
     starts with ``#``.  The first other row is a header when its first cell is
-    ``header`` (any case).  A data row of another width fails with ``shape``
-    formatted with its width.  Row i of ``rows`` is line ``first_line + i``, and
-    ``error`` is what stopped the rows after their last.
+    ``header`` (any case).  With ``width`` None, line 1 is a header whose width
+    every data row must have.  A data row of another width fails with ``shape``,
+    formatted with the row's width and, as ``width``, the expected one.
+
+    The text is read once and split once, whole, unless ``_split_once`` finds
+    that split cannot stand in for reading line by line.  Only then is each
+    line split, or each CSV record read by ``csv.reader``; a record the reader
+    refuses ends the rows, and the table keeps its error.
     """
-    if rows and isinstance(rows[0], str):
-        skip = int(header is not None and rows[0].split(sep, 1)[0].strip().lower() == header)
-        columns = _columns(rows[skip:], width, sep)
-        if columns is not None:
-            first = columns[0] if sep is None else _stripped(columns[0])
-            if all(first) and not (comments and "#" in "".join(first)):
-                start = first_line + skip
-                return _Table(columns, range(start, start + len(first)), error)
-        rows = list(map(str.split, rows, repeat(sep)))
-    kept = [i for i, cells in enumerate(rows)
-            if "".join(cells).strip() and not (comments and cells[0].startswith("#"))]
+    text = _read(source)
+    table = _split_once(text, width, sep, header, comments) if isinstance(text, str) else None
+    if table is not None:
+        return table
+    error = None
+    if sep is None:
+        rows = list(map(str.split, text.split("\n") if isinstance(text, str) else text))
+    else:
+        rows, reader = [], csv.reader(io.StringIO(text) if isinstance(text, str) else text)
+        try:
+            rows.extend(reader)
+        except csv.Error as exc:
+            error = (ParseError(str(exc), reader.line_num) if isinstance(source, (str, Path))
+                     else exc)
+    start, heading = 0, None
+    if width is None:
+        if not rows and error is not None:
+            raise error
+        heading = rows[0] if rows else []
+        width, start = len(heading), 1
+    kept = [i for i in range(start, len(rows))
+            if "".join(rows[i]).strip() and not (comments and rows[i][0].startswith("#"))]
     if header is not None and kept and rows[kept[0]][0].strip().lower() == header:
         del kept[0]
     bad = next((j for j, i in enumerate(kept) if len(rows[i]) != width), len(kept))
     columns = [list(column) for column in zip(*map(rows.__getitem__, kept[:bad]))]
-    table = _Table(columns or [[] for _ in range(width)], [i + first_line for i in kept], error)
+    table = _Table(columns or [[] for _ in range(width)], [i + 1 for i in kept], error, heading)
     if bad < len(kept):
-        table.fail(bad, ParseError(shape.format(len(rows[kept[bad]])), table.lines[bad]))
+        table.fail(bad, ParseError(shape.format(len(rows[kept[bad]]), width=width),
+                                   table.lines[bad]))
     return table
+
+
+def _split_once(text: str, width: int | None, sep: str | None, header: str | None,
+                comments: bool) -> _Table | None:
+    """``_tabulate``'s table from one split of the whole ``text``, a NUL field marking each
+    line feed; None when that split cannot stand in for reading line by line.
+
+    It cannot when a line has another width or a blank first field (as a blank
+    line has), a first field holds ``#`` (with ``comments``), or the text holds
+    a NUL; for CSV, also when the text holds a quote, a carriage return but
+    before a line feed, or a field longer than ``csv.field_size_limit()``,
+    which ``csv.reader`` would refuse.  A line may be longer than that limit.
+    """
+    if sep is not None and "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not text or "\0" in text or sep is not None and ('"' in text or "\r" in text):
+        return None
+    glue = " " if sep is None else sep
+    fields = text.replace("\n", f"{glue}\0{glue}").split(sep)
+    if not text.endswith("\n"):
+        fields.append("\0")
+    elif sep is not None:
+        fields.pop()  # the empty field after the last line feed's NUL
+    heading = None
+    if width is None:
+        width = fields.index("\0")
+        heading = fields[:width]
+    n, stride = text.count("\n") + (not text.endswith("\n")), width + 1
+    if len(fields) != n * stride or fields[width::stride].count("\0") != n:
+        return None  # a line of another width
+    limit = csv.field_size_limit()
+    if sep is not None and len(text) > limit and max(map(len, fields)) > limit:
+        return None
+    skip = int(heading is not None
+               or header is not None and fields[0].strip().lower() == header)
+    columns = [fields[skip * stride + i::stride] for i in range(width)]
+    first = columns[0] if sep is None else _stripped(columns[0])
+    if not all(first) or comments and "#" in "".join(first):
+        return None  # a blank or comment line, or one that may be
+    return _Table(columns, range(1 + skip, n + 1), None, heading)
 
 
 def _repeats(keys: list) -> list[int]:
@@ -422,8 +418,8 @@ def parse_run(source: TextIO | Iterable[str] | str | Path) -> RunFile:
     Rankings follow the rank column, with gaps closed.  A request may not
     repeat a rank or a document.
     """
-    table = _tabulate(_read(source)[1], 6, None,
-                      "expected 6 whitespace-separated fields, got {}", comments=True)
+    table = _tabulate(source, 6, None, "expected 6 whitespace-separated fields, got {}",
+                      comments=True)
     qids, _, docids, rank_cells, score_cells, tags = table.columns
     ranks = table.numbers(rank_cells, "rank", int)
     scores = table.numbers(score_cells, "score")
@@ -462,7 +458,7 @@ def write_run_rows(fh: TextIO, qids: Iterable[str], docids: Iterable[str], ranks
 @_names_path
 def parse_qrels(source: TextIO | Iterable[str] | str | Path) -> RelevanceTable:
     """Parse 4-column relevance judgments; negative grades are rejected."""
-    table = _tabulate(_read(source)[1], 4, None, "expected 4 whitespace-separated fields, got {}")
+    table = _tabulate(source, 4, None, "expected 4 whitespace-separated fields, got {}")
     qids, _, docids, grade_cells = table.columns
     grades = table.numbers(grade_cells, "grade")
     if min(grades, default=0.0) < 0:
@@ -492,10 +488,8 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
     which marks the document unlabeled.  A repeated document keeps its first
     position and takes its last row.
     """
-    rows, error = _csv_source(source)
-    if not rows and error is not None:
-        raise error
-    header = (rows[0].split(",") if isinstance(rows[0], str) else rows[0]) if rows else []
+    table = _tabulate(source, None, ",", "expected {width} columns, got {}")
+    header = table.header
     if len(header) < 2:
         raise ParseError("alignment header must be docid,<group1>,...", 1)
     names = tuple(name.strip() for name in header[1:])
@@ -505,8 +499,6 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
     if again:
         raise ParseError(f"alignment header repeats group label {names[again[0]]!r}", 1)
     g = len(names)
-    table = _tabulate(rows[1:], g + 1, ",", f"expected {g + 1} columns, got {{}}",
-                      first_line=2, error=error)
     n = table.n  # the columns' length
     docs = _stripped(table.columns[0])
     dense, labeled = np.zeros((n, g)), np.zeros(n, dtype=bool)
@@ -580,9 +572,7 @@ class Draws(NamedTuple):
 @_names_path
 def read_draws(source: TextIO | Iterable[str] | str | Path) -> Draws:
     """Read draw rows ``seq_no,qid`` once, to check against each run with ``Draws.resolve``."""
-    rows, error = _csv_source(source)
-    table = _tabulate(rows, 2, ",", "expected seq_no,qid, got {} columns", header="seq_no",
-                      error=error)
+    table = _tabulate(source, 2, ",", "expected seq_no,qid, got {} columns", header="seq_no")
     seq_cells, qid_cells = table.columns
     seq_nos = table.numbers(seq_cells, "seq_no", int)
     qids = _stripped(table.head(qid_cells))
@@ -611,9 +601,7 @@ def parse_scores(source: TextIO | Iterable[str] | str | Path) -> Scores:
 
     A first non-blank row whose first cell is ``qid`` (any case) is a header.
     """
-    rows, error = _csv_source(source)
-    table = _tabulate(rows, 3, ",", "expected qid,docid,score, got {} columns", header="qid",
-                      error=error)
+    table = _tabulate(source, 3, ",", "expected qid,docid,score, got {} columns", header="qid")
     qids, docids, score_cells = table.columns
     scores = table.numbers(score_cells, "score")
     out = _keyed(table, _stripped(table.head(qids)), _stripped(table.head(docids)),
@@ -665,7 +653,7 @@ def _write_csv(fh: TextIO, cells: Iterable[str], rows: Iterable[Sequence[str]]) 
     """Write ``rows`` of string cells as ``csv.writer`` does.
 
     ``cells`` are all cells of ``rows`` but the formatted numbers.  When none
-    holds a comma, a quote or a line break (the files ``_csv_rows`` reads
+    holds a comma, a quote or a line break (the files ``_tabulate`` reads
     without ``csv.reader``), the cells are joined directly.
     """
     text = "".join(cells)

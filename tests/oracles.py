@@ -210,8 +210,8 @@ def oracle_sample_pairs(relevance, scores, alignment, groups, n_negatives=10000,
 
     Returns ``(pairs, n_fallback, n_skipped)``.  A positive meets every negative
     of a pool of at most ``n_negatives``, and otherwise ``n_negatives`` of them
-    drawn by one ``rng.choice`` per positive.  ``sample_pairs`` counts what this
-    sampler gives in expectation (see ``oracle_expected_pairs``).
+    drawn by one ``rng.choice`` per positive.  ``pairwise.sample_pairs_of`` counts what
+    this sampler gives in expectation (see ``oracle_expected_pairs``).
     """
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
@@ -265,8 +265,9 @@ def oracle_sample_pairs(relevance, scores, alignment, groups, n_negatives=10000,
 
 def oracle_expected_pairs(relevance, scores, alignment, groups, n_negatives=10000,
                           threshold=0.5):
-    """``sample_pairs`` as a pair-by-pair sum: ``(twice_hits, totals, n_fallback, n_skipped)``,
-    the tables as 2x2 nested lists indexed ``[group_hi][group_lo]``.
+    """``pairwise.sample_pairs_of`` as a pair-by-pair sum: ``(twice_hits, totals,
+    n_fallback, n_skipped)``, the tables as 2x2 nested lists indexed
+    ``[group_hi][group_lo]``.
 
     Positives and negatives are split as in ``oracle_sample_pairs``.  A positive's
     pair with one of its request's ``N`` negatives counts ``min(1, n_negatives / N)``,

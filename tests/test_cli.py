@@ -435,6 +435,22 @@ class TestEvaluate:
         assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
             f"{paths['alignment']}: line 1: {message}"]
 
+    def test_a_one_group_alignment_exits_2_before_any_run_is_parsed(self, tmp_path, caplog):
+        paths, _ = _synth(tmp_path)
+        docs = [line.split(",", 1)[0] for line in paths["alignment"].read_text().split("\n")[1:]]
+        paths["alignment"].write_text("docid,a\n" + "".join(f"{d},1\n" for d in docs if d))
+        bad = tmp_path / "bad_run.txt"
+        bad.write_text("q0000 Q0 d000001 x 3.5 tag\n")  # would fail at line 1 if parsed
+        with caplog.at_level("ERROR", logger="fairrank"):
+            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"{paths['alignment']}: line 1: alignment header names one group; "
+            "evaluate needs at least 2"]
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+        # the library still reads such a file
+        assert parse_alignment(paths["alignment"])[1].names == ("a",)
+
     @pytest.mark.parametrize("key", ["protected", "unknown"])
     def test_a_group_label_the_alignment_lacks_exits_2_at_its_key(self, tmp_path, caplog, key):
         paths, _ = _synth(tmp_path)

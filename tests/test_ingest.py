@@ -1,6 +1,8 @@
+import ast
 import csv
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fairrank.ingest import (
     parse_run,
     parse_scores,
     parse_sequence,
+    read_draws,
     write_alignment,
     write_draws,
     write_qrels,
@@ -532,6 +535,63 @@ def test_a_leading_byte_order_mark_moves_no_line_number(tmp_path, name):
     with pytest.raises(ParseError) as caught:
         parse(path)
     assert str(caught.value) == f"{path}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
+LIMIT = csv.field_size_limit()
+KEYED = {  # each CSV format: its text with the key ``key`` on line 3, and the keys it reads
+    "scores": (lambda key: f"qid,docid,score\nq,d,0.5\nq,{key},0.5\n", parse_scores,
+               lambda scores: list(scores["q"])),
+    "sequence": (lambda key: f"seq_no,qid\n1,d\n2,{key}\n", read_draws,
+                 lambda draws: [draws.qids[i] for i in draws.resolve(draws.qids)]),
+    "alignment": (lambda key: f"docid,F,M\nd,1,0\n{key},0,1\n", parse_alignment,
+                  lambda parsed: list(parsed[0].docs())),
+}
+
+
+def _every_source(tmp_path, text):
+    """A path, a text file object, and lists of lines with and without line ends."""
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    return [path, io.StringIO(text), text.splitlines(keepends=True), text.splitlines()]
+
+
+@pytest.mark.parametrize("name", sorted(KEYED))
+def test_a_line_longer_than_the_csv_field_limit_reads_when_no_field_is(tmp_path, name):
+    text, parse, keys = KEYED[name]
+    key = "k" * LIMIT  # as long as a field may be, on a longer line
+    for source in _every_source(tmp_path, text(key)):
+        assert keys(parse(source)) == ["d", key]
+
+
+@pytest.mark.parametrize("name", sorted(KEYED))
+def test_a_field_longer_than_the_csv_field_limit_fails_at_its_line(tmp_path, name):
+    text, parse, keys = KEYED[name]
+    long = text("k" * (LIMIT + 1))
+    message = f"field larger than field limit ({LIMIT})"
+    path, *others = _every_source(tmp_path, long)
+    with pytest.raises(ParseError) as caught:
+        keys(parse(path))
+    assert str(caught.value) == f"{path}: line 3: {message}" and caught.value.line == 3
+    for source in others:
+        with pytest.raises(csv.Error, match=re.escape(message)):
+            keys(parse(source))
+    for source in _every_source(tmp_path, long.replace("\n", "\nx\n", 1)):  # a bad line 2 wins
+        with pytest.raises(ParseError) as caught:
+            keys(parse(source))
+        assert caught.value.line == 2
+
+
+def test_only_the_tokenizer_reads_an_input_or_calls_csv_reader():
+    calls = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "fairrank").glob("*.py")):
+        for outer in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(outer):
+                name = isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None))
+                if name in ("reader", "_read"):
+                    calls.append((path.name, name, getattr(outer, "name", None)))
+    assert sorted(calls) == [("ingest.py", "_read", "_tabulate"),
+                             ("ingest.py", "reader", "_tabulate")]
 
 
 def test_a_config_with_bad_yaml_fails_at_its_line(tmp_path):
