@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 _MODULE_NAMES = {
     "errors": ("AllDegenerate", "ConfigError", "Degenerate", "DegenerateDenominator",
-               "DegenerateUtility", "Direction", "EmptyGroup", "FairRankError", "NoPairs",
-               "ParseError", "UndefinedNormalizer", "UnknownRequest"),
+               "DegenerateUtility", "Direction", "EmptyGroup", "FairRankError", "InputWarning",
+               "NoPairs", "ParseError", "UndefinedNormalizer", "UnknownRequest"),
     "core": ("AlignmentMatrix", "GroupSpace", "Ranking", "RankingSequence", "RelevanceTable",
              "TargetDistribution", "apply_unknown_policy", "binarize"),
     "exposure": ("WeightModel", "position_weights", "request_exposure", "target_exposure"),

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success; 2 parse or configuration error; 3 a metric named
 explicitly in the config was degenerate for every request; 4 compare was
-given fewer than two systems.  Logs go to stderr, data to files only.
+given fewer than two systems.  Data goes to files only; messages go to stderr,
+one ``LEVEL message`` line each (``INFO``, ``WARNING`` or ``ERROR``), and an
+input file's repeated key (``InputWarning``) prints as ``WARNING <message>``
+when it is read.
 
 Only ``evaluate`` loads the array stack (``ingest``, ``pipeline`` and numpy):
 its names bind on first use, so ``compare`` starts without it.
@@ -13,12 +16,12 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
-import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 
-from .errors import ConfigError, FairRankError, ParseError
+from .errors import ConfigError, FairRankError, InputWarning, ParseError
 from .report import correlation_matrix, emit_correlations, emit_tables, read_metrics_table
 
 # Module of each name only evaluate uses.  They stay attributes of this
@@ -30,8 +33,6 @@ _EVALUATE_NAMES = {
     **dict.fromkeys(("EvalConfig", "load_config", "parse_alignment", "parse_qrels",
                      "parse_run", "parse_scores", "parse_sequence", "read_draws"), "ingest"),
 }
-
-log = logging.getLogger("fairrank")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,6 +47,11 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{module}", __package__), name)
     globals()[name] = value
     return value
+
+
+def _say(level: str, message: object) -> None:
+    """Write one ``LEVEL message`` line to stderr."""
+    sys.stderr.write(f"{level} {message}\n")
 
 
 def _bind_evaluate_names() -> None:
@@ -119,18 +125,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for ev in map(job, range(len(run_paths))):
         results.extend(ev.results)
         for note in ev.notes:
-            log.warning("%s: %s", ev.system, note)
+            _say("WARNING", f"{ev.system}: {note}")
         for r in ev.results:
             if r.n_degenerate:
-                log.warning("%s: %s had %d degenerate requests (of %d)",
-                            ev.system, r.metric, r.n_degenerate, r.n_requests)
+                _say("WARNING", f"{ev.system}: {r.metric} had {r.n_degenerate} degenerate "
+                                f"requests (of {r.n_requests})")
         for name in ev.failures:
-            log.error("%s: required metric %s is degenerate", ev.system, name)
+            _say("ERROR", f"{ev.system}: required metric {name} is degenerate")
             failed = True
     if not results:
-        log.error("no metric produced a value")
+        _say("ERROR", "no metric produced a value")
         return EXIT_DEGENERATE
-    log.info("wrote %s", emit_tables(results, args.out))
+    _say("INFO", f"wrote {emit_tables(results, args.out)}")
     return EXIT_DEGENERATE if failed else EXIT_OK
 
 
@@ -141,11 +147,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     results = read_metrics_table(metrics_path)
     systems = {r.system for r in results}
     if len(systems) < 2:
-        log.error("need at least 2 systems to compare, found %d", len(systems))
+        _say("ERROR", f"need at least 2 systems to compare, found {len(systems)}")
         return EXIT_TOO_FEW_SYSTEMS
     matrix = correlation_matrix(results, magnitude=not args.signed)
     emit_correlations(matrix, args.out or args.results, long_format=args.long)
-    log.info("wrote correlation matrix over %d metrics", len(matrix.metrics))
+    _say("INFO", f"wrote correlation matrix over {len(matrix.metrics)} metrics")
     return EXIT_OK
 
 
@@ -170,7 +176,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         zero_relevance_group=args.zero_relevance_group,
     )
     paths = generate(spec, args.out)
-    log.info("generated %d systems under %s", len(paths["systems"]), args.out)
+    _say("INFO", f"generated {len(paths['systems'])} systems under {args.out}")
     return EXIT_OK
 
 
@@ -226,15 +232,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    try:
-        return args.func(args)
-    except FairRankError as exc:
-        log.error("%s", exc)
-        return EXIT_PARSE
-    except OSError as exc:
-        log.error("%s: %s", getattr(exc, "filename", "i/o error"), exc.strerror or exc)
-        return EXIT_PARSE
+    with warnings.catch_warnings():  # restores the filters and the display on return
+        warnings.simplefilter("always", InputWarning)
+        show = warnings.showwarning
+
+        def show_input_warning(message, category, *where):
+            if issubclass(category, InputWarning):
+                _say("WARNING", message)
+            else:
+                show(message, category, *where)
+
+        warnings.showwarning = show_input_warning
+        try:
+            return args.func(args)
+        except FairRankError as exc:
+            _say("ERROR", exc)
+            return EXIT_PARSE
+        except OSError as exc:
+            where = "i/o error" if exc.filename is None else exc.filename
+            _say("ERROR", f"{where}: {exc.strerror or exc}")
+            return EXIT_PARSE
 
 
 def script() -> None:

@@ -74,6 +74,12 @@ class ConfigError(FairRankError):
         self.path = path
 
 
+class InputWarning(UserWarning):
+    """An input file repeats a key; the later row's value is kept.  The ``fairrank``
+    command prints each as ``WARNING <message>``; a library caller may filter or record
+    them, or make them fatal with ``warnings.simplefilter("error", InputWarning)``."""
+
+
 class Direction(enum.Enum):
     """Which end of a metric's range is the fair one."""
 

@@ -34,7 +34,8 @@ that ``csv.reader`` refuses (a field over the limit) fails at the line the
 reader stopped on, as a ``ParseError`` for a file and the ``csv.Error`` for
 another source.  A run may not repeat a rank or a document within a request;
 a repeated alignment, qrels or score key keeps its first position and takes
-its last value, with a warning at each repeat before the first bad line.
+its last value, with an ``InputWarning`` at each repeat before the first bad
+line.
 
 Each writer formats each value once, with ``format_numbers`` (``repr``; a
 grade or membership weight once per distinct value), and joins the text
@@ -50,8 +51,8 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import logging
 import math
+import warnings
 from itertools import chain, compress, count, groupby, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, TypeVar
@@ -75,11 +76,10 @@ from .core import (
     first_codes,
 )
 from .distance import DISTANCE_KINDS
+from .errors import InputWarning
 from .exposure import WEIGHT_KINDS
 from .record import Record
 from .registry import BATTERY, FAMILIES, TARGET_MODES
-
-log = logging.getLogger("fairrank")
 
 
 class DuplicateRank(ParseError):
@@ -393,7 +393,7 @@ def _keyed(table: _Table, qids: list[str], docids: list[str], values: list[float
     first-appearance order, each request's documents in file order.
 
     A repeated key keeps its first position and takes its last value; each
-    repeat logs ``warning`` with its line and key.
+    repeat warns (``InputWarning``) with ``warning`` filled in with its line and key.
     """
     requests, code = _request_codes(qids)
     docs, doc_code = first_codes(docids)
@@ -402,7 +402,7 @@ def _keyed(table: _Table, qids: list[str], docids: list[str], values: list[float
     if sorted_distinct(keys).size < keys.size:  # each key at its first position, last index
         keys = keys.tolist()
         for i in _repeats(keys):
-            log.warning(warning, table.lines[i], qids[i], docids[i])
+            warnings.warn(warning % (table.lines[i], qids[i], docids[i]), InputWarning)
         last = dict(zip(keys, range(len(keys))))
         code, doc_code = np.divmod(np.fromiter(last, dtype=np.intp, count=len(last)), len(docs))
         values = values[list(last.values())]
@@ -519,7 +519,8 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
     kept_docs = list(compress(docs, labeled.tolist()))
     repeated = _repeats(kept_docs)
     for j, i in zip(repeated, np.flatnonzero(labeled)[repeated].tolist()):
-        log.warning("alignment line %d overrides earlier row for %s", table.lines[i], kept_docs[j])
+        warnings.warn(f"alignment line {table.lines[i]} overrides earlier row for {kept_docs[j]}",
+                      InputWarning)
     table.raise_first()
     vals = dense[labeled]
     vals = vals / vals.sum(axis=1)[:, None]

@@ -1,3 +1,6 @@
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from fairrank import (
     Degenerate,
     FairRankError,
     GroupSpace,
+    InputWarning,
     Ranking,
     RankingSequence,
     RelevanceTable,
@@ -124,3 +128,21 @@ def share_pair(protected_share: float) -> np.ndarray:
     if not 0 <= protected_share <= 1:
         raise FairRankError(f"share must lie in [0, 1], got {protected_share}")
     return np.array([protected_share, 1.0 - protected_share])
+
+
+def logged(capsys, level=None):
+    """The messages of the ``LEVEL message`` lines written to stderr since the last read, of
+    ``level`` only when given."""
+    lines = (line.partition(" ") for line in capsys.readouterr().err.splitlines())
+    return [message for at, _, message in lines if level in (None, at)]
+
+
+@contextmanager
+def input_warnings():
+    """The messages of the ``InputWarning``s raised in the block, in order; filled in when
+    the block ends."""
+    messages = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", InputWarning)
+        yield messages
+    messages += [str(w.message) for w in caught if issubclass(w.category, InputWarning)]

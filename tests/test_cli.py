@@ -1,4 +1,5 @@
 import csv
+import errno
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from fairrank.ingest import (load_config, parse_alignment, parse_qrels, parse_ru
 from fairrank.pipeline import SharedInputs, evaluate_system
 from fairrank.report import read_metrics_table
 from fairrank.synth import SynthSpec, generate
+
+from conftest import logged
 
 
 def _synth(tmp_path, **kw):
@@ -77,7 +80,7 @@ class TestSynth:
 
 
 class TestEvaluate:
-    def test_default_battery_and_outputs(self, tmp_path, caplog):
+    def test_default_battery_and_outputs(self, tmp_path):
         paths, _ = _synth(tmp_path)
         out = tmp_path / "out"
         rc = main(_evaluate_args(paths, out, scores=True))
@@ -88,39 +91,36 @@ class TestEvaluate:
                 "DP", "logDP", "IAA", "IntraAcc", "InterAcc"} <= metrics
         assert {r.system for r in rows} == {"sys00", "sys01"}
 
-    def test_pair_on_pools_smaller_than_n_negatives_logs_no_note(self, tmp_path, caplog):
+    def test_pair_on_pools_smaller_than_n_negatives_logs_no_note(self, tmp_path, capsys):
         # every request's negative pool is far below the default n_negatives: counted whole
         paths, _ = _synth(tmp_path)
         out = tmp_path / "out"
-        with caplog.at_level("DEBUG", logger="fairrank"):
-            assert main(_evaluate_args(paths, out, scores=True)) == 0
+        assert main(_evaluate_args(paths, out, scores=True)) == 0
         assert {"IntraAcc", "InterAcc"} <= {r.metric for r in read_metrics_table(out / "metrics.csv")}
-        assert not [r.getMessage() for r in caplog.records if "PAIR" in r.getMessage()]
+        assert not [m for m in logged(capsys) if "PAIR" in m]
 
-    def test_scores_missing_skips_pair_and_iaa(self, tmp_path, caplog):
+    def test_scores_missing_skips_pair_and_iaa(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         out = tmp_path / "out"
-        with caplog.at_level("WARNING", logger="fairrank"):
-            rc = main(_evaluate_args(paths, out, scores=False))
+        rc = main(_evaluate_args(paths, out, scores=False))
         assert rc == 0
         metrics = {r.metric for r in read_metrics_table(out / "metrics.csv")}
         assert "IAA" not in metrics and "IntraAcc" not in metrics
-        messages = [r.getMessage() for r in caplog.records]
+        messages = logged(capsys, "WARNING")
         for system in ("sys00", "sys01"):
             for label in ("IAA", "PAIR"):
                 assert f"{system}: {label}: skipped (system score file not provided)" in messages
 
-    def test_non_finite_metric_row_dropped_and_logged(self, tmp_path, caplog, monkeypatch):
+    def test_non_finite_metric_row_dropped_and_logged(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("fairrank.pipeline.eed", lambda eps: float("inf"))
         paths, _ = _synth(tmp_path)
         out = tmp_path / "out"
-        with caplog.at_level("WARNING", logger="fairrank"):
-            rc = main(_evaluate_args(paths, out))
+        rc = main(_evaluate_args(paths, out))
         assert rc == 0
         metrics = {r.metric for r in read_metrics_table(out / "metrics.csv")}
         assert "EED" not in metrics and "AWRF" in metrics
-        assert any("EED: degenerate (EED value inf is not finite)" in r.message
-                   for r in caplog.records)
+        assert any("EED: degenerate (EED value inf is not finite)" in m
+                   for m in logged(capsys, "WARNING"))
 
     def test_malformed_run_exits_2(self, tmp_path):
         paths, _ = _synth(tmp_path)
@@ -129,26 +129,23 @@ class TestEvaluate:
         rc = main(_evaluate_args(paths, tmp_path / "out", runs=[bad]))
         assert rc == 2
 
-    def test_parse_error_names_the_run_file(self, tmp_path, caplog):
+    def test_parse_error_names_the_run_file(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         bad = tmp_path / "bad_run.txt"
         bad.write_text("q0000 Q0 d000001 1 3.5 tag\nq0000 Q0 d000002 x 3.0 tag\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-            f"{bad}: line 2: rank 'x' is not an integer"]
+        assert logged(capsys, "ERROR") == [f"{bad}: line 2: rank 'x' is not an integer"]
 
-    def test_csv_field_over_the_size_limit_names_file_and_line(self, tmp_path, caplog):
+    def test_csv_field_over_the_size_limit_names_file_and_line(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         bad = paths["scores"][0]
         lines = bad.read_text().split("\n")
         lines[2] = "q0000," + "d" * (csv.field_size_limit() + 10) + ",0.5"
         bad.write_text("\n".join(lines))
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", scores=True))
+        rc = main(_evaluate_args(paths, tmp_path / "out", scores=True))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        assert logged(capsys, "ERROR") == [
             f"{bad}: line 3: field larger than field limit ({csv.field_size_limit()})"]
 
     def test_explicit_degenerate_metric_exits_3(self, tmp_path):
@@ -159,45 +156,43 @@ class TestEvaluate:
         assert rc == 3
 
     @pytest.mark.parametrize("name", ["fair", "awrf"])
-    def test_custom_target_of_the_wrong_width_fails(self, tmp_path, caplog, name):
+    def test_custom_target_of_the_wrong_width_fails(self, tmp_path, capsys, name):
         # the corpus has two groups: a three-entry target fits neither FAIR nor AWRF
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"metrics:\n  - {{name: {name}, target: custom, "
                        "custom_target: [0.3, 0.2, 0.5]}\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
         assert rc == 2
-        assert any("custom target has 3 entries for 2 groups" in r.getMessage()
-                   for r in caplog.records)
+        assert any("custom target has 3 entries for 2 groups" in m
+                   for m in logged(capsys, "ERROR"))
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("target, reason", [
         ("[0.3333333, 0.6666666]", "target distribution must sum to 1"),
         ("[1.5, -0.5]", "target entries must lie in [0, 1]"),
     ])
-    def test_custom_target_that_is_no_distribution_fails_at_load(self, tmp_path, caplog,
+    def test_custom_target_that_is_no_distribution_fails_at_load(self, tmp_path, capsys,
                                                                  target, reason):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"metrics:\n  - {{name: fair, target: custom, custom_target: {target}}}\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
         assert rc == 2
-        assert f"metrics[0].custom_target: ParameterOutOfDomain: {reason}" in caplog.text
+        assert (f"metrics[0].custom_target: ParameterOutOfDomain: {reason}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
-    def test_custom_target_width_is_checked_before_any_run_is_parsed(self, tmp_path, caplog):
+    def test_custom_target_width_is_checked_before_any_run_is_parsed(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         bad = tmp_path / "bad_run.txt"
         bad.write_text("q0000 Q0 d000001 x 3.5 tag\n")
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("metrics: [{name: fair, target: custom, custom_target: [0.3, 0.2, 0.5]}]\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad],
-                                     extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad],
+                                 extra=["--config", str(cfg)]))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        assert logged(capsys, "ERROR") == [
             "metrics[0].custom_target: custom target has 3 entries for 2 groups"]
 
     @pytest.mark.parametrize("metrics, row", [
@@ -206,27 +201,24 @@ class TestEvaluate:
         ("[{name: dp, label: X}, {name: awrf, label: logX}]", "logX"),
         ("[{name: eel, label: EER}, {name: eel}]", "EER"),
     ])
-    def test_a_repeated_row_fails_before_any_run_is_parsed(self, tmp_path, caplog, metrics, row):
+    def test_a_repeated_row_fails_before_any_run_is_parsed(self, tmp_path, capsys, metrics, row):
         paths, _ = _synth(tmp_path)
         bad = tmp_path / "bad_run.txt"
         bad.write_text("q0000 Q0 d000001 x 3.5 tag\n")
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"metrics: {metrics}\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[bad], scores=True,
-                                     extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", runs=[bad], scores=True,
+                                 extra=["--config", str(cfg)]))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-            f"metrics[1]: row {row!r} is also written by metrics[0]"]
+        assert logged(capsys, "ERROR") == [f"metrics[1]: row {row!r} is also written by metrics[0]"]
 
-    def test_a_log_row_of_another_entrys_row_exits_2_at_its_label(self, tmp_path, caplog):
+    def test_a_log_row_of_another_entrys_row_exits_2_at_its_label(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("metrics: [{name: fair, label: P}, {name: awrf, label: logP}]\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
         assert rc == 2 and not (tmp_path / "out" / "metrics.csv").exists()
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        assert logged(capsys, "ERROR") == [
             "metrics[1].label: row 'logP' reads as the log form of row 'P', which metrics[0] "
             "writes"]
 
@@ -262,49 +254,46 @@ class TestEvaluate:
             rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
             assert rc == 2, text
 
-    def test_a_familys_request_weighting_is_no_config_key(self, tmp_path, caplog):
+    def test_a_familys_request_weighting_is_no_config_key(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("metrics:\n  - {name: prefd, request_weighting: arrival}\n")
         assert main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)])) == 2
-        assert "request_weighting" in caplog.text
+        assert "request_weighting" in capsys.readouterr().err
 
     def test_there_is_no_verbose_option(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["-v", "compare", "--results", str(tmp_path)])
         assert exc.value.code == 2 and "-v" in capsys.readouterr().err
 
-    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, caplog):
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("metrics:\n  - {name: awrf, gamma: x}\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
         assert rc == 2
-        assert "metrics[0].gamma: expected float, got 'x'" in caplog.text
+        assert "metrics[0].gamma: expected float, got 'x'" in capsys.readouterr().err
 
-    def test_config_with_bad_yaml_exits_2_at_its_line(self, tmp_path, caplog):
+    def test_config_with_bad_yaml_exits_2_at_its_line(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("metrics:\n  - {name: awrf\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        assert logged(capsys, "ERROR") == [
             f"{cfg}: line 3: expected ',' or '}}', but got '<stream end>'"]
 
-    def test_run_that_is_not_utf8_exits_2_at_its_line(self, tmp_path, caplog):
+    def test_run_that_is_not_utf8_exits_2_at_its_line(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         bad = tmp_path / "bad_run.txt"
         bad.write_bytes(b"q0000 Q0 d000001 1 3.5 tag\r\nq0000 Q0 d\xe9 2 3.0 tag\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        assert logged(capsys, "ERROR") == [
             f"{bad}: line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)"]
 
     @pytest.mark.parametrize("name", ["run", "qrels", "scores", "alignment", "sequence", "config"])
-    def test_a_leading_byte_order_mark_changes_no_output(self, tmp_path, caplog, name):
+    def test_a_leading_byte_order_mark_changes_no_output(self, tmp_path, capsys, name):
         paths, _ = _synth(tmp_path)
         config = tmp_path / "config.yaml"
         config.write_text("unknown_policy: exclude\n")
@@ -312,11 +301,9 @@ class TestEvaluate:
                  "alignment": paths["alignment"], "sequence": paths["sequence"], "config": config}
         outputs = []
         for out in ("plain", "marked"):
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="fairrank"):
-                rc = main(_evaluate_args(paths, tmp_path / out, scores=True,
-                                         extra=["--config", str(config)]))
-            outputs.append((rc, [r.getMessage() for r in caplog.records],
+            rc = main(_evaluate_args(paths, tmp_path / out, scores=True,
+                                     extra=["--config", str(config)]))
+            outputs.append((rc, logged(capsys, "WARNING"),
                             (tmp_path / out / "metrics.csv").read_bytes()))
             files[name].write_bytes(b"\xef\xbb\xbf" + files[name].read_bytes())
         assert outputs[0][0] == 0
@@ -362,7 +349,7 @@ class TestEvaluate:
             paths["runs"][-1].write_text(text)
         return paths
 
-    def test_unknown_policy_error_names_each_systems_own_documents(self, tmp_path, caplog):
+    def test_unknown_policy_error_names_each_systems_own_documents(self, tmp_path, capsys):
         # the corpus holds three unlabeled documents, "m" and "x" of the second
         # system and "z" of the first: each system reports its own count and first one
         paths = self._two_systems(tmp_path, {
@@ -370,17 +357,12 @@ class TestEvaluate:
             "second": "q1 Q0 x 1 1 second\nq2 Q0 m 1 1 second\nq2 Q0 a 2 1 second\n"})
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("unknown_policy: error\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-            "1 unlabeled documents (first: 'z')"]
-        caplog.clear()
+        assert logged(capsys, "ERROR") == ["1 unlabeled documents (first: 'z')"]
         paths["runs"].reverse()
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-            "2 unlabeled documents (first: 'm')"]
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert logged(capsys, "ERROR") == ["2 unlabeled documents (first: 'm')"]
 
     def test_unknown_policy_group_rows_of_other_systems_change_no_value(self, tmp_path):
         paths, _ = _synth(tmp_path, n_systems=3, unlabeled_fraction=0.3, max_draws=3)
@@ -404,7 +386,7 @@ class TestEvaluate:
         assert ((tmp_path / "after" / "metrics.csv").read_bytes()
                 == (tmp_path / "before" / "metrics.csv").read_bytes())
 
-    def test_runs_that_resolve_to_one_system_name_exit_2(self, tmp_path, caplog):
+    def test_runs_that_resolve_to_one_system_name_exit_2(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         run = paths["runs"][0]
         copies = [tmp_path / d / "run.txt" for d in ("a", "b")]
@@ -412,12 +394,10 @@ class TestEvaluate:
             copy.parent.mkdir()
             copy.write_bytes(run.read_bytes())
         for runs in ([run, run], copies):
-            caplog.clear()
-            with caplog.at_level("ERROR", logger="fairrank"):
-                rc = main(_evaluate_args(paths, tmp_path / "out", runs=runs))
+            rc = main(_evaluate_args(paths, tmp_path / "out", runs=runs))
             assert rc == 2
             assert (f"runs {runs[0]} and {runs[1]} both resolve to system name "
-                    f"{runs[0].stem!r}") in caplog.text
+                    f"{runs[0].stem!r}") in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("header, message", [
@@ -425,26 +405,23 @@ class TestEvaluate:
         ("docid,prot, prot", "alignment header repeats group label 'prot'"),
         ("docid,prot,", "alignment header has an empty group label"),
     ])
-    def test_a_bad_alignment_header_exits_2_at_line_1(self, tmp_path, caplog, header, message):
+    def test_a_bad_alignment_header_exits_2_at_line_1(self, tmp_path, capsys, header, message):
         paths, _ = _synth(tmp_path)
         rows = paths["alignment"].read_text().split("\n", 1)[1]
         # a bad second line too: the header is checked before any data row is read
         paths["alignment"].write_text(f"{header}\nd000001,x,y\n{rows}")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            assert main(_evaluate_args(paths, tmp_path / "out")) == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-            f"{paths['alignment']}: line 1: {message}"]
+        assert main(_evaluate_args(paths, tmp_path / "out")) == 2
+        assert logged(capsys, "ERROR") == [f"{paths['alignment']}: line 1: {message}"]
 
-    def test_a_one_group_alignment_exits_2_before_any_run_is_parsed(self, tmp_path, caplog):
+    def test_a_one_group_alignment_exits_2_before_any_run_is_parsed(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         docs = [line.split(",", 1)[0] for line in paths["alignment"].read_text().split("\n")[1:]]
         paths["alignment"].write_text("docid,a\n" + "".join(f"{d},1\n" for d in docs if d))
         bad = tmp_path / "bad_run.txt"
         bad.write_text("q0000 Q0 d000001 x 3.5 tag\n")  # would fail at line 1 if parsed
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", runs=[paths["runs"][0], bad]))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        assert logged(capsys, "ERROR") == [
             f"{paths['alignment']}: line 1: alignment header names one group; "
             "evaluate needs at least 2"]
         assert not (tmp_path / "out" / "metrics.csv").exists()
@@ -452,15 +429,13 @@ class TestEvaluate:
         assert parse_alignment(paths["alignment"])[1].names == ("a",)
 
     @pytest.mark.parametrize("key", ["protected", "unknown"])
-    def test_a_group_label_the_alignment_lacks_exits_2_at_its_key(self, tmp_path, caplog, key):
+    def test_a_group_label_the_alignment_lacks_exits_2_at_its_key(self, tmp_path, capsys, key):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"{key}: zz\n")
-        with caplog.at_level("ERROR", logger="fairrank"):
-            rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
         assert rc == 2
-        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-            f"{key}: unknown group label 'zz'"]
+        assert logged(capsys, "ERROR") == [f"{key}: unknown group label 'zz'"]
 
 
 class TestCompare:
@@ -483,14 +458,28 @@ class TestCompare:
     def test_missing_results_exits_2(self, tmp_path):
         assert main(["compare", "--results", str(tmp_path)]) == 2
 
-    def test_negative_counts_exit_2_with_the_line(self, tmp_path, caplog):
+    def test_negative_counts_exit_2_with_the_line(self, tmp_path, capsys):
         table = tmp_path / "metrics.csv"
         table.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
                          "A,X,0.5,-4,-7,ZeroIsFair\nB,X,0.25,10,0,ZeroIsFair\n"
                          "A,Y,0.5,10,0,ZeroIsFair\nB,Y,0.75,10,0,ZeroIsFair\n")
         assert main(["compare", "--results", str(tmp_path)]) == 2
-        assert "metrics.csv:2: bad metrics row (degenerate count is negative)" in caplog.text
+        assert ("metrics.csv:2: bad metrics row (degenerate count is negative)"
+                in capsys.readouterr().err)
         assert not (tmp_path / "correlations.csv").exists()
+
+    def test_an_os_error_without_a_file_name_exits_2_as_an_io_error(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        (tmp_path / "metrics.csv").write_text(
+            "system,metric,value,n_requests,n_degenerate,direction\n"
+            "A,X,0.5,10,0,ZeroIsFair\nB,X,0.25,10,0,ZeroIsFair\n"
+            "A,Y,0.5,10,0,ZeroIsFair\nB,Y,0.75,10,0,ZeroIsFair\n")
+        monkeypatch.setattr("fairrank.cli.emit_correlations", full)
+        assert main(["compare", "--results", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "ERROR i/o error: No space left on device\n"
 
     def test_a_byte_order_mark_changes_no_output(self, tmp_path):
         text = ("system,metric,value,n_requests,n_degenerate,direction\n"
@@ -523,7 +512,7 @@ class TestCompare:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "correlations.csv", "correlations_long.csv"]
 
-    def test_repeated_metrics_row_exits_2_and_writes_nothing(self, tmp_path, caplog):
+    def test_repeated_metrics_row_exits_2_and_writes_nothing(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path, n_systems=2)
         out = tmp_path / "out"
         assert main(_evaluate_args(paths, out)) == 0
@@ -533,7 +522,7 @@ class TestCompare:
         before = "".join(lines) + ",".join(fields[:2] + ["123.0"] + fields[3:])
         table.write_text(before)
         assert main(["compare", "--results", str(out)]) == 2
-        assert f"metrics.csv:{len(lines) + 1}: repeated row" in caplog.text
+        assert f"metrics.csv:{len(lines) + 1}: repeated row" in capsys.readouterr().err
         assert table.read_text() == before
         assert not (out / "correlations.csv").exists()
 
@@ -598,30 +587,32 @@ def test_package_and_cli_import_load_no_numpy_yaml_ingest_or_pipeline():
     assert _run_python(code) == "[]"
 
 
-def test_compare_loads_neither_dataclasses_nor_inspect(tmp_path):
+def test_compare_loads_no_dataclasses_inspect_or_logging(tmp_path):
     table = tmp_path / "metrics.csv"
     table.write_text("system,metric,value,n_requests,n_degenerate,direction\n"
                      "A,X,0.5,10,0,ZeroIsFair\nB,X,0.25,10,0,ZeroIsFair\n"
                      "A,Y,0.5,10,0,ZeroIsFair\nB,Y,0.75,10,0,ZeroIsFair\n")
     code = ("import sys; from fairrank.cli import main; code = main(%r); "
-            "print(code, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+            "print(code, sorted(m for m in ('dataclasses', 'inspect', 'logging') "
+            "if m in sys.modules))")
     assert _run_python(code % ["compare", "--results", str(tmp_path)]) == "0 []"
 
 
-def test_evaluate_script_does_not_load_dataclasses(tmp_path):
+def test_evaluate_script_loads_neither_dataclasses_nor_logging(tmp_path):
     paths, _ = _synth(tmp_path)
     code = ("import sys; from fairrank import cli; sys.argv = ['fairrank', *%r]\n"
             "try:\n    cli.script()\nexcept SystemExit as exc:\n"
-            "    print(exc.code, 'dataclasses' in sys.modules)")
-    assert _run_python(code % _evaluate_args(paths, tmp_path / "out", scores=True)) == "0 False"
+            "    print(exc.code, sorted(m for m in ('dataclasses', 'logging') "
+            "if m in sys.modules))")
+    assert _run_python(code % _evaluate_args(paths, tmp_path / "out", scores=True)) == "0 []"
 
 
-def test_no_fairrank_module_imports_dataclasses():
+def test_no_fairrank_module_imports_logging_or_dataclasses():
     code = ("import importlib, pkgutil, sys, fairrank\n"
             "for info in pkgutil.iter_modules(fairrank.__path__):\n"
             "    importlib.import_module('fairrank.' + info.name)\n"
-            "print('dataclasses' in sys.modules)")
-    assert _run_python(code) == "False"
+            "print(sorted(m for m in ('dataclasses', 'logging') if m in sys.modules))")
+    assert _run_python(code) == "[]"
 
 
 def test_compare_runs_without_numpy_and_writes_the_same_tables(tmp_path):
@@ -636,6 +627,47 @@ def test_compare_runs_without_numpy_and_writes_the_same_tables(tmp_path):
     for name in ("correlations.csv", "correlations_long.csv"):
         want = (tmp_path / "with" / name).read_bytes()
         assert (tmp_path / "without" / name).read_bytes() == want, name
+
+
+def _command(argv):
+    """Run ``python -m fairrank.cli`` on ``argv``; its exit code and stderr lines."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "fairrank.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stderr.splitlines()
+
+
+def test_command_stderr_is_one_level_and_message_per_line_in_order(tmp_path):
+    # one repeated qrels line, alignment row and score line: each warns as it is parsed,
+    # before the per-system notes and the closing line
+    paths, _ = _synth(tmp_path, zero_relevance_group=True)
+    for path, line in ((paths["qrels"], 0), (paths["alignment"], 1), (paths["scores"][0], 1)):
+        text = path.read_text()
+        path.write_text(text + text.splitlines(keepends=True)[line])
+    out = tmp_path / "out"
+    notes = ["WARNING sys00: prefD: 12 draws scored by edge-case convention",
+             "WARNING sys00: DP: ratio is zero; log row omitted",
+             *(f"WARNING {system}: {label}: degenerate ({reason})" for system in ("sys00", "sys01")
+               for label, reason in (
+                   ("EUR", "a group's mean relevance is zero; ratio undefined"),
+                   ("RUR", "a group's mean relevance is zero; ratio undefined"),
+                   ("PAIR", "no pairs with groups (0, 0)")))]
+    assert _command(_evaluate_args(paths, out, scores=True)) == (0, [
+        "WARNING qrels line 577 overrides earlier grade for (q0000, d000002)",
+        "WARNING alignment line 122 overrides earlier row for d000000",
+        "WARNING scores line 578 overrides earlier score for (q0000, d000002)",
+        *notes,
+        f"INFO wrote {out / 'metrics.csv'}"])
+    assert _command(["compare", "--results", str(out)]) == (
+        0, ["INFO wrote correlation matrix over 9 metrics"])
+    bad = tmp_path / "bad_run.txt"
+    bad.write_text("q0000 Q0 d000001 x 3.5 tag\n")
+    assert _command(_evaluate_args(paths, tmp_path / "bad", runs=[bad])) == (2, [
+        "WARNING qrels line 577 overrides earlier grade for (q0000, d000002)",
+        "WARNING alignment line 122 overrides earlier row for d000000",
+        f"ERROR {bad}: line 1: rank 'x' is not an integer"])
 
 
 def test_main_in_process_leaves_the_collector_alone(tmp_path):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairrank import ConfigError, ParseError, RankingSequence, RelevanceTable, UnknownRequest
+from fairrank import (ConfigError, InputWarning, ParseError, RankingSequence, RelevanceTable,
+                      UnknownRequest)
 from fairrank.ingest import (
     DuplicateRank,
     NegativeWeight,
@@ -26,6 +27,7 @@ from fairrank.ingest import (
     write_scores,
 )
 
+from conftest import input_warnings
 from oracles import oracle_parse_alignment
 
 
@@ -111,11 +113,10 @@ class TestParseQrels:
                 parse_qrels(io.StringIO(f"q1 0 a 1\nq1 0 d {grade}\n"))
             assert err.value.line == 2
 
-    def test_duplicate_last_wins_with_warning(self, caplog):
-        with caplog.at_level("WARNING", logger="fairrank"):
+    def test_duplicate_last_wins_with_warning(self):
+        with pytest.warns(InputWarning, match="overrides"):
             rel = parse_qrels(io.StringIO("q1 0 d 1\nq1 0 d 2\n"))
         assert rel.grade("q1", "d") == 2.0
-        assert any("overrides" in r.message for r in caplog.records)
 
     def test_round_trip(self):
         text = "q1 0 a 1.0\nq1 0 b 2.0\nq2 0 c 0.0\n"
@@ -195,16 +196,16 @@ class TestParseAlignment:
         "d1,0.5,0.505\n\nd2,,1\n",              # renormalized, blank line, empty cell
         "",
     ])
-    def test_rows_and_warnings_match_the_line_by_line_parser(self, body, caplog):
+    def test_rows_and_warnings_match_the_line_by_line_parser(self, body):
         text = "docid,F,M\n" + body
         want_rows, want_warnings = oracle_parse_alignment(text)
-        with caplog.at_level("WARNING", logger="fairrank"):
+        with input_warnings() as got_warnings:
             al, gs = parse_alignment(io.StringIO(text))
         assert gs.names == ("F", "M")
         assert list(al.docs()) == list(want_rows)
         for d, row in want_rows.items():
             assert al.row(d).tolist() == pytest.approx(row, rel=1e-15)
-        assert [r.getMessage() for r in caplog.records] == want_warnings
+        assert got_warnings == want_warnings
 
     def test_round_trip(self):
         text = "docid,F,M\nd1,1,0\nd2,0.25,0.75\n"
@@ -264,11 +265,10 @@ class TestParseScores:
         sc = parse_scores(io.StringIO("qid,docid,score\nq1,d1,0.9\n"))
         assert sc == {"q1": {"d1": 0.9}}
 
-    def test_duplicate_last_wins(self, caplog):
-        with caplog.at_level("WARNING", logger="fairrank"):
+    def test_duplicate_last_wins(self):
+        with pytest.warns(InputWarning, match="overrides"):
             sc = parse_scores(io.StringIO("q1,d1,0.9\nq1,d1,0.1\n"))
         assert sc["q1"]["d1"] == 0.1
-        assert any("overrides" in r.message for r in caplog.records)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -22,8 +22,6 @@ rows, quoted cells, wrong widths, unknown requests and odd ``seq_no`` cells.
 """
 
 import io
-import logging
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +35,7 @@ from fairrank.ingest import (
     parse_sequence,
 )
 
+from conftest import input_warnings
 from oracles import (
     oracle_parse_alignment,
     oracle_parse_qrels,
@@ -175,26 +174,6 @@ def _join(draw, lines, sep=" "):
     return text
 
 
-class _Warnings(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
-@contextmanager
-def _warnings():
-    handler = _Warnings()
-    logger = logging.getLogger("fairrank")
-    logger.addHandler(handler)
-    try:
-        yield handler.messages
-    finally:
-        logger.removeHandler(handler)
-
-
 def _sources(text, tmp):
     """(parser source, oracle lines, path prefix of an error message) per source kind."""
     path = tmp / "input.txt"
@@ -215,7 +194,7 @@ def _check(parse, oracle, view, text, tmp):
         except Exception as exc:  # noqa: BLE001 - compared below
             want_exc = exc
         got, got_exc = None, None
-        with _warnings() as got_warnings:
+        with input_warnings() as got_warnings:
             try:
                 got = parse(source)
             except Exception as exc:  # noqa: BLE001 - compared below
@@ -282,7 +261,7 @@ def test_parse_alignment_matches_oracle(tmp, text):
     except Exception as exc:  # noqa: BLE001 - compared below
         want_exc = exc
     for source, _, prefix in _sources(text, tmp):
-        with _warnings() as got_warnings:
+        with input_warnings() as got_warnings:
             try:
                 alignment, groups = parse_alignment(source)
                 got_exc = None

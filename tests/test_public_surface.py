@@ -17,8 +17,9 @@ import fairrank
 PUBLIC_NAMES = [
     "AlignmentMatrix", "AllDegenerate", "ConfigError", "CorrelationMatrix", "Degenerate",
     "DegenerateDenominator", "DegenerateUtility", "Direction", "EmptyGroup",
-    "ExpectedExposureResult", "FairRankError", "GroupSpace", "MetricResult", "NoPairs",
-    "PairCounts", "PairSample", "ParseError", "Ranking", "RankingSequence", "RelevanceTable",
+    "ExpectedExposureResult", "FairRankError", "GroupSpace", "InputWarning", "MetricResult",
+    "NoPairs", "PairCounts", "PairSample", "ParseError", "Ranking", "RankingSequence",
+    "RelevanceTable",
     "SingleListResult", "TargetDistribution", "UndefinedNormalizer", "UnknownRequest",
     "WeightModel", "accuracy_table", "apply_unknown_policy", "awrf", "binarize",
     "correlation_matrix", "demographic_parity", "discounted_group_utility", "ee_decompose",
@@ -32,8 +33,8 @@ REMOVED_NAMES = [
 ]
 
 
-def test_all_lists_the_same_49_names():
-    assert len(PUBLIC_NAMES) == 49
+def test_all_lists_the_same_50_names():
+    assert len(PUBLIC_NAMES) == 50
     assert fairrank.__all__ == PUBLIC_NAMES
 
 
