@@ -8,7 +8,9 @@ input file's repeated key (``InputWarning``) prints as ``WARNING <message>``
 when it is read.
 
 Only ``evaluate`` loads the array stack (``ingest``, ``pipeline`` and numpy):
-its names bind on first use, so ``compare`` starts without it.
+its names bind on first use, so ``compare`` starts without it.  The
+``fairrank`` command (``script``) freezes every object still alive when
+``main`` returns, so the interpreter's collections at exit skip them.
 """
 
 from __future__ import annotations
@@ -263,9 +265,16 @@ def script() -> None:
     thousands of objects again.  It also loads with one BLAS/OpenMP thread unless
     ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS`` says
     otherwise: every product it asks BLAS for is far too small to be split, so
-    a thread pool would only sit idle beside the main thread.  ``main`` itself
-    leaves the collector and the environment alone for callers that run it in
-    their own process.
+    a thread pool would only sit idle beside the main thread.
+
+    Every command's process freezes what is still alive once ``main`` returns:
+    at exit the interpreter runs full cyclic collections over every live
+    object (``gc.disable()`` does not stop them), and frozen objects are the
+    ones they skip.  ``atexit`` handlers still run and the standard streams
+    are still flushed; every output file is closed before ``main`` returns.
+    Only cycles that live until exit go unreclaimed, and the OS frees their
+    memory.  ``main`` itself leaves the collector and the environment alone for
+    callers that run it in their own process.
     """
     if next((arg for arg in sys.argv[1:] if not arg.startswith("-")), None) == "evaluate":
         os.environ.setdefault("OMP_NUM_THREADS", "1")  # read once, when numpy loads
@@ -273,7 +282,9 @@ def script() -> None:
         _bind_evaluate_names()
         gc.freeze()
         gc.enable()
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -217,8 +217,11 @@ class _Table:
     failure found so far.  So ``error`` ends up the first bad line's, and of
     the checks that fail on that line, the one that ran first.  Data row i is
     line ``lines[i]`` of the file; ``header`` holds line 1's cells when that
-    line is a header that sets the width.
+    line is a header that sets the width.  ``where`` goes before each warning the
+    rows raise: the file's path and ``": "`` when the source was a path.
     """
+
+    where = ""
 
     def __init__(self, columns: list[list[str]], lines: Sequence[int], error: Exception | None,
                  header: list[str] | None = None):
@@ -286,8 +289,10 @@ def _tabulate(source: TextIO | Iterable[str] | str | Path, width: int | None, se
     refuses ends the rows, and the table keeps its error.
     """
     text = _read(source)
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
     table = _split_once(text, width, sep, header, comments) if isinstance(text, str) else None
     if table is not None:
+        table.where = where
         return table
     error = None
     if sep is None:
@@ -297,8 +302,7 @@ def _tabulate(source: TextIO | Iterable[str] | str | Path, width: int | None, se
         try:
             rows.extend(reader)
         except csv.Error as exc:
-            error = (ParseError(str(exc), reader.line_num) if isinstance(source, (str, Path))
-                     else exc)
+            error = ParseError(str(exc), reader.line_num) if where else exc
     start, heading = 0, None
     if width is None:
         if not rows and error is not None:
@@ -312,6 +316,7 @@ def _tabulate(source: TextIO | Iterable[str] | str | Path, width: int | None, se
     bad = next((j for j, i in enumerate(kept) if len(rows[i]) != width), len(kept))
     columns = [list(column) for column in zip(*map(rows.__getitem__, kept[:bad]))]
     table = _Table(columns or [[] for _ in range(width)], [i + 1 for i in kept], error, heading)
+    table.where = where
     if bad < len(kept):
         table.fail(bad, ParseError(shape.format(len(rows[kept[bad]]), width=width),
                                    table.lines[bad]))
@@ -402,7 +407,8 @@ def _keyed(table: _Table, qids: list[str], docids: list[str], values: list[float
     if sorted_distinct(keys).size < keys.size:  # each key at its first position, last index
         keys = keys.tolist()
         for i in _repeats(keys):
-            warnings.warn(warning % (table.lines[i], qids[i], docids[i]), InputWarning)
+            warnings.warn(table.where + warning % (table.lines[i], qids[i], docids[i]),
+                          InputWarning, stacklevel=4)  # the caller of the public parser
         last = dict(zip(keys, range(len(keys))))
         code, doc_code = np.divmod(np.fromiter(last, dtype=np.intp, count=len(last)), len(docs))
         values = values[list(last.values())]
@@ -519,8 +525,8 @@ def parse_alignment(source: TextIO | Iterable[str] | str | Path) -> tuple[Alignm
     kept_docs = list(compress(docs, labeled.tolist()))
     repeated = _repeats(kept_docs)
     for j, i in zip(repeated, np.flatnonzero(labeled)[repeated].tolist()):
-        warnings.warn(f"alignment line {table.lines[i]} overrides earlier row for {kept_docs[j]}",
-                      InputWarning)
+        warnings.warn(f"{table.where}alignment line {table.lines[i]} overrides earlier row for "
+                      f"{kept_docs[j]}", InputWarning, stacklevel=3)
     table.raise_first()
     vals = dense[labeled]
     vals = vals / vals.sum(axis=1)[:, None]

@@ -655,9 +655,10 @@ def test_command_stderr_is_one_level_and_message_per_line_in_order(tmp_path):
                    ("RUR", "a group's mean relevance is zero; ratio undefined"),
                    ("PAIR", "no pairs with groups (0, 0)")))]
     assert _command(_evaluate_args(paths, out, scores=True)) == (0, [
-        "WARNING qrels line 577 overrides earlier grade for (q0000, d000002)",
-        "WARNING alignment line 122 overrides earlier row for d000000",
-        "WARNING scores line 578 overrides earlier score for (q0000, d000002)",
+        f"WARNING {paths['qrels']}: qrels line 577 overrides earlier grade for (q0000, d000002)",
+        f"WARNING {paths['alignment']}: alignment line 122 overrides earlier row for d000000",
+        f"WARNING {paths['scores'][0]}: scores line 578 overrides earlier score for "
+        "(q0000, d000002)",
         *notes,
         f"INFO wrote {out / 'metrics.csv'}"])
     assert _command(["compare", "--results", str(out)]) == (
@@ -665,31 +666,57 @@ def test_command_stderr_is_one_level_and_message_per_line_in_order(tmp_path):
     bad = tmp_path / "bad_run.txt"
     bad.write_text("q0000 Q0 d000001 x 3.5 tag\n")
     assert _command(_evaluate_args(paths, tmp_path / "bad", runs=[bad])) == (2, [
-        "WARNING qrels line 577 overrides earlier grade for (q0000, d000002)",
-        "WARNING alignment line 122 overrides earlier row for d000000",
+        f"WARNING {paths['qrels']}: qrels line 577 overrides earlier grade for (q0000, d000002)",
+        f"WARNING {paths['alignment']}: alignment line 122 overrides earlier row for d000000",
         f"ERROR {bad}: line 1: rank 'x' is not an integer"])
+
+
+def test_repeated_score_keys_warn_with_the_path_of_their_file(tmp_path):
+    # one score file per system, each repeating its line 2: the warnings tell the files apart
+    paths, _ = _synth(tmp_path)
+    warnings = []
+    for path in paths["scores"]:
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines) + lines[1])
+        qid, docid, _ = lines[1].strip().split(",")
+        warnings.append(f"WARNING {path}: scores line {len(lines) + 1} overrides earlier score "
+                        f"for ({qid}, {docid})")
+    code, stderr = _command(_evaluate_args(paths, tmp_path / "out", scores=True))
+    assert code == 0 and [line for line in stderr if "overrides" in line] == warnings
 
 
 def test_main_in_process_leaves_the_collector_alone(tmp_path):
     import gc
 
     paths, _ = _synth(tmp_path)
+    out = tmp_path / "out"
     frozen = gc.get_freeze_count()
-    assert main(_evaluate_args(paths, tmp_path / "out")) == 0
-    assert gc.isenabled() and gc.get_freeze_count() == frozen
+    for argv in (_evaluate_args(paths, out), ["compare", "--results", str(out)],
+                 ["synth", "--out", str(tmp_path / "synth"), "--docs", "40", "--requests", "3"]):
+        assert main(argv) == 0
+        assert gc.isenabled() and gc.get_freeze_count() == frozen, argv[0]
 
 
-def test_script_entry_freezes_the_array_stack_for_evaluate_only(tmp_path):
-    # the fairrank command runs in a process of its own: evaluate's modules load with
-    # the collector off and are then frozen, and the collector is back on for the run
+def test_script_entry_freezes_what_outlives_main_for_every_command(tmp_path):
+    # the fairrank command runs in a process of its own: evaluate's modules load with the
+    # collector off and are then frozen, and the collector is back on when main starts;
+    # after main returns, every command freezes what is left, so the collections the
+    # interpreter runs at exit skip it
     paths, _ = _synth(tmp_path, n_systems=3)
     assert main(_evaluate_args(paths, tmp_path / "out")) == 0
     code = ("import gc, sys; from fairrank import cli; sys.argv = ['fairrank', *%r]\n"
+            "run, entry = cli.main, []\n"
+            "def main(argv=None):\n"
+            "    entry.append((gc.get_freeze_count() > 0, gc.isenabled()))\n"
+            "    return run(argv)\n"
+            "cli.main = main\n"
             "try:\n    cli.script()\nexcept SystemExit as exc:\n"
-            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)")
-    argv = _evaluate_args(paths, tmp_path / "again")
-    assert _run_python(code % argv) == "0 True True"
-    assert _run_python(code % ["compare", "--results", str(tmp_path / "out")]) == "0 True False"
+            "    print(exc.code, *entry[0], gc.get_freeze_count() > 0)")
+    assert _run_python(code % _evaluate_args(paths, tmp_path / "again")) == "0 True True True"
+    assert _run_python(code % ["compare", "--results", str(tmp_path / "out")]) == (
+        "0 False True True")
+    assert _run_python(code % ["synth", "--out", str(tmp_path / "synth"), "--docs", "40",
+                               "--requests", "3"]) == "0 False True True"
 
 
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -483,6 +483,25 @@ def test_parse_errors_from_a_path_name_the_file(tmp_path, parse, text, line):
         parse(str(path))
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_qrels, "q1 0 d1 1\nq1 0 d1 2\n", "qrels line 2 overrides earlier grade for (q1, d1)"),
+    (parse_alignment, "docid,F,M\nd1,1,0\nd1,0,1\n",
+     "alignment line 3 overrides earlier row for d1"),
+    (parse_scores, "qid,docid,score\nq1,d1,0.5\nq1,d1,0.25\n",
+     "scores line 3 overrides earlier score for (q1, d1)"),
+])
+def test_a_repeated_key_warns_at_the_callers_line(tmp_path, parse, text, message):
+    # the warning is reported where the parser was called, not inside fairrank, and
+    # names the file when given a path, as a parse error does
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    for source, prefix in ((io.StringIO(text), ""), (path, f"{path}: "), (str(path), f"{path}: ")):
+        with pytest.warns(InputWarning) as record:
+            parse(source)
+        assert [str(w.message) for w in record] == [prefix + message]
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_sequence_parse_error_names_the_file(tmp_path):
     run = parse_run(io.StringIO("q1 Q0 d1 1 2.0 r\n"))
     path = tmp_path / "seq.csv"

@@ -11,8 +11,8 @@ breaks, and from a path.  ``parse_run``, ``parse_qrels`` and
 ``parse_scores`` must give what ``oracle_parse_run``, ``oracle_parse_qrels``
 and ``oracle_parse_scores`` give for the same lines: the same value (floats
 compared by ``repr``, dict order included), or an exception of the same
-class with the same message and line (after the path, given a path), and
-the same warnings in the same order.  ``parse_alignment`` is held to
+class with the same message and line, and the same warnings in the same
+order (each message after the path, given a path).  ``parse_alignment`` is held to
 ``oracle_parse_alignment`` the same way, over hard, soft, unlabeled and
 blank rows, empty and padded cells, repeated documents, rows off the
 sum tolerance, odd headers and quoted cells; its rows are compared within
@@ -175,7 +175,8 @@ def _join(draw, lines, sep=" "):
 
 
 def _sources(text, tmp):
-    """(parser source, oracle lines, path prefix of an error message) per source kind."""
+    """(parser source, oracle lines, path prefix of an error or warning message) per source
+    kind."""
     path = tmp / "input.txt"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
@@ -206,7 +207,7 @@ def _check(parse, oracle, view, text, tmp):
         else:
             assert got_exc is None, got_exc
             assert repr(view(got)) == repr(want)
-        assert got_warnings == want_warnings
+        assert got_warnings == [prefix + w for w in want_warnings]
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +278,7 @@ def test_parse_alignment_matches_oracle(tmp, text):
         for doc, row in want_rows.items():
             assert alignment.row(doc).tolist() == pytest.approx(row, rel=1e-15, abs=0)
         assert groups.names == tuple(h.strip() for h in text.split("\n")[0].split(",")[1:])
-        assert got_warnings == want_warnings
+        assert got_warnings == [prefix + w for w in want_warnings]
 
 
 SEQUENCE_RUN = parse_run(io.StringIO("q1 Q0 a 1 1.0 r\nq2 Q0 b 1 1.0 r\nq2 Q0 c 2 0.5 r\n"))
