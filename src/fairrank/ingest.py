@@ -44,6 +44,11 @@ lines at a time rather than holding the whole text.  ``write_run_rows`` and
 ``write_score_rows`` take columns already formatted, so a caller that holds a
 score matrix (``synth``) formats each score once for both files.  CSV lines are
 joined directly unless a cell needs quoting, which ``csv.writer`` then does.
+
+An evaluation config is YAML.  ``load_config`` reads a config in the plain
+subset that ``_plain_yaml`` describes without importing PyYAML, and any other
+with ``yaml.safe_load``.  Each enumerated value (``name``, ``weight_model``,
+``dist``, ``target``, ``pool``, ``unknown_policy``) is read in any case.
 """
 
 from __future__ import annotations
@@ -751,20 +756,31 @@ def _distribution(value, path: str) -> tuple[float, ...] | None:
     return value
 
 
+def _label(value, path: str) -> str:
+    """A metric label: a scalar other than null, as text that is not blank."""
+    if value is None or isinstance(value, (list, dict, set)) or not str(value).strip():
+        raise ConfigError(f"expected a non-empty label, got {value!r}", path)
+    return str(value)
+
+
+def _mode(value, path: str) -> str:
+    """A word from a fixed set (a metric name, a weight model, a policy...), in any case."""
+    return str(value).lower()
+
+
 # Each metric key: how its value is read at its key path, the values it may take
 # (None: any) and the refusal of any other.
-_TEXT, _MODE = (lambda value, path: str(value)), (lambda value, path: str(value).lower())
 _FLOAT, _INT, _BOOL = (functools.partial(_as, kind) for kind in (float, int, bool))
 _KEY_RULES: dict[str, tuple[Callable, Callable | None, str]] = {
-    "label": (_TEXT, None, ""),
-    "weight_model": (_TEXT, WEIGHT_KINDS.__contains__, "unknown weight model {!r}"),
+    "label": (_label, None, ""),
+    "weight_model": (_mode, WEIGHT_KINDS.__contains__, "unknown weight model {!r}"),
     "gamma": (_FLOAT, lambda v: 0 < v <= 1, "gamma {} outside (0, 1]"),
-    "dist": (_MODE, DISTANCE_KINDS.__contains__, "unknown distance {!r}"),
-    "target": (_MODE, TARGET_MODES.__contains__, "unknown target mode {!r}"),
+    "dist": (_mode, DISTANCE_KINDS.__contains__, "unknown distance {!r}"),
+    "target": (_mode, TARGET_MODES.__contains__, "unknown target mode {!r}"),
     "custom_target": (_distribution, None, ""),
     "step": (_INT, lambda v: v >= 2, "step {} must be >= 2"),
     "n_negatives": (_INT, lambda v: v >= 1, "n_negatives {} must be >= 1"),
-    "pool": (_TEXT, POOLS.__contains__, "unknown pool {!r}"),
+    "pool": (_mode, POOLS.__contains__, "unknown pool {!r}"),
     "signed": (_BOOL, None, ""),
 }
 
@@ -800,22 +816,31 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
     """Load a YAML evaluation config, filling documented defaults.
 
     ``None`` (or an empty document) yields all defaults, including the full
-    default metric battery.
+    default metric battery.  The text is read once, by ``_plain_yaml`` when it
+    is in the plain subset and by PyYAML's ``safe_load`` otherwise.
     """
-    doc: Mapping = {}
+    doc: Mapping | None = {}
     if source is not None:
-        import yaml  # only a config file needs it
+        from . import _plain_yaml  # only a config file needs it
 
         try:
-            text = _read_text(source) if isinstance(source, (str, Path)) else source
-            doc = yaml.safe_load(text) or {}
-        except yaml.YAMLError as exc:  # a syntax error, at its line when the parser marks one
-            mark = getattr(exc, "problem_mark", None)
-            raise _named(ParseError(getattr(exc, "problem", None) or str(exc),
-                                    None if mark is None else mark.line + 1), source) from None
+            text = _read_text(source) if isinstance(source, (str, Path)) else source.read()
         except ParseError as exc:
             _named(exc, source)
             raise
+        doc = _plain_yaml.load(text) if isinstance(text, str) else None
+        if doc is None:  # outside the plain subset
+            import yaml
+
+            if not isinstance(source, (str, Path)):  # a stream again, named as PyYAML names it
+                text = (io.StringIO if isinstance(text, str) else io.BytesIO)(text)
+                text.name = getattr(source, "name", "<file>")
+            try:
+                doc = yaml.safe_load(text) or {}
+            except yaml.YAMLError as exc:  # a syntax error, at its line when the parser marks one
+                mark = getattr(exc, "problem_mark", None)
+                raise _named(ParseError(getattr(exc, "problem", None) or str(exc),
+                                        None if mark is None else mark.line + 1), source) from None
     if not isinstance(doc, Mapping):
         raise ConfigError("config document must be a mapping")
     known = {"protected", "unknown", "unknown_policy", "threshold", "metrics"}
@@ -824,7 +849,7 @@ def load_config(source: str | Path | TextIO | None) -> EvalConfig:
             raise ConfigError(f"unknown parameter {key!r}", str(key))
     threshold = _as(float, doc.get("threshold", EvalConfig.threshold), "threshold")
     _domain(0 < threshold <= 1, "threshold", f"threshold {threshold} outside (0, 1]")
-    policy = str(doc.get("unknown_policy", EvalConfig.unknown_policy))
+    policy = str(doc.get("unknown_policy", EvalConfig.unknown_policy)).lower()
     _domain(policy in UNKNOWN_POLICIES, "unknown_policy", f"unknown policy {policy!r}")
     raw_metrics = doc.get("metrics")
     if raw_metrics is None:

@@ -274,6 +274,29 @@ class TestEvaluate:
         assert rc == 2
         assert "metrics[0].gamma: expected float, got 'x'" in capsys.readouterr().err
 
+    def test_a_null_label_exits_2(self, tmp_path, capsys):
+        # it wrote rows 'None' and 'logNone' (see test_ingest for blank and collection labels)
+        paths, _ = _synth(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("metrics: [{name: dp, label: null}]\n")
+        rc = main(_evaluate_args(paths, tmp_path / "out", extra=["--config", str(cfg)]))
+        assert rc == 2 and not (tmp_path / "out" / "metrics.csv").exists()
+        assert logged(capsys, "ERROR") == ["metrics[0].label: expected a non-empty label, got None"]
+
+    def test_enumerated_config_values_read_in_any_case(self, tmp_path):
+        paths, _ = _synth(tmp_path, unlabeled_fraction=0.2)
+        entries = ("unknown_policy: {}\nmetrics:\n  - {{name: {}, weight_model: {}, pool: {}}}\n"
+                   "  - {{name: {}, dist: {}, target: {}}}\n")
+        tables = []
+        for name, config in (
+                ("lower", entries.format("group", "eur", "rbp", "judged", "awrf", "kl", "equal")),
+                ("mixed", entries.format("Group", "EUR", "RBP", "Judged", "Awrf", "KL", "EQUAL"))):
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(config)
+            assert main(_evaluate_args(paths, tmp_path / name, extra=["--config", str(cfg)])) == 0
+            tables.append((tmp_path / name / "metrics.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_config_with_bad_yaml_exits_2_at_its_line(self, tmp_path, capsys):
         paths, _ = _synth(tmp_path)
         cfg = tmp_path / "bad.yaml"
@@ -770,15 +793,18 @@ def test_no_metric_depends_on_the_blas_thread_count(tmp_path):
 
 
 def test_evaluate_loads_no_yaml_numpy_ma_or_numpy_random(tmp_path):
-    # no config file: none of these is needed, and only the synth command needs
-    # fairrank.synth; a config needs yaml, and pair counts draw nothing even when
-    # every negative pool is larger than n_negatives
+    # no config file or a plain one: none of these is needed, and only the synth command
+    # needs fairrank.synth; a config outside the plain subset (YAML reads 1e0 as a string)
+    # needs yaml and reads the same; pair counts draw nothing even when every negative
+    # pool is larger than n_negatives
     paths, _ = _synth(tmp_path)
-    config = tmp_path / "pair.yaml"
+    config, exponent = tmp_path / "pair.yaml", tmp_path / "pair_1e0.yaml"
     config.write_text("metrics: [{name: pair, n_negatives: 1}]\n")
+    exponent.write_text("metrics: [{name: pair, n_negatives: 1e0}]\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    for name, extra, loaded in (("out", (), "[]"), ("pair", ("--config", str(config)), "['yaml']")):
+    for name, extra, loaded in (("out", (), "[]"), ("pair", ("--config", str(config)), "[]"),
+                                ("pair_1e0", ("--config", str(exponent)), "['yaml']")):
         argv = _evaluate_args(paths, tmp_path / name, scores=True, extra=extra)
         code = ("import sys; from fairrank.cli import main; rc = main(%r); "
                 "print(rc, sorted(m for m in ('yaml', 'numpy.ma', 'numpy.random', 'fairrank.synth') "
@@ -789,3 +815,5 @@ def test_evaluate_loads_no_yaml_numpy_ma_or_numpy_random(tmp_path):
     assert {"IAA", "IntraAcc", "EEL"} <= {r.metric for r in read_metrics_table(tmp_path / "out" / "metrics.csv")}
     assert {r.metric for r in read_metrics_table(tmp_path / "pair" / "metrics.csv")} == {
         "IntraAcc", "InterAcc"}
+    assert ((tmp_path / "pair_1e0" / "metrics.csv").read_bytes()
+            == (tmp_path / "pair" / "metrics.csv").read_bytes())

@@ -380,6 +380,41 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"^" + re.escape(path) + ": expected "):
             load_config(io.StringIO(text))
 
+    @pytest.mark.parametrize("label, got", [
+        ("null", "None"), ("''", "''"), ("' '", "' '"), ("[1, 2]", "[1, 2]"),
+        ("{a: 1}", "{'a': 1}")])
+    def test_a_null_blank_or_collection_label_is_refused(self, label, got):
+        # each wrote a row 'None', '', ' ' or '[1, 2]' that compare read as a metric of its own
+        with pytest.raises(ConfigError) as info:
+            load_config(io.StringIO(f"metrics: [{{name: dp}}, {{name: eed, label: {label}}}]\n"))
+        assert str(info.value) == f"metrics[1].label: expected a non-empty label, got {got}"
+
+    def test_a_scalar_label_reads_as_text(self):
+        cfg = load_config(io.StringIO("metrics: [{name: dp, label: 7}, {name: eed, label: x}]\n"))
+        assert [mc.label for mc in cfg.metrics] == ["7", "x"]
+
+    def test_every_enumerated_value_is_read_in_any_case(self):
+        cfg = load_config(io.StringIO(
+            "unknown_policy: Group\nmetrics:\n  - {name: EUR, weight_model: RBP, pool: Judged}\n"
+            "  - {name: Awrf, dist: KL, target: EQUAL}\n"))
+        assert cfg == load_config(io.StringIO(
+            "unknown_policy: group\nmetrics:\n  - {name: eur, weight_model: rbp, pool: judged}\n"
+            "  - {name: awrf, dist: kl, target: equal}\n"))
+        assert (cfg.unknown_policy, cfg.metrics[0].weight_model, cfg.metrics[0].pool) == (
+            "group", "rbp", "judged")
+
+    def test_a_stream_outside_the_plain_subset_reads_as_a_stream(self):
+        # PyYAML names a stream after its ``name``, or "<file>", and reads bytes as well
+        class Named(io.StringIO):
+            name = "conf.yaml"
+
+        for stream, where in ((io.StringIO, "<file>"), (Named, "conf.yaml")):
+            with pytest.raises(ParseError) as info:
+                load_config(stream("threshold: \x01\n"))
+            assert str(info.value) == ("unacceptable character #x0001: special characters are "
+                                       f'not allowed\n  in "{where}", position 11')
+        assert load_config(io.BytesIO(b"threshold: 0.25\n")).threshold == 0.25
+
     @pytest.mark.parametrize("text", ["seed: x\n", "seed: 4.5\n", "seed: 42\n"])
     def test_seed_is_refused(self, text):
         # pair counts are expectations, so nothing reads a seed
