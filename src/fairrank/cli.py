@@ -76,7 +76,8 @@ def _resolve_groups(groups: GroupSpace, config: EvalConfig) -> GroupSpace:
 
 
 def _system_names(run_paths: list[Path], tags: list[str | None]) -> list[str]:
-    """Run tags when present and unique, else file stems, which must then be unique."""
+    """Run tags when present and unique, else file stems, which must then be unique; checked
+    once the config, qrels, alignment and every run are parsed (the tags come from runs)."""
     if all(tags) and len(set(tags)) == len(tags):
         return tags  # type: ignore[return-value]
     first: dict[str, Path] = {}

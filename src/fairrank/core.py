@@ -393,10 +393,10 @@ def binarize(
     The second group is named ``rest``, or ``other`` when the protected group
     itself is named ``rest``.
 
-    Metrics built on binomial group counts or ratios need definitive
-    membership; a document is protected iff its protected mass is >= threshold,
-    the rule prefD, FAIR and pair counting apply to soft rows.  Unlabeled
-    documents stay unlabeled.
+    Metrics built on binomial group counts or ratios need definitive membership; a
+    document is protected iff its protected mass is >= threshold.  Only this function
+    applies that rule: prefD (nd, rd), FAIR, PAIR, DP, EUR and RUR read the rows it
+    returns.  Unlabeled documents stay unlabeled.
     """
     p = groups.require_protected()
     if not 0 < threshold <= 1:

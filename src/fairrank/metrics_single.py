@@ -34,6 +34,7 @@ from .core import (
     RelevanceTable,
     TargetDistribution,
     UndefinedNormalizer,
+    binarize,
 )
 from .distance import (
     ALL_PROTECTED_TARGET,
@@ -186,25 +187,30 @@ def pref_fairness(
 ) -> SingleListResult:
     """Normalized prefix unfairness in [0, 1]; 0 is fair.
 
-    ``target`` defaults to the list's own composition (so the score asks how
-    evenly that composition is spread across prefixes); pass an explicit
-    target to compare against a global distribution instead.  A list with
-    fewer than ``step`` labeled documents is maximally fair by convention.
+    ``target`` defaults to the list's own composition (so the score asks how evenly that
+    composition is spread across prefixes); pass an explicit target to compare against a
+    global distribution instead.  nd and rd read the list's rows binarized at ``threshold``
+    by ``core.binarize``, against the target's protected share; kl reads the soft rows.
+    A list with fewer than ``step`` labeled documents is maximally fair by convention.
     """
-    rows = alignment.indices(ranking.docs)[None]
-    return prefd_scores(rows, alignment.dense(), groups, target, dist, step,
-                        threshold).only("prefd")
+    probs = None if target is None else target.probs
+    if dist != "kl":  # the list's own rows: binarizing all of them costs O(alignment) a call
+        probs = probs if probs is None else probs[[groups.require_protected()]]
+        docs = [d for d in ranking.docs if d in alignment]
+        own = AlignmentMatrix._stacked(docs, alignment.dense()[alignment.indices(docs)])
+        alignment, _ = binarize(own, groups, threshold)
+    return prefd_scores(alignment.indices(ranking.docs)[None], alignment.dense(), probs, dist,
+                        step).only("prefd")
 
 
-def prefd_scores(rows: np.ndarray, dense: np.ndarray, groups: GroupSpace,
-                 target: TargetDistribution | None, dist: str, step: int,
-                 threshold: float) -> ListScores:
+def prefd_scores(rows: np.ndarray, dense: np.ndarray, target: np.ndarray | None, dist: str,
+                 step: int) -> ListScores:
     """``pref_fairness`` of every list: ``rows`` (R, D) holds each position's dense row
-    (-1: unlabeled or past the end).
-
-    The lists are grouped by labeled count (for kl against the list's own
-    composition, also by the groups present), and each group is scored as one
-    stacked array of its lists and their extreme arrangements.
+    (-1: unlabeled or past the end), for nd and rd a binarized row, of which only column
+    0, the protected one, is read.  ``target`` holds the probabilities of the columns read,
+    or is None for each list's own composition.  The lists are grouped by labeled count
+    (for kl against the list's own composition, also by the groups present), and each
+    group is scored as one stacked array of its lists and their extreme arrangements.
     """
     _check_kind(dist, 0)  # the protected column is column 0 of the prefix shares
     rows, count = left_justified(rows)
@@ -219,23 +225,17 @@ def prefd_scores(rows: np.ndarray, dense: np.ndarray, groups: GroupSpace,
     out.reasons[count == 0] = "no_labeled_docs"
     if not scored.any():
         return out
-    if dist == "kl" and target is not None and target.probs.size != dense.shape[1]:
+    dense = dense if dist == "kl" else dense[:, :1]
+    if target is not None and target.size != dense.shape[1]:
         raise FairRankError("target and alignment have different group counts")
-    if dist != "kl":
-        p = groups.require_protected()
-        if not 0 < threshold <= 1:
-            raise FairRankError(f"threshold must lie in (0, 1], got {threshold}")
     for n, idx in by_key(np.where(scored, count, 0)):
         if not n:
             continue
         cols = dense[rows[idx, :n]]
-        if dist != "kl":
-            cols = cols[..., [p]] >= threshold
-            tvec = (np.array([target.scalar(p)]) if target is not None
-                    else (cols.sum(axis=(1, 2)) / n)[:, None])
-            _score_prefd(out, idx, cols, tvec, dist, step)
-        elif target is not None:
-            _score_prefd(out, idx, cols, target.probs, dist, step)
+        if target is not None:
+            _score_prefd(out, idx, cols, target, dist, step)
+        elif dist != "kl":
+            _score_prefd(out, idx, cols, cols.sum(axis=1) / n, dist, step)
         else:
             # A group absent from the list has no place in its own composition:
             # the KL floor would lift its zero target and score every prefix,
@@ -332,22 +332,18 @@ def fair_score(
                             _direction("fair"))
 
 
-def fair_scores(rows: np.ndarray, dense: np.ndarray, protected: int, p_hat: float,
-                threshold: float) -> ListScores:
-    """``fair_score`` of every list, from the protected column of its labeled rows.
+def fair_scores(rows: np.ndarray, dense: np.ndarray, p_hat: float) -> ListScores:
+    """``fair_score`` of every list, from column 0, the protected one, of its binarized rows.
 
-    ``rows`` (R, D) holds each position's dense row (-1: unlabeled or past
-    the end); a position is protected when its column ``protected`` is at
-    least ``threshold``; ``p_hat`` lies in (0, 1).  The lists are grouped by
-    labeled count.
+    ``rows`` (R, D) holds each position's dense row (-1: unlabeled or past the end);
+    ``p_hat`` lies in (0, 1).  The lists are grouped by labeled count.
     """
     rows, count = left_justified(rows)
     out = ListScores.empty(len(rows))
     out.reasons[count == 0] = "no_labeled_docs"
     for n, idx in by_key(count):
         if n:
-            out.values[idx] = _fair_values(dense[rows[idx, :n], protected] >= threshold, p_hat,
-                                           False)
+            out.values[idx] = _fair_values(dense[rows[idx, :n], 0] > 0, p_hat, False)
     return out
 
 

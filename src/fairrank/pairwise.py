@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .compiled import CompiledSystem, Labels, sorted_distinct
-from .core import FairRankError, GroupSpace, NoPairs
+from .core import FairRankError, NoPairs
 from .record import Record
 
 
@@ -70,10 +70,9 @@ def _count(twice_hits: np.ndarray, totals: np.ndarray, keys: np.ndarray, groups:
         totals[:, lo_group] += np.bincount(hi_groups, n_below * weight, minlength=2)
 
 
-def sample_pairs_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, n_negatives: int,
-                    threshold: float) -> PairSample:
-    """Count the relevant-vs-negative pairs of a compiled system's scored documents, on one
-    alignment variant, as expected under uniform negative sampling.
+def sample_pairs_of(view: CompiledSystem, labels: Labels, n_negatives: int) -> PairSample:
+    """Count the relevant-vs-negative pairs of a compiled system's scored documents, on the
+    binarized alignment (column 0: protected), as expected under uniform negative sampling.
 
     Per request, the scored labeled documents split into positives (grade >
     0) and negatives (unjudged or judged non-relevant).  Each positive is
@@ -87,12 +86,11 @@ def sample_pairs_of(view: CompiledSystem, labels: Labels, groups: GroupSpace, n_
     """
     if n_negatives < 1:
         raise FairRankError(f"n_negatives must be >= 1, got {n_negatives}")
-    p = groups.require_protected()
     rows = labels.row_of[view.scored_ids]
     kept = rows >= 0
     request = np.repeat(np.arange(len(view.scored)), np.diff(view.scored_at))[kept]
     s, y = view.scored_values[kept], view.scored_grades[kept]
-    g = np.where(labels.dense[rows[kept], p] >= threshold, 0, 1)
+    g = np.where(labels.dense[rows[kept], 0] > 0, 0, 1)
     pos = y > 0
     n_pos = np.bincount(request[pos], minlength=len(view.scored))
     n_neg = np.bincount(request[~pos], minlength=len(view.scored))

@@ -187,6 +187,13 @@ class _Context:
             return TargetDistribution.equal(self.groups.g)
         return TargetDistribution(mc.custom_target)  # only prefD reads composition, per list
 
+    def target_of(self, mc: MetricConfig) -> np.ndarray | None:
+        """Target probabilities of the columns ``mc``'s kernel reads; None for composition."""
+        if mc.target == "composition":
+            return None
+        probs = self.target_vector(mc).probs
+        return probs if mc.dist == "kl" else probs[[self.groups.require_protected()]]
+
 
 def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
               notes: list[str]) -> tuple[float, int, int]:
@@ -229,14 +236,14 @@ def _family_rows(ctx: _Context, mc: MetricConfig,
                  notes: list[str]) -> list[tuple[float, int, int] | None]:
     """(value, n_requests, n_degenerate) of each row ``mc``'s family declares, or None for
     a row it leaves out."""
-    cfg, rule = ctx.config, FAMILIES[mc.name].request_weighting
+    rule = FAMILIES[mc.name].request_weighting
     model = mc.weight_model and WeightModel(mc.weight_model, mc.gamma)
 
-    base = ctx.labels["base"]
+    binary = ctx.labels["bin"]
     if mc.name == "prefd":
-        target = None if mc.target == "composition" else ctx.target_vector(mc)
-        return [_per_draw(ctx, prefd_scores(base.rows, base.dense, ctx.groups, target,
-                                            mc.dist, mc.step, cfg.threshold), mc, notes)]
+        labels = ctx.labels["base"] if mc.dist == "kl" else binary
+        return [_per_draw(ctx, prefd_scores(labels.rows, labels.dense, ctx.target_of(mc),
+                                            mc.dist, mc.step), mc, notes)]
 
     if mc.name == "awrf":
         eps, count = ctx.ranking_exposures(model, "base")
@@ -244,11 +251,10 @@ def _family_rows(ctx: _Context, mc: MetricConfig,
         return [_per_draw(ctx, scores, mc, notes)]
 
     if mc.name == "fair":
-        p_hat = ctx.target_vector(mc).scalar(ctx.groups.require_protected())  # 1/g for equal
+        p_hat, = ctx.target_of(mc)
         if not 0 < p_hat < 1:
             raise Degenerate(f"target protected probability {p_hat:.6g} outside (0, 1)")
-        return [_per_draw(ctx, fair_scores(base.rows, base.dense, ctx.groups.require_protected(),
-                                           p_hat, cfg.threshold), mc, notes)]
+        return [_per_draw(ctx, fair_scores(binary.rows, binary.dense, p_hat), mc, notes)]
 
     if mc.name in ("dp", "eed", "eur"):
         exposures = ctx.exposures(model, binarized=mc.name != "eed")
@@ -262,7 +268,7 @@ def _family_rows(ctx: _Context, mc: MetricConfig,
 
     if mc.name == "rur":
         gamma_disc, _ = ctx.view.reduce(rule, *discounted_utility_of(
-            ctx.view, ctx.labels["bin"], ctx.weights(model)))
+            ctx.view, binary, ctx.weights(model)))
         ratio = rur(gamma_disc, ctx.utility(mc.pool, rule), ctx.bin_groups)
         return _ratio_rows(mc, ratio, [len(ctx.view.requests), 0], notes)
 
@@ -281,8 +287,7 @@ def _family_rows(ctx: _Context, mc: MetricConfig,
         return [(iaa(eps, util), *counts)]
 
     if mc.name == "pair":
-        sample = sample_pairs(ctx.view, ctx.labels["base"], ctx.groups, mc.n_negatives,
-                              cfg.threshold)
+        sample = sample_pairs(ctx.view, binary, mc.n_negatives)
         table = accuracy_table(sample.pairs)
         intra, inter = intra_inter(table)
         n_req = len(ctx.view.scored)

@@ -13,6 +13,7 @@ from fairrank import (
     Ranking,
     RankingSequence,
     RelevanceTable,
+    binarize,
     request_exposure,
 )
 from fairrank.compiled import compile_sequence, reduce_requests
@@ -97,16 +98,18 @@ def distance_of(kind, observed, target, protected_index=None):
 
 def pair_sample(relevance, scores, alignment, groups, n_negatives=10000, threshold=0.5):
     """``sample_pairs_of`` over score tables given as ``{request: {document: score}}``,
-    compiled through a corpus of their own."""
+    compiled through a corpus of their own, on ``alignment`` binarized at ``threshold``."""
     view = compile_sequence(RankingSequence(()), relevance, scores=scores)
-    return sample_pairs_of(view, view.labels(alignment), groups, n_negatives, threshold)
+    binary, _ = binarize(alignment, groups, threshold)
+    return sample_pairs_of(view, view.labels(binary), n_negatives)
 
 
 def fair_of(ranking, alignment, p_hat):
     """One ranking's FAIR outcome, a document protected at a group-0 mass >= 0.5, by the
     batch kernel ``fair_scores`` on a batch of one."""
-    return fair_scores(alignment.indices(ranking.docs)[None], alignment.dense(), 0, p_hat,
-                       0.5).only("fair")
+    groups = GroupSpace(tuple(f"g{j}" for j in range(alignment.n_groups)), protected_index=0)
+    binary, _ = binarize(alignment, groups, 0.5)
+    return fair_scores(binary.indices(ranking.docs)[None], binary.dense(), p_hat).only("fair")
 
 
 def compile_run(seq, qrels, alignment, groups, config, scores=None):

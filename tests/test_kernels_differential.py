@@ -173,15 +173,18 @@ def test_exposure_kernels_match_the_per_list_bodies(system):
 @settings(max_examples=200, deadline=None)
 def test_single_list_kernels_match_the_per_list_bodies(system, signed):
     ctx, rows, _, model, step, target = system
-    base = ctx.labels["base"]
+    base, binary = ctx.labels["base"], ctx.labels["bin"]
     labeled = [base.dense[r[r >= 0]] for r in base.rows]
     for dist in ("nd", "rd", "kl"):
         for tgt in (None, target):
-            got = prefd_scores(base.rows, base.dense, ctx.groups, tgt, dist, step, 0.5)
+            # nd and rd read the protected column (0) of the binarized rows, kl the soft rows
+            labels = base if dist == "kl" else binary
+            probs = None if tgt is None else tgt.probs if dist == "kl" else tgt.probs[:1]
+            got = prefd_scores(labels.rows, labels.dense, probs, dist, step)
             _assert_same_scores(got, [outcome(list_prefd, cols, ctx.groups, tgt, dist, step, 0.5)
                                       for cols in labeled])
     # prefD nd against the plain loops
-    nd = prefd_scores(base.rows, base.dense, ctx.groups, None, "nd", step, 0.5)
+    nd = prefd_scores(binary.rows, binary.dense, None, "nd", step)
     for r, cols in enumerate(labeled):
         mask = [bool(m) for m in cols[:, 0] >= 0.5]
         if len(mask) <= step:
@@ -194,7 +197,7 @@ def test_single_list_kernels_match_the_per_list_bodies(system, signed):
             assert nd.values[r] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     for p_hat in (0.3, 0.5):
-        got = fair_scores(base.rows, base.dense, 0, p_hat, 0.5)
+        got = fair_scores(binary.rows, binary.dense, p_hat)
         _assert_same_scores(got, [list_fair(cols[:, 0] >= 0.5, p_hat) for cols in labeled])
         for r, cols in enumerate(labeled):
             if len(cols):
@@ -286,7 +289,7 @@ def test_kl_kernels_tell_apart_groups_past_the_64th():
     groups = GroupSpace(tuple(f"g{i}" for i in range(g)), protected_index=0)
     target = TargetDistribution(np.arange(1.0, g + 1) / np.arange(1.0, g + 1).sum())
     for tgt in (None, target):
-        got = prefd_scores(rows, dense, groups, tgt, "kl", 2, 0.5)
+        got = prefd_scores(rows, dense, None if tgt is None else tgt.probs, "kl", 2)
         _assert_same_scores(got, [outcome(list_prefd, dense[r], groups, tgt, "kl", 2, 0.5)
                                   for r in rows])
     observed = dense[rows].mean(axis=1)

@@ -12,6 +12,8 @@ cannot matter and requires the same rows back:
 * renaming the non-protected groups, or reordering the group columns, leaves
   the binary metrics (ND and RD prefD and AWRF, FAIR, DP, EUR, RUR and the
   pair accuracies) unchanged;
+* binarizing every alignment row at the config threshold leaves prefD (ND, RD),
+  FAIR, DP, EUR, RUR and the pair accuracies exactly unchanged;
 * reordering the ``--run`` arguments leaves ``metrics.csv`` and
   ``correlations.csv`` byte-identical;
 * moving a hard-protected document one rank up, past a hard-unprotected
@@ -205,6 +207,38 @@ def test_renaming_or_reordering_non_protected_groups_leaves_binary_metrics_uncha
     order = list(data.draw(st.permutations(range(g))))
     _, reordered = _evaluate(g, rows, draws, grades, scores, BINARY, order=order, labels=labels)
     _assert_same(reordered, base)
+
+
+BINOMIAL = (
+    {"name": "prefd", "step": 2},
+    {"name": "prefd", "label": "prefD_rd", "dist": "rd", "target": "custom", "step": 3},
+    {"name": "fair", "target": "custom"},
+    {"name": "dp"},
+    {"name": "eur"},
+    {"name": "rur"},
+    {"name": "pair", "n_negatives": 3},
+)
+
+
+@given(corpora(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_binomial_metrics_see_soft_membership_only_through_binarize(corpus, data):
+    # Handing these families hard rows, binarized at the config threshold, in place of
+    # the soft ones changes no row.  Some rows sit exactly at the threshold.  The custom
+    # target keeps its protected share when the other groups fold into one; targets
+    # built from the soft rows (catalog) move with them, and equal ones with g.
+    g, rows, draws, grades, scores = corpus
+    threshold = EvalConfig.threshold
+    at = data.draw(st.lists(st.sampled_from(DOCS), unique=True, max_size=4))
+    rows = dict(rows, **{d: np.array([threshold, *[(1 - threshold) / (g - 1)] * (g - 1)])
+                         for d in at})
+    share = data.draw(st.floats(0.05, 0.95))
+    _, base = _evaluate(g, rows, draws, grades, scores, BINOMIAL,
+                        [share, *[(1 - share) / (g - 1)] * (g - 1)])
+    hard = {d: np.array([1.0, 0.0]) if r[0] >= threshold else np.array([0.0, 1.0])
+            for d, r in rows.items()}
+    _, again = _evaluate(2, hard, draws, grades, scores, BINOMIAL, [share, 1 - share])
+    _assert_same(again, base, exact=True)
 
 
 def test_reordering_run_arguments_keeps_the_tables_byte_identical(tmp_path):
