@@ -1,4 +1,4 @@
-"""Error hierarchy and metric direction, shared by every fairrank module.
+"""Error hierarchy, metric direction and input decoding, shared by every fairrank module.
 
 Nothing here needs numpy, so the ``compare`` command and ``report`` can use
 these names without loading the array stack.
@@ -7,6 +7,7 @@ these names without loading the array stack.
 from __future__ import annotations
 
 import enum
+from pathlib import Path
 
 
 class FairRankError(Exception):
@@ -86,3 +87,27 @@ class Direction(enum.Enum):
     ZERO_IS_FAIR = "ZeroIsFair"
     ONE_IS_FAIR = "OneIsFair"
     HIGHER_IS_BETTER = "HigherIsBetter"
+
+
+def _read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file with universal newlines (``\\r\\n`` and a lone ``\\r`` read as
+    ``\\n``) and without one leading byte-order mark; a byte that is not UTF-8 is a
+    ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})",
+                         line) from None
+    text = text.removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _named(exc: FairRankError, source) -> FairRankError:
+    """``exc`` with the path ``source`` (when it is one) before its message."""
+    if isinstance(source, (str, Path)):
+        exc.args = (f"{source}: {exc}", *exc.args[1:])
+    return exc

@@ -150,17 +150,21 @@ def exposures_of(weights: np.ndarray, rows: np.ndarray,
     return eps, count
 
 
-def request_means(per_ranking: np.ndarray, view: CompiledSystem) -> np.ndarray:
-    """Each request's mean of ``per_ranking`` rows over its draws, grouped by draw count.
-
-    A request's draws are added in draw order, as ``np.sum`` over their list adds them.
-    """
-    counts = np.diff(view.draw_at)
-    out = np.zeros((counts.size, per_ranking.shape[1]))
+def request_means(per_ranking: np.ndarray, view: CompiledSystem,
+                  kept: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each request's mean of ``per_ranking`` (an entry per distinct ranking) over its draws,
+    or those of the rankings ``kept``, and that draw count (0, mean 0: none).  The requests
+    of one count are summed along their draw axis: a scalar per draw adds as ``np.mean``
+    over the request's draws alone (pairwise), a row per draw one draw after another."""
+    kept_draw = np.ones(view.draw_of.size, bool) if kept is None else kept[view.draw_of]
+    # each request's kept draws first, in draw order
+    draws = view.draw_of[np.lexsort((~kept_draw, view.draw_request))]
+    counts = np.bincount(view.draw_request[kept_draw], minlength=len(view.requests))
+    out = np.zeros((counts.size, *per_ranking.shape[1:]))
     for k, idx in by_key(counts):
-        draws = view.draw_of[view.draw_at[idx, None] + np.arange(k)]
-        out[idx] = per_ranking[draws].sum(axis=1) / k
-    return out
+        if k:
+            out[idx] = per_ranking[draws[view.draw_at[idx, None] + np.arange(k)]].sum(axis=1) / k
+    return out, counts
 
 
 class RequestExposure(NamedTuple):
@@ -179,7 +183,7 @@ def request_exposures(per_ranking: np.ndarray, count: np.ndarray,
     """``RequestExposure`` from each distinct ranking's exposure and labeled count."""
     labeled = np.bincount(view.draw_request[count[view.draw_of] > 0],
                           minlength=len(view.requests)) > 0
-    return RequestExposure(request_means(per_ranking, view), labeled)
+    return RequestExposure(request_means(per_ranking, view)[0], labeled)
 
 
 def _check_width(alignment: AlignmentMatrix, groups: GroupSpace) -> None:

@@ -81,7 +81,7 @@ from .core import (
     first_codes,
 )
 from .distance import DISTANCE_KINDS
-from .errors import InputWarning
+from .errors import InputWarning, _named, _read_text
 from .exposure import WEIGHT_KINDS
 from .record import Record
 from .registry import BATTERY, FAMILIES, TARGET_MODES
@@ -169,30 +169,6 @@ def _read(source: TextIO | Iterable[str] | str | Path) -> str | list[str]:
             or not all(map(str.endswith, lines[:-1], repeat("\n")))):
         return lines
     return text
-
-
-def _read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file with universal newlines (``\\r\\n`` and a lone ``\\r`` read as
-    ``\\n``) and without one leading byte-order mark; a byte that is not UTF-8 is a
-    ParseError at its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})",
-                         line) from None
-    text = text.removeprefix("\ufeff")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
-def _named(exc: FairRankError, source) -> FairRankError:
-    """``exc`` with the path ``source`` (when it is one) before its message."""
-    if isinstance(source, (str, Path)):
-        exc.args = (f"{source}: {exc}", *exc.args[1:])
-    return exc
 
 
 def _names_path(parse: Callable[..., T]) -> Callable[..., T]:

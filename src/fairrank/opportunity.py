@@ -81,21 +81,14 @@ def group_utility(
 
 def utility_of(view: CompiledSystem, labels: Labels, pool: str) -> tuple[np.ndarray, np.ndarray]:
     """Each request's (sorted) mean relevance per group, on one alignment variant, and
-    whether the group has pooled members there.  The requests are grouped by their number
-    of labeled candidates."""
+    whether the group has pooled members there: the grades of its pooled members over their
+    number, both one ``exposures_of`` pass over the pool (NaN where there are none)."""
     docs, grades, at = view.pools(pool)
-    rows, grades, count = left_justified(as_grid(labels.row_of[docs], at, -1),
-                                         as_grid(grades, at, 0.0))
-    means = np.zeros((len(rows), labels.dense.shape[1]))
-    members = np.zeros(means.shape, dtype=np.intp)
-    for n, idx in by_key(count):
-        if n:
-            member = labels.dense[rows[idx, :n]] > 0.5
-            members[idx] = member.sum(axis=1)
-            graded = np.matmul(grades[idx, None, :n], member.astype(float))[:, 0]
-            with np.errstate(invalid="ignore"):
-                means[idx] = graded / members[idx]
-    return means, members > 0
+    rows, member = as_grid(labels.row_of[docs], at, -1), (labels.dense > 0.5).astype(float)
+    graded, _ = exposures_of(as_grid(grades, at, 0.0), rows, member)
+    members, _ = exposures_of(np.ones(rows.shape[1]), rows, member)
+    with np.errstate(invalid="ignore"):
+        return graded / members, members > 0
 
 
 def mean_utility(sums: np.ndarray, mass: np.ndarray, groups: GroupSpace) -> np.ndarray:
@@ -126,7 +119,7 @@ def discounted_utility_of(view: CompiledSystem, labels: Labels,
     """Each request's (sorted) position-weight x relevance mass per group, given the
     position weights, averaged over its draws; every request counts."""
     masses, _ = exposures_of(weights * view.grades, labels.rows, labels.dense)
-    return request_means(masses, view), np.ones(len(view.requests), dtype=bool)
+    return request_means(masses, view)[0], np.ones(len(view.requests), dtype=bool)
 
 
 def eur(system_eps: np.ndarray, upsilon: np.ndarray, groups: GroupSpace) -> float:

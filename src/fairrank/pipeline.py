@@ -6,10 +6,10 @@ once per evaluate), this evaluates every configured metric and returns table
 rows plus human-readable notes about skipped or degenerate computations.
 Each metric family is one array pass over the system's view: its kernel
 scores every distinct ranking (or request) at once, grouped by labeled length
-or draw count, into one column per request, its draws averaged, and a mask of
-the requests that count.  ``compiled.reduce_requests`` combines the requests
-as the family's ``MetricSpec.request_weighting`` declares (PAIR pools its pair
-counts instead), and a finalizer per family turns the sums into its rows.
+or draw count, into one column per request, its draws averaged (``request_means``),
+and a mask of the requests that count.  ``compiled.reduce_requests`` combines the
+requests as the family's ``MetricSpec.request_weighting`` declares (PAIR pools its
+pair counts instead), and a finalizer per family turns the sums into its rows.
 Nothing here loops over rankings or requests.
 """
 
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .compiled import CompiledSystem, Corpus, by_key
+from .compiled import CompiledSystem, Corpus
 from .core import (
     AlignmentMatrix,
     AllDegenerate,
@@ -41,6 +41,7 @@ from .exposure import (
     exposures_of,
     request_exposure,
     request_exposures,
+    request_means,
     resolve_stop,
 )
 from .ingest import EvalConfig, MetricConfig
@@ -202,22 +203,16 @@ def _per_draw(ctx: _Context, scores: ListScores, mc: MetricConfig,
     A ranking's outcome counts for every draw of it.  A draw without a
     score (NaN with a degenerate reason) is excluded; draws scored by
     convention (short lists, undefined normalizer) keep their value but are
-    noted.  A request's value is the mean over its other draws, in draw
-    order, with the requests grouped by that count; a request is degenerate
-    when all its draws are.  The others are combined as ``mc``'s family declares.
+    noted.  A request's value is the mean over its other draws, which
+    ``request_means`` adds as ``np.mean`` over them alone does; a request is
+    degenerate when all its draws are.  The others are combined as ``mc``'s
+    family declares.
     """
     view = ctx.view
-    values = scores.values[view.draw_of]
-    flagged = scores.reasons[view.draw_of].astype(bool)
-    excluded = flagged & np.isnan(values)
-    conventions = int(np.count_nonzero(flagged & ~excluded))
-    # each request's scored draws first, in draw order
-    order = np.lexsort((excluded, view.draw_request))
-    n_scored = np.bincount(view.draw_request[~excluded], minlength=len(view.requests))
-    means = np.zeros(len(view.requests))
-    for k, idx in by_key(n_scored):
-        if k:
-            means[idx] = values[order[view.draw_at[idx, None] + np.arange(k)]].mean(axis=1)
+    flagged = scores.reasons.astype(bool)
+    scored = ~(flagged & np.isnan(scores.values))
+    conventions = int(np.count_nonzero((flagged & scored)[view.draw_of]))
+    means, n_scored = request_means(scores.values, view, scored)
     if conventions:
         notes.append(f"{mc.label}: {conventions} draws scored by edge-case convention")
     value, *counts = view.mean(FAMILIES[mc.name].request_weighting, means, n_scored > 0,

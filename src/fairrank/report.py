@@ -12,11 +12,12 @@ The module is plain Python, so ``compare`` runs without numpy.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 from typing import Iterable
 
-from .errors import Degenerate, Direction, FairRankError
+from .errors import Degenerate, Direction, FairRankError, ParseError, _named, _read_text
 from .record import Record
 from .registry import BATTERY_ROWS, RATIO_ROWS
 
@@ -171,36 +172,39 @@ def emit_correlations(matrix: CorrelationMatrix, out_dir: str | Path,
 
 
 def read_metrics_table(path: str | Path) -> list[MetricResult]:
-    """Read back a metrics.csv written by ``emit_tables``, ignoring one leading
-    byte-order mark as every input does.
+    """Read back a metrics.csv written by ``emit_tables``, decoded as every input is.
 
     Each (system, metric) pair may appear once; a repeat is an error, since
     the correlation would silently keep only the last value.
     """
     out: list[MetricResult] = []
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in METRICS_COLUMNS:
-            if column not in (reader.fieldnames or ()):
-                raise FairRankError(f"{path}:1: missing column {column!r}")
-        for row in reader:
-            lineno = reader.line_num
-            try:
-                result = MetricResult(
-                    metric=row["metric"],
-                    system=row["system"],
-                    value=float(row["value"]),
-                    n_requests=int(row["n_requests"]),
-                    n_degenerate=int(row["n_degenerate"]),
-                    direction=Direction(row["direction"]),
-                )
-            except (TypeError, ValueError, FairRankError) as exc:  # TypeError: a short row
-                raise FairRankError(f"{path}:{lineno}: bad metrics row ({exc})") from None
-            key = (result.system, result.metric)
-            if key in first_line:
-                raise FairRankError(f"{path}:{lineno}: repeated row for system {key[0]!r}, "
-                                    f"metric {key[1]!r} (first at line {first_line[key]})")
-            first_line[key] = lineno
-            out.append(result)
+    try:
+        reader = csv.DictReader(io.StringIO(_read_text(path)))
+    except ParseError as exc:  # a byte that is not UTF-8, at its line
+        raise _named(exc, path)
+    for column in METRICS_COLUMNS:
+        if column not in (reader.fieldnames or ()):
+            raise FairRankError(f"{path}:1: missing column {column!r}")
+    for row in reader:
+        lineno = reader.line_num
+        try:
+            if None in row:  # DictReader files the cells past the header's under None
+                raise ValueError(f"cells past the header: {row[None]!r}")
+            result = MetricResult(
+                metric=row["metric"],
+                system=row["system"],
+                value=float(row["value"]),
+                n_requests=int(row["n_requests"]),
+                n_degenerate=int(row["n_degenerate"]),
+                direction=Direction(row["direction"]),
+            )
+        except (TypeError, ValueError, FairRankError) as exc:  # TypeError: a short row
+            raise FairRankError(f"{path}:{lineno}: bad metrics row ({exc})") from None
+        key = (result.system, result.metric)
+        if key in first_line:
+            raise FairRankError(f"{path}:{lineno}: repeated row for system {key[0]!r}, "
+                                f"metric {key[1]!r} (first at line {first_line[key]})")
+        first_line[key] = lineno
+        out.append(result)
     return out

@@ -491,6 +491,26 @@ class TestCompare:
                 in capsys.readouterr().err)
         assert not (tmp_path / "correlations.csv").exists()
 
+    _HEADER = b"system,metric,value,n_requests,n_degenerate,direction\n"
+
+    def test_a_byte_that_is_not_utf8_exits_2_at_its_line(self, tmp_path, capsys):
+        table = tmp_path / "metrics.csv"
+        table.write_bytes(self._HEADER + b"A,X,0.1,1,0,ZeroIsFair\nB,X,0.2,1,0,ZeroIsFair\r\n"
+                          b"A,Y,0.3,1,0,ZeroIsFair\n\xff,Y,0.4,1,0,ZeroIsFair\n")
+        assert main(["compare", "--results", str(tmp_path)]) == 2
+        assert logged(capsys, "ERROR") == [
+            f"{table}: line 5: byte 0xff is not UTF-8 (invalid start byte)"]
+        assert not (tmp_path / "correlations.csv").exists()
+
+    def test_a_row_longer_than_the_header_exits_2_with_the_line(self, tmp_path, capsys):
+        table = tmp_path / "metrics.csv"
+        table.write_bytes(self._HEADER + b"A,X,0.1,1,0,ZeroIsFair,extra\nB,X,0.2,1,0,ZeroIsFair\n"
+                          b"A,Y,0.3,1,0,ZeroIsFair\nB,Y,0.4,1,0,ZeroIsFair\n")
+        assert main(["compare", "--results", str(tmp_path)]) == 2
+        assert logged(capsys, "ERROR") == [
+            f"{table}:2: bad metrics row (cells past the header: ['extra'])"]
+        assert not (tmp_path / "correlations.csv").exists()
+
     def test_an_os_error_without_a_file_name_exits_2_as_an_io_error(self, tmp_path, capsys,
                                                                      monkeypatch):
         def full(*args, **kwargs):

@@ -90,13 +90,16 @@ def systems(draw):
         q = f"q{i}"
         grades[q] = {d: y for d in DOCS + UNLABELED
                      if (y := draw(st.sampled_from((None, 0.0, 1.0, 2.0)))) is not None}
+        # one request in eight draws each of 8 to 40 rankings once, so that its mean of
+        # exposure rows adds one draw after another where a pairwise sum would not
+        wide = draw(st.integers(0, 7)) == 0
         rankings = []
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(8, 40) if wide else st.integers(1, 3))):
             pool = UNLABELED if draw(st.integers(0, 4)) == 0 else DOCS + UNLABELED
             order = draw(st.permutations(pool))
             rankings.append(Ranking(q, tuple(order[:draw(st.integers(1, len(order)))])))
-        for _ in range(draw(st.integers(1, 5))):
-            r = draw(st.sampled_from(rankings))
+        for r in rankings if wide else (draw(st.sampled_from(rankings))
+                                        for _ in range(draw(st.integers(1, 5)))):
             draws.append((q, r if draw(st.booleans()) else Ranking(q, r.docs)))
         if draw(st.booleans()):
             scored = draw(st.lists(st.sampled_from(DOCS + UNLABELED), unique=True, max_size=8))

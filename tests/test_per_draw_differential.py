@@ -51,12 +51,15 @@ def corpora(draw):
     for i in range(draw(st.integers(1, 3))):
         q = f"q{i}"
         grades[q] = {d: draw(st.sampled_from((0.0, 1.0, 2.0))) for d in DOCS}
+        # one request in eight draws each of 8 to 40 rankings once, so that its mean adds
+        # pairwise (as np.mean does from 8 values on), not one draw after another
+        wide = draw(st.integers(0, 7)) == 0
         rankings = []
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(8, 40) if wide else st.integers(1, 3))):
             order = draw(st.permutations(DOCS))
             rankings.append(Ranking(q, tuple(order[:draw(st.integers(1, len(order)))])))
-        for _ in range(draw(st.integers(1, 5))):
-            r = draw(st.sampled_from(rankings))
+        for r in rankings if wide else (draw(st.sampled_from(rankings))
+                                        for _ in range(draw(st.integers(1, 5)))):
             draws.append((q, r if draw(st.booleans()) else Ranking(q, r.docs)))
     seq = RankingSequence(tuple(draw(st.permutations(draws))))
     return AlignmentMatrix(rows, n_groups=2), RelevanceTable(grades), seq

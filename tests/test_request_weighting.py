@@ -76,6 +76,19 @@ def test_requests_are_combined_only_by_the_reduction():
     assert calls and set(calls) == {("compiled.py", "running_total", "reduce_requests")}
 
 
+def test_draws_are_averaged_only_by_request_means():
+    # a request's draws are found through where they start, draw_at: outside the view that
+    # builds it, only exposure.request_means reads it, so the draw average has one owner
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        for outer in ast.parse(path.read_text(encoding="utf-8")).body:
+            reads |= {(path.name, getattr(outer, "name", None)) for node in ast.walk(outer)
+                      if isinstance(node, ast.Attribute) and node.attr == "draw_at"
+                      and isinstance(node.ctx, ast.Load)}
+    assert {read for read in reads if read[0] != "compiled.py"} == {
+        ("exposure.py", "request_means")}
+
+
 def test_the_reduction_under_each_rule():
     columns = np.array([[1.0, np.nan], [2.0, 4.0], [8.0, 16.0]])
     weight, arrival = np.array([0.5, 0.25, 0.25]), np.array([2, 0, 1])
